@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import difflib
 import json
 import os
 import subprocess
@@ -23,10 +24,13 @@ import numpy as np
 
 from . import dmft, equilibrium, mp_oracle, simulator
 from .kernels import (
+    COMPARED_KERNELS,
     KernelTable,
     compare_tables,
     config_hash,
     read_table_csv,
+    restrict_to_times,
+    time_index,
     write_table_csv,
 )
 from .model import ModelParams, sample_instance
@@ -51,20 +55,74 @@ class ConfigError(ValueError):
     """Config validation failure; message lists every offending field."""
 
 
+# Prior family name -> (its own config keys, builder from the prior section).
+_FAMILIES = {
+    "gaussian_fixed": (("lam",), lambda c: GaussianFixed(c["lam"])),
+    "gaussian_location": (("scale",), lambda c: GaussianLocation(c.get("scale", 1.0))),
+    "gaussian_mean_mixture": (
+        ("weights", "precisions"),
+        lambda c: GaussianMeanMixture(c["weights"], c["precisions"]),
+    ),
+    "gaussian_weight_mixture": (
+        ("means", "precisions"),
+        lambda c: GaussianWeightMixture(c["means"], c["precisions"]),
+    ),
+    "exp_family": (("powers",), lambda c: ExpFamily(polynomial_stats(c["powers"]))),
+}
+_PRIOR_KEYS = ("family", "alpha0", "alpha_star")
+
+# Every key the CLI reads, by section; the same table for every pipeline.
+_KEYS = {
+    "": (
+        "pipeline", "seed", "out", "threads", "model", "prior", "theta0", "replicas", "n_paths",
+        "quad_nodes", "retain_every", "design", "response_steps", "response_method", "n_probes",
+        "response_budget_bytes", "regularizer", "tau_star2", "compare", "equilibrium",
+    ),
+    "model": ("n", "d", "sigma2", "beta", "gamma", "horizon", "delta"),
+    "theta0": ("kind", "var"),
+    "compare": ("sources", "times", "tolerances", "marginal_times"),
+    "compare.tolerances": COMPARED_KERNELS + ("default", "w2"),
+    "equilibrium": ("g_star", "g", "delta", "sigma2", "tol", "n_gh", "sweep_sigma2"),
+    "regularizer": ("D", "eps"),
+}
+
+
+def _dict(value) -> dict:
+    return value if isinstance(value, dict) else {}
+
+
+def _hint(name, allowed) -> str:
+    match = difflib.get_close_matches(str(name), list(allowed), n=1)
+    return f" (did you mean {match[0]!r}?)" if match else ""
+
+
+def _unknown(where: str, section: dict, allowed) -> list[str]:
+    return [f"{where}{key}: unknown key{_hint(key, allowed)}" for key in section if key not in allowed]
+
+
+def _key_errors(raw: dict) -> list[str]:
+    """Unknown keys, tolerance names and prior families anywhere in a config."""
+    compare, eq = _dict(raw.get("compare")), _dict(raw.get("equilibrium"))
+    sections = {"": raw, "compare.tolerances": _dict(compare.get("tolerances"))}
+    for name in ("model", "theta0", "compare", "equilibrium", "regularizer"):
+        sections[name] = _dict(raw.get(name))
+    errors = []
+    for name, section in sections.items():
+        errors += _unknown(f"{name}." if name else "", section, _KEYS[name])
+    priors = {"prior": raw.get("prior"), "equilibrium.g_star": eq.get("g_star"), "equilibrium.g": eq.get("g")}
+    for name, section in priors.items():
+        if not isinstance(section, dict):
+            continue
+        fam = section.get("family")
+        if isinstance(fam, str) and fam in _FAMILIES:
+            errors += _unknown(f"{name}.", section, _PRIOR_KEYS + _FAMILIES[fam][0])
+        else:
+            errors.append(f"{name}.family: unknown family {fam!r}{_hint(fam, _FAMILIES)}")
+    return errors
+
+
 def _build_prior(cfg: dict, theta0_cfg: Optional[dict]) -> PriorSpec:
-    fam = cfg.get("family")
-    if fam == "gaussian_fixed":
-        family = GaussianFixed(cfg["lam"])
-    elif fam == "gaussian_location":
-        family = GaussianLocation(cfg.get("scale", 1.0))
-    elif fam == "gaussian_mean_mixture":
-        family = GaussianMeanMixture(cfg["weights"], cfg["precisions"])
-    elif fam == "gaussian_weight_mixture":
-        family = GaussianWeightMixture(cfg["means"], cfg["precisions"])
-    elif fam == "exp_family":
-        family = ExpFamily(polynomial_stats(cfg["powers"]))
-    else:
-        raise ConfigError(f"prior.family: unknown family {fam!r}")
+    family = _FAMILIES[cfg["family"]][1](cfg)
     k = family.dim_alpha
     alpha0 = np.asarray(cfg.get("alpha0", np.zeros(k)), dtype=float)
     alpha_star = np.asarray(cfg.get("alpha_star", alpha0), dtype=float)
@@ -103,7 +161,10 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     else:
         with open(config) as fh:
             raw = json.load(fh)
-    errors: list[str] = []
+    # Unknown keys are reported alone: one may be a misspelled required key.
+    errors = _key_errors(raw)
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     pipeline = raw.get("pipeline")
     if pipeline not in PIPELINES:
         errors.append(f"pipeline: must be one of {PIPELINES}, got {pipeline!r}")
@@ -133,7 +194,7 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         else:
             try:
                 prior = _build_prior(pc, raw.get("theta0"))
-            except (ConfigError, KeyError, ValueError) as exc:
+            except (KeyError, ValueError) as exc:
                 errors.append(f"prior: {exc}")
 
     replicas = int(raw.get("replicas", 0))
@@ -141,11 +202,14 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         errors.append("replicas: must be >= 1 for the simulate/response pipelines")
     if pipeline == "response" and not raw.get("response_steps"):
         errors.append("response_steps: required for the response pipeline")
+    ec = _dict(raw.get("equilibrium"))
+    if pipeline == "equilibrium" and not all(k in ec for k in ("g_star", "delta", "sigma2")):
+        errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
     n_paths = int(raw.get("n_paths", 0))
     if pipeline == "dmft" and n_paths < 100:
         errors.append("n_paths: must be >= 100 for the dmft pipeline")
+    cc = raw.get("compare", {})
     if pipeline == "compare":
-        cc = raw.get("compare", {})
         sources = cc.get("sources", [])
         allowed = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
         if len(sources) != 2 or any(s not in allowed for s in sources):
@@ -157,7 +221,6 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     threads = int(threads_override if threads_override is not None else raw.get("threads", 1))
     if threads < 1:
         raise ConfigError("threads: must be >= 1")
-    cc = raw.get("compare", {})
     return RunConfig(
         pipeline=pipeline,
         raw=raw,
@@ -171,9 +234,9 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         quad_nodes=int(raw.get("quad_nodes", 400)),
         retain_every=int(raw.get("retain_every", 10)),
         response_steps=list(raw.get("response_steps", [])),
-        tolerances=dict(cc.get("tolerances", raw.get("tolerances", {}))),
+        tolerances=dict(cc.get("tolerances", {})),
         compare_sources=list(cc.get("sources", [])),
-        marginal_times=list(cc.get("marginal_times", raw.get("marginal_times", _DEFAULT_MARGINAL_TIMES))),
+        marginal_times=list(cc.get("marginal_times", _DEFAULT_MARGINAL_TIMES)),
     )
 
 
@@ -188,7 +251,13 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: Optional[dict] = None):
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: dict):
     manifest = {
         "config_hash": cfg.hash,
         "pipeline": cfg.pipeline,
@@ -202,19 +271,15 @@ def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: Option
         "build": _git_describe(),
         "files": files,
     }
-    manifest.update(extra or {})
-    path = cfg.out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    manifest.update(extra)
+    _write_json(cfg.out_dir / "manifest.json", manifest)
 
 
 def _replica_seeds(seed: int, replicas: int) -> list[int]:
     return [seed * 1000 + r for r in range(replicas)]
 
 
-def _run_simulate(cfg: RunConfig, with_response: bool):
+def _run_simulate(cfg: RunConfig):
     params, prior = cfg.model, cfg.prior
     seeds = _replica_seeds(cfg.seed, cfg.replicas)
 
@@ -222,7 +287,7 @@ def _run_simulate(cfg: RunConfig, with_response: bool):
         inst = sample_instance(params, prior, seed=rs, design=cfg.raw.get("design", "gaussian"))
         traj = simulator.evolve(inst, prior, params, seed=rs, retain_every=cfg.retain_every)
         traces = None
-        if with_response and cfg.response_steps:
+        if cfg.response_steps:
             traces = simulator.response_traces(
                 traj if traj.full else None, inst, prior, params, cfg.response_steps,
                 method=cfg.raw.get("response_method", "exact-product"),
@@ -238,24 +303,15 @@ def _run_simulate(cfg: RunConfig, with_response: bool):
     instances = [r[0] for r in results]
     trajs = [r[1] for r in results]
     table = simulator.empirical_kernels(trajs, instances, params)
-    if with_response and cfg.response_steps:
+    if cfg.response_steps:
         traces = simulator.average_response_traces([r[2] for r in results])
         simulator.attach_response(table, traces)
     marginals = {}
     for t in cfg.marginal_times:
-        idx = _time_index(trajs[0].times, t, strict=False)
+        idx = time_index(trajs[0].times, t)
         if idx is not None:
             marginals[t] = np.concatenate([tr.theta_path[idx] for tr in trajs])
     return table, marginals
-
-
-def _time_index(times: np.ndarray, t: float, strict: bool = True):
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9:
-        if strict:
-            raise ConfigError(f"time {t} not on the retained grid")
-        return None
-    return idx
 
 
 def _run_dmft(cfg: RunConfig):
@@ -281,7 +337,14 @@ def _regularizer(cfg: RunConfig) -> Optional[SmoothHinge]:
     return SmoothHinge(D=float(rc.get("D", 10.0)), eps=float(rc.get("eps", 1.0)))
 
 
-def _oracle_pieces(cfg: RunConfig):
+def _run_linear(cfg: RunConfig):
+    family = cfg.prior.family
+    if not isinstance(family, GaussianFixed):
+        raise ConfigError("dmft-linear requires the gaussian_fixed prior")
+    return dmft.linear_gaussian_dmft(cfg.model, family.lam, family.second_moment()), {}
+
+
+def _run_oracle(cfg: RunConfig):
     params, prior = cfg.model, cfg.prior
     if not isinstance(prior.family, GaussianFixed):
         raise ConfigError("the oracle pipeline requires the gaussian_fixed prior")
@@ -296,30 +359,31 @@ def _oracle_pieces(cfg: RunConfig):
         tau_star2=float(cfg.raw.get("tau_star2", prior.family.second_moment())),
     )
     law = mp_oracle.mp_quadrature(params.delta, cfg.quad_nodes)
-    return oracle, law
-
-
-def _run_oracle(cfg: RunConfig) -> KernelTable:
-    oracle, law = _oracle_pieces(cfg)
-    times = cfg.raw.get("compare", {}).get("times") or cfg.raw.get("times")
+    times = cfg.raw.get("compare", {}).get("times")
     if times is None:
-        times = cfg.model.gamma_step * np.arange(0, cfg.model.n_steps + 1, cfg.retain_every)
-    return mp_oracle.oracle_table(np.asarray(times, dtype=float), oracle, law)
+        times = params.gamma_step * np.arange(0, params.n_steps + 1, cfg.retain_every)
+    return mp_oracle.oracle_table(np.asarray(times, dtype=float), oracle, law), {}
+
+
+# Kernel-table source name (aliases included) -> (table, marginal samples).
+# The response pipeline is simulate with response_steps required.
+_SOURCES = {
+    "simulate": _run_simulate,
+    "response": _run_simulate,
+    "dmft": _run_dmft,
+    "dmft-mc": _run_dmft,
+    "dmft-linear": _run_linear,
+    "oracle": _run_oracle,
+    "mp-oracle": _run_oracle,
+}
 
 
 def _run_equilibrium(cfg: RunConfig) -> dict:
-    ec = cfg.raw.get("equilibrium", {})
-    if "g_star" in ec:
-        g_star = _build_prior(ec["g_star"], None)
-        g = _build_prior(ec.get("g", ec["g_star"]), None)
-        delta = float(ec["delta"])
-        sigma2 = float(ec["sigma2"])
-    else:
-        if cfg.model is None or cfg.prior is None:
-            raise ConfigError("equilibrium: needs either an 'equilibrium' section or model+prior")
-        g_star = PriorSpec(cfg.prior.family, cfg.prior.alpha_star, cfg.prior.alpha_star)
-        g = cfg.prior
-        delta, sigma2 = cfg.model.delta, cfg.model.sigma2
+    ec = cfg.raw["equilibrium"]
+    g_star = _build_prior(ec["g_star"], None)
+    g = _build_prior(ec.get("g", ec["g_star"]), None)
+    delta = float(ec["delta"])
+    sigma2 = float(ec["sigma2"])
     sol = equilibrium.solve_fixed_point(
         delta, sigma2, g_star, g,
         tol=float(ec.get("tol", 1e-10)), n_gh=int(ec.get("n_gh", 64)),
@@ -341,31 +405,12 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
     return out
 
 
-def _compute_source(cfg: RunConfig, source: str):
-    """Compute one comparison source in memory: (table, marginal samples)."""
-    if source == "simulate":
-        return _run_simulate(cfg, with_response=bool(cfg.response_steps))
-    if source in ("dmft", "dmft-mc"):
-        return _run_dmft(cfg)
-    if source == "dmft-linear":
-        prior = cfg.prior
-        if not isinstance(prior.family, GaussianFixed):
-            raise ConfigError("dmft-linear requires the gaussian_fixed prior")
-        table = dmft.linear_gaussian_dmft(cfg.model, prior.family.lam, prior.family.second_moment())
-        return table, {}
-    if source in ("oracle", "mp-oracle"):
-        return _run_oracle(cfg), {}
-    raise ConfigError(f"unknown compare source {source!r}")
-
-
 def _run_compare(cfg: RunConfig) -> dict:
-    from .kernels import restrict_to_times
-
     tables = []
     marginal_sets = []
     compare_times = cfg.raw.get("compare", {}).get("times")
     for source in cfg.compare_sources:
-        table, marg = _compute_source(cfg, source)
+        table, marg = _SOURCES[source](cfg)
         tables.append(table)
         marginal_sets.append(marg)
         write_table_csv(table, cfg.out_dir / f"kernels_{table.source}.csv")
@@ -384,72 +429,41 @@ def _run_compare(cfg: RunConfig) -> dict:
         if w2_tol is not None and w2 > w2_tol:
             report.passed = False
     report.w2_tolerance = w2_tol
+    checked = any(d.tolerance is not None for d in report.discrepancies)
+    if not checked and (w2_tol is None or not report.w2_marginals):
+        raise ConfigError(
+            "compare: no compared kernel and no W2 marginal has a tolerance "
+            f"(compared {[d.kernel for d in report.discrepancies]}); set compare.tolerances"
+        )
     return report.to_dict()
 
 
 def run(config_path, out=None, seed=None, threads=None) -> int:
     """Execute the configured pipeline; returns the process exit status."""
+    extra: dict = {}
+    status = 0
     try:
         cfg = load_config(config_path, out, seed, threads)
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        if cfg.pipeline == "equilibrium":
+            source, name = "equilibrium", "equilibrium.json"
+            _write_json(cfg.out_dir / name, _run_equilibrium(cfg))
+        elif cfg.pipeline == "compare":
+            source, name = "compare", "report.json"
+            report = _run_compare(cfg)
+            _write_json(cfg.out_dir / name, report)
+            extra["report_passed"] = report["passed"]
+            status = 0 if report["passed"] else 1
+        else:
+            table, _ = _SOURCES[cfg.pipeline](cfg)
+            source, name = table.source, f"kernels_{table.source}.csv"
+            write_table_csv(table, cfg.out_dir / name)
+            if source == "simulate":
+                extra["replica_seed_rule"] = "seed*1000 + replica"
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    files: list[str] = []
-    extra: dict = {}
-    status = 0
-
-    if cfg.pipeline == "simulate":
-        table, _ = _run_simulate(cfg, with_response=bool(cfg.response_steps))
-        path = cfg.out_dir / "kernels_simulate.csv"
-        write_table_csv(table, path)
-        files.append(path.name)
-        source = "simulate"
-        extra["replica_seed_rule"] = "seed*1000 + replica"
-    elif cfg.pipeline == "response":
-        table, _ = _run_simulate(cfg, with_response=True)
-        path = cfg.out_dir / "kernels_simulate.csv"
-        write_table_csv(table, path)
-        files.append(path.name)
-        source = "simulate"
-    elif cfg.pipeline == "dmft":
-        table, _ = _run_dmft(cfg)
-        path = cfg.out_dir / "kernels_dmft-mc.csv"
-        write_table_csv(table, path)
-        files.append(path.name)
-        source = "dmft-mc"
-    elif cfg.pipeline == "dmft-linear":
-        table, _ = _compute_source(cfg, "dmft-linear")
-        path = cfg.out_dir / "kernels_dmft-linear.csv"
-        write_table_csv(table, path)
-        files.append(path.name)
-        source = "dmft-linear"
-    elif cfg.pipeline == "oracle":
-        table = _run_oracle(cfg)
-        path = cfg.out_dir / "kernels_mp-oracle.csv"
-        write_table_csv(table, path)
-        files.append(path.name)
-        source = "mp-oracle"
-    elif cfg.pipeline == "equilibrium":
-        sol = _run_equilibrium(cfg)
-        with open(cfg.out_dir / "equilibrium.json", "w") as fh:
-            json.dump(sol, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files.append("equilibrium.json")
-        source = "equilibrium"
-    elif cfg.pipeline == "compare":
-        report = _run_compare(cfg)
-        with open(cfg.out_dir / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        files.append("report.json")
-        source = "compare"
-        extra["report_passed"] = report["passed"]
-        status = 0 if report["passed"] else 1
-    else:  # pragma: no cover
-        raise AssertionError(cfg.pipeline)
-
-    _write_manifest(cfg, source, files, extra)
+    _write_manifest(cfg, source, [name], extra)
     return status
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import KernelTable
+from .kernels import KernelTable, time_index
 from .model import ModelParams, component_rng
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
@@ -231,7 +231,6 @@ class DmftResult:
     table: KernelTable
     theta_paths: Optional[np.ndarray]  # (paths, steps+1) when retention is on
     theta_star: Optional[np.ndarray]
-    r_theta_stderr: Optional[np.ndarray]
     chol_clamped_steps: list = field(default_factory=list)
     chol_jitter_log: list = field(default_factory=list)
 
@@ -282,15 +281,7 @@ def solve_dmft(
     rng_b = component_rng(seed, _STREAM_BROWNIAN)
 
     theta_star = prior.family.sample(prior.alpha_star, rng_star, P)
-    t0 = prior.theta0
-    if t0.kind == "zero":
-        theta = np.zeros(P)
-    elif t0.kind == "gaussian":
-        theta = rng_t0.normal(0.0, np.sqrt(t0.var), size=P)
-    elif t0.kind == "prior":
-        theta = prior.family.sample(prior.alpha_star, rng_t0, P)
-    else:  # "star"
-        theta = theta_star.copy()
+    theta = prior.theta0.sample(prior, rng_t0, P, theta_star)
 
     theta_paths = np.zeros((P, T + 1))
     theta_paths[:, 0] = theta
@@ -397,7 +388,6 @@ def solve_dmft(
         table=table,
         theta_paths=theta_paths if retain_paths else None,
         theta_star=theta_star if retain_paths else None,
-        r_theta_stderr=r_theta_se / gamma,
         chol_clamped_steps=chol.clamped_steps,
         chol_jitter_log=chol.jitter_log,
     )
@@ -481,9 +471,8 @@ def dmft_marginal_samples(result: DmftResult, t: float, n: int):
     """Retained ensemble draws (theta_star, theta^t) at grid time t."""
     if result.theta_paths is None:
         raise ValueError("path retention was disabled for this solve")
-    times = result.table.times
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9:
+    idx = time_index(result.table.times, t)
+    if idx is None:
         raise ValueError(f"t={t} is not on the solver grid")
     P = result.theta_paths.shape[0]
     if n > P:

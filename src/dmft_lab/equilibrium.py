@@ -14,8 +14,8 @@ c_eta_tti(0) = delta/sigma2 - omega and c_eta_inf = omega^2 / omega_star:
     ymse      = (sigma2^2 / delta) c_eta_tti(0)
     ymse_star = (sigma2^2 / delta) (c_eta_inf + 2 c_eta_tti(0)) - sigma2.
 
-Gaussian and mixture families use conjugate closed forms; discrete priors use
-exact atom sums; anything else falls back to adaptive quadrature.
+Gaussian-mixture families use conjugate closed forms; discrete priors and
+exp-family densities (on their quadrature grid) use exact weighted-atom sums.
 """
 
 from __future__ import annotations
@@ -24,22 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .priors import (
-    ExpFamily,
-    GaussianFixed,
-    GaussianLocation,
-    GaussianMeanMixture,
-    GaussianWeightMixture,
-    PriorFamily,
-    PriorSpec,
-    SmoothHinge,
-)
-
-
-class PrecisionError(RuntimeError):
-    """Quadrature failed to reach the requested accuracy."""
+from .priors import ExpFamily, PriorFamily, PriorSpec, SmoothHinge
 
 
 class DiscretePrior:
@@ -60,28 +46,49 @@ class DiscretePrior:
         return float(np.sum(self.weights * self.atoms**2))
 
 
-def _mixture_stats(family, alpha):
-    """(weights, means, precisions) of a Gaussian-mixture representation."""
-    if isinstance(family, GaussianFixed):
-        return np.array([1.0]), np.array([0.0]), np.array([family.lam])
-    if isinstance(family, GaussianLocation):
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return np.array([1.0]), np.array([m]), np.array([1.0 / family.scale**2])
-    if isinstance(family, GaussianMeanMixture):
-        return family.p, np.asarray(alpha, dtype=float).reshape(-1), family.omega
-    if isinstance(family, GaussianWeightMixture):
-        return family._prior_weights(alpha), family.mu, family.omega
-    return None
+def _prior_law(family, alpha, truth: bool = False):
+    """The prior as Gaussian-mixture components or as weighted atoms.
+
+    Returns (None, (nodes, masses)) for a discrete or exp-family prior, with
+    masses proportional to the prior mass of each node; any other family is a
+    Gaussian mixture and gives ((weights, means, precisions), None). An
+    exp-family density becomes the atoms of its quadrature grid (density times
+    cell width). For `truth` nodes that grid is thinned by the stride
+    n_grid // 512 (4097 points give 513 nodes), because truth nodes multiply
+    the rows of the posterior matrix.
+    """
+    if isinstance(family, DiscretePrior):
+        return None, (family.atoms, family.weights)
+    if isinstance(family, ExpFamily):
+        x, dens, _ = family._grid(alpha)
+        if truth:
+            stride = max(1, x.size // 512)
+            x, dens = x[::stride], dens[::stride]
+        return None, (x, dens * np.gradient(x))
+    return family.components(alpha), None
 
 
-def _posterior_mixture(y, family, alpha, omega):
+def _atom_posterior(y_arr, nodes, masses, omega):
+    """Posterior weights of the atoms (columns) for each flattened y (rows),
+    scaled so each row's largest is 1, and the log of that scale.
+
+    Built in place: the (y, atoms) matrix is the only large array."""
+    lp = np.atleast_1d(y_arr).reshape(-1, 1) - nodes
+    np.square(lp, out=lp)
+    lp *= 0.5 * omega
+    np.subtract(np.log(masses + 1e-300), lp, out=lp)
+    top = lp.max(axis=1, keepdims=True)
+    lp -= top
+    return np.exp(lp, out=lp), top[:, 0]
+
+
+def _posterior_mixture(y, components, omega):
     """Conjugate posterior of a Gaussian-mixture prior given Y = y.
 
     Returns (component weights, component means, component variances), each
     of shape y.shape + (K,). Responsibilities are formed in log space.
     """
-    stats = _mixture_stats(family, alpha)
-    pw, pm, pp = stats
+    pw, pm, pp = components
     y = np.asarray(y, dtype=float)[..., None]
     var_k = 1.0 / omega + 1.0 / pp
     log_w = np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y - pm) ** 2 / var_k
@@ -96,28 +103,25 @@ def _posterior_mixture(y, family, alpha, omega):
 def posterior_moments(y, g, omega: float, alpha=None):
     """(posterior mean, posterior second moment) of the scalar channel.
 
-    `g` is a PriorSpec, PriorFamily, or DiscretePrior; Gaussian mixtures and
-    discrete priors use closed forms, other families adaptive quadrature.
+    `g` is a PriorSpec, PriorFamily, or DiscretePrior; Gaussian mixtures use
+    conjugate closed forms, discrete and exp-family priors atom sums.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
     family, alpha = _family_alpha(g, alpha)
     y_arr = np.asarray(y, dtype=float)
-    if isinstance(family, DiscretePrior):
-        a, w = family.atoms, family.weights
-        lw = np.log(w) - 0.5 * omega * (y_arr[..., None] - a) ** 2
-        lw = lw - lw.max(axis=-1, keepdims=True)
-        r = np.exp(lw)
-        r /= r.sum(axis=-1, keepdims=True)
-        m1 = np.sum(r * a, axis=-1)
-        m2 = np.sum(r * a**2, axis=-1)
-        return _match_shape(m1, y), _match_shape(m2, y)
-    if _mixture_stats(family, alpha) is not None:
-        w, pm, pv = _posterior_mixture(y_arr, family, alpha, omega)
+    components, atoms = _prior_law(family, alpha)
+    if atoms is None:
+        w, pm, pv = _posterior_mixture(y_arr, components, omega)
         m1 = np.sum(w * pm, axis=-1)
         m2 = np.sum(w * (pv + pm**2), axis=-1)
-        return _match_shape(m1, y), _match_shape(m2, y)
-    return _numeric_moments(y_arr, family, alpha, omega)
+    else:
+        nodes, masses = atoms
+        post, _ = _atom_posterior(y_arr, nodes, masses, omega)
+        z = post.sum(axis=1)
+        m1 = ((post @ nodes) / z).reshape(y_arr.shape)
+        m2 = ((post @ (nodes * nodes)) / z).reshape(y_arr.shape)
+    return _match_shape(m1, y), _match_shape(m2, y)
 
 
 def _match_shape(value, template):
@@ -130,97 +134,41 @@ def _family_alpha(g, alpha):
     return g, alpha
 
 
-def _numeric_moments(y_arr, family, alpha, omega):
-    if hasattr(family, "_grid"):
-        # Families with a density grid (exp-family): tilt the grid by the
-        # Gaussian likelihood and take trapezoid moments, vectorized over y.
-        x, w, _ = family._grid(alpha)
-        cell = np.gradient(x)
-        flat = np.atleast_1d(y_arr).ravel()
-        logpost = np.log(w * cell + 1e-300)[None, :] - 0.5 * omega * (flat[:, None] - x) ** 2
-        logpost -= logpost.max(axis=1, keepdims=True)
-        post = np.exp(logpost)
-        z = post.sum(axis=1)
-        m1 = (post @ x) / z
-        m2 = (post @ (x * x)) / z
-        m1 = m1.reshape(np.shape(y_arr))
-        m2 = m2.reshape(np.shape(y_arr))
-        return _match_shape(m1, y_arr), _match_shape(m2, y_arr)
-    flat = np.atleast_1d(y_arr).ravel()
-    m1 = np.empty(flat.size)
-    m2 = np.empty(flat.size)
-    sd = 1.0 / np.sqrt(omega)
-    for i, y in enumerate(flat):
-        dens = lambda t: np.exp(family.log_g(t, alpha) - 0.5 * omega * (y - t) ** 2)
-        pieces = []
-        for f in (lambda t: dens(t), lambda t: t * dens(t), lambda t: t * t * dens(t)):
-            val, err = quad(f, y - 14 * sd, y + 14 * sd, limit=400, points=[y])
-            if not np.isfinite(val) or (val != 0 and err > 1e-7 * max(1.0, abs(val))):
-                raise PrecisionError(f"posterior quadrature failed at y={y}")
-            pieces.append(val)
-        z, t1, t2 = pieces
-        m1[i], m2[i] = t1 / z, t2 / z
-    m1 = m1.reshape(np.shape(y_arr))
-    m2 = m2.reshape(np.shape(y_arr))
-    return _match_shape(m1, y_arr), _match_shape(m2, y_arr)
-
-
 def log_marginal(y, g, omega: float, alpha=None):
     """log P_{g, omega}(y): marginal density of the scalar channel."""
     family, alpha = _family_alpha(g, alpha)
     y_arr = np.asarray(y, dtype=float)
-    if isinstance(family, DiscretePrior):
-        a, w = family.atoms, family.weights
-        lw = np.log(w) + 0.5 * np.log(omega / (2 * np.pi)) - 0.5 * omega * (y_arr[..., None] - a) ** 2
-        out = _logsumexp_last(lw)
-        return _match_shape(out, y)
-    stats = _mixture_stats(family, alpha)
-    if stats is not None:
-        pw, pm, pp = stats
+    components, atoms = _prior_law(family, alpha)
+    if atoms is None:
+        pw, pm, pp = components
         var_k = 1.0 / omega + 1.0 / pp
         lw = np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y_arr[..., None] - pm) ** 2 / var_k
-        return _match_shape(_logsumexp_last(lw), y)
-    flat = np.atleast_1d(y_arr).ravel()
-    if hasattr(family, "_grid"):
-        x, w, _ = family._grid(alpha)
-        cell = np.gradient(x)
-        norm = float(np.sum(w * cell))
-        lw = np.log(w * cell / norm + 1e-300)[None, :] - 0.5 * omega * (flat[:, None] - x) ** 2
-        out = _logsumexp_last(lw) + 0.5 * np.log(omega / (2 * np.pi))
-        return _match_shape(out.reshape(np.shape(y_arr)), y)
-    out = np.empty(flat.size)
-    sd = 1.0 / np.sqrt(omega)
-    for i, yy in enumerate(flat):
-        f = lambda t: np.exp(family.log_g(t, alpha) - 0.5 * omega * (yy - t) ** 2)
-        val, _ = quad(f, yy - 14 * sd, yy + 14 * sd, limit=400, points=[yy])
-        out[i] = np.log(val) + 0.5 * np.log(omega / (2 * np.pi))
-    return _match_shape(out.reshape(np.shape(y_arr)), y)
+        m = lw.max(axis=-1, keepdims=True)
+        out = (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
+    else:
+        nodes, masses = atoms
+        post, top = _atom_posterior(y_arr, nodes, masses / masses.sum(), omega)
+        out = (top + np.log(post.sum(axis=1)) + 0.5 * np.log(omega / (2 * np.pi))).reshape(y_arr.shape)
+    return _match_shape(out, y)
 
 
-def _logsumexp_last(lw):
-    m = lw.max(axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
+def _true_channel(family, alpha, omega_star: float, n_gh: int):
+    """Tensorized quadrature of the true channel (g_star; 1/omega_star).
 
-
-def _truth_nodes(family, alpha, n_gh: int):
-    """Quadrature nodes/weights for theta_star ~ g_star."""
+    Returns the theta_star nodes as a column, the outputs y = theta_star + z
+    (nodes by Gauss-Hermite noise nodes) and their joint weights. theta_star
+    takes Gauss-Hermite nodes per mixture component or the prior's atoms."""
+    components, atoms = _prior_law(family, alpha, truth=True)
     x, w = np.polynomial.hermite_e.hermegauss(n_gh)
-    if isinstance(family, DiscretePrior):
-        return family.atoms, family.weights
-    stats = _mixture_stats(family, alpha)
-    if stats is not None:
-        pw, pm, pp = stats
-        nodes = (pm[:, None] + x[None, :] / np.sqrt(pp)[:, None]).ravel()
-        weights = (pw[:, None] * w[None, :] / w.sum()).ravel()
-        return nodes, weights
-    if isinstance(family, ExpFamily):
-        xs, dens, _ = family._grid(alpha)
-        stride = max(1, xs.size // 512)  # keep the tensorized outer grids small
-        xs, dens = xs[::stride], dens[::stride]
-        cell = np.gradient(xs)
-        w = dens * cell
-        return xs, w / w.sum()
-    raise ValueError(f"no truth-node rule for {type(family).__name__}")
+    if atoms is None:
+        pw, pm, pp = components
+        tn = (pm[:, None] + x[None, :] / np.sqrt(pp)[:, None]).ravel()
+        tw = (pw[:, None] * w[None, :] / w.sum()).ravel()
+    else:
+        tn, masses = atoms
+        tw = masses / masses.sum()
+    y = tn[:, None] + x[None, :] / np.sqrt(omega_star)
+    return tn[:, None], y, tw[:, None] * (w / w.sum())[None, :]
 
 
 @dataclass
@@ -246,14 +194,10 @@ class ScalarChannelSpec:
 def mse_pair(spec: ScalarChannelSpec) -> tuple[float, float]:
     """(mse, mse_star): posterior variance and truth error, averaged over the
     true channel by tensorized quadrature (Gauss-Hermite in the noise)."""
-    tn, tw = _truth_nodes(spec.g_star_family, spec.alpha_star, spec.n_gh)
-    zx, zw = np.polynomial.hermite_e.hermegauss(spec.n_gh)
-    zw = zw / zw.sum()
-    y = tn[:, None] + zx[None, :] / np.sqrt(spec.omega_star)
+    tn, y, w2d = _true_channel(spec.g_star_family, spec.alpha_star, spec.omega_star, spec.n_gh)
     m1, m2 = posterior_moments(y, spec.g_family, spec.omega, spec.alpha)
-    w2d = tw[:, None] * zw[None, :]
     mse = float(np.sum(w2d * (m2 - m1**2)))
-    mse_star = float(np.sum(w2d * (tn[:, None] - m1) ** 2))
+    mse_star = float(np.sum(w2d * (tn - m1) ** 2))
     return mse, mse_star
 
 
@@ -371,12 +315,8 @@ def free_energy(
         raise ValueError("precisions must be positive")
     g_star_family, alpha_star = _family_alpha(g_star, alpha_star)
     g_family, alpha = _family_alpha(g, alpha)
-    tn, tw = _truth_nodes(g_star_family, alpha_star, n_gh)
-    zx, zw = np.polynomial.hermite_e.hermegauss(n_gh)
-    zw = zw / zw.sum()
-    y = tn[:, None] + zx[None, :] / np.sqrt(omega_star)
-    lp = log_marginal(y, g_family, omega, alpha)
-    e_logp = float(np.sum(tw[:, None] * zw[None, :] * lp))
+    _, y, w2d = _true_channel(g_star_family, alpha_star, omega_star, n_gh)
+    e_logp = float(np.sum(w2d * log_marginal(y, g_family, omega, alpha)))
     s = 1.0 / sigma2
     bracket = (
         2 * delta
@@ -391,38 +331,16 @@ def free_energy(
 def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
     """Posterior average of grad_alpha log g(theta, alpha) given Y = y.
 
-    Closed forms for the conjugate families; quadrature otherwise. Shape
-    y.shape + (K,)."""
+    Shape y.shape + (K,)."""
     y_arr = np.asarray(y, dtype=float)
-    if isinstance(family, GaussianLocation):
-        m1, _ = posterior_moments(y_arr, family, omega, alpha)
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return (np.asarray(m1) - m)[..., None] / family.scale**2
-    if isinstance(family, GaussianMeanMixture):
-        w, pm, _ = _posterior_mixture(y_arr, family, alpha, omega)
-        a = np.asarray(alpha, dtype=float).reshape(-1)
-        return w * family.omega * (pm - a)
-    if isinstance(family, GaussianWeightMixture):
-        w, _, _ = _posterior_mixture(y_arr, family, alpha, omega)
-        return w - family._prior_weights(alpha)
-    if isinstance(family, GaussianFixed):
-        return np.zeros(np.shape(y_arr) + (0,))
-    if isinstance(family, ExpFamily):
-        # E[T_k(theta) | y] - grad A, on the family's own density grid.
-        grad_a = family.grad_log_partition(alpha)
-        x, w, _ = family._grid(alpha)
-        cell = np.gradient(x)
-        flat = np.atleast_1d(y_arr).ravel()
-        logpost = np.log(w * cell + 1e-300)[None, :] - 0.5 * omega * (flat[:, None] - x) ** 2
-        logpost -= logpost.max(axis=1, keepdims=True)
-        post = np.exp(logpost)
-        z = post.sum(axis=1)
-        out = np.stack(
-            [(post @ t_k(x)) / z - g_k for (t_k, _, _), g_k in zip(family.stats, grad_a)],
-            axis=-1,
-        )
-        return out.reshape(np.shape(y_arr) + (family.dim_alpha,))
-    raise ValueError(f"no posterior alpha-gradient rule for {type(family).__name__}")
+    components, atoms = _prior_law(family, alpha)
+    if atoms is None:
+        w, pm, _ = _posterior_mixture(y_arr, components, omega)
+        return family.alpha_score(w, pm, alpha)
+    nodes, masses = atoms
+    post, _ = _atom_posterior(y_arr, nodes, masses, omega)
+    out = (post @ family.grad_alpha_log_g(nodes, alpha)) / post.sum(axis=1)[:, None]
+    return out.reshape(y_arr.shape + (family.dim_alpha,))
 
 
 def grad_F(
@@ -443,13 +361,9 @@ def grad_F(
         delta, sigma2, g_star, prior_family, alpha_star, alpha, n_gh=n_gh, with_free_energy=False
     )
     g_star_family, alpha_star = _family_alpha(g_star, alpha_star)
-    tn, tw = _truth_nodes(g_star_family, alpha_star, n_gh)
-    zx, zw = np.polynomial.hermite_e.hermegauss(n_gh)
-    zw = zw / zw.sum()
-    y = tn[:, None] + zx[None, :] / np.sqrt(sol.omega_star)
+    _, y, w2d = _true_channel(g_star_family, alpha_star, sol.omega_star, n_gh)
     gmean = posterior_grad_alpha_mean(prior_family, alpha, y, sol.omega)
-    w2d = (tw[:, None] * zw[None, :])[..., None]
-    out = -np.sum(w2d * gmean, axis=(0, 1))
+    out = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
     if regularizer is not None:
         out = out + regularizer.grad(alpha)
     return out

@@ -21,6 +21,8 @@ import numpy as np
 
 _MATRIX_KERNELS = ("c_theta", "c_eta", "r_theta", "r_eta")
 _VECTOR_KERNELS = ("c_theta_star", "r_eta_star")
+# Kernel names a comparison report can carry, in report order.
+COMPARED_KERNELS = ("c_theta", "c_theta_star", "c_star_star", "c_eta", "r_theta", "r_eta", "r_eta_star", "alpha")
 
 
 class GridAlignmentError(ValueError):
@@ -211,13 +213,18 @@ def read_table_csv(path) -> KernelTable:
 # ---------------------------------------------------------- grid alignment
 
 
+def time_index(times: np.ndarray, t: float) -> Optional[int]:
+    """Index of the grid time within 1e-9 of t, or None when t is off the grid."""
+    idx = int(np.argmin(np.abs(times - t)))
+    return None if abs(times[idx] - t) > 1e-9 else idx
+
+
 def restrict_to_times(table: KernelTable, times) -> KernelTable:
     """Restrict a table to an explicit list of grid times (exact match)."""
-    times = np.asarray(times, dtype=float)
     idx = []
-    for t in times:
-        i = int(np.argmin(np.abs(table.times - t)))
-        if abs(table.times[i] - t) > 1e-9:
+    for t in np.asarray(times, dtype=float):
+        i = time_index(table.times, t)
+        if i is None:
             raise GridAlignmentError(f"time {t} not on the table grid")
         idx.append(i)
     return table.restrict(np.asarray(idx))

@@ -110,15 +110,7 @@ def sample_instance(
     eps = component_rng(seed, _STREAM_EPS).normal(0.0, np.sqrt(params.sigma2), size=n)
     y = X @ theta_star + eps
 
-    t0 = prior.theta0
-    if t0.kind == "zero":
-        theta0 = np.zeros(d)
-    elif t0.kind == "gaussian":
-        theta0 = component_rng(seed, _STREAM_THETA0).normal(0.0, np.sqrt(t0.var), size=d)
-    elif t0.kind == "prior":
-        theta0 = prior.family.sample(prior.alpha_star, component_rng(seed, _STREAM_THETA0), d)
-    else:  # "star"
-        theta0 = theta_star.copy()
+    theta0 = prior.theta0.sample(prior, component_rng(seed, _STREAM_THETA0), d, theta_star)
 
     return ModelInstance(
         X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0, seed=int(seed), design=design

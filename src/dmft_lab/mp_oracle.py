@@ -183,11 +183,6 @@ def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     return alpha, beta, g_mp
 
 
-def response_theta(dt, oracle: OracleParams, law: MPLaw) -> float:
-    a, _, _ = resp_kernels(dt, oracle, law)
-    return a
-
-
 def response_eta(dt, oracle: OracleParams, law: MPLaw) -> float:
     """Eta response density in the lab convention (positive near diagonal)."""
     _, b, _ = resp_kernels(dt, oracle, law)

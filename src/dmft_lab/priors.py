@@ -57,7 +57,66 @@ class PriorFamily:
         return None
 
 
-class GaussianFixed(PriorFamily):
+class GaussianMixture(PriorFamily):
+    """Gaussian mixture g = sum_k w_k N(m_k, 1/p_k) whose components depend on alpha.
+
+    Subclasses set up `components(alpha) -> (weights, means, precisions)` and
+    the alpha score `alpha_score(r, centers, alpha)`: grad_alpha log g given
+    component responsibilities r and component centers (theta itself here, the
+    posterior component means in the scalar channel). Precisions `omega` never
+    depend on alpha. Responsibilities are computed in log space with
+    max-subtraction.
+    """
+
+    omega: np.ndarray
+
+    def components(self, alpha):
+        raise NotImplementedError
+
+    def alpha_score(self, r, centers, alpha):
+        raise NotImplementedError
+
+    def _responsibilities(self, theta, alpha):
+        w, m, p = self.components(alpha)
+        diff = np.asarray(theta, dtype=float)[..., None] - m
+        lw = np.log(w) + 0.5 * np.log(p / (2 * np.pi)) - 0.5 * p * diff**2
+        r = np.exp(lw - lw.max(axis=-1, keepdims=True))
+        return r / r.sum(axis=-1, keepdims=True), diff, lw
+
+    def log_g(self, theta, alpha=None):
+        return logsumexp(self._responsibilities(theta, alpha)[2], axis=-1)
+
+    def drift_s(self, theta, alpha=None):
+        r, diff, _ = self._responsibilities(theta, alpha)
+        return np.sum(r * self.omega * (-diff), axis=-1)
+
+    def dtheta_drift_s(self, theta, alpha=None):
+        r, diff, _ = self._responsibilities(theta, alpha)
+        v = self.omega * (-diff)
+        mean_v = np.sum(r * v, axis=-1)
+        return np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * self.omega, axis=-1)
+
+    def grad_alpha_log_g(self, theta, alpha=None):
+        r, _, _ = self._responsibilities(theta, alpha)
+        return self.alpha_score(r, np.asarray(theta, dtype=float)[..., None], alpha)
+
+    def sample(self, alpha, rng, size):
+        w, m, p = self.components(alpha)
+        if w.size == 1:  # a single Gaussian draws no component labels
+            return rng.normal(m[0], 1.0 / np.sqrt(p[0]), size=size)
+        comp = rng.choice(w.size, size=size, p=w)
+        return rng.normal(m[comp], 1.0 / np.sqrt(p[comp]))
+
+    def second_moment(self, alpha=None):
+        w, m, p = self.components(alpha)
+        return float(np.sum(w * (m**2 + 1.0 / p)))
+
+    def theta_curvature_constant(self, alpha=None):
+        """-p for a single component, whose score is linear in theta."""
+        return -float(self.omega[0]) if self.omega.size == 1 else None
+
+
+class GaussianFixed(GaussianMixture):
     """g = N(0, 1/lam); no adaptive parameter (K = 0)."""
 
     dim_alpha = 0
@@ -66,29 +125,13 @@ class GaussianFixed(PriorFamily):
         if lam <= 0:
             raise ValueError("lam must be positive")
         self.lam = float(lam)
+        self.omega = np.array([self.lam])
 
-    def log_g(self, theta, alpha=None):
-        theta = np.asarray(theta, dtype=float)
-        return 0.5 * np.log(self.lam / (2 * np.pi)) - 0.5 * self.lam * theta**2
+    def components(self, alpha=None):
+        return np.ones(1), np.zeros(1), self.omega
 
-    def drift_s(self, theta, alpha=None):
-        return -self.lam * np.asarray(theta, dtype=float)
-
-    def dtheta_drift_s(self, theta, alpha=None):
-        return np.full_like(np.asarray(theta, dtype=float), -self.lam)
-
-    def grad_alpha_log_g(self, theta, alpha=None):
-        theta = np.asarray(theta, dtype=float)
-        return np.zeros(theta.shape + (0,))
-
-    def sample(self, alpha, rng, size):
-        return rng.normal(0.0, 1.0 / np.sqrt(self.lam), size=size)
-
-    def second_moment(self, alpha=None):
-        return 1.0 / self.lam
-
-    def theta_curvature_constant(self, alpha=None):
-        return -self.lam
+    def alpha_score(self, r, centers, alpha=None):
+        return np.zeros(r.shape[:-1] + (0,))
 
 
 class ZeroDrift(PriorFamily):
@@ -119,51 +162,8 @@ class ZeroDrift(PriorFamily):
         return 0.0
 
 
-class GaussianLocation(PriorFamily):
-    """g = N(alpha, scale^2) with adaptive location alpha in R (K = 1)."""
-
-    dim_alpha = 1
-
-    def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
-        self._prec = 1.0 / (scale * scale)
-
-    def log_g(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return -0.5 * np.log(2 * np.pi * self.scale**2) - 0.5 * self._prec * (theta - m) ** 2
-
-    def drift_s(self, theta, alpha):
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return self._prec * (m - np.asarray(theta, dtype=float))
-
-    def dtheta_drift_s(self, theta, alpha):
-        return np.full_like(np.asarray(theta, dtype=float), -self._prec)
-
-    def grad_alpha_log_g(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return (self._prec * (theta - m))[..., None]
-
-    def sample(self, alpha, rng, size):
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return rng.normal(m, self.scale, size=size)
-
-    def second_moment(self, alpha):
-        m = float(np.asarray(alpha).reshape(-1)[0])
-        return m * m + self.scale**2
-
-    def theta_curvature_constant(self, alpha=None):
-        return -self._prec
-
-
-class GaussianMeanMixture(PriorFamily):
-    """Mixture sum_k p_k N(alpha_k, 1/omega_k) with adaptive means alpha in R^K.
-
-    Responsibilities are computed in log-space with max-subtraction.
-    """
+class GaussianMeanMixture(GaussianMixture):
+    """Mixture sum_k p_k N(alpha_k, 1/omega_k) with adaptive means alpha in R^K."""
 
     def __init__(self, weights: Sequence[float], precisions: Sequence[float]):
         self.p = np.asarray(weights, dtype=float)
@@ -175,52 +175,25 @@ class GaussianMeanMixture(PriorFamily):
         self.p = self.p / self.p.sum()
         self.dim_alpha = len(self.p)
 
-    def _log_terms(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        diff = theta[..., None] - alpha
-        return (
-            np.log(self.p)
-            + 0.5 * np.log(self.omega / (2 * np.pi))
-            - 0.5 * self.omega * diff**2
-        ), diff
+    def components(self, alpha):
+        return self.p, np.asarray(alpha, dtype=float).reshape(self.dim_alpha), self.omega
 
-    def _responsibilities(self, theta, alpha):
-        lw, diff = self._log_terms(theta, alpha)
-        lw = lw - lw.max(axis=-1, keepdims=True)
-        w = np.exp(lw)
-        return w / w.sum(axis=-1, keepdims=True), diff
-
-    def log_g(self, theta, alpha):
-        lw, _ = self._log_terms(theta, alpha)
-        return logsumexp(lw, axis=-1)
-
-    def drift_s(self, theta, alpha):
-        r, diff = self._responsibilities(theta, alpha)
-        return np.sum(r * self.omega * (-diff), axis=-1)
-
-    def dtheta_drift_s(self, theta, alpha):
-        r, diff = self._responsibilities(theta, alpha)
-        v = self.omega * (-diff)
-        mean_v = np.sum(r * v, axis=-1)
-        var_v = np.sum(r * v * v, axis=-1) - mean_v**2
-        return var_v - np.sum(r * self.omega, axis=-1)
-
-    def grad_alpha_log_g(self, theta, alpha):
-        r, diff = self._responsibilities(theta, alpha)
-        return self.omega * diff * r
-
-    def sample(self, alpha, rng, size):
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        comp = rng.choice(self.dim_alpha, size=size, p=self.p)
-        return rng.normal(alpha[comp], 1.0 / np.sqrt(self.omega[comp]))
-
-    def second_moment(self, alpha):
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        return float(np.sum(self.p * (alpha**2 + 1.0 / self.omega)))
+    def alpha_score(self, r, centers, alpha):
+        return self.omega * (centers - self.components(alpha)[1]) * r
 
 
-class GaussianWeightMixture(PriorFamily):
+class GaussianLocation(GaussianMeanMixture):
+    """g = N(alpha, scale^2) with adaptive location alpha in R (K = 1): a
+    one-component mean mixture."""
+
+    def __init__(self, scale: float = 1.0):
+        if scale <= 0:
+            raise ValueError("scale must be positive")
+        super().__init__([1.0], [1.0 / (scale * scale)])
+        self.scale = float(scale)
+
+
+class GaussianWeightMixture(GaussianMixture):
     """Mixture with fixed means/precisions and adaptive softmax weights alpha.
 
     Component weights are pi_k = exp(alpha_k) / sum_j exp(alpha_j); the
@@ -236,54 +209,13 @@ class GaussianWeightMixture(PriorFamily):
             raise ValueError("precisions must be positive")
         self.dim_alpha = len(self.mu)
 
-    def _prior_weights(self, alpha):
+    def components(self, alpha):
         alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        a = alpha - alpha.max()
-        w = np.exp(a)
-        return w / w.sum()
+        w = np.exp(alpha - alpha.max())
+        return w / w.sum(), self.mu, self.omega
 
-    def _log_terms(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        pi = self._prior_weights(alpha)
-        diff = theta[..., None] - self.mu
-        return (
-            np.log(pi)
-            + 0.5 * np.log(self.omega / (2 * np.pi))
-            - 0.5 * self.omega * diff**2
-        ), diff, pi
-
-    def _responsibilities(self, theta, alpha):
-        lw, diff, pi = self._log_terms(theta, alpha)
-        lw = lw - lw.max(axis=-1, keepdims=True)
-        w = np.exp(lw)
-        return w / w.sum(axis=-1, keepdims=True), diff, pi
-
-    def log_g(self, theta, alpha):
-        lw, _, _ = self._log_terms(theta, alpha)
-        return logsumexp(lw, axis=-1)
-
-    def drift_s(self, theta, alpha):
-        r, diff, _ = self._responsibilities(theta, alpha)
-        return np.sum(r * self.omega * (-diff), axis=-1)
-
-    def dtheta_drift_s(self, theta, alpha):
-        r, diff, _ = self._responsibilities(theta, alpha)
-        v = self.omega * (-diff)
-        mean_v = np.sum(r * v, axis=-1)
-        return np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * self.omega, axis=-1)
-
-    def grad_alpha_log_g(self, theta, alpha):
-        r, _, pi = self._responsibilities(theta, alpha)
-        return r - pi
-
-    def sample(self, alpha, rng, size):
-        pi = self._prior_weights(alpha)
-        comp = rng.choice(self.dim_alpha, size=size, p=pi)
-        return rng.normal(self.mu[comp], 1.0 / np.sqrt(self.omega[comp]))
-
-    def second_moment(self, alpha):
-        pi = self._prior_weights(alpha)
-        return float(np.sum(pi * (self.mu**2 + 1.0 / self.omega)))
+    def alpha_score(self, r, centers, alpha):
+        return r - self.components(alpha)[0]
 
 
 class ExpFamily(PriorFamily):
@@ -312,12 +244,13 @@ class ExpFamily(PriorFamily):
         self.l_init = float(l_init)
         self.n_grid = int(n_grid)
 
-    def _unnormalized_log(self, theta, alpha):
+    def _theta_derivative(self, theta, alpha, order: int):
+        """d^order/dtheta^order of log h + sum_k alpha_k T_k, order 0, 1 or 2."""
         theta = np.asarray(theta, dtype=float)
         alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        out = self.log_h[0](theta)
-        for a_k, (t_k, _, _) in zip(alpha, self.stats):
-            out = out + a_k * t_k(theta)
+        out = self.log_h[order](theta)
+        for a_k, stat in zip(alpha, self.stats):
+            out = out + a_k * stat[order](theta)
         return out
 
     def _grid(self, alpha):
@@ -325,7 +258,7 @@ class ExpFamily(PriorFamily):
         half = self.l_init
         for _ in range(40):
             x = np.linspace(-half, half, self.n_grid)
-            lg = self._unnormalized_log(x, alpha)
+            lg = self._theta_derivative(x, alpha, 0)
             m = lg.max()
             w = np.exp(lg - m)
             total = np.trapezoid(w, x)
@@ -345,23 +278,13 @@ class ExpFamily(PriorFamily):
         return np.array([np.trapezoid(w * t_k(x), x) / z for t_k, _, _ in self.stats])
 
     def log_g(self, theta, alpha):
-        return self._unnormalized_log(theta, alpha) - self.log_partition(alpha)
+        return self._theta_derivative(theta, alpha, 0) - self.log_partition(alpha)
 
     def drift_s(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        out = self.log_h[1](theta)
-        for a_k, (_, dt_k, _) in zip(alpha, self.stats):
-            out = out + a_k * dt_k(theta)
-        return out
+        return self._theta_derivative(theta, alpha, 1)
 
     def dtheta_drift_s(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        out = self.log_h[2](theta)
-        for a_k, (_, _, ddt_k) in zip(alpha, self.stats):
-            out = out + a_k * ddt_k(theta)
-        return out
+        return self._theta_derivative(theta, alpha, 2)
 
     def grad_alpha_log_g(self, theta, alpha):
         theta = np.asarray(theta, dtype=float)
@@ -446,6 +369,16 @@ class Theta0Spec:
         if self.kind == "gaussian":
             return self.var
         return prior.family.second_moment(prior.alpha_star)
+
+    def sample(self, prior: "PriorSpec", rng: np.random.Generator, size: int, theta_star):
+        """Draw theta^0 for `size` coordinates; "star" copies theta_star."""
+        if self.kind == "zero":
+            return np.zeros(size)
+        if self.kind == "gaussian":
+            return rng.normal(0.0, np.sqrt(self.var), size=size)
+        if self.kind == "prior":
+            return prior.family.sample(prior.alpha_star, rng, size)
+        return theta_star.copy()
 
 
 @dataclass

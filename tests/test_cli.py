@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,3 +179,139 @@ def test_main_entry_point(tmp_path):
     code = cli.main(["dmft-linear", "--config", str(cfg_path), "--out", str(tmp_path / "m")])
     assert code == 0
     assert (tmp_path / "m" / "kernels_dmft-linear.csv").exists()
+
+
+# ------------------------------------------------------------ pipeline table
+
+ORACLE_COMPARE = {"sources": ["oracle", "dmft-linear"], "times": [0.0, 0.25, 0.5], "tolerances": {"default": 0.08}}
+
+# pipeline -> (extra config, manifest source, manifest files, other files on disk)
+PIPELINE_RUNS = {
+    "simulate": ({}, "simulate", ["kernels_simulate.csv"], []),
+    "response": ({"response_steps": [0, 4, 8]}, "simulate", ["kernels_simulate.csv"], []),
+    "dmft": ({}, "dmft-mc", ["kernels_dmft-mc.csv"], []),
+    "dmft-linear": ({}, "dmft-linear", ["kernels_dmft-linear.csv"], []),
+    "oracle": ({}, "mp-oracle", ["kernels_mp-oracle.csv"], []),
+    "equilibrium": (
+        {"equilibrium": {"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0}},
+        "equilibrium", ["equilibrium.json"], [],
+    ),
+    "compare": (
+        {"compare": ORACLE_COMPARE}, "compare", ["report.json"],
+        ["kernels_dmft-linear.csv", "kernels_mp-oracle.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline", cli.PIPELINES)
+def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
+    extra, source, files, others = PIPELINE_RUNS[pipeline]
+    out = tmp_path / pipeline
+    assert run(small_config(pipeline, out=str(out), **extra)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["pipeline"] == pipeline
+    assert manifest["source"] == source
+    assert manifest["files"] == files
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + others + ["manifest.json"])
+    if pipeline == "response":
+        table, _ = load_artifact(out)
+        assert np.all(np.isfinite(np.tril(table.r_theta[np.ix_([0, 2, 4], [0, 2, 4])], k=-1)))
+
+
+# ------------------------------------------------------------- strict config
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _gaussian_default(tmp_path, **compare):
+    cfg = json.loads((CONFIG_DIR / "gaussian_default.json").read_text())
+    cfg["compare"].update(compare)
+    cfg["out"] = str(tmp_path / "out")
+    return cfg
+
+
+def _config_error(cfg) -> str:
+    with pytest.raises(ConfigError) as err:
+        load_config(cfg)
+    return str(err.value)
+
+
+def test_misspelled_tolerance_and_stray_keys_exit_2(tmp_path):
+    cfg = _gaussian_default(tmp_path, tolerances={"c_etaa": 1e-12})
+    cfg.update(quad_node=400, retain_evry=10)
+    assert run(cfg) == 2
+    msg = _config_error(cfg)
+    assert "compare.tolerances.c_etaa: unknown key (did you mean 'c_eta'?)" in msg
+    assert "quad_node: unknown key (did you mean 'quad_nodes'?)" in msg
+    assert "retain_evry: unknown key (did you mean 'retain_every'?)" in msg
+
+
+@pytest.mark.parametrize(
+    "path,key,hint",
+    [
+        ((), "n_path", "n_paths"),
+        (("model",), "sigma_2", "sigma2"),
+        (("prior",), "lamb", "lam"),
+        (("theta0",), "vars", "var"),
+        (("compare",), "marginal_time", "marginal_times"),
+        (("equilibrium",), "n_ghh", "n_gh"),
+        (("equilibrium", "g_star"), "alpha_str", "alpha_star"),
+        (("regularizer",), "epsilon", "eps"),
+    ],
+)
+def test_unknown_key_rejected_in_every_section(path, key, hint):
+    cfg = small_config(
+        "compare", compare=dict(ORACLE_COMPARE), theta0={"kind": "zero"}, regularizer={"D": 5.0},
+        equilibrium={"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0},
+    )
+    load_config(cfg)  # every section above is known as written
+    section = cfg
+    for name in path:
+        section = section[name]
+    section[key] = 1.0
+    where = ".".join(path + (key,))
+    assert f"{where}: unknown key (did you mean {hint!r}?)" in _config_error(cfg)
+
+
+def test_equilibrium_pipeline_requires_its_section():
+    assert "equilibrium: the equilibrium pipeline needs" in _config_error(small_config("equilibrium"))
+
+
+def test_family_keys_are_per_family():
+    msg = _config_error(small_config("dmft-linear", prior={"family": "gaussian_fixed", "lam": 1.0, "scale": 2.0}))
+    assert "prior.scale: unknown key" in msg
+    msg = _config_error(small_config("dmft-linear", prior={"family": "gausian_fixed", "lam": 1.0}))
+    assert "prior.family: unknown family 'gausian_fixed' (did you mean 'gaussian_fixed'?)" in msg
+
+
+@pytest.mark.parametrize("alias", ["tolerances", "marginal_times", "times"])
+def test_top_level_compare_aliases_rejected(alias):
+    value = {"default": 0.1} if alias == "tolerances" else [0.5]
+    cfg = small_config("compare", compare=dict(ORACLE_COMPARE), **{alias: value})
+    assert f"{alias}: unknown key" in _config_error(cfg)
+
+
+def test_table_pipelines_accept_a_compare_block():
+    for pipeline in ("oracle", "dmft-linear"):
+        cfg = load_config(small_config(pipeline, compare=dict(ORACLE_COMPARE)))
+        assert cfg.tolerances == {"default": 0.08}
+
+
+def test_compare_without_any_tolerance_exits_2(tmp_path):
+    assert run(_gaussian_default(tmp_path, tolerances={})) == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_compare_whose_tolerances_match_no_kernel_exits_2(tmp_path):
+    # linear sources carry no alpha kernel, so this tolerance checks nothing
+    cfg = small_config("compare", out=str(tmp_path / "a"), compare=dict(ORACLE_COMPARE, tolerances={"alpha": 0.05}))
+    assert run(cfg) == 2
+
+
+def test_compare_with_only_a_w2_check(tmp_path):
+    compare = {"sources": ["simulate", "dmft"], "tolerances": {"w2": 1.0}}
+    ok = small_config("compare", out=str(tmp_path / "on"), compare=dict(compare, marginal_times=[0.5]))
+    assert run(ok) == 0
+    # an off-grid marginal time gives no W2 pair, so nothing is checked
+    off = small_config("compare", out=str(tmp_path / "off"), compare=dict(compare, marginal_times=[0.33]))
+    assert run(off) == 2

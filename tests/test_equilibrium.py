@@ -8,6 +8,7 @@ from dmft_lab.equilibrium import (
     grad_F,
     log_marginal,
     mse_pair,
+    posterior_grad_alpha_mean,
     posterior_moments,
     solve_fixed_point,
 )
@@ -223,3 +224,21 @@ def test_log_marginal_gaussian():
 def test_solver_failure_reports_trace():
     with pytest.raises(ValueError):
         solve_fixed_point(delta=-1.0, sigma2=1.0, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
+
+
+def test_exp_family_atom_path_matches_gaussian_closed_forms():
+    # alpha = (0, -1/2) makes the exp family N(0, 1): its grid atoms must give
+    # the conjugate location score, E[theta^2 | y] - 1 and the Gaussian marginal.
+    fam = ExpFamily(polynomial_stats([1, 2]))
+    alpha = np.array([0.0, -0.5])
+    omega = 1.3
+    y = np.linspace(-3.0, 3.0, 13).reshape(13, 1) + np.array([0.0, 0.1])
+    got = posterior_grad_alpha_mean(fam, alpha, y, omega)
+    assert got.shape == y.shape + (2,)
+    loc = posterior_grad_alpha_mean(GaussianLocation(1.0), np.array([0.0]), y, omega)
+    assert np.max(np.abs(got[..., 0] - loc[..., 0])) <= 1e-10
+    _, m2 = posterior_moments(y, GaussianFixed(1.0), omega)
+    assert np.max(np.abs(got[..., 1] - (m2 - 1.0))) <= 1e-10
+    var = 1.0 + 1.0 / omega
+    want = -0.5 * np.log(2 * np.pi * var) - y**2 / (2 * var)
+    assert np.max(np.abs(log_marginal(y, fam, omega, alpha) - want)) <= 1e-10

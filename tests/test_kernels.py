@@ -3,6 +3,7 @@ import pytest
 
 from dmft_lab.dmft import linear_gaussian_dmft
 from dmft_lab.kernels import (
+    COMPARED_KERNELS,
     GridAlignmentError,
     compare_tables,
     empty_table,
@@ -104,3 +105,11 @@ def test_compare_skips_missing_entries():
     report = compare_tables(a, b, {"default": 1e-12})
     ct = [d for d in report.discrepancies if d.kernel == "c_theta"][0]
     assert ct.n_entries == 3  # NaN entry ignored
+
+
+def test_compared_kernels_lists_every_report_entry():
+    # the CLI validates tolerance names against this list
+    table = table_for(0.05)
+    table.alpha = np.zeros((table.n_times, 1))
+    report = compare_tables(table, table)
+    assert tuple(d.kernel for d in report.discrepancies) == COMPARED_KERNELS

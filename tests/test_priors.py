@@ -199,3 +199,23 @@ def test_sampling_matches_moments(rng):
     for name, (family, alpha) in FAMILIES.items():
         x = family.sample(alpha, rng, 200000)
         assert np.mean(x**2) == pytest.approx(family.second_moment(alpha), rel=0.02)
+
+
+def test_curvature_constant_only_for_one_component():
+    assert GaussianFixed(2.0).theta_curvature_constant() == -2.0
+    assert GaussianLocation(0.5).theta_curvature_constant(np.array([0.3])) == -4.0
+    assert GaussianMeanMixture([1.0], [3.0]).theta_curvature_constant(np.array([0.0])) == -3.0
+    assert GaussianMeanMixture([0.5, 0.5], [3.0, 3.0]).theta_curvature_constant(np.zeros(2)) is None
+    assert GaussianWeightMixture([0.0, 1.0], [1.0, 1.0]).theta_curvature_constant(np.zeros(2)) is None
+
+
+def test_theta0_spec_sample_kinds(rng):
+    prior = PriorSpec(GaussianFixed(4.0))
+    star = np.arange(5.0)
+    assert np.array_equal(Theta0Spec("zero").sample(prior, rng, 5, star), np.zeros(5))
+    copy = Theta0Spec("star").sample(prior, rng, 5, star)
+    assert np.array_equal(copy, star) and copy is not star
+    draws = Theta0Spec("gaussian", var=2.5).sample(prior, rng, 100000, star)
+    assert np.mean(draws**2) == pytest.approx(2.5, rel=0.03)
+    draws = Theta0Spec("prior").sample(prior, rng, 100000, star)
+    assert np.mean(draws**2) == pytest.approx(0.25, rel=0.03)

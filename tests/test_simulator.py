@@ -200,6 +200,24 @@ def test_general_product_path_matches_constant_shortcut():
             assert got.r_eta[a, b] == pytest.approx(want.r_eta[a, b], abs=1e-9)
 
 
+def test_product_path_with_equal_components_matches_constant_shortcut():
+    # Two identical components are the fixed Gaussian again, but a mixture of
+    # more than one component has no constant curvature: the product route runs.
+    params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
+    fixed = PriorSpec(GaussianFixed(2.0))
+    mix = PriorSpec(GaussianMeanMixture([0.5, 0.5], [2.0, 2.0]), alpha=[0.0, 0.0], alpha_star=[0.0, 0.0])
+    assert mix.family.theta_curvature_constant(mix.alpha) is None
+    inst = sample_instance(params, fixed, seed=51)
+    traj = evolve(inst, mix, params, seed=51, retain_every=1)
+    steps = [0, 5, 10]
+    got = response_traces(traj, inst, mix, params, steps)
+    want = response_traces(None, inst, fixed, params, steps)
+    for a in range(3):
+        for b in range(a):
+            assert got.r_theta[a, b] == pytest.approx(want.r_theta[a, b], abs=1e-10)
+            assert got.r_eta[a, b] == pytest.approx(want.r_eta[a, b], abs=1e-9)
+
+
 def test_general_path_requires_full_trajectory():
     params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
     mix = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 2.0]), alpha=[0.0, 1.0], alpha_star=[0.0, 1.0])
