@@ -87,8 +87,9 @@ _KEYS = {
 }
 
 
-def _dict(value) -> dict:
-    return value if isinstance(value, dict) else {}
+def _json_type(value) -> str:
+    names = {dict: "object", list: "array", str: "string", bool: "boolean", type(None): "null"}
+    return names.get(type(value), "number")
 
 
 def _hint(name, allowed) -> str:
@@ -100,24 +101,34 @@ def _unknown(where: str, section: dict, allowed) -> list[str]:
     return [f"{where}{key}: unknown key{_hint(key, allowed)}" for key in section if key not in allowed]
 
 
-def _key_errors(raw: dict) -> list[str]:
-    """Unknown keys, tolerance names and prior families anywhere in a config."""
-    compare, eq = _dict(raw.get("compare")), _dict(raw.get("equilibrium"))
-    sections = {"": raw, "compare.tolerances": _dict(compare.get("tolerances"))}
-    for name in ("model", "theta0", "compare", "equilibrium", "regularizer"):
-        sections[name] = _dict(raw.get(name))
+def _sections(raw: dict) -> dict:
+    """Every config section present, by dotted name: the `_KEYS` sections and the prior sections."""
+    out = {"": raw}
+    for name in ("model", "theta0", "compare", "equilibrium", "regularizer", "prior"):
+        if name in raw:
+            out[name] = raw[name]
+    for parent, child in (("compare", "tolerances"), ("equilibrium", "g_star"), ("equilibrium", "g")):
+        if isinstance(out.get(parent), dict) and child in out[parent]:
+            out[f"{parent}.{child}"] = out[parent][child]
+    return out
+
+
+def _key_errors(raw) -> list[str]:
+    """Non-object sections, unknown keys, tolerance names and prior families anywhere in a config."""
+    if not isinstance(raw, dict):
+        return [f"config: must be a JSON object, got {_json_type(raw)}"]
     errors = []
-    for name, section in sections.items():
-        errors += _unknown(f"{name}." if name else "", section, _KEYS[name])
-    priors = {"prior": raw.get("prior"), "equilibrium.g_star": eq.get("g_star"), "equilibrium.g": eq.get("g")}
-    for name, section in priors.items():
+    for name, section in _sections(raw).items():
         if not isinstance(section, dict):
-            continue
-        fam = section.get("family")
-        if isinstance(fam, str) and fam in _FAMILIES:
-            errors += _unknown(f"{name}.", section, _PRIOR_KEYS + _FAMILIES[fam][0])
+            errors.append(f"{name}: must be a JSON object, got {_json_type(section)}")
+        elif name in _KEYS:
+            errors += _unknown(f"{name}." if name else "", section, _KEYS[name])
         else:
-            errors.append(f"{name}.family: unknown family {fam!r}{_hint(fam, _FAMILIES)}")
+            fam = section.get("family")
+            if isinstance(fam, str) and fam in _FAMILIES:
+                errors += _unknown(f"{name}.", section, _PRIOR_KEYS + _FAMILIES[fam][0])
+            else:
+                errors.append(f"{name}.family: unknown family {fam!r}{_hint(fam, _FAMILIES)}")
     return errors
 
 
@@ -151,6 +162,38 @@ class RunConfig:
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
+
+
+def _compare_checks_something(cfg: RunConfig) -> None:
+    """Refuse, before any source runs, a compare whose report would check nothing.
+
+    A kernel is compared when both sources carry it on the compared grid (the
+    rule `compare_tables` applies): `simulate` has no `r_eta_star` and lag
+    responses only between two of its `response_steps`, and `alpha` needs two
+    Monte Carlo sources and an adaptive prior. A W2 check needs two Monte Carlo
+    sources and a marginal time on both grids.
+    """
+    params, tol, sources = cfg.model, cfg.tolerances, cfg.compare_sources
+    full = params.gamma_step * np.arange(params.n_steps + 1)
+    retained = full[:: cfg.retain_every]  # the simulate and oracle grids
+    simulate = "simulate" in sources
+    monte_carlo = all(s in ("simulate", "dmft", "dmft-mc") for s in sources)
+    coarse = any(s in ("simulate", "oracle", "mp-oracle") for s in sources)
+    grid = np.asarray(cfg.raw["compare"].get("times", retained if coarse else full), dtype=float)
+    lag_steps = {k for k in cfg.response_steps if time_index(grid, params.gamma_step * k) is not None}
+    lagged = grid.size >= 2 and (not simulate or len(lag_steps) >= 2)
+    present = {"r_theta": lagged, "r_eta": lagged, "r_eta_star": not simulate}
+    present["alpha"] = monte_carlo and cfg.prior.dim_alpha > 0
+    kernels = [k for k in COMPARED_KERNELS if present.get(k, True)]
+    if any(tol.get(k, tol.get("default")) is not None for k in kernels):
+        return
+    marginal_grid = retained if simulate else full
+    w2 = monte_carlo and any(time_index(marginal_grid, t) is not None for t in cfg.marginal_times)
+    if tol.get("w2") is None or not w2:
+        raise ConfigError(
+            "compare: no compared kernel and no W2 marginal has a tolerance "
+            f"(compared {kernels}); set compare.tolerances"
+        )
 
 
 def load_config(config, out_override=None, seed_override=None, threads_override=None) -> RunConfig:
@@ -202,9 +245,11 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         errors.append("replicas: must be >= 1 for the simulate/response pipelines")
     if pipeline == "response" and not raw.get("response_steps"):
         errors.append("response_steps: required for the response pipeline")
-    ec = _dict(raw.get("equilibrium"))
+    ec = raw.get("equilibrium", {})
     if pipeline == "equilibrium" and not all(k in ec for k in ("g_star", "delta", "sigma2")):
         errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
+    if int(raw.get("retain_every", 10)) < 1:
+        errors.append("retain_every: must be >= 1")
     n_paths = int(raw.get("n_paths", 0))
     if pipeline == "dmft" and n_paths < 100:
         errors.append("n_paths: must be >= 100 for the dmft pipeline")
@@ -221,7 +266,7 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     threads = int(threads_override if threads_override is not None else raw.get("threads", 1))
     if threads < 1:
         raise ConfigError("threads: must be >= 1")
-    return RunConfig(
+    cfg = RunConfig(
         pipeline=pipeline,
         raw=raw,
         seed=None if seed is None else int(seed),
@@ -238,6 +283,9 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         compare_sources=list(cc.get("sources", [])),
         marginal_times=list(cc.get("marginal_times", _DEFAULT_MARGINAL_TIMES)),
     )
+    if pipeline == "compare":
+        _compare_checks_something(cfg)
+    return cfg
 
 
 def _git_describe() -> str:
@@ -429,12 +477,6 @@ def _run_compare(cfg: RunConfig) -> dict:
         if w2_tol is not None and w2 > w2_tol:
             report.passed = False
     report.w2_tolerance = w2_tol
-    checked = any(d.tolerance is not None for d in report.discrepancies)
-    if not checked and (w2_tol is None or not report.w2_marginals):
-        raise ConfigError(
-            "compare: no compared kernel and no W2 marginal has a tolerance "
-            f"(compared {[d.kernel for d in report.discrepancies]}); set compare.tolerances"
-        )
     return report.to_dict()
 
 

@@ -216,20 +216,22 @@ def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
 
 
 def _response_rows_paths(t, v, coeff, gamma, r_eta_raw_row):
-    """Per-path variant: v has shape (paths, steps+1, steps+1), coeff (paths,)."""
+    """Per-path variant: v has shape (steps+1, steps+1, paths), coeff (paths,).
+
+    The memory sum runs over the contiguous (s, path) slab in float32."""
     if t > 0:
         if t > 1:
-            mem = np.tensordot(v[:, 1:t, :t], r_eta_raw_row[1:t], axes=([1], [0]))
+            mem = np.einsum("r,rsp->sp", r_eta_raw_row[1:t].astype(np.float32), v[1:t, :t])
         else:
             mem = 0.0
-        v[:, t + 1, :t] = v[:, t, :t] * coeff[:, None] + np.float32(gamma) * mem
-    v[:, t + 1, t] = 1.0
+        v[t + 1, :t] = v[t, :t] * coeff + np.float32(gamma) * mem
+    v[t + 1, t] = 1.0
 
 
 @dataclass
 class DmftResult:
     table: KernelTable
-    theta_paths: Optional[np.ndarray]  # (paths, steps+1) when retention is on
+    theta_paths: Optional[np.ndarray]  # (paths, steps+1) when retention is on; a view
     theta_star: Optional[np.ndarray]
     chol_clamped_steps: list = field(default_factory=list)
     chol_jitter_log: list = field(default_factory=list)
@@ -252,6 +254,11 @@ def solve_dmft(
     theta-side kernels and the parameter flow, and propagate the eta-side
     deterministically. `given_eta` freezes the eta-side kernels to an existing
     table (used for fixed-point verification) instead of self-consistency.
+
+    The ensemble is stored time-major, (steps+1, paths), and every reduction
+    over paths is a contiguous numpy pass (einsum rows, mean, std). None goes
+    through BLAS, whose threaded reductions would make the bits depend on the
+    thread count.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -271,7 +278,7 @@ def solve_dmft(
                 f"(cap {response_budget_bytes / 1024**3:.2f} GiB); "
                 f"reduce n_paths to <= {max_paths} or coarsen the grid"
             )
-        v_resp = np.zeros((P, T + 1, T + 1), dtype=np.float32)
+        v_resp = np.zeros((T + 1, T + 1, P), dtype=np.float32)
     else:
         v_resp = np.zeros((T + 1, T + 1))
 
@@ -283,9 +290,11 @@ def solve_dmft(
     theta_star = prior.family.sample(prior.alpha_star, rng_star, P)
     theta = prior.theta0.sample(prior, rng_t0, P, theta_star)
 
-    theta_paths = np.zeros((P, T + 1))
-    theta_paths[:, 0] = theta
-    z_innov = np.zeros((P, T))  # standardized innovations of the u draws
+    paths = np.zeros((T + 1, P))
+    paths[0] = theta
+    sq = np.zeros((T + 1, P))  # paths**2, for the correlation standard errors
+    sq[0] = theta**2
+    z_innov = np.zeros((T, P))  # standardized innovations of the u draws
     alpha = np.zeros((T + 1, K))
     alpha[0] = prior.alpha
 
@@ -307,20 +316,21 @@ def solve_dmft(
 
     sqP = np.sqrt(P)
     for t in range(T + 1):
-        th_t = theta_paths[:, t]
-        prods = theta_paths[:, : t + 1] * th_t[:, None]
-        c_theta[t, : t + 1] = prods.mean(axis=0)
-        c_theta[: t + 1, t] = c_theta[t, : t + 1]
-        c_theta_se[t, : t + 1] = prods.std(axis=0) / sqP
+        th_t = paths[t]
+        c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
+        c_theta[t, : t + 1] = c_row
+        c_theta[: t + 1, t] = c_row
+        sq_row = np.einsum("sp,p->s", sq[: t + 1], sq[t]) / P
+        c_theta_se[t, : t + 1] = np.sqrt(np.maximum(sq_row - c_row**2, 0.0)) / sqP
         c_theta_se[: t + 1, t] = c_theta_se[t, : t + 1]
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
         c_theta_star_se[t] = star_prod.std() / sqP
         if t > 0:
             if per_path:
-                rows = v_resp[:, t, :t].astype(np.float64)
-                r_theta_raw[t, :t] = gamma * rows.mean(axis=0)
-                r_theta_se[t, :t] = gamma * rows.std(axis=0) / sqP
+                rows = v_resp[t, :t].astype(np.float64)
+                r_theta_raw[t, :t] = gamma * rows.mean(axis=1)
+                r_theta_se[t, :t] = gamma * rows.std(axis=1) / sqP
             else:
                 r_theta_raw[t, :t] = gamma * v_resp[t, :t]
 
@@ -337,9 +347,8 @@ def solve_dmft(
 
         # Conditionally sample u^t given this path's past u draws.
         a, sd = chol.extend(c_eta_row[:t], float(c_eta_row[t]))
-        zeta = rng_u.standard_normal(P)
-        u_t = (z_innov[:, :t] @ a if t else 0.0) + sd * zeta
-        z_innov[:, t] = zeta
+        z_innov[t] = rng_u.standard_normal(P)
+        u_t = (a @ z_innov[:t] if t else 0.0) + sd * z_innov[t]
 
         # Response rows t+1 (chain rule through the theta recursion).
         if per_path:
@@ -353,10 +362,11 @@ def solve_dmft(
         # theta step: drift + memory + field + Brownian increment.
         drift = -delta * beta * (th_t - theta_star) + prior.family.drift_s(th_t, alpha[t])
         if t > 0:
-            drift = drift + (theta_paths[:, :t] - theta_star[:, None]) @ r_eta_row
-        theta_paths[:, t + 1] = (
+            drift = drift + (r_eta_row @ paths[:t] - theta_star * r_eta_row.sum())
+        paths[t + 1] = (
             th_t + gamma * (drift + u_t) + np.sqrt(2.0) * rng_b.normal(0.0, np.sqrt(gamma), size=P)
         )
+        np.square(paths[t + 1], out=sq[t + 1])
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior, regularizer)
 
@@ -386,7 +396,7 @@ def solve_dmft(
     )
     return DmftResult(
         table=table,
-        theta_paths=theta_paths if retain_paths else None,
+        theta_paths=paths.T if retain_paths else None,
         theta_star=theta_star if retain_paths else None,
         chol_clamped_steps=chol.clamped_steps,
         chol_jitter_log=chol.jitter_log,

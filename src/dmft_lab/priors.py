@@ -76,28 +76,35 @@ class GaussianMixture(PriorFamily):
     def alpha_score(self, r, centers, alpha):
         raise NotImplementedError
 
-    def _responsibilities(self, theta, alpha):
+    def _log_weights(self, theta, alpha):
         w, m, p = self.components(alpha)
         diff = np.asarray(theta, dtype=float)[..., None] - m
-        lw = np.log(w) + 0.5 * np.log(p / (2 * np.pi)) - 0.5 * p * diff**2
+        return diff, np.log(w) + 0.5 * np.log(p / (2 * np.pi)) - 0.5 * p * diff**2
+
+    def _responsibilities(self, theta, alpha):
+        """(r, diff); a single component has r = 1 exactly, with no log-space pass."""
+        if self.omega.size == 1:
+            diff = np.asarray(theta, dtype=float)[..., None] - self.components(alpha)[1]
+            return np.ones_like(diff), diff
+        diff, lw = self._log_weights(theta, alpha)
         r = np.exp(lw - lw.max(axis=-1, keepdims=True))
-        return r / r.sum(axis=-1, keepdims=True), diff, lw
+        return r / r.sum(axis=-1, keepdims=True), diff
 
     def log_g(self, theta, alpha=None):
-        return logsumexp(self._responsibilities(theta, alpha)[2], axis=-1)
+        return logsumexp(self._log_weights(theta, alpha)[1], axis=-1)
 
     def drift_s(self, theta, alpha=None):
-        r, diff, _ = self._responsibilities(theta, alpha)
+        r, diff = self._responsibilities(theta, alpha)
         return np.sum(r * self.omega * (-diff), axis=-1)
 
     def dtheta_drift_s(self, theta, alpha=None):
-        r, diff, _ = self._responsibilities(theta, alpha)
+        r, diff = self._responsibilities(theta, alpha)
         v = self.omega * (-diff)
         mean_v = np.sum(r * v, axis=-1)
         return np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * self.omega, axis=-1)
 
     def grad_alpha_log_g(self, theta, alpha=None):
-        r, _, _ = self._responsibilities(theta, alpha)
+        r = self._responsibilities(theta, alpha)[0]
         return self.alpha_score(r, np.asarray(theta, dtype=float)[..., None], alpha)
 
     def sample(self, alpha, rng, size):

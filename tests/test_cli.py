@@ -299,7 +299,7 @@ def test_table_pipelines_accept_a_compare_block():
 
 def test_compare_without_any_tolerance_exits_2(tmp_path):
     assert run(_gaussian_default(tmp_path, tolerances={})) == 2
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()  # refused before either source ran
 
 
 def test_compare_whose_tolerances_match_no_kernel_exits_2(tmp_path):
@@ -315,3 +315,73 @@ def test_compare_with_only_a_w2_check(tmp_path):
     # an off-grid marginal time gives no W2 pair, so nothing is checked
     off = small_config("compare", out=str(tmp_path / "off"), compare=dict(compare, marginal_times=[0.33]))
     assert run(off) == 2
+    assert not (tmp_path / "off").exists()
+
+
+LOCATION = {"family": "gaussian_location", "alpha0": [0.0]}
+
+# (compare section, other config keys, whether the report checks anything);
+# small_config's grids: dmft every 0.05, simulate and oracle every 0.1.
+COMPARE_CASES = [
+    ({"sources": ["simulate", "dmft"], "tolerances": {"alpha": 0.05}}, {}, False),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"alpha": 0.05}}, {"prior": LOCATION}, True),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"r_eta_star": 0.1}}, {}, False),
+    ({"sources": ["dmft", "dmft-linear"], "tolerances": {"r_eta_star": 0.1}}, {}, True),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"r_theta": 0.1}}, {}, False),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"r_theta": 0.1}}, {"response_steps": [0, 4, 8]}, True),
+    ({"sources": ["oracle", "dmft-linear"], "tolerances": {"r_eta": 0.1}, "times": [0.5]}, {}, False),
+    ({"sources": ["oracle", "dmft-linear"], "tolerances": {"default": None, "c_eta": None}}, {}, False),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, False),
+    ({"sources": ["dmft", "dmft"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, True),
+    ({"sources": ["dmft", "dmft-linear"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, False),
+]
+
+
+@pytest.mark.parametrize("compare,extra,checks", COMPARE_CASES)
+def test_load_config_knows_whether_a_compare_checks_anything(tmp_path, monkeypatch, compare, extra, checks):
+    cfg = small_config("compare", out=str(tmp_path / "out"), compare=compare, **extra)
+    if not checks:
+        assert "no compared kernel and no W2 marginal has a tolerance" in _config_error(cfg)
+        assert run(cfg) == 2
+        assert not (tmp_path / "out").exists()
+    # The refusal must agree with the report the compare would have written.
+    monkeypatch.setattr(cli, "_compare_checks_something", lambda cfg: None)
+    loaded = load_config(cfg)
+    loaded.out_dir.mkdir()
+    report = cli._run_compare(loaded)
+    kernel_checked = any(k["tolerance"] is not None for k in report["kernels"])
+    w2_checked = report["w2_tolerance"] is not None and bool(report["w2_marginals"])
+    assert (kernel_checked or w2_checked) == checks
+
+
+@pytest.mark.parametrize(
+    "path,value,kind",
+    [
+        (("compare",), [], "array"),
+        (("theta0",), "zero", "string"),
+        (("model",), 3, "number"),
+        (("equilibrium",), None, "null"),
+        (("regularizer",), True, "boolean"),
+        (("compare", "tolerances"), [0.1], "array"),
+        (("prior",), "gaussian_fixed", "string"),
+        (("equilibrium", "g_star"), 1.0, "number"),
+    ],
+)
+def test_non_object_section_exits_2(tmp_path, path, value, kind):
+    cfg = small_config(
+        "compare", out=str(tmp_path / "out"), compare=dict(ORACLE_COMPARE),
+        equilibrium={"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0},
+    )
+    section = cfg
+    for name in path[:-1]:
+        section = section[name]
+    section[path[-1]] = value
+    assert f"{'.'.join(path)}: must be a JSON object, got {kind}" in _config_error(cfg)
+    assert run(cfg) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_object_config_file_exits_2(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    assert "config: must be a JSON object, got array" in _config_error(str(path))

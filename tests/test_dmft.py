@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dmft_lab
 from dmft_lab.dmft import (
     CholeskyExtender,
     IllConditionedKernelError,
@@ -15,7 +21,7 @@ from dmft_lab.dmft import (
 from dmft_lab.kernels import restrict_to_times
 from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import corr_kernels, resp_kernels
-from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec, Theta0Spec
+from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec, Theta0Spec
 
 
 def small_params(gamma=0.05, horizon=1.5):
@@ -241,6 +247,78 @@ def test_mixture_prior_runs_per_path_responses():
         assert raw[t, t - 1] == params.gamma_step  # base case survives float32
     assert eta_response_identity_residual(res.table) <= 1e-12
     assert np.all(np.isfinite(res.table.c_theta))
+
+
+def test_correlation_stderr_matches_two_pass_std(small_solution):
+    # The solver's one-pass E[p^2] - E[p]^2 against np.std of the products.
+    _, _, res = small_solution
+    paths = res.theta_paths
+    se = res.table.stderr["c_theta"]
+    for t in range(paths.shape[1]):
+        prods = paths[:, : t + 1] * paths[:, t : t + 1]
+        ref = prods.std(axis=0) / np.sqrt(paths.shape[0])
+        np.testing.assert_allclose(se[t, : t + 1], ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.table.c_theta[t, : t + 1], prods.mean(axis=0), rtol=1e-12, atol=1e-15)
+
+
+def test_identical_components_match_the_constant_route():
+    # Two identical components are one Gaussian, but their curvature is not
+    # flagged constant: the per-path float32 response must reproduce the
+    # float64 constant-curvature recursion on every path.
+    params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
+    twin = PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[0.3, 0.3], alpha_star=[0.3, 0.3])
+    single = PriorSpec(GaussianLocation(0.5), alpha=[0.3], alpha_star=[0.3])
+    assert twin.family.theta_curvature_constant(twin.alpha) is None
+    per_path = solve_dmft(params, twin, n_paths=300, seed=4).table
+    constant = solve_dmft(params, single, n_paths=300, seed=4).table
+    np.testing.assert_allclose(per_path.r_theta, constant.r_theta, rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(per_path.r_eta, constant.r_eta, rtol=1e-5, atol=1e-6)
+    assert np.max(per_path.stderr["r_theta"]) <= 1e-12
+
+
+_SOLVE_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab.dmft import solve_dmft
+from dmft_lab.model import ModelParams
+from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec, Theta0Spec
+
+# case -> (prior, paths, horizon); P * T is above OpenBLAS's GEMV threading
+# cut-off in the constant case, so a path-axis GEMV there changes bits.
+cases = {
+    "per_path": (
+        PriorSpec(
+            GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0],
+            theta0=Theta0Spec("prior"),
+        ),
+        2000,
+        1.0,
+    ),
+    "constant": (PriorSpec(GaussianFixed(1.0)), 10000, 3.0),
+}
+prior, n_paths, horizon = cases[sys.argv[1]]
+params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=horizon)
+res = solve_dmft(params, prior, n_paths=n_paths, seed=5)
+t = res.table
+arrays = {k: getattr(t, k) for k in ("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta", "r_eta_star", "alpha")}
+arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
+np.savez(sys.argv[2], theta_paths=res.theta_paths, theta_star=res.theta_star, **arrays)
+"""
+
+
+@pytest.mark.parametrize("case", ["per_path", "constant"])
+def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
+    src = str(Path(dmft_lab.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{case}_{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", _SOLVE_AND_SAVE, case, str(out)], env=env, check=True, timeout=300)
+        runs.append(np.load(out))
+    one, two = runs
+    assert sorted(one.files) == sorted(two.files)
+    for name in one.files:
+        assert one[name].tobytes() == two[name].tobytes(), name
 
 
 def test_large_lam_pins_theta_to_zero():

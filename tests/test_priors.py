@@ -209,6 +209,17 @@ def test_curvature_constant_only_for_one_component():
     assert GaussianWeightMixture([0.0, 1.0], [1.0, 1.0]).theta_curvature_constant(np.zeros(2)) is None
 
 
+def test_location_scores_equal_closed_forms(rng):
+    # One component: responsibilities are exactly 1, so the mixture formulas
+    # reduce to the Gaussian closed forms bit for bit.
+    fam, alpha = GaussianLocation(0.8), np.array([0.4])
+    omega = 1.0 / (0.8 * 0.8)
+    theta = 3.0 * rng.normal(size=1000)
+    assert np.array_equal(fam.drift_s(theta, alpha), omega * (alpha[0] - theta))
+    assert np.array_equal(fam.dtheta_drift_s(theta, alpha), np.full(theta.shape, -omega))
+    assert np.array_equal(fam.grad_alpha_log_g(theta, alpha), (omega * (theta - alpha[0]))[:, None])
+
+
 def test_theta0_spec_sample_kinds(rng):
     prior = PriorSpec(GaussianFixed(4.0))
     star = np.arange(5.0)
