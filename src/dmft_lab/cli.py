@@ -165,10 +165,13 @@ class RunConfig:
 
 
 def _compare_checks_something(cfg: RunConfig) -> None:
-    """Refuse, before any source runs, a compare whose report would check nothing.
+    """Refuse, before any source runs, a compare whose times are off the grid
+    of a source or whose report would check nothing.
 
-    A kernel is compared when both sources carry it on the compared grid (the
-    rule `compare_tables` applies): `simulate` has no `r_eta_star` and lag
+    Every compare time must lie on the step grid 0, gamma, ..., horizon, and
+    on the retained grid (every `retain_every` steps) when `simulate` is a
+    source. A kernel is compared when both sources carry it on the compared
+    grid (the rule `compare_tables` applies): `simulate` has no `r_eta_star` and lag
     responses only between two of its `response_steps`, and `alpha` needs two
     Monte Carlo sources and an adaptive prior. A W2 check needs two Monte Carlo
     sources and a marginal time on both grids.
@@ -179,7 +182,20 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     simulate = "simulate" in sources
     monte_carlo = all(s in ("simulate", "dmft", "dmft-mc") for s in sources)
     coarse = any(s in ("simulate", "oracle", "mp-oracle") for s in sources)
-    grid = np.asarray(cfg.raw["compare"].get("times", retained if coarse else full), dtype=float)
+    times = cfg.raw["compare"].get("times")
+    if times is not None:
+        try:
+            times = np.asarray(times, dtype=float).ravel()
+        except (TypeError, ValueError):
+            raise ConfigError(f"compare.times: must be an array of numbers, got {times!r}") from None
+        on, every = (retained, cfg.retain_every) if simulate else (full, 1)
+        off = [t for t in times.tolist() if time_index(on, t) is None]
+        if off:
+            raise ConfigError(
+                f"compare.times: {off} not on the grid 0, {every * params.gamma_step:g}, ..., {on[-1]:g}"
+                + (f" that simulate retains (retain_every = {every})" if simulate else "")
+            )
+    grid = times if times is not None else (retained if coarse else full)
     lag_steps = {k for k in cfg.response_steps if time_index(grid, params.gamma_step * k) is not None}
     lagged = grid.size >= 2 and (not simulate or len(lag_steps) >= 2)
     present = {"r_theta": lagged, "r_eta": lagged, "r_eta_star": not simulate}
@@ -366,7 +382,7 @@ def _run_dmft(cfg: RunConfig):
     reg = _regularizer(cfg)
     res = dmft.solve_dmft(
         cfg.model, cfg.prior, n_paths=cfg.n_paths, seed=cfg.seed, regularizer=reg,
-        response_budget_bytes=int(cfg.raw.get("response_budget_bytes", 2 * 1024**3)),
+        response_budget_bytes=int(cfg.raw.get("response_budget_bytes", dmft._DEFAULT_RESPONSE_BUDGET)),
     )
     marginals = {}
     for t in cfg.marginal_times:

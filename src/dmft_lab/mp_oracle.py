@@ -122,31 +122,50 @@ def mp_quadrature(delta: float, n_nodes: int = 400) -> MPLaw:
     return MPLaw(delta=delta, nodes=x, weights=w, atom=atom, edge_lo=lo, edge_hi=hi)
 
 
-def _decay(h, t):
-    """exp(-h t) with underflow-safe clipping of large exponents."""
-    return np.exp(-np.minimum(h * t, _EXP_CAP))
+def _spectrum(oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
+    """Nodes x, weights w and rates h = lam + delta x / sigma2 of the law, the
+    zero atom included as one more node. With gamma > 0, checks first that
+    every mode of the Euler chain contracts (gamma h < 2)."""
 
+    def rate(x):
+        return oracle.lam + oracle.delta * x / oracle.sigma2
 
-def _rates(oracle: OracleParams, x):
-    return oracle.lam + oracle.delta * x / oracle.sigma2
-
-
-def _chain_steps(t, gamma: float, oracle: OracleParams, law: MPLaw):
-    """Step counts k = t / gamma of the Euler chain, after checking that every t
-    is on the step grid and that every mode contracts (gamma h < 2)."""
-    t = np.asarray(t, dtype=float)
-    k = np.rint(t / gamma)
-    if np.any(np.abs(t / gamma - k) > 1e-6):
-        raise ValueError(f"t = {t} is not a multiple of the step gamma = {gamma}")
-    if gamma * _rates(oracle, law.edge_hi) >= 2.0:
+    if gamma > 0 and gamma * rate(law.edge_hi) >= 2.0:
         raise UnsupportedOracleError(
             f"gamma = {gamma} makes the Euler chain unstable (gamma * h_max >= 2)"
         )
-    return k.astype(int)
+    x, w = law.nodes, law.weights
+    if law.atom > 0:
+        x, w = np.append(x, 0.0), np.append(w, law.atom)
+    return x, w, rate(x)
+
+
+def _propagator(h, t, gamma: float):
+    """Per-mode decay over time t, shape t.shape + h.shape: exp(-h t), or for
+    the Euler chain at t = k gamma, rho^k with rho = 1 - gamma h."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if gamma > 0:
+        k = np.rint(t / gamma)
+        if np.any(np.abs(t / gamma - k) > 1e-6):
+            raise ValueError(f"t = {t[..., 0]} is not a multiple of the step gamma = {gamma}")
+        return (1.0 - gamma * h) ** k.astype(int)
+    return np.exp(-np.minimum(h * t, _EXP_CAP))
+
+
+def _integral(f, w):
+    """sum_n f[..., n] w[n]. An einsum, not `@`: OpenBLAS's threaded GEMV
+    would make the last bits depend on the BLAS thread count."""
+    return np.einsum("...n,n->...", f, w)
+
+
+def _floats(*arrays):
+    """Python floats for 0-d results, arrays otherwise."""
+    return tuple(float(a) if np.ndim(a) == 0 else a for a in arrays)
 
 
 def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
-    """Closed-form response kernels (alpha_mp(t), beta_mp(t), gamma_mp(t)).
+    """Closed-form response kernels (alpha_mp(t), beta_mp(t), gamma_mp(t)),
+    elementwise over t.
 
     alpha_mp(t) = int exp(-h t) mu(dx)
     beta_mp(t)  = -(1/sigma2) int x exp(-h t) mu(dx)
@@ -161,42 +180,30 @@ def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("resp_kernels requires t >= 0")
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    if gamma > 0:
-        k = _chain_steps(t, gamma, oracle, law)
-        lag = np.maximum(k - 1, 0)
-        rho = 1.0 - gamma * h
-        e, e_lag = rho ** k[..., None], rho ** lag[..., None]
-    else:
-        e = e_lag = _decay(h[..., :], t[..., None])
-    alpha = e_lag @ w
-    beta = -(e_lag * x) @ w / oracle.sigma2
-    g_mp = ((1.0 - e) * (x / h)) @ w / oracle.sigma2
-    if law.atom > 0:  # x = 0 contributes only to alpha_mp
-        if gamma > 0:
-            alpha = alpha + law.atom * (1.0 - gamma * oracle.lam) ** lag
-        else:
-            alpha = alpha + law.atom * _decay(oracle.lam, t)
-    if t.ndim == 0:
-        return float(alpha), float(beta), float(g_mp)
-    return alpha, beta, g_mp
+    x, w, h = _spectrum(oracle, law, gamma)
+    e = _propagator(h, t, gamma)
+    e_lag = _propagator(h, np.maximum(t - gamma, 0.0), gamma)
+    alpha = _integral(e_lag, w)
+    beta = -_integral(e_lag * x, w) / oracle.sigma2
+    g_mp = _integral((1.0 - e) * (x / h), w) / oracle.sigma2
+    return _floats(alpha, beta, g_mp)
 
 
-def response_eta(dt, oracle: OracleParams, law: MPLaw) -> float:
+def response_eta(dt, oracle: OracleParams, law: MPLaw):
     """Eta response density in the lab convention (positive near diagonal)."""
     _, b, _ = resp_kernels(dt, oracle, law)
     return -(oracle.delta / oracle.sigma2) * b
 
 
-def response_eta_star(t, oracle: OracleParams, law: MPLaw) -> float:
+def response_eta_star(t, oracle: OracleParams, law: MPLaw):
     """Response of eta^t to the signal-field component, lab convention."""
     _, _, g = resp_kernels(t, oracle, law)
     return -(oracle.delta / oracle.sigma2) * g
 
 
 def corr_kernels(t, s, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
-    """(C_theta(t,s), C_theta(t,*), C_eta(t,s)) for theta^0 = 0.
+    """(C_theta(t,s), C_theta(t,*), C_eta(t,s)) for theta^0 = 0, elementwise
+    over t and s broadcast together.
 
     C_theta(t,*) = delta tau*^2 gamma_mp(t); C_theta(t,s) carries a
     signal+noise term and a Brownian term; C_eta(t,s) is assembled from the
@@ -206,48 +213,29 @@ def corr_kernels(t, s, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     s = j gamma: exp(-h t) becomes rho^k (rho = 1 - gamma h) and each Brownian
     term is divided by 1 - gamma h / 2.
     """
-    if t < 0 or s < 0:
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+    if np.any(t < 0) or np.any(s < 0):
         raise ValueError("corr_kernels requires t, s >= 0")
     dl, s2, t2 = oracle.delta, oracle.sigma2, oracle.tau_star2
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    if gamma > 0:
-        k, j = _chain_steps(t, gamma, oracle, law), _chain_steps(s, gamma, oracle, law)
-        rho, brown = 1.0 - gamma * h, 1.0 - 0.5 * gamma * h
-        et, es = rho**k, rho**j
-        e_abs, e_sum = rho ** abs(k - j) / brown, rho ** (k + j) / brown
-    else:
-        et, es = _decay(h, t), _decay(h, s)
-        e_abs, e_sum = _decay(h, abs(t - s)), _decay(h, t + s)
+    x, w, h = _spectrum(oracle, law, gamma)
+    ut, us = 1.0 - _propagator(h, t, gamma), 1.0 - _propagator(h, s, gamma)
+    brown = (_propagator(h, np.abs(t - s), gamma) - _propagator(h, t + s, gamma)) / (1.0 - 0.5 * gamma * h)
 
     sig = (dl**2 * t2 * x**2 + dl * s2 * x) / s2**2
-    c_ts = float(np.sum(w * (sig / h**2 * (1 - et) * (1 - es) + (e_abs - e_sum) / h)))
-    if law.atom > 0:
-        hl = oracle.lam
-        if gamma > 0:
-            rho_l = 1.0 - gamma * hl
-            c_ts += law.atom * (rho_l ** abs(k - j) - rho_l ** (k + j)) / (1.0 - 0.5 * gamma * hl) / hl
-        else:
-            c_ts += law.atom * (_decay(hl, abs(t - s)) - _decay(hl, t + s)) / hl
-
-    _, _, g_t = resp_kernels(t, oracle, law, gamma)
-    c_tstar = dl * t2 * g_t
+    c_ts = _integral(sig / h**2 * ut * us + brown / h, w)
+    c_tstar = dl * t2 * resp_kernels(t, oracle, law, gamma)[2]
 
     # C_eta(t,s) = A(t,s)/sigma2^2 - B(t)/sigma2^2 - B(s)/sigma2^2 + delta/sigma2
-    a_ts = float(
-        np.sum(
-            w
-            * (
-                (dl**3 * t2 * x**3 + dl**2 * s2 * x**2) / s2**2 / h**2 * (1 - et) * (1 - es)
-                + dl * x / h * (e_abs - e_sum)
-                - dl**2 * x**2 * t2 / s2 / h * ((1 - et) + (1 - es))
-            )
-        )
+    a_ts = _integral(
+        (dl**3 * t2 * x**3 + dl**2 * s2 * x**2) / s2**2 / h**2 * ut * us
+        + dl * x / h * brown
+        - dl**2 * x**2 * t2 / s2 / h * (ut + us),
+        w,
     ) + dl * t2
-    b_t = float(np.sum(w * dl * x / h * (1 - et)))
-    b_s = float(np.sum(w * dl * x / h * (1 - es)))
+    b_t = _integral(dl * x / h * ut, w)
+    b_s = _integral(dl * x / h * us, w)
     c_eta = a_ts / s2**2 - (b_t + b_s) / s2**2 + dl / s2
-    return c_ts, c_tstar, c_eta
+    return _floats(c_ts, c_tstar, c_eta)
 
 
 def ceta_stationary(r: float, oracle: OracleParams, law: MPLaw) -> float:
@@ -257,10 +245,8 @@ def ceta_stationary(r: float, oracle: OracleParams, law: MPLaw) -> float:
     if abs(oracle.lam - 1.0 / oracle.tau_star2) > 1e-12:
         raise UnsupportedOracleError("ceta_stationary requires the matched prior lam = 1/tau_star2")
     dl, s2 = oracle.delta, oracle.sigma2
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    val = float(np.sum(w * dl * x / h * (_decay(h, abs(r)) - 1.0))) / s2**2 + dl / s2
-    return val
+    x, w, h = _spectrum(oracle, law)
+    return float(_integral(dl * x / h * (_propagator(h, abs(r), 0.0) - 1.0), w)) / s2**2 + dl / s2
 
 
 def finite_d_oracle(instance, oracle: OracleParams, t: float, s: float):
@@ -290,45 +276,30 @@ def fdt_check(tau_grid, oracle: OracleParams, law: MPLaw) -> float:
     under the integral is -int exp(-h tau) mu(dx), so the residual probes only
     quadrature-level cancellation.
     """
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    worst = 0.0
-    for tau in np.asarray(tau_grid, dtype=float):
-        deriv = -float(np.sum(w * _decay(h, tau)))
-        if law.atom > 0:
-            deriv -= law.atom * float(_decay(oracle.lam, tau))
-        a, _, _ = resp_kernels(float(tau), oracle, law)
-        worst = max(worst, abs(deriv + a))
-    return worst
+    tau = np.asarray(tau_grid, dtype=float)
+    _, w, h = _spectrum(oracle, law)
+    deriv = -_integral(_propagator(h, tau, 0.0), w)
+    return float(np.max(np.abs(deriv + resp_kernels(tau, oracle, law)[0]), initial=0.0))
 
 
 def stationary_ctheta_tti(tau: float, oracle: OracleParams, law: MPLaw) -> float:
     """Time-translation-invariant part of C_theta at stationarity."""
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    val = float(np.sum(w * _decay(h, tau) / h))
-    if law.atom > 0:
-        val += law.atom * float(_decay(oracle.lam, tau)) / oracle.lam
-    return val
+    _, w, h = _spectrum(oracle, law)
+    return float(_integral(_propagator(h, tau, 0.0) / h, w))
 
 
 def alpha_laplace_numeric(s: float, oracle: OracleParams, law: MPLaw, t_max: float = 60.0) -> float:
     """int_0^inf exp(-s t) alpha_mp(t) dt: numeric on [0, t_max] plus the
     analytic tail sum_i w_i exp(-(s + h_i) t_max) / (s + h_i)."""
     head, _ = quad(lambda t: np.exp(-s * t) * resp_kernels(t, oracle, law)[0], 0.0, t_max, limit=200)
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    tail = float(np.sum(w * _decay(s + h, t_max) / (s + h)))
-    if law.atom > 0:
-        tail += law.atom * float(_decay(s + oracle.lam, t_max)) / (s + oracle.lam)
-    return head + tail
+    _, w, h = _spectrum(oracle, law)
+    return head + float(_integral(_propagator(s + h, t_max, 0.0) / (s + h), w))
 
 
 def gamma_limit(oracle: OracleParams, law: MPLaw) -> float:
     """lim_{t->inf} gamma_mp(t) = (1/sigma2) int (x/h) mu(dx)."""
-    x, w = law.nodes, law.weights
-    h = _rates(oracle, x)
-    return float(np.sum(w * x / h)) / oracle.sigma2
+    x, w, h = _spectrum(oracle, law)
+    return float(_integral(x / h, w)) / oracle.sigma2
 
 
 def oracle_table(times, oracle: OracleParams, law: MPLaw):
@@ -341,34 +312,25 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
 
     times = np.asarray(times, dtype=float)
     m = times.size
-    c_theta = np.empty((m, m))
-    c_eta = np.empty((m, m))
-    c_star = np.empty(m)
-    r_theta = np.full((m, m), np.nan)
-    r_eta = np.full((m, m), np.nan)
-    r_star = np.empty(m)
+    c_theta, c_eta = np.zeros((m, m)), np.zeros((m, m))
+    r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
     for i, t in enumerate(times):
-        for j in range(i + 1):
-            cts, ctx, ce = corr_kernels(t, times[j], oracle, law)
-            c_theta[i, j] = c_theta[j, i] = cts
-            c_eta[i, j] = c_eta[j, i] = ce
-            if j < i:
-                a, b, _ = resp_kernels(t - times[j], oracle, law)
-                r_theta[i, j] = a
-                r_eta[i, j] = -(oracle.delta / oracle.sigma2) * b
-        c_star[i] = corr_kernels(t, t, oracle, law)[1]
-        _, _, g = resp_kernels(t, oracle, law)
-        r_star[i] = -(oracle.delta / oracle.sigma2) * g
+        c_theta[i, : i + 1], _, c_eta[i, : i + 1] = corr_kernels(t, times[: i + 1], oracle, law)
+        lags = t - times[:i]
+        r_theta[i, :i] = resp_kernels(lags, oracle, law)[0]
+        r_eta[i, :i] = response_eta(lags, oracle, law)
+    c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
+    c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
     return KernelTable(
         times=times,
         gamma=0.0,
         source="mp-oracle",
         c_theta=c_theta,
-        c_theta_star=c_star,
+        c_theta_star=corr_kernels(times, times, oracle, law)[1],
         c_star_star=oracle.tau_star2,
         c_eta=c_eta,
         r_theta=r_theta,
         r_eta=r_eta,
-        r_eta_star=r_star,
+        r_eta_star=response_eta_star(times, oracle, law),
         alpha=np.zeros((m, 0)),
     )

@@ -318,6 +318,25 @@ def test_compare_with_only_a_w2_check(tmp_path):
     assert not (tmp_path / "off").exists()
 
 
+@pytest.mark.parametrize(
+    "config,times,message",
+    [
+        # off the step grid of gamma = 0.01
+        ("gaussian_default.json", [0.0, 0.333], "compare.times: [0.333] not on the grid 0, 0.01, ..., 2"),
+        # on the step grid but off the grid simulate retains (every 10 steps)
+        ("adaptive_location.json", [0.0, 0.05], "compare.times: [0.05] not on the grid 0, 0.1, ..., 2 that simulate"),
+        ("gaussian_default.json", [0.0, "half"], "compare.times: must be an array of numbers"),
+    ],
+)
+def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):
+    cfg = json.loads((CONFIG_DIR / config).read_text())
+    cfg["compare"]["times"] = times
+    cfg["out"] = str(tmp_path / "out")
+    assert message in _config_error(cfg)
+    assert run(cfg) == 2
+    assert not (tmp_path / "out").exists()
+
+
 LOCATION = {"family": "gaussian_location", "alpha0": [0.0]}
 
 # (compare section, other config keys, whether the report checks anything);

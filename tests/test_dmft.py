@@ -305,15 +305,32 @@ arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
 np.savez(sys.argv[2], theta_paths=res.theta_paths, theta_star=res.theta_star, **arrays)
 """
 
+# The oracle's node sums: 10,000 nodes by 61 times would put a node-axis GEMV
+# above the same cut-off. (A Legendre rule that large takes minutes to build.)
+_ORACLE_ROWS_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab.mp_oracle import MPLaw, OracleParams, corr_kernels, resp_kernels
 
-@pytest.mark.parametrize("case", ["per_path", "constant"])
+x = np.linspace(0.1, 5.8, 10000)
+law = MPLaw(delta=2.0, nodes=x, weights=np.full(x.size, 1e-4), atom=0.0, edge_lo=x[0], edge_hi=x[-1])
+oracle = OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
+s = 0.01 * np.arange(61)
+arrays = dict(zip(("c_theta", "c_theta_star", "c_eta"), corr_kernels(s[-1], s, oracle, law)))
+arrays.update(zip(("alpha_mp", "beta_mp", "gamma_mp"), resp_kernels(s, oracle, law)))
+np.savez(sys.argv[2], **arrays)
+"""
+
+
+@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows"])
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])
+    script = _ORACLE_ROWS_AND_SAVE if case == "oracle_rows" else _SOLVE_AND_SAVE
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{case}_{threads}.npz"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        subprocess.run([sys.executable, "-c", _SOLVE_AND_SAVE, case, str(out)], env=env, check=True, timeout=300)
+        subprocess.run([sys.executable, "-c", script, case, str(out)], env=env, check=True, timeout=300)
         runs.append(np.load(out))
     one, two = runs
     assert sorted(one.files) == sorted(two.files)

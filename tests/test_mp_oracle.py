@@ -219,6 +219,63 @@ def test_oracle_table_grids(default_oracle, default_law):
     assert np.isnan(table.r_theta[0, 1])
 
 
+def _oracle_table_by_entries(times, oracle, law):
+    """oracle_table's kernels from one scalar call per (t, s) entry."""
+    m, scale = len(times), -(oracle.delta / oracle.sigma2)
+    c_theta, c_eta, c_star, r_star = np.empty((m, m)), np.empty((m, m)), np.empty(m), np.empty(m)
+    r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
+    for i, t in enumerate(times):
+        for j in range(i + 1):
+            cts, _, ce = corr_kernels(t, times[j], oracle, law)
+            c_theta[i, j] = c_theta[j, i] = cts
+            c_eta[i, j] = c_eta[j, i] = ce
+            if j < i:
+                a, b, _ = resp_kernels(t - times[j], oracle, law)
+                r_theta[i, j] = a
+                r_eta[i, j] = scale * b
+        c_star[i] = corr_kernels(t, t, oracle, law)[1]
+        r_star[i] = scale * resp_kernels(t, oracle, law)[2]
+    return {
+        "c_theta": c_theta, "c_theta_star": c_star, "c_eta": c_eta,
+        "r_theta": r_theta, "r_eta": r_eta, "r_eta_star": r_star,
+    }
+
+
+ATOM_ORACLE = OracleParams(lam=2.0, sigma2=0.7, delta=0.5, tau_star2=0.5)  # delta < 1: zero atom
+
+
+@pytest.mark.parametrize(
+    "oracle", [OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0), ATOM_ORACLE], ids=["delta2", "atom"]
+)
+def test_oracle_table_rows_match_entrywise_calls(oracle):
+    law = mp_quadrature(oracle.delta, 400)
+    times = np.linspace(0.0, 2.0, 21)
+    table = oracle_table(times, oracle, law)
+    for name, ref in _oracle_table_by_entries(times, oracle, law).items():
+        got = getattr(table, name)
+        assert np.array_equal(np.isnan(got), np.isnan(ref)), name
+        assert np.nanmax(np.abs(got - ref)) <= 1e-13, name
+    assert np.array_equal(table.c_theta, table.c_theta.T)
+    assert np.array_equal(table.c_eta, table.c_eta.T)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.02])
+def test_corr_kernels_rows_match_scalar_calls(gamma):
+    law = mp_quadrature(ATOM_ORACLE.delta, 200)
+    s = np.linspace(0.0, 1.0, 11)
+    row = corr_kernels(0.6, s, ATOM_ORACLE, law, gamma)
+    lags = resp_kernels(s, ATOM_ORACLE, law, gamma)
+    for j, sj in enumerate(s):
+        scalar = corr_kernels(0.6, sj, ATOM_ORACLE, law, gamma)
+        assert all(type(v) is float for v in scalar + resp_kernels(sj, ATOM_ORACLE, law, gamma))
+        assert np.allclose([k[j] for k in row], scalar, rtol=0.0, atol=1e-14)
+        assert np.allclose([k[j] for k in lags], resp_kernels(sj, ATOM_ORACLE, law, gamma), rtol=0.0, atol=1e-14)
+    # t and s broadcast together: a column is the same as a row, transposed
+    col = corr_kernels(s, 0.6, ATOM_ORACLE, law, gamma)
+    assert np.allclose(col[0], row[0], rtol=0.0, atol=1e-14)
+    assert np.allclose(col[2], row[2], rtol=0.0, atol=1e-14)
+
+
 # ------------------------------------------- Euler-chain forms (gamma > 0)
 
 EULER_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)  # on the step grid of gamma = 0.02, 0.01, 0.005
