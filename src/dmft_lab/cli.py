@@ -33,7 +33,7 @@ from .kernels import (
     time_index,
     write_table_csv,
 )
-from .model import ModelParams, sample_instance
+from .model import DESIGNS, ModelParams, sample_instance
 from .priors import (
     ExpFamily,
     GaussianFixed,
@@ -212,6 +212,31 @@ def _compare_checks_something(cfg: RunConfig) -> None:
         )
 
 
+def _value_errors(raw: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
+    """Values that the run would otherwise refuse only deep inside a source."""
+    errors = []
+    design = raw.get("design", "gaussian")
+    if design not in DESIGNS:
+        errors.append(f"design: must be one of {DESIGNS}, got {design!r}")
+    method = raw.get("response_method", "exact-product")
+    if method not in simulator.RESPONSE_METHODS:
+        errors.append(f"response_method: must be one of {simulator.RESPONSE_METHODS}, got {method!r}")
+    elif method == "probe" and int(raw.get("n_probes", 32)) < 2:
+        errors.append("n_probes: must be >= 2 in probe mode")
+    oracle = any(s in ("oracle", "mp-oracle") for s in sources)
+    if oracle and int(raw.get("quad_nodes", 400)) < mp_oracle.MIN_QUAD_NODES:
+        errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
+    steps = raw.get("response_steps", [])
+    if steps and model is not None and any(s in ("simulate", "response") for s in sources):
+        off = [k for k in steps if not 0 <= k <= model.n_steps]
+        if off:
+            errors.append(f"response_steps: {off} outside 0..{model.n_steps}")
+        if prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None:
+            if int(raw.get("retain_every", 10)) != 1:
+                errors.append("response_steps: a theta-dependent prior needs retain_every = 1")
+    return errors
+
+
 def load_config(config, out_override=None, seed_override=None, threads_override=None) -> RunConfig:
     """Parse and validate a run config (JSON path or dict); collects all
     field errors before reporting."""
@@ -270,11 +295,13 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     if pipeline == "dmft" and n_paths < 100:
         errors.append("n_paths: must be >= 100 for the dmft pipeline")
     cc = raw.get("compare", {})
+    sources = [pipeline]
     if pipeline == "compare":
         sources = cc.get("sources", [])
         allowed = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
         if len(sources) != 2 or any(s not in allowed for s in sources):
             errors.append("compare.sources: exactly two of simulate|dmft|dmft-linear|oracle")
+    errors += _value_errors(raw, sources, model, prior)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
@@ -346,10 +373,11 @@ def _replica_seeds(seed: int, replicas: int) -> list[int]:
 def _run_simulate(cfg: RunConfig):
     params, prior = cfg.model, cfg.prior
     seeds = _replica_seeds(cfg.seed, cfg.replicas)
+    reg = _regularizer(cfg)
 
     def one(rs: int):
         inst = sample_instance(params, prior, seed=rs, design=cfg.raw.get("design", "gaussian"))
-        traj = simulator.evolve(inst, prior, params, seed=rs, retain_every=cfg.retain_every)
+        traj = simulator.evolve(inst, prior, params, seed=rs, retain_every=cfg.retain_every, regularizer=reg)
         traces = None
         if cfg.response_steps:
             traces = simulator.response_traces(

@@ -52,9 +52,8 @@ class CholeskyExtender:
     JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
     def __init__(self, max_size: int):
-        self.L = np.zeros((max_size, max_size))
-        # Solve mirror: unit diagonal on degenerate rows keeps forward
-        # substitution well posed (the corresponding coefficient comes out ~0).
+        # Unit diagonal on degenerate rows keeps forward substitution well
+        # posed (the corresponding coefficient comes out ~0).
         self._L_solve = np.eye(max_size)
         self.size = 0
         self.clamped_steps: list[int] = []
@@ -76,58 +75,24 @@ class CholeskyExtender:
         else:
             a = solve_triangular(self._L_solve[:k, :k], new_row, lower=True)
             cond_var = float(new_diag - a @ a)
-        applied = None
         for jit in self.JITTERS:
             if cond_var + jit >= -self.CLAMP_TOL:
-                applied = jit
-                cond_var = cond_var + jit
                 break
-        if applied is None:
+        else:
             raise IllConditionedKernelError(
                 f"conditional variance {cond_var:.3e} at step {k} exceeds the jitter budget"
             )
-        if applied > 0:
-            self.jitter_log.append((k, applied))
+        if jit > 0:
+            self.jitter_log.append((k, jit))
+        cond_var = cond_var + jit
         if cond_var < 0:
             self.clamped_steps.append(k)
             cond_var = 0.0
         sd = float(np.sqrt(cond_var))
-        self.L[k, :k] = a
-        self.L[k, k] = sd
         self._L_solve[k, :k] = a
         self._L_solve[k, k] = sd if sd > 0 else 1.0
         self.size = k + 1
         return a, sd
-
-    def innovations(self, draws: np.ndarray) -> np.ndarray:
-        """Standardized innovations z with draws = L z (degenerate rows carry
-        zero innovation)."""
-        k = self.size
-        return solve_triangular(self._L_solve[:k, :k], np.asarray(draws, dtype=float), lower=True)
-
-
-def extend_conditional_gaussian(
-    chol: CholeskyExtender,
-    new_cov_row: np.ndarray,
-    past_draws: np.ndarray,
-    standard_normal: float | np.ndarray,
-    new_diag: Optional[float] = None,
-):
-    """Draw the next variable of a Gaussian vector conditionally on the past.
-
-    `new_cov_row` holds Cov(new, past) followed by Var(new) when `new_diag` is
-    not given separately. The factor is extended in place by one row.
-    """
-    new_cov_row = np.asarray(new_cov_row, dtype=float)
-    if new_diag is None:
-        new_cov_row, new_diag = new_cov_row[:-1], float(new_cov_row[-1])
-    past_draws = np.asarray(past_draws, dtype=float)
-    if past_draws.shape[-1] != chol.size:
-        raise ValueError("past draws inconsistent with factor size")
-    k = chol.size
-    z = chol.innovations(past_draws.T).T if k else np.zeros(past_draws.shape[:-1] + (0,))
-    a, sd = chol.extend(new_cov_row, new_diag)
-    return z @ a + sd * np.asarray(standard_normal)
 
 
 class EtaSide:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .priors import ExpFamily, PriorFamily, PriorSpec, SmoothHinge
+from .priors import ExpFamily, PriorFamily, PriorSpec, SmoothHinge, logsumexp, softmax
 
 
 class DiscretePrior:
@@ -82,21 +82,24 @@ def _atom_posterior(y_arr, nodes, masses, omega):
     return np.exp(lp, out=lp), top[:, 0]
 
 
+def _mixture_log_marginals(y, components, omega):
+    """log of w_k N(y; m_k, 1/omega + 1/p_k), the channel marginal of each
+    mixture component, for an array y; shape y.shape + (K,)."""
+    pw, pm, pp = components
+    var_k = 1.0 / omega + 1.0 / pp
+    return np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y[..., None] - pm) ** 2 / var_k
+
+
 def _posterior_mixture(y, components, omega):
-    """Conjugate posterior of a Gaussian-mixture prior given Y = y.
+    """Conjugate posterior of a Gaussian-mixture prior given the array Y = y.
 
     Returns (component weights, component means, component variances), each
     of shape y.shape + (K,). Responsibilities are formed in log space.
     """
-    pw, pm, pp = components
-    y = np.asarray(y, dtype=float)[..., None]
-    var_k = 1.0 / omega + 1.0 / pp
-    log_w = np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y - pm) ** 2 / var_k
-    log_w = log_w - log_w.max(axis=-1, keepdims=True)
-    w = np.exp(log_w)
-    w /= w.sum(axis=-1, keepdims=True)
+    _, pm, pp = components
+    w = softmax(_mixture_log_marginals(y, components, omega))
     post_var = 1.0 / (omega + pp)
-    post_mean = (omega * y + pp * pm) * post_var
+    post_mean = (omega * y[..., None] + pp * pm) * post_var
     return w, post_mean, np.broadcast_to(post_var, post_mean.shape)
 
 
@@ -140,11 +143,7 @@ def log_marginal(y, g, omega: float, alpha=None):
     y_arr = np.asarray(y, dtype=float)
     components, atoms = _prior_law(family, alpha)
     if atoms is None:
-        pw, pm, pp = components
-        var_k = 1.0 / omega + 1.0 / pp
-        lw = np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y_arr[..., None] - pm) ** 2 / var_k
-        m = lw.max(axis=-1, keepdims=True)
-        out = (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
+        out = logsumexp(_mixture_log_marginals(y_arr, components, omega))
     else:
         nodes, masses = atoms
         post, top = _atom_posterior(y_arr, nodes, masses / masses.sum(), omega)

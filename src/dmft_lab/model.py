@@ -19,6 +19,8 @@ _STREAM_THETA_STAR = 1
 _STREAM_EPS = 2
 _STREAM_THETA0 = 3
 
+DESIGNS = ("gaussian", "rademacher")
+
 
 @dataclass
 class ModelParams:
@@ -104,7 +106,7 @@ def sample_instance(
     elif design == "rademacher":
         X = (2.0 * rng_x.integers(0, 2, size=(n, d)) - 1.0) / np.sqrt(d)
     else:
-        raise ValueError(f"unknown design '{design}'")
+        raise ValueError(f"design must be one of {DESIGNS}, got {design!r}")
 
     theta_star = prior.family.sample(prior.alpha_star, component_rng(seed, _STREAM_THETA_STAR), d)
     eps = component_rng(seed, _STREAM_EPS).normal(0.0, np.sqrt(params.sigma2), size=n)

@@ -38,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 _EXP_CAP = 745.0  # exp(-745) underflows to 0; larger exponents are treated as 0
+MIN_QUAD_NODES = 8
 
 
 class UnsupportedOracleError(ValueError):
@@ -109,8 +109,8 @@ def stieltjes_m(z: float, delta: float) -> float:
 def mp_quadrature(delta: float, n_nodes: int = 400) -> MPLaw:
     """Gauss-Legendre rule under x = c + r sin(phi), which absorbs the
     square-root edge singularities of the bulk density."""
-    if n_nodes < 8:
-        raise ValueError("n_nodes must be >= 8")
+    if n_nodes < MIN_QUAD_NODES:
+        raise ValueError(f"n_nodes must be >= {MIN_QUAD_NODES}")
     inv_sqrt = delta ** (-0.5)
     lo, hi = (1.0 - inv_sqrt) ** 2, (1.0 + inv_sqrt) ** 2
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -270,30 +270,25 @@ def finite_d_oracle(instance, oracle: OracleParams, t: float, s: float):
 
 
 def fdt_check(tau_grid, oracle: OracleParams, law: MPLaw) -> float:
-    """Max residual of d/dtau c_theta^tti(tau) + alpha_mp(tau) over the grid.
+    """Max residual over the grid of the integrated fluctuation-dissipation
+    identity c_theta^tti(0) - c_theta^tti(tau) = int_0^tau alpha_mp(s) ds.
 
-    c_theta^tti(tau) = int h^{-1} exp(-h tau) mu(dx); its tau-derivative taken
-    under the integral is -int exp(-h tau) mu(dx), so the residual probes only
-    quadrature-level cancellation.
+    The left side comes from `stationary_ctheta_tti`, the right side from a
+    48-node Gauss-Legendre rule in s over `resp_kernels`, so a wrong time
+    scale in either integrand shows.
     """
-    tau = np.asarray(tau_grid, dtype=float)
-    _, w, h = _spectrum(oracle, law)
-    deriv = -_integral(_propagator(h, tau, 0.0), w)
-    return float(np.max(np.abs(deriv + resp_kernels(tau, oracle, law)[0]), initial=0.0))
+    tau = np.asarray(tau_grid, dtype=float).reshape(-1)
+    c_tti = np.array([stationary_ctheta_tti(t, oracle, law) for t in tau])
+    u, gw = np.polynomial.legendre.leggauss(48)
+    alpha = resp_kernels(0.5 * tau[:, None] * (u + 1.0), oracle, law)[0]
+    area = 0.5 * tau * _integral(alpha, gw)
+    return float(np.max(np.abs(stationary_ctheta_tti(0.0, oracle, law) - c_tti - area), initial=0.0))
 
 
 def stationary_ctheta_tti(tau: float, oracle: OracleParams, law: MPLaw) -> float:
     """Time-translation-invariant part of C_theta at stationarity."""
     _, w, h = _spectrum(oracle, law)
     return float(_integral(_propagator(h, tau, 0.0) / h, w))
-
-
-def alpha_laplace_numeric(s: float, oracle: OracleParams, law: MPLaw, t_max: float = 60.0) -> float:
-    """int_0^inf exp(-s t) alpha_mp(t) dt: numeric on [0, t_max] plus the
-    analytic tail sum_i w_i exp(-(s + h_i) t_max) / (s + h_i)."""
-    head, _ = quad(lambda t: np.exp(-s * t) * resp_kernels(t, oracle, law)[0], 0.0, t_max, limit=200)
-    _, w, h = _spectrum(oracle, law)
-    return head + float(_integral(_propagator(s + h, t_max, 0.0) / (s + h), w))
 
 
 def gamma_limit(oracle: OracleParams, law: MPLaw) -> float:

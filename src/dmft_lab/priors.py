@@ -11,7 +11,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
+
+
+def logsumexp(lw):
+    """log sum exp over the last axis, shifted by the maximum."""
+    m = lw.max(axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def softmax(lw):
+    """exp(lw) normalized over the last axis, shifted by the maximum."""
+    w = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class InputDomainError(ValueError):
@@ -87,11 +98,10 @@ class GaussianMixture(PriorFamily):
             diff = np.asarray(theta, dtype=float)[..., None] - self.components(alpha)[1]
             return np.ones_like(diff), diff
         diff, lw = self._log_weights(theta, alpha)
-        r = np.exp(lw - lw.max(axis=-1, keepdims=True))
-        return r / r.sum(axis=-1, keepdims=True), diff
+        return softmax(lw), diff
 
     def log_g(self, theta, alpha=None):
-        return logsumexp(self._log_weights(theta, alpha)[1], axis=-1)
+        return logsumexp(self._log_weights(theta, alpha)[1])
 
     def drift_s(self, theta, alpha=None):
         r, diff = self._responsibilities(theta, alpha)
@@ -217,45 +227,32 @@ class GaussianWeightMixture(GaussianMixture):
         self.dim_alpha = len(self.mu)
 
     def components(self, alpha):
-        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        w = np.exp(alpha - alpha.max())
-        return w / w.sum(), self.mu, self.omega
+        return softmax(np.asarray(alpha, dtype=float).reshape(self.dim_alpha)), self.mu, self.omega
 
     def alpha_score(self, r, centers, alpha):
         return r - self.components(alpha)[0]
 
 
 class ExpFamily(PriorFamily):
-    """Exponential family g = h(theta) exp(sum_k alpha_k T_k(theta) - A(alpha)).
+    """Exponential family g = exp(sum_k alpha_k T_k(theta) - A(alpha)) on the line.
 
-    Sufficient statistics are given as (T, T', T'') callable triples; the base
-    measure as (log h, (log h)', (log h)''). The log-partition A(alpha) is
-    evaluated by adaptive quadrature on [-L, L], with L expanded until the
-    boundary tail mass is below 1e-12.
+    Sufficient statistics are given as (T, T', T'') callable triples. The
+    log-partition A(alpha) is a trapezoid sum on n_grid points of [-L, L],
+    with L expanded from l_init until the boundary tail mass is below 1e-12.
     """
 
-    def __init__(
-        self,
-        stats: Sequence[tuple[Callable, Callable, Callable]],
-        log_h: tuple[Callable, Callable, Callable] = (
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        ),
-        l_init: float = 8.0,
-        n_grid: int = 4097,
-    ):
+    l_init = 8.0
+    n_grid = 4097
+
+    def __init__(self, stats: Sequence[tuple[Callable, Callable, Callable]]):
         self.stats = list(stats)
-        self.log_h = log_h
         self.dim_alpha = len(self.stats)
-        self.l_init = float(l_init)
-        self.n_grid = int(n_grid)
 
     def _theta_derivative(self, theta, alpha, order: int):
-        """d^order/dtheta^order of log h + sum_k alpha_k T_k, order 0, 1 or 2."""
+        """d^order/dtheta^order of sum_k alpha_k T_k, order 0, 1 or 2."""
         theta = np.asarray(theta, dtype=float)
         alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        out = self.log_h[order](theta)
+        out = np.zeros_like(theta)
         for a_k, stat in zip(alpha, self.stats):
             out = out + a_k * stat[order](theta)
         return out
@@ -369,13 +366,6 @@ class Theta0Spec:
     def __post_init__(self):
         if self.kind not in _THETA0_KINDS:
             raise ValueError(f"theta0 kind must be one of {_THETA0_KINDS}")
-
-    def second_moment(self, prior: "PriorSpec") -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "gaussian":
-            return self.var
-        return prior.family.second_moment(prior.alpha_star)
 
     def sample(self, prior: "PriorSpec", rng: np.random.Generator, size: int, theta_star):
         """Draw theta^0 for `size` coordinates; "star" copies theta_star."""

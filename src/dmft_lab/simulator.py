@@ -28,6 +28,8 @@ _STREAM_PROBES = 202
 
 _NORM_GUARD = 1e6
 
+RESPONSE_METHODS = ("exact-product", "probe")
+
 
 class DivergenceError(RuntimeError):
     """State blew up (NaN/Inf or norm guard); reports the offending step."""
@@ -39,7 +41,7 @@ class Trajectory:
     step_indices: np.ndarray
     theta_path: np.ndarray  # (retained, d)
     alpha_path: np.ndarray  # (retained, K)
-    residual_path: Optional[np.ndarray]  # (retained, n): X theta^t - y
+    residual_path: np.ndarray  # (retained, n): X theta^t - y
     seed: int
     noise_mode: str
     retain_every: int
@@ -56,13 +58,9 @@ def evolve(
     seed: int,
     noise_mode: str = "stochastic",
     retain_every: int = 10,
-    store_residuals: bool = True,
     regularizer: Optional[SmoothHinge] = None,
-    _perturb: Optional[tuple[int, np.ndarray]] = None,
-    _track_coord: Optional[int] = None,
-):
-    """Run the Euler chain; returns a Trajectory (and a per-step coordinate
-    series when _track_coord is set, used by the finite-difference response).
+) -> Trajectory:
+    """Run the Euler chain; returns a Trajectory.
 
     frozen-zero noise mode sets every Brownian increment to zero, which turns
     the chain into deterministic gradient descent for unit testing.
@@ -86,27 +84,21 @@ def evolve(
     kept = list(range(0, T + 1, retain_every))
     theta_path = np.empty((len(kept), params.d))
     alpha_path = np.empty((len(kept), K))
-    residual_path = np.empty((len(kept), params.n)) if store_residuals else None
-    coord_series = np.empty(T + 1) if _track_coord is not None else None
+    residual_path = np.empty((len(kept), params.n))
     keep_pos = {t: i for i, t in enumerate(kept)}
 
     for t in range(T + 1):
         if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > _NORM_GUARD:
             raise DivergenceError(f"state diverged at step {t} (gamma too large for this instance)")
-        if coord_series is not None:
-            coord_series[t] = theta[_track_coord]
         if t in keep_pos:
             i = keep_pos[t]
             theta_path[i] = theta
             alpha_path[i] = alpha
-            if store_residuals:
-                residual_path[i] = X @ theta - y
+            residual_path[i] = X @ theta - y
         if t == T:
             break
         resid = X @ theta - y
         drift = -beta * (X.T @ resid) + prior.family.drift_s(theta, alpha)
-        if _perturb is not None and t == _perturb[0]:
-            drift = drift + _perturb[1]
         if noise_mode == "stochastic":
             incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
         else:
@@ -116,7 +108,7 @@ def evolve(
             alpha = alpha + gamma * gradient_map_G(alpha, theta, prior, regularizer)
         theta = new_theta
 
-    traj = Trajectory(
+    return Trajectory(
         times=gamma * np.asarray(kept, dtype=float),
         step_indices=np.asarray(kept),
         theta_path=theta_path,
@@ -126,9 +118,6 @@ def evolve(
         noise_mode=noise_mode,
         retain_every=retain_every,
     )
-    if _track_coord is not None:
-        return traj, coord_series
-    return traj
 
 
 def empirical_kernels(
@@ -163,23 +152,16 @@ def empirical_kernels(
     R = len(replicas)
     ddof = 1 if R > 1 else 0
     m = t0.times.size
-    if all(tr.residual_path is not None for tr in replicas):
-        ce = np.stack([scale_eta * (tr.residual_path @ tr.residual_path.T) for tr in replicas])
-        c_eta = ce.mean(axis=0)
-        c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
-        ce_se = ce.std(axis=0, ddof=ddof) / np.sqrt(R)
-    else:
-        c_eta = np.full((m, m), np.nan)
-        ce_se = None
-
+    ce = np.stack([scale_eta * (tr.residual_path @ tr.residual_path.T) for tr in replicas])
+    c_eta = ce.mean(axis=0)
+    c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
     c_theta = ct.mean(axis=0)
     c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
     stderr = {
         "c_theta": ct.std(axis=0, ddof=ddof) / np.sqrt(R),
         "c_theta_star": cs.std(axis=0, ddof=ddof) / np.sqrt(R),
+        "c_eta": ce.std(axis=0, ddof=ddof) / np.sqrt(R),
     }
-    if ce_se is not None:
-        stderr["c_eta"] = ce_se
     return KernelTable(
         times=t0.times,
         gamma=params.gamma_step,
@@ -217,18 +199,6 @@ def _omega_matvec(w, X, gamma_beta, gamma_ds):
     return w - gamma_beta * (X.T @ (X @ w)) + gamma_ds[:, None] * w
 
 
-def _curvature_series(traj: Optional[Trajectory], prior: PriorSpec, params: ModelParams):
-    """Per-step diag(ds) series, or a scalar when the curvature is constant."""
-    const = prior.family.theta_curvature_constant(prior.alpha)
-    if const is not None:
-        return float(const)
-    if traj is None or not traj.full:
-        raise ValueError(
-            "response traces for a theta-dependent score need a fully retained trajectory"
-        )
-    return None  # caller evaluates per step from traj
-
-
 def response_traces(
     trajectory: Optional[Trajectory],
     instance: ModelInstance,
@@ -245,6 +215,8 @@ def response_traces(
     probe mode pushes Rademacher probes through the chain and reports
     Hutchinson standard errors. Entries are raw per-step responses.
     """
+    if method not in RESPONSE_METHODS:
+        raise ValueError(f"method must be one of {RESPONSE_METHODS}")
     steps = np.asarray(sorted(set(int(k) for k in step_indices)))
     if steps.size and (steps[0] < 0 or steps[-1] > params.n_steps):
         raise ValueError("requested steps outside the simulated range")
@@ -252,7 +224,9 @@ def response_traces(
     gamma, beta, delta = params.gamma_step, params.beta, params.delta
     X = instance.X
     d, n = params.d, params.n
-    const = _curvature_series(trajectory, prior, params)
+    const = prior.family.theta_curvature_constant(prior.alpha)  # None: ds per step from the trajectory
+    if const is None and (trajectory is None or not trajectory.full):
+        raise ValueError("response traces for a theta-dependent score need a fully retained trajectory")
 
     r_theta = np.full((m, m), np.nan)
     r_eta = np.full((m, m), np.nan)
@@ -289,9 +263,6 @@ def response_traces(
                     break
                 P = _omega_matvec(P, X, gamma * beta, gamma * ds_at(t))
         return ResponseTraces(steps * gamma, steps, r_theta, r_eta, method=method)
-
-    if method != "probe":
-        raise ValueError("method must be 'exact-product' or 'probe'")
 
     rng = component_rng(seed, _STREAM_PROBES)
     for b in range(m):
@@ -340,46 +311,6 @@ def attach_response(table: KernelTable, traces: ResponseTraces) -> KernelTable:
             table.r_theta[i, j] = traces.r_theta[a, b] / table.gamma
             table.r_eta[i, j] = traces.r_eta[a, b] / table.gamma
     return table
-
-
-def finite_diff_response(
-    instance: ModelInstance,
-    prior: PriorSpec,
-    params: ModelParams,
-    s: int,
-    j: int,
-    eps: Optional[float] = None,
-    seed: int = 0,
-    noise_mode: str = "stochastic",
-) -> np.ndarray:
-    """Single-coordinate response by common-random-number finite differences.
-
-    Perturbs the drift by eps * e_j at step s and returns
-    (theta_j^{t,eps} - theta_j^t) / eps for t = s+1 .. n_steps, sharing the
-    Brownian path between the two runs.
-    """
-    if not 0 <= s < params.n_steps:
-        raise ValueError("perturbation step outside the horizon")
-    _, base = evolve(
-        instance, prior, params, seed, noise_mode, retain_every=params.n_steps,
-        store_residuals=False, _track_coord=j,
-    )
-    if eps is None:
-        base_traj = evolve(
-            instance, prior, params, seed, noise_mode,
-            retain_every=1, store_residuals=False,
-        )
-        theta_s = base_traj.theta_path[s]
-        eps = 1e-4 * (1.0 + np.linalg.norm(theta_s) / np.sqrt(params.d))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pert = np.zeros(params.d)
-    pert[j] = eps
-    _, bumped = evolve(
-        instance, prior, params, seed, noise_mode, retain_every=params.n_steps,
-        store_residuals=False, _perturb=(s, pert), _track_coord=j,
-    )
-    return (bumped[s + 1 :] - base[s + 1 :]) / eps
 
 
 def wasserstein2_1d(samples_a, samples_b) -> float:

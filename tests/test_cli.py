@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,25 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
         outs.append((out / "kernels_simulate.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_simulate_applies_the_regularizer(tmp_path):
+    # The hinge at D = 0.01 binds long before alpha nears alpha_star = 1.
+    location = {"family": "gaussian_location", "alpha0": [0.0], "alpha_star": [1.0]}
+    alphas = []
+    for name, extra in (("free", {}), ("hinged", {"regularizer": {"D": 0.01, "eps": 0.01}})):
+        out = tmp_path / name
+        assert run(small_config("simulate", out=str(out), prior=location, **extra)) == 0
+        alphas.append(load_artifact(out)[0].alpha[-1, 0])
+    assert alphas[1] < alphas[0] - 1e-3
+
+
+def test_import_loads_no_test_only_scipy_module():
+    code = "import sys, dmft_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert "scipy.linalg" in loaded  # the MC-DMFT triangular solve
+    assert "scipy.special" not in loaded
+    assert "scipy.integrate" not in loaded
 
 
 def test_dmft_pipeline_and_artifact(tmp_path):
@@ -318,6 +339,9 @@ def test_compare_with_only_a_w2_check(tmp_path):
     assert not (tmp_path / "off").exists()
 
 
+MIXTURE = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [1.0, 3.0], "alpha0": [-1.0, 1.0]}
+
+
 @pytest.mark.parametrize(
     "config,times,message",
     [
@@ -326,11 +350,21 @@ def test_compare_with_only_a_w2_check(tmp_path):
         # on the step grid but off the grid simulate retains (every 10 steps)
         ("adaptive_location.json", [0.0, 0.05], "compare.times: [0.05] not on the grid 0, 0.1, ..., 2 that simulate"),
         ("gaussian_default.json", [0.0, "half"], "compare.times: must be an array of numbers"),
+        # values a source would refuse only after the output directory exists;
+        # a dict is a whole config, whose compare times stay as they are
+        (small_config("simulate", design="sobol"), None, "design: must be one of ('gaussian', 'rademacher')"),
+        (small_config("response", response_steps=[0, 4], response_method="hutch"), None, "response_method: must be one of"),
+        (small_config("oracle", quad_nodes=4), None, "quad_nodes: must be >= 8 for an oracle source"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE), quad_nodes=4), None, "quad_nodes: must be >= 8"),
+        (small_config("response", response_steps=[0, 4], response_method="probe", n_probes=1), None, "n_probes: must be >= 2"),
+        (small_config("response", response_steps=[0, 11]), None, "response_steps: [11] outside 0..10"),
+        (small_config("response", response_steps=[0, 4], prior=MIXTURE), None, "theta-dependent prior needs retain_every = 1"),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):
-    cfg = json.loads((CONFIG_DIR / config).read_text())
-    cfg["compare"]["times"] = times
+    cfg = json.loads((CONFIG_DIR / config).read_text()) if isinstance(config, str) else dict(config)
+    if times is not None:
+        cfg["compare"]["times"] = times
     cfg["out"] = str(tmp_path / "out")
     assert message in _config_error(cfg)
     assert run(cfg) == 2

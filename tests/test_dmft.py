@@ -13,7 +13,6 @@ from dmft_lab.dmft import (
     MemoryBudgetError,
     dmft_marginal_samples,
     eta_response_identity_residual,
-    extend_conditional_gaussian,
     linear_gaussian_dmft,
     propagate_eta,
     solve_dmft,
@@ -29,6 +28,8 @@ def small_params(gamma=0.05, horizon=1.5):
 
 
 # ------------------------------------------------------- conditional draws
+# Each draw is a @ z_past + sd * z_new over standardized innovations z, with
+# (a, sd) returned by CholeskyExtender.extend: the draw solve_dmft makes.
 
 
 def test_extender_matches_full_cholesky(rng):
@@ -37,37 +38,41 @@ def test_extender_matches_full_cholesky(rng):
         A = rng.normal(size=(k, k))
         cov = A @ A.T + 0.1 * np.eye(k)
         ext = CholeskyExtender(k)
+        rows = np.zeros((k, k))
         for i in range(k):
-            ext.extend(cov[i, :i], cov[i, i])
+            rows[i, :i], rows[i, i] = ext.extend(cov[i, :i], cov[i, i])
         L = np.linalg.cholesky(cov)
-        assert np.allclose(ext.L[:k, :k], L, atol=1e-10)
+        assert np.allclose(rows, L, atol=1e-10)
 
 
 def test_conditional_mean_and_variance_schur():
     ext = CholeskyExtender(2)
-    ext.extend(np.zeros(0), 1.0)
-    draw = extend_conditional_gaussian(ext, np.array([0.5, 1.0]), np.array([1.0]), 0.0)
+    ext.extend(np.zeros(0), 1.0)  # unit variance: the past draw 1.0 is its innovation
+    a, sd = ext.extend(np.array([0.5]), 1.0)
+    draw = a @ np.array([1.0]) + sd * 0.0
     assert draw == pytest.approx(0.5, abs=1e-14)  # conditional mean
-    assert ext.L[1, 1] ** 2 == pytest.approx(0.75, abs=1e-14)  # conditional variance
+    assert sd**2 == pytest.approx(0.75, abs=1e-14)  # conditional variance
 
 
 def test_degenerate_row_copies_past_draw():
     ext = CholeskyExtender(2)
     ext.extend(np.zeros(0), 1.0)
-    draw = extend_conditional_gaussian(ext, np.array([1.0, 1.0]), np.array([0.3]), 5.0)
+    a, sd = ext.extend(np.array([1.0]), 1.0)
+    draw = a @ np.array([0.3]) + sd * 5.0
     assert draw == pytest.approx(0.3, abs=1e-12)
-    assert ext.clamped_steps == [1] or ext.L[1, 1] == 0.0
+    assert ext.clamped_steps == [1] or sd == 0.0
 
 
 def test_identity_covariance_gives_independent_draws(rng):
     n = 4000
     ext = CholeskyExtender(2)
-    ext.extend(np.zeros(0), 1.0)
-    z0 = rng.standard_normal(n)
-    draws0 = z0 * ext.L[0, 0]
-    draws1 = extend_conditional_gaussian(
-        ext, np.array([0.0, 1.0]), draws0[:, None], rng.standard_normal(n)
-    )
+    z = np.empty((2, n))
+    a, sd = ext.extend(np.zeros(0), 1.0)
+    z[0] = rng.standard_normal(n)
+    draws0 = sd * z[0]
+    a, sd = ext.extend(np.array([0.0]), 1.0)
+    z[1] = rng.standard_normal(n)
+    draws1 = a @ z[:1] + sd * z[1]
     corr = np.corrcoef(draws0, draws1)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(n)
 
@@ -86,12 +91,13 @@ def test_generated_paths_match_target_covariance(rng):
     k = target.shape[0]
     n = 100000
     ext = CholeskyExtender(k)
-    draws = np.empty((n, k))
+    z = np.empty((k, n))
+    draws = np.empty((k, n))
     for i in range(k):
-        draws[:, i] = extend_conditional_gaussian(
-            ext, target[i, : i + 1], draws[:, :i], rng.standard_normal(n)
-        )
-    emp = draws.T @ draws / n
+        a, sd = ext.extend(target[i, :i], target[i, i])
+        z[i] = rng.standard_normal(n)
+        draws[i] = a @ z[:i] + sd * z[i]
+    emp = draws @ draws.T / n
     for i in range(k):
         for j in range(i + 1):
             se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / n)

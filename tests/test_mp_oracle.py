@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dmft_lab.dmft import linear_gaussian_dmft
 from dmft_lab.model import ModelInstance, ModelParams
 from dmft_lab.mp_oracle import (
     OracleParams,
     UnsupportedOracleError,
-    alpha_laplace_numeric,
     ceta_stationary,
     corr_kernels,
     fdt_check,
@@ -137,6 +137,14 @@ def test_fdt_negative_control_rescaled_parameters(default_law):
     a_other = resp_kernels(1.0, other, law)[0]
     a_base = resp_kernels(1.0, OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0), default_law)[0]
     assert abs(a_other - a_base) > 1e-3
+
+
+def alpha_laplace_numeric(s: float, oracle: OracleParams, law, t_max: float = 60.0) -> float:
+    """int_0^inf exp(-s t) alpha_mp(t) dt: numeric on [0, t_max] plus the
+    analytic tail int exp(-(s + h) t_max) / (s + h) mu(dx), h = lam + delta x / sigma2."""
+    head, _ = quad(lambda t: np.exp(-s * t) * resp_kernels(t, oracle, law)[0], 0.0, t_max, limit=200)
+    rate = lambda x: s + oracle.lam + oracle.delta * x / oracle.sigma2
+    return head + law.integrate(lambda x: np.exp(-rate(x) * t_max) / rate(x))
 
 
 def test_laplace_transform_identity(default_oracle, default_law):

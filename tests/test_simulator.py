@@ -17,7 +17,6 @@ from dmft_lab.simulator import (
     average_response_traces,
     empirical_kernels,
     evolve,
-    finite_diff_response,
     resample_to_common_size,
     response_traces,
     wasserstein2_1d,
@@ -240,50 +239,6 @@ def test_response_replica_average():
     assert avg.r_theta[1, 0] == pytest.approx(
         0.5 * (traces[0].r_theta[1, 0] + traces[1].r_theta[1, 0]), rel=1e-15
     )
-
-
-# ---------------------------------------------------------- finite difference
-
-
-def test_finite_diff_flat_drift_is_gamma():
-    params = ModelParams(n=3, d=4, sigma2=1.0, beta=0.0, gamma_step=0.1, horizon=0.5)
-    inst = manual_instance(np.zeros((3, 4)))
-    series = finite_diff_response(inst, PriorSpec(ZeroDrift()), params, s=1, j=2, eps=1e-3, seed=8)
-    assert np.allclose(series, params.gamma_step, atol=1e-12)
-
-
-def test_finite_diff_geometric_decay():
-    params = ModelParams(n=3, d=4, sigma2=1.0, beta=0.0, gamma_step=0.1, horizon=1.0)
-    lam = 1.7
-    inst = manual_instance(np.zeros((3, 4)))
-    series = finite_diff_response(
-        inst, PriorSpec(GaussianFixed(lam)), params, s=2, j=1, eps=1e-4, seed=8,
-        noise_mode="frozen-zero",
-    )
-    t_rel = np.arange(1, series.size + 1)
-    expected = params.gamma_step * (1 - params.gamma_step * lam) ** (t_rel - 1)
-    assert np.max(np.abs(series / expected - 1.0)) < 1e-8
-
-
-def test_finite_diff_richardson_bias():
-    # Halving eps moves the estimate by O(eps) for a curved score.
-    params = ModelParams(n=10, d=5, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
-    mix = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 3.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
-    inst = sample_instance(params, mix, seed=13)
-    a = finite_diff_response(inst, mix, params, s=0, j=0, eps=2e-2, seed=4, noise_mode="frozen-zero")
-    b = finite_diff_response(inst, mix, params, s=0, j=0, eps=1e-2, seed=4, noise_mode="frozen-zero")
-    assert np.max(np.abs(a - b)) < 5.0 * 2e-2
-    assert np.max(np.abs(a - b)) > 0.0
-
-
-def test_finite_diff_default_eps_scale():
-    params = ModelParams(n=10, d=5, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.25)
-    prior = PriorSpec(GaussianFixed(1.0))
-    inst = sample_instance(params, prior, seed=2)
-    series = finite_diff_response(inst, prior, params, s=1, j=0, seed=2)
-    assert np.all(np.isfinite(series))
-    with pytest.raises(ValueError):
-        finite_diff_response(inst, prior, params, s=100, j=0, seed=2)
 
 
 # -------------------------------------------------------------- wasserstein
