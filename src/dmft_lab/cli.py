@@ -215,6 +215,23 @@ def _compare_checks_something(cfg: RunConfig) -> None:
 def _value_errors(raw: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
     """Values that the run would otherwise refuse only deep inside a source."""
     errors = []
+    closed = [s for s in sources if s in ("dmft-linear", "oracle", "mp-oracle")]
+    if closed and prior is not None and not isinstance(prior.family, GaussianFixed):
+        errors.append(f"prior.family: {closed[0]} requires gaussian_fixed, got {raw['prior']['family']!r}")
+    oracle = any(s in ("oracle", "mp-oracle") for s in sources)
+    if oracle and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
+        errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
+    if oracle and int(raw.get("quad_nodes", 400)) < mp_oracle.MIN_QUAD_NODES:
+        errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
+    per_path = prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None
+    if any(s in ("dmft", "dmft-mc") for s in sources):
+        n_paths = int(raw.get("n_paths", 0))
+        budget = int(raw.get("response_budget_bytes", dmft._DEFAULT_RESPONSE_BUDGET))
+        over = per_path and model is not None and dmft._response_budget_error(n_paths, model.n_steps, budget)
+        if n_paths < 100:
+            errors.append("n_paths: must be >= 100 for a dmft source")
+        elif over:
+            errors.append(f"n_paths: {over}")
     design = raw.get("design", "gaussian")
     if design not in DESIGNS:
         errors.append(f"design: must be one of {DESIGNS}, got {design!r}")
@@ -223,28 +240,36 @@ def _value_errors(raw: dict, sources, model: Optional[ModelParams], prior: Optio
         errors.append(f"response_method: must be one of {simulator.RESPONSE_METHODS}, got {method!r}")
     elif method == "probe" and int(raw.get("n_probes", 32)) < 2:
         errors.append("n_probes: must be >= 2 in probe mode")
-    oracle = any(s in ("oracle", "mp-oracle") for s in sources)
-    if oracle and int(raw.get("quad_nodes", 400)) < mp_oracle.MIN_QUAD_NODES:
-        errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
-    steps = raw.get("response_steps", [])
-    if steps and model is not None and any(s in ("simulate", "response") for s in sources):
+    steps, retain = raw.get("response_steps", []), int(raw.get("retain_every", 10))
+    if retain < 1:
+        errors.append("retain_every: must be >= 1")
+    elif model is not None and any(s in ("simulate", "response") for s in sources):
+        if model.n_steps % retain:
+            errors.append(f"retain_every: {retain} does not divide the {model.n_steps} steps")
         off = [k for k in steps if not 0 <= k <= model.n_steps]
         if off:
             errors.append(f"response_steps: {off} outside 0..{model.n_steps}")
-        if prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None:
-            if int(raw.get("retain_every", 10)) != 1:
-                errors.append("response_steps: a theta-dependent prior needs retain_every = 1")
+        if steps and per_path and retain != 1:
+            errors.append("response_steps: a theta-dependent prior needs retain_every = 1")
     return errors
+
+
+def _read_json(path) -> object:
+    """The parsed JSON of a config file; a file that cannot be read or parsed is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}") from None
 
 
 def load_config(config, out_override=None, seed_override=None, threads_override=None) -> RunConfig:
     """Parse and validate a run config (JSON path or dict); collects all
     field errors before reporting."""
-    if isinstance(config, dict):
-        raw = json.loads(json.dumps(config))  # defensive copy, JSON-clean
+    if isinstance(config, (str, os.PathLike)):
+        raw = _read_json(config)
     else:
-        with open(config) as fh:
-            raw = json.load(fh)
+        raw = json.loads(json.dumps(config))  # defensive copy, JSON-clean
     # Unknown keys are reported alone: one may be a misspelled required key.
     errors = _key_errors(raw)
     if errors:
@@ -289,11 +314,6 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     ec = raw.get("equilibrium", {})
     if pipeline == "equilibrium" and not all(k in ec for k in ("g_star", "delta", "sigma2")):
         errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
-    if int(raw.get("retain_every", 10)) < 1:
-        errors.append("retain_every: must be >= 1")
-    n_paths = int(raw.get("n_paths", 0))
-    if pipeline == "dmft" and n_paths < 100:
-        errors.append("n_paths: must be >= 100 for the dmft pipeline")
     cc = raw.get("compare", {})
     sources = [pipeline]
     if pipeline == "compare":
@@ -318,7 +338,7 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         model=model,
         prior=prior,
         replicas=replicas,
-        n_paths=n_paths,
+        n_paths=int(raw.get("n_paths", 0)),
         quad_nodes=int(raw.get("quad_nodes", 400)),
         retain_every=int(raw.get("retain_every", 10)),
         response_steps=list(raw.get("response_steps", [])),
@@ -431,17 +451,11 @@ def _regularizer(cfg: RunConfig) -> Optional[SmoothHinge]:
 
 def _run_linear(cfg: RunConfig):
     family = cfg.prior.family
-    if not isinstance(family, GaussianFixed):
-        raise ConfigError("dmft-linear requires the gaussian_fixed prior")
     return dmft.linear_gaussian_dmft(cfg.model, family.lam, family.second_moment()), {}
 
 
 def _run_oracle(cfg: RunConfig):
     params, prior = cfg.model, cfg.prior
-    if not isinstance(prior.family, GaussianFixed):
-        raise ConfigError("the oracle pipeline requires the gaussian_fixed prior")
-    if abs(params.beta * params.sigma2 - 1.0) > 1e-12:
-        raise ConfigError("the oracle closed forms require beta = 1/sigma2")
     oracle = mp_oracle.OracleParams(
         lam=prior.family.lam,
         sigma2=params.sigma2,
@@ -581,14 +595,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if raw.get("pipeline") not in (None, args.pipeline):
-        print(
-            f"config pipeline {raw.get('pipeline')!r} overridden by CLI {args.pipeline!r}",
-            file=sys.stderr,
-        )
-    raw["pipeline"] = args.pipeline
+    try:
+        raw = _read_json(args.config)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if isinstance(raw, dict):  # anything else is refused by load_config
+        if raw.get("pipeline") not in (None, args.pipeline):
+            print(f"config pipeline {raw['pipeline']!r} overridden by CLI {args.pipeline!r}", file=sys.stderr)
+        raw["pipeline"] = args.pipeline
     return run(raw, args.out, args.seed, args.threads)
 
 

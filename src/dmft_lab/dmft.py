@@ -202,6 +202,19 @@ class DmftResult:
     chol_jitter_log: list = field(default_factory=list)
 
 
+def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
+    """Why a per-path response array of n_paths x (n_steps+1)^2 float32 would
+    exceed the budget, or None when it fits."""
+    per_path = (n_steps + 1) ** 2 * 4
+    if n_paths * per_path <= budget_bytes:
+        return None
+    return (
+        f"per-path response array needs {n_paths * per_path / 1024**3:.2f} GiB "
+        f"(cap {budget_bytes / 1024**3:.2f} GiB); "
+        f"reduce n_paths to <= {budget_bytes // per_path} or coarsen the grid"
+    )
+
+
 def solve_dmft(
     params: ModelParams,
     prior: PriorSpec,
@@ -235,14 +248,9 @@ def solve_dmft(
     curvature = prior.family.theta_curvature_constant(prior.alpha)
     per_path = curvature is None
     if per_path:
-        need = P * (T + 1) * (T + 1) * 4
-        if need > response_budget_bytes:
-            max_paths = response_budget_bytes // ((T + 1) * (T + 1) * 4)
-            raise MemoryBudgetError(
-                f"per-path response array needs {need / 1024**3:.2f} GiB "
-                f"(cap {response_budget_bytes / 1024**3:.2f} GiB); "
-                f"reduce n_paths to <= {max_paths} or coarsen the grid"
-            )
+        error = _response_budget_error(P, T, response_budget_bytes)
+        if error:
+            raise MemoryBudgetError(error)
         v_resp = np.zeros((T + 1, T + 1, P), dtype=np.float32)
     else:
         v_resp = np.zeros((T + 1, T + 1))

@@ -7,20 +7,25 @@ raw per-step responses of a discretized source are recovered by multiplying
 by its step. Entries that a source did not compute are NaN.
 
 CSV layout (one file per table): a single `t,s,value,stderr` header followed
-by `# kernel: <name>` section markers. Scalar/vector kernels use s = -1.
+by `# kernel: <name>` section markers. Vector kernels use s = -1, and the
+scalar c_star_star uses t = s = -1.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-_MATRIX_KERNELS = ("c_theta", "c_eta", "r_theta", "r_eta")
-_VECTOR_KERNELS = ("c_theta_star", "r_eta_star")
+# Kernel name -> number of time axes it spans, in CSV section order; the
+# alpha_<k> sections follow.
+_AXES = {
+    "c_theta": 2, "c_eta": 2, "r_theta": 2, "r_eta": 2, "c_theta_star": 1, "r_eta_star": 1, "c_star_star": 0,
+}
 # Kernel names a comparison report can carry, in report order.
 COMPARED_KERNELS = ("c_theta", "c_theta_star", "c_star_star", "c_eta", "r_theta", "r_eta", "r_eta_star", "alpha")
 
@@ -46,13 +51,10 @@ class KernelTable:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        m = self.times.size
-        for name in _MATRIX_KERNELS:
-            if getattr(self, name).shape != (m, m):
-                raise ValueError(f"{name} must have shape ({m}, {m})")
-        for name in _VECTOR_KERNELS:
-            if getattr(self, name).shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},)")
+        for name, axes in _AXES.items():
+            shape = (self.times.size,) * axes
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
 
     @property
     def n_times(self) -> int:
@@ -71,42 +73,22 @@ class KernelTable:
 
     def restrict(self, idx: np.ndarray) -> "KernelTable":
         idx = np.asarray(idx, dtype=int)
-        return KernelTable(
+        sub = lambda grid: np.asarray(grid)[np.ix_(*[idx] * np.ndim(grid))]
+        return replace(
+            self,
             times=self.times[idx],
-            gamma=self.gamma,
-            source=self.source,
-            c_theta=self.c_theta[np.ix_(idx, idx)],
-            c_theta_star=self.c_theta_star[idx],
-            c_star_star=self.c_star_star,
-            c_eta=self.c_eta[np.ix_(idx, idx)],
-            r_theta=self.r_theta[np.ix_(idx, idx)],
-            r_eta=self.r_eta[np.ix_(idx, idx)],
-            r_eta_star=self.r_eta_star[idx],
             alpha=self.alpha[idx] if self.alpha.size else self.alpha,
-            stderr={
-                k: (v[np.ix_(idx, idx)] if v.ndim == 2 else v[idx])
-                for k, v in self.stderr.items()
-            },
+            stderr={k: sub(v) for k, v in self.stderr.items()},
+            **{name: sub(getattr(self, name)) for name in _AXES},
         )
 
 
 def empty_table(times, gamma: float, source: str, dim_alpha: int = 0) -> KernelTable:
     times = np.asarray(times, dtype=float)
     m = times.size
-    nanmat = lambda: np.full((m, m), np.nan)
-    return KernelTable(
-        times=times,
-        gamma=gamma,
-        source=source,
-        c_theta=nanmat(),
-        c_theta_star=np.full(m, np.nan),
-        c_star_star=np.nan,
-        c_eta=nanmat(),
-        r_theta=nanmat(),
-        r_eta=nanmat(),
-        r_eta_star=np.full(m, np.nan),
-        alpha=np.full((m, dim_alpha), np.nan),
-    )
+    # c_star_star too is an array (0-d), so read_table_csv fills every kernel in place
+    grids = {name: np.full((m,) * axes, np.nan) for name, axes in _AXES.items()}
+    return KernelTable(times, gamma, source, alpha=np.full((m, dim_alpha), np.nan), **grids)
 
 
 # ---------------------------------------------------------------- CSV I/O
@@ -117,51 +99,27 @@ def _fmt(x: float) -> str:
 
 
 def write_table_csv(table: KernelTable, path) -> None:
-    lines = ["t,s,value,stderr"]
-    lines.append(f"# gamma: {_fmt(table.gamma)}")
-    lines.append(f"# source: {table.source}")
-    lines.append(f"# times: {','.join(_fmt(t) for t in table.times)}")
-
-    def err(name, i, j=None):
-        se = table.stderr.get(name)
-        if se is None:
-            return ""
-        return _fmt(se[i] if j is None else se[i, j])
-
-    for name in _MATRIX_KERNELS:
-        grid = getattr(table, name)
+    times = [_fmt(t) for t in table.times]
+    lines = ["t,s,value,stderr", f"# gamma: {_fmt(table.gamma)}", f"# source: {table.source}"]
+    lines.append(f"# times: {','.join(times)}")
+    sections = [(name, np.asarray(getattr(table, name)), table.stderr.get(name)) for name in _AXES]
+    sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
+    for name, grid, se in sections:
         lines.append(f"# kernel: {name}")
-        for i in range(table.n_times):
-            for j in range(table.n_times):
-                if np.isnan(grid[i, j]):
-                    continue
-                lines.append(
-                    f"{_fmt(table.times[i])},{_fmt(table.times[j])},{_fmt(grid[i, j])},{err(name, i, j)}"
-                )
-    for name in _VECTOR_KERNELS:
-        vec = getattr(table, name)
-        lines.append(f"# kernel: {name}")
-        for i in range(table.n_times):
-            if np.isnan(vec[i]):
-                continue
-            lines.append(f"{_fmt(table.times[i])},-1,{_fmt(vec[i])},{err(name, i)}")
-    lines.append("# kernel: c_star_star")
-    if not np.isnan(table.c_star_star):
-        lines.append(f"-1,-1,{_fmt(table.c_star_star)},")
-    for k in range(table.alpha.shape[1]):
-        lines.append(f"# kernel: alpha_{k}")
-        for i in range(table.n_times):
-            if np.isnan(table.alpha[i, k]):
-                continue
-            lines.append(f"{_fmt(table.times[i])},-1,{_fmt(table.alpha[i, k])},")
+        keep = ~np.isnan(grid)
+        values = map(_fmt, grid[keep].tolist())
+        errors = repeat("") if se is None or grid.ndim == 0 else map(_fmt, se[keep].tolist())
+        # entries in row-major order; s (and t) is -1 where the kernel has no such axis
+        labels = [map(times.__getitem__, axis) for axis in np.argwhere(keep).T.tolist()]
+        labels += [repeat("-1")] * (2 - grid.ndim)
+        lines += [f"{t},{s},{v},{e}" for t, s, v, e in zip(*labels, values, errors)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_table_csv(path) -> KernelTable:
-    gamma, source, times = 0.0, "unknown", None
+    meta = {"gamma": "0", "source": "unknown"}
     sections: dict[str, list[tuple[float, float, float, Optional[float]]]] = {}
-    current = None
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,s,value,stderr":
@@ -172,41 +130,29 @@ def read_table_csv(path) -> KernelTable:
                 continue
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
-                key = key.strip()
-                if key == "gamma":
-                    gamma = float(val)
-                elif key == "source":
-                    source = val.strip()
-                elif key == "times":
-                    times = np.array([float(v) for v in val.split(",")])
-                elif key == "kernel":
-                    current = val.strip()
-                    sections[current] = []
+                if key.strip() == "kernel":
+                    rows = sections[val.strip()] = []
+                else:
+                    meta[key.strip()] = val.strip()
                 continue
             t_s, s_s, v_s, e_s = line.split(",")
-            sections[current].append(
-                (float(t_s), float(s_s), float(v_s), float(e_s) if e_s else None)
-            )
-    if times is None:
+            rows.append((float(t_s), float(s_s), float(v_s), float(e_s) if e_s else None))
+    if "times" not in meta:
         raise ValueError("CSV is missing the '# times:' line")
-    table = empty_table(times, gamma, source, dim_alpha=sum(1 for k in sections if k.startswith("alpha_")))
+    times = np.array([float(v) for v in meta["times"].split(",")])
+    dim_alpha = sum(1 for k in sections if k.startswith("alpha_"))
+    table = empty_table(times, float(meta["gamma"]), meta["source"], dim_alpha)
     index = {t: i for i, t in enumerate(times)}
     for name, rows in sections.items():
+        grid = table.alpha[:, int(name.removeprefix("alpha_"))] if name.startswith("alpha_") else getattr(table, name)
+        se = None
         for t, s, v, e in rows:
-            i = index[t] if t >= 0 else None
-            if name in _MATRIX_KERNELS:
-                j = index[s]
-                getattr(table, name)[i, j] = v
-                if e is not None:
-                    table.stderr.setdefault(name, np.full((times.size, times.size), np.nan))[i, j] = e
-            elif name in _VECTOR_KERNELS:
-                getattr(table, name)[i] = v
-                if e is not None:
-                    table.stderr.setdefault(name, np.full(times.size, np.nan))[i] = e
-            elif name == "c_star_star":
-                table.c_star_star = v
-            elif name.startswith("alpha_"):
-                table.alpha[i, int(name.split("_")[1])] = v
+            at = (index[t], index[s]) if grid.ndim == 2 else (index[t],) if grid.ndim == 1 else ()
+            grid[at] = v
+            if e is not None:
+                if se is None:
+                    se = table.stderr[name] = np.full(grid.shape, np.nan)
+                se[at] = e
     return table
 
 
@@ -292,24 +238,10 @@ class CompareReport:
     passed: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "source_a": self.source_a,
-            "source_b": self.source_b,
-            "passed": self.passed,
-            "kernels": [
-                {
-                    "kernel": d.kernel,
-                    "max_abs": d.max_abs,
-                    "rms": d.rms,
-                    "n_entries": d.n_entries,
-                    "tolerance": d.tolerance,
-                    "passed": d.passed,
-                }
-                for d in self.discrepancies
-            ],
-            "w2_marginals": self.w2_marginals,
-            "w2_tolerance": self.w2_tolerance,
-        }
+        out = asdict(self)
+        disc = out.pop("discrepancies")
+        out["kernels"] = [dict(k, passed=d.passed) for k, d in zip(disc, self.discrepancies)]
+        return out
 
 
 def _diff_stats(a: np.ndarray, b: np.ndarray, mask: np.ndarray):
@@ -328,24 +260,14 @@ def compare_tables(
     """Per-kernel max-abs and RMS discrepancies on the aligned common grid."""
     tolerances = tolerances or {}
     a, b = grid_align(table_a, table_b)
-    m = a.n_times
-    all_pairs = np.ones((m, m), dtype=bool)
-    strict_lower = np.tril(np.ones((m, m), dtype=bool), k=-1)
-    vec_mask = np.ones(m, dtype=bool)
-    specs = [
-        ("c_theta", a.c_theta, b.c_theta, all_pairs),
-        ("c_theta_star", a.c_theta_star, b.c_theta_star, vec_mask),
-        ("c_star_star", np.array([a.c_star_star]), np.array([b.c_star_star]), np.ones(1, bool)),
-        ("c_eta", a.c_eta, b.c_eta, all_pairs),
-        ("r_theta", a.r_theta, b.r_theta, strict_lower),
-        ("r_eta", a.r_eta, b.r_eta, strict_lower),
-        ("r_eta_star", a.r_eta_star, b.r_eta_star, vec_mask),
-    ]
-    if a.alpha.size and b.alpha.size and a.alpha.shape[1] == b.alpha.shape[1]:
-        specs.append(("alpha", a.alpha, b.alpha, np.ones(a.alpha.shape, bool)))
+    strict_lower = np.tril(np.ones((a.n_times,) * 2, dtype=bool), k=-1)
     out, passed = [], True
-    for name, ga, gb, mask in specs:
-        stats = _diff_stats(np.asarray(ga, float), np.asarray(gb, float), mask)
+    for name in COMPARED_KERNELS:
+        if name == "alpha" and not (a.alpha.size and a.alpha.shape == b.alpha.shape):
+            continue
+        ga, gb = np.asarray(getattr(a, name), float), np.asarray(getattr(b, name), float)
+        mask = strict_lower if name in ("r_theta", "r_eta") else np.ones(ga.shape, bool)
+        stats = _diff_stats(ga, gb, mask)
         if stats is None:
             continue
         max_abs, rms, n = stats

@@ -43,6 +43,9 @@ class ModelParams:
             raise ValueError("gamma_step must be positive")
         if self.horizon < self.gamma_step:
             raise ValueError("horizon must be >= gamma_step")
+        steps = self.horizon / self.gamma_step
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError("horizon must be an integral multiple of gamma_step")
         ratio = self.n / self.d
         if self.delta is None:
             self.delta = ratio
@@ -51,11 +54,7 @@ class ModelParams:
 
     @property
     def n_steps(self) -> int:
-        steps = self.horizon / self.gamma_step
-        rounded = round(steps)
-        if abs(steps - rounded) > 1e-9:
-            raise ValueError("horizon must be an integral multiple of gamma_step")
-        return int(rounded)
+        return round(self.horizon / self.gamma_step)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,7 +82,9 @@ def test_simulate_applies_the_regularizer(tmp_path):
 
 def test_import_loads_no_test_only_scipy_module():
     code = "import sys, dmft_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
-    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
     assert "scipy.linalg" in loaded  # the MC-DMFT triangular solve
     assert "scipy.special" not in loaded
     assert "scipy.integrate" not in loaded
@@ -359,15 +362,41 @@ MIXTURE = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions
         (small_config("response", response_steps=[0, 4], response_method="probe", n_probes=1), None, "n_probes: must be >= 2"),
         (small_config("response", response_steps=[0, 11]), None, "response_steps: [11] outside 0..10"),
         (small_config("response", response_steps=[0, 4], prior=MIXTURE), None, "theta-dependent prior needs retain_every = 1"),
+        (small_config("dmft-linear", prior=MIXTURE), None, "prior.family: dmft-linear requires gaussian_fixed"),
+        (small_config("oracle", prior=MIXTURE), None, "prior.family: oracle requires gaussian_fixed"),
+        (small_config("oracle", model=dict(SMALL_MODEL, beta=0.5)), None, "model.beta: the oracle closed forms require"),
+        # the simulation would run first and leave its table without a manifest
+        (
+            small_config(
+                "compare", prior={"family": "gaussian_location", "alpha0": [0.0]},
+                compare={"sources": ["simulate", "oracle"], "tolerances": {"default": 0.1}},
+            ),
+            None,
+            "prior.family: oracle requires gaussian_fixed",
+        ),
+        (small_config("dmft", prior=MIXTURE, response_budget_bytes=10), None, "n_paths: per-path response array needs"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["dmft", "dmft-linear"]), n_paths=50), None,
+         "n_paths: must be >= 100 for a dmft source"),
+        (small_config("simulate", model=dict(SMALL_MODEL, horizon=0.52)), None, "model: horizon must be an integral multiple"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE), model=dict(SMALL_MODEL, horizon=0.52)), None,
+         "model: horizon must be an integral multiple"),
+        (small_config("simulate", retain_every=3), None, "retain_every: 3 does not divide the 10 steps"),
+        # bytes are the text of a config file, read by both `main` and `run`
+        (b"[]", None, "config: must be a JSON object, got array"),
+        (b'{"pipeline": "simulate",', None, "config: cannot read"),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):
-    cfg = json.loads((CONFIG_DIR / config).read_text()) if isinstance(config, str) else dict(config)
-    if times is not None:
-        cfg["compare"]["times"] = times
-    cfg["out"] = str(tmp_path / "out")
+    if isinstance(config, bytes):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(config)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    else:
+        cfg = json.loads((CONFIG_DIR / config).read_text()) if isinstance(config, str) else dict(config)
+        if times is not None:
+            cfg["compare"]["times"] = times
     assert message in _config_error(cfg)
-    assert run(cfg) == 2
+    assert run(cfg, out=str(tmp_path / "out")) == 2
     assert not (tmp_path / "out").exists()
 
 

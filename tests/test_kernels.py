@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dmft_lab.dmft import linear_gaussian_dmft
+from dmft_lab import simulator
+from dmft_lab.dmft import linear_gaussian_dmft, solve_dmft
 from dmft_lab.kernels import (
     COMPARED_KERNELS,
     GridAlignmentError,
@@ -12,7 +13,8 @@ from dmft_lab.kernels import (
     restrict_to_times,
     write_table_csv,
 )
-from dmft_lab.model import ModelParams
+from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec, Theta0Spec
 
 
 def table_for(gamma, horizon=0.4):
@@ -20,24 +22,52 @@ def table_for(gamma, horizon=0.4):
     return linear_gaussian_dmft(params, 1.0, 1.0)
 
 
-def test_csv_round_trip_exact(tmp_path):
+SMALL = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
+
+
+def linear_table_with_stderr():
     table = table_for(0.05)
     table.stderr["c_theta"] = np.abs(table.c_theta) * 0.01
+    return table
+
+
+def mixture_dmft_table():
+    # per-path responses: alpha columns, c_theta_star and r_theta stderr
+    prior = PriorSpec(
+        GaussianMeanMixture([0.5, 0.5], [1.0, 3.0]),
+        alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0], theta0=Theta0Spec("prior"),
+    )
+    return solve_dmft(SMALL, prior, n_paths=400, seed=3).table
+
+
+def simulate_response_table():
+    # responses only between the response steps: NaN holes in r_theta
+    prior = PriorSpec(GaussianFixed(1.0), alpha=[])
+    inst = sample_instance(SMALL, prior, seed=5)
+    traj = simulator.evolve(inst, prior, SMALL, seed=5, retain_every=2)
+    table = simulator.empirical_kernels([traj], inst, SMALL)
+    traces = simulator.response_traces(None, inst, prior, SMALL, [0, 4, 8])
+    return simulator.attach_response(table, simulator.average_response_traces([traces]))
+
+
+@pytest.mark.parametrize("make", [linear_table_with_stderr, mixture_dmft_table, simulate_response_table])
+def test_csv_round_trip_exact(tmp_path, make):
+    table = make()
     path = tmp_path / "kernels_test.csv"
     write_table_csv(table, path)
     back = read_table_csv(path)
     assert back.gamma == table.gamma
     assert back.source == table.source
     assert np.array_equal(back.times, table.times)
-    assert np.array_equal(back.c_theta, table.c_theta)
-    assert np.array_equal(back.c_theta_star, table.c_theta_star)
-    assert back.c_star_star == table.c_star_star
-    assert np.array_equal(back.c_eta, table.c_eta)
-    assert np.array_equal(
-        np.nan_to_num(back.r_theta, nan=-7.0), np.nan_to_num(table.r_theta, nan=-7.0)
-    )
-    assert np.array_equal(back.r_eta_star, table.r_eta_star)
-    assert np.array_equal(back.stderr["c_theta"], table.stderr["c_theta"])
+    for name in ("c_theta", "c_theta_star", "c_star_star", "c_eta", "r_theta", "r_eta", "r_eta_star"):
+        assert np.array_equal(getattr(back, name), getattr(table, name), equal_nan=True), name
+    # a table without alpha reads back with shape (n_times, 0)
+    assert np.array_equal(back.alpha, table.alpha.reshape(table.n_times, -1), equal_nan=True)
+    assert sorted(back.stderr) == sorted(table.stderr)
+    for name, se in table.stderr.items():
+        assert np.array_equal(back.stderr[name], se, equal_nan=True), name
+    write_table_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_round_trip_preserves_nan_holes(tmp_path):
