@@ -132,6 +132,54 @@ def _key_errors(raw) -> list[str]:
     return errors
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Numeric values by dotted key: (what the value must be, its test). The ranges
+# here are those that no later check enforces; a null seed or model.delta means
+# "not given".
+_NUMERIC = {
+    **{
+        key: ("an integer", _is_int)
+        for key in (
+            "threads", "replicas", "n_paths", "quad_nodes", "retain_every", "n_probes",
+            "response_budget_bytes", "model.n", "model.d",
+        )
+    },
+    **{
+        key: ("a number", _is_number)
+        for key in ("tau_star2", "model.sigma2", "model.beta", "model.gamma", "model.horizon")
+    },
+    "seed": ("an integer", lambda v: v is None or _is_int(v)),
+    "model.delta": ("a number", lambda v: v is None or _is_number(v)),
+    "equilibrium.n_gh": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "equilibrium.delta": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "equilibrium.sigma2": ("a number > 0", lambda v: _is_number(v) and v > 0),
+    "equilibrium.tol": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+    "equilibrium.sweep_sigma2": (
+        "an array of numbers > 0",
+        lambda v: isinstance(v, list) and all(_is_number(x) and x > 0 for x in v),
+    ),
+}
+
+
+def _number_errors(raw: dict) -> list[str]:
+    """Numeric values of the wrong type or out of their range (after _key_errors: every section is an object)."""
+    sections = _sections(raw)
+    errors = []
+    for key, (what, ok) in _NUMERIC.items():
+        name, _, field = key.rpartition(".")
+        section = sections.get(name, {})
+        if field in section and not ok(section[field]):
+            errors.append(f"{key}: must be {what}, got {section[field]!r}")
+    return errors
+
+
 def _build_prior(cfg: dict, theta0_cfg: Optional[dict]) -> PriorSpec:
     family = _FAMILIES[cfg["family"]][1](cfg)
     k = family.dim_alpha
@@ -271,7 +319,8 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     else:
         raw = json.loads(json.dumps(config))  # defensive copy, JSON-clean
     # Unknown keys are reported alone: one may be a misspelled required key.
-    errors = _key_errors(raw)
+    # Then mistyped numbers, alone too: every check below reads them.
+    errors = _key_errors(raw) or _number_errors(raw)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     pipeline = raw.get("pipeline")

@@ -20,6 +20,7 @@ exp-family densities (on their quadrature grid) use exact weighted-atom sums.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,18 +69,42 @@ def _prior_law(family, alpha, truth: bool = False):
     return family.components(alpha), None
 
 
-def _atom_posterior(y_arr, nodes, masses, omega):
-    """Posterior weights of the atoms (columns) for each flattened y (rows),
-    scaled so each row's largest is 1, and the log of that scale.
+_ROWS = 32  # rows of the posterior held at once; a multiple of 4 (see _atom_sums)
 
-    Built in place: the (y, atoms) matrix is the only large array."""
-    lp = np.atleast_1d(y_arr).reshape(-1, 1) - nodes
-    np.square(lp, out=lp)
-    lp *= 0.5 * omega
-    np.subtract(np.log(masses + 1e-300), lp, out=lp)
-    top = lp.max(axis=1, keepdims=True)
-    lp -= top
-    return np.exp(lp, out=lp), top[:, 0]
+
+def _atom_sums(y, nodes, masses, omega, stats=()):
+    """Row sums of the posterior weights of the atoms for each flattened y.
+
+    Row i weighs atom j by w_ij = exp(l_ij - top_i), with
+    l_ij = log(masses_j) - omega (y_i - nodes_j)^2 / 2 and top_i its row
+    maximum. Returns (top, z, sums): z_i = sum_j w_ij, and for each statistic
+    s in `stats` (atoms along its first axis) the row sums w @ s.
+
+    The weights exist only _ROWS rows at a time, in one reused buffer that
+    stays in cache; no (y, atoms) matrix is formed. Each row is built by the
+    same operations as in the whole matrix, and OpenBLAS's GEMV takes rows in
+    fours, so blocks of a multiple of 4 rows give the bits of the whole
+    matrix. A 2-D statistic makes a GEMM, whose last bits depend on the block.
+    """
+    y = np.ravel(y)
+    log_mass = np.log(masses + 1e-300)
+    top, z = np.empty(y.size), np.empty(y.size)
+    sums = [np.empty(y.shape + np.shape(s)[1:]) for s in stats]
+    buf = np.empty((min(_ROWS, y.size), nodes.size))
+    for r0 in range(0, y.size, _ROWS):
+        rows = slice(r0, r0 + _ROWS)
+        w = buf[: y[rows].size]
+        np.subtract(y[rows, None], nodes, out=w)
+        np.square(w, out=w)
+        w *= 0.5 * omega
+        np.subtract(log_mass, w, out=w)
+        np.max(w, axis=1, out=top[rows])
+        w -= top[rows, None]
+        np.exp(w, out=w)
+        np.sum(w, axis=1, out=z[rows])
+        for s, out in zip(stats, sums):
+            out[rows] = w @ s
+    return top, z, sums
 
 
 def _mixture_log_marginals(y, components, omega):
@@ -120,10 +145,9 @@ def posterior_moments(y, g, omega: float, alpha=None):
         m2 = np.sum(w * (pv + pm**2), axis=-1)
     else:
         nodes, masses = atoms
-        post, _ = _atom_posterior(y_arr, nodes, masses, omega)
-        z = post.sum(axis=1)
-        m1 = ((post @ nodes) / z).reshape(y_arr.shape)
-        m2 = ((post @ (nodes * nodes)) / z).reshape(y_arr.shape)
+        _, z, (s1, s2) = _atom_sums(y_arr, nodes, masses, omega, (nodes, nodes * nodes))
+        m1 = (s1 / z).reshape(y_arr.shape)
+        m2 = (s2 / z).reshape(y_arr.shape)
     return _match_shape(m1, y), _match_shape(m2, y)
 
 
@@ -146,9 +170,19 @@ def log_marginal(y, g, omega: float, alpha=None):
         out = logsumexp(_mixture_log_marginals(y_arr, components, omega))
     else:
         nodes, masses = atoms
-        post, top = _atom_posterior(y_arr, nodes, masses / masses.sum(), omega)
-        out = (top + np.log(post.sum(axis=1)) + 0.5 * np.log(omega / (2 * np.pi))).reshape(y_arr.shape)
+        top, z, _ = _atom_sums(y_arr, nodes, masses / masses.sum(), omega)
+        out = (top + np.log(z) + 0.5 * np.log(omega / (2 * np.pi))).reshape(y_arr.shape)
     return _match_shape(out, y)
+
+
+@functools.lru_cache(maxsize=16)
+def _hermite_rule(n_gh: int):
+    """Gauss-Hermite (probabilists') nodes and weights, built once per n_gh.
+    Read-only, since every caller shares them."""
+    x, w = np.polynomial.hermite_e.hermegauss(n_gh)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _true_channel(family, alpha, omega_star: float, n_gh: int):
@@ -158,7 +192,7 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int):
     (nodes by Gauss-Hermite noise nodes) and their joint weights. theta_star
     takes Gauss-Hermite nodes per mixture component or the prior's atoms."""
     components, atoms = _prior_law(family, alpha, truth=True)
-    x, w = np.polynomial.hermite_e.hermegauss(n_gh)
+    x, w = _hermite_rule(n_gh)
     if atoms is None:
         pw, pm, pp = components
         tn = (pm[:, None] + x[None, :] / np.sqrt(pp)[:, None]).ravel()
@@ -337,9 +371,8 @@ def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
         w, pm, _ = _posterior_mixture(y_arr, components, omega)
         return family.alpha_score(w, pm, alpha)
     nodes, masses = atoms
-    post, _ = _atom_posterior(y_arr, nodes, masses, omega)
-    out = (post @ family.grad_alpha_log_g(nodes, alpha)) / post.sum(axis=1)[:, None]
-    return out.reshape(y_arr.shape + (family.dim_alpha,))
+    _, z, (s,) = _atom_sums(y_arr, nodes, masses, omega, (family.grad_alpha_log_g(nodes, alpha),))
+    return (s / z[:, None]).reshape(y_arr.shape + (family.dim_alpha,))
 
 
 def grad_F(

@@ -311,9 +311,8 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
     r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
     for i, t in enumerate(times):
         c_theta[i, : i + 1], _, c_eta[i, : i + 1] = corr_kernels(t, times[: i + 1], oracle, law)
-        lags = t - times[:i]
-        r_theta[i, :i] = resp_kernels(lags, oracle, law)[0]
-        r_eta[i, :i] = response_eta(lags, oracle, law)
+        r_theta[i, :i], b, _ = resp_kernels(t - times[:i], oracle, law)
+        r_eta[i, :i] = -(oracle.delta / oracle.sigma2) * b  # response_eta, one resp_kernels call
     c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
     c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
     return KernelTable(

@@ -343,6 +343,11 @@ def test_compare_with_only_a_w2_check(tmp_path):
 
 
 MIXTURE = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [1.0, 3.0], "alpha0": [-1.0, 1.0]}
+EQUILIBRIUM = {"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0}
+
+
+def _equilibrium(**values):
+    return small_config("equilibrium", equilibrium=dict(EQUILIBRIUM, **values))
 
 
 @pytest.mark.parametrize(
@@ -381,6 +386,23 @@ MIXTURE = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions
         (small_config("compare", compare=dict(ORACLE_COMPARE), model=dict(SMALL_MODEL, horizon=0.52)), None,
          "model: horizon must be an integral multiple"),
         (small_config("simulate", retain_every=3), None, "retain_every: 3 does not divide the 10 steps"),
+        # mistyped numbers, which every later check reads
+        (small_config("dmft", n_paths="many"), None, "n_paths: must be an integer, got 'many'"),
+        (small_config("simulate", model=dict(SMALL_MODEL, sigma2="one")), None, "model.sigma2: must be a number, got 'one'"),
+        (small_config("simulate", model=dict(SMALL_MODEL, gamma="x")), None, "model.gamma: must be a number, got 'x'"),
+        (small_config("simulate", replicas="3"), None, "replicas: must be an integer, got '3'"),
+        (small_config("simulate", replicas=True), None, "replicas: must be an integer, got True"),
+        (small_config("simulate", retain_every="2"), None, "retain_every: must be an integer, got '2'"),
+        (small_config("oracle", quad_nodes="x"), None, "quad_nodes: must be an integer, got 'x'"),
+        (small_config("simulate", threads="x"), None, "threads: must be an integer, got 'x'"),
+        # equilibrium values that solve_fixed_point would refuse or truncate
+        (_equilibrium(n_gh="x"), None, "equilibrium.n_gh: must be an integer >= 1, got 'x'"),
+        (_equilibrium(n_gh=0), None, "equilibrium.n_gh: must be an integer >= 1, got 0"),
+        (_equilibrium(n_gh=2.5), None, "equilibrium.n_gh: must be an integer >= 1, got 2.5"),
+        (_equilibrium(delta="two"), None, "equilibrium.delta: must be a number > 0, got 'two'"),
+        (_equilibrium(delta=-1), None, "equilibrium.delta: must be a number > 0, got -1"),
+        (_equilibrium(tol="x"), None, "equilibrium.tol: must be a number >= 0, got 'x'"),
+        (_equilibrium(sweep_sigma2=["a"]), None, "equilibrium.sweep_sigma2: must be an array of numbers > 0"),
         # bytes are the text of a config file, read by both `main` and `run`
         (b"[]", None, "config: must be a JSON object, got array"),
         (b'{"pipeline": "simulate",', None, "config: cannot read"),

@@ -328,10 +328,26 @@ np.savez(sys.argv[2], **arrays)
 """
 
 
-@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows"])
+# The exp-family atom posterior: GEMVs over blocks of 4097-atom rows.
+_EQUILIBRIUM_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab.equilibrium import log_marginal, posterior_moments
+from dmft_lab.priors import ExpFamily, polynomial_stats
+
+fam, alpha = ExpFamily(polynomial_stats([2, 4])), np.array([-0.5, -0.1])
+y = np.linspace(-4.0, 4.0, 513 * 8).reshape(513, 8)
+m1, m2 = posterior_moments(y, fam, 1.3, alpha)
+np.savez(sys.argv[2], m1=m1, m2=m2, log_marginal=log_marginal(y, fam, 1.3, alpha))
+"""
+
+_SCRIPTS = {"oracle_rows": _ORACLE_ROWS_AND_SAVE, "equilibrium": _EQUILIBRIUM_AND_SAVE}
+
+
+@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows", "equilibrium"])
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])
-    script = _ORACLE_ROWS_AND_SAVE if case == "oracle_rows" else _SOLVE_AND_SAVE
+    script = _SCRIPTS.get(case, _SOLVE_AND_SAVE)
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"{case}_{threads}.npz"

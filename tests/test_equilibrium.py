@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dmft_lab import equilibrium
 from dmft_lab.equilibrium import (
     DiscretePrior,
     ScalarChannelSpec,
@@ -242,3 +245,73 @@ def test_exp_family_atom_path_matches_gaussian_closed_forms():
     var = 1.0 + 1.0 / omega
     want = -0.5 * np.log(2 * np.pi * var) - y**2 / (2 * var)
     assert np.max(np.abs(log_marginal(y, fam, omega, alpha) - want)) <= 1e-10
+
+
+# ------------------------------------------------- row-blocked atom posterior
+
+
+def _dense_atom_posterior(y, nodes, masses, omega):
+    """The whole (y, atoms) posterior matrix, each row scaled to a largest
+    weight of 1, and the log of that scale: the reference for `_atom_sums`."""
+    lp = np.atleast_1d(y).reshape(-1, 1) - nodes
+    np.square(lp, out=lp)
+    lp *= 0.5 * omega
+    np.subtract(np.log(masses + 1e-300), lp, out=lp)
+    top = lp.max(axis=1, keepdims=True)
+    lp -= top
+    return np.exp(lp, out=lp), top[:, 0]
+
+
+EXP_FAMILY = (ExpFamily(polynomial_stats([2, 4])), np.array([-0.5, -0.1]))
+ATOM_PRIORS = [EXP_FAMILY, (DiscretePrior([-1.0, 0.3, 2.0], [0.2, 0.5, 0.3]), None)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 91, 4104, 77])  # 77: three blocks, the last partial
+@pytest.mark.parametrize("prior,alpha", ATOM_PRIORS, ids=["exp_family", "discrete"])
+def test_blocked_atom_sums_match_the_dense_matrix_bitwise(prior, alpha, n):
+    omega = 1.3
+    y = np.random.default_rng(n).normal(scale=2.0, size=n)
+    _, (nodes, masses) = equilibrium._prior_law(prior, alpha)
+    post, _ = _dense_atom_posterior(y, nodes, masses, omega)
+    z = post.sum(axis=1)
+    m1, m2 = posterior_moments(y, prior, omega, alpha)
+    assert np.array_equal(m1, (post @ nodes) / z)
+    assert np.array_equal(m2, (post @ (nodes * nodes)) / z)
+    post, top = _dense_atom_posterior(y, nodes, masses / masses.sum(), omega)
+    want = top + np.log(post.sum(axis=1)) + 0.5 * np.log(omega / (2 * np.pi))
+    assert np.array_equal(log_marginal(y, prior, omega, alpha), want)
+
+
+def test_blocked_grad_alpha_mean_matches_the_dense_matrix():
+    # A (atoms, K) statistic is a GEMM, whose last bits depend on the block.
+    fam, alpha = EXP_FAMILY
+    omega = 1.3
+    y = np.random.default_rng(5).normal(scale=2.0, size=(513, 8))
+    _, (nodes, masses) = equilibrium._prior_law(fam, alpha)
+    post, _ = _dense_atom_posterior(y, nodes, masses, omega)
+    want = (post @ fam.grad_alpha_log_g(nodes, alpha)) / post.sum(axis=1)[:, None]
+    got = posterior_grad_alpha_mean(fam, alpha, y, omega)
+    assert got.shape == y.shape + (2,)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
+
+
+def test_exp_family_posterior_holds_no_dense_matrix():
+    # (513, 8) outputs by 4097 grid atoms would be a 134 MB float64 matrix.
+    fam, alpha = EXP_FAMILY
+    y = np.linspace(-4.0, 4.0, 513 * 8).reshape(513, 8)
+    tracemalloc.start()
+    try:
+        posterior_moments(y, fam, 1.3, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_hermite_rule_is_cached_read_only():
+    x, w = equilibrium._hermite_rule(8)
+    assert equilibrium._hermite_rule(8)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    want = np.polynomial.hermite_e.hermegauss(8)
+    assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])

@@ -227,6 +227,15 @@ def test_oracle_table_grids(default_oracle, default_law):
     assert np.isnan(table.r_theta[0, 1])
 
 
+def test_oracle_table_responses_are_bitwise_those_of_resp_kernels(default_oracle, default_law):
+    times = np.linspace(0.0, 2.0, 11)
+    table = oracle_table(times, default_oracle, default_law)
+    for i, t in enumerate(times):
+        lags = t - times[:i]
+        assert np.array_equal(table.r_theta[i, :i], resp_kernels(lags, default_oracle, default_law)[0])
+        assert np.array_equal(table.r_eta[i, :i], response_eta(lags, default_oracle, default_law))
+
+
 def _oracle_table_by_entries(times, oracle, law):
     """oracle_table's kernels from one scalar call per (t, s) entry."""
     m, scale = len(times), -(oracle.delta / oracle.sigma2)
