@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import difflib
+import functools
 import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +36,7 @@ from .kernels import (
 )
 from .model import DESIGNS, ModelParams, sample_instance
 from .priors import (
+    _THETA0_KINDS,
     ExpFamily,
     GaussianFixed,
     GaussianLocation,
@@ -45,46 +47,104 @@ from .priors import (
     Theta0Spec,
     polynomial_stats,
 )
+from .simulator import RESPONSE_METHODS
 
 PIPELINES = ("simulate", "dmft", "dmft-linear", "oracle", "equilibrium", "compare", "response")
 
-_DEFAULT_MARGINAL_TIMES = [1.0]
+# Source names accepted besides the pipeline names, and the pipeline each runs.
+_ALIASES = {"dmft-mc": "dmft", "mp-oracle": "oracle", "response": "simulate"}
+_COMPARABLE = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
 
 
 class ConfigError(ValueError):
     """Config validation failure; message lists every offending field."""
 
 
-# Prior family name -> (its own config keys, builder from the prior section).
+# Prior family name -> (its own config keys, builder taking the given ones by name).
 _FAMILIES = {
-    "gaussian_fixed": (("lam",), lambda c: GaussianFixed(c["lam"])),
-    "gaussian_location": (("scale",), lambda c: GaussianLocation(c.get("scale", 1.0))),
-    "gaussian_mean_mixture": (
-        ("weights", "precisions"),
-        lambda c: GaussianMeanMixture(c["weights"], c["precisions"]),
-    ),
-    "gaussian_weight_mixture": (
-        ("means", "precisions"),
-        lambda c: GaussianWeightMixture(c["means"], c["precisions"]),
-    ),
-    "exp_family": (("powers",), lambda c: ExpFamily(polynomial_stats(c["powers"]))),
+    "gaussian_fixed": (("lam",), GaussianFixed),
+    "gaussian_location": (("scale",), GaussianLocation),
+    "gaussian_mean_mixture": (("weights", "precisions"), GaussianMeanMixture),
+    "gaussian_weight_mixture": (("means", "precisions"), GaussianWeightMixture),
+    "exp_family": (("powers",), lambda powers: ExpFamily(polynomial_stats(powers))),
 }
 _PRIOR_KEYS = ("family", "alpha0", "alpha_star")
 
-# Every key the CLI reads, by section; the same table for every pipeline.
-_KEYS = {
-    "": (
-        "pipeline", "seed", "out", "threads", "model", "prior", "theta0", "replicas", "n_paths",
-        "quad_nodes", "retain_every", "design", "response_steps", "response_method", "n_probes",
-        "response_budget_bytes", "regularizer", "tau_star2", "compare", "equilibrium",
-    ),
-    "model": ("n", "d", "sigma2", "beta", "gamma", "horizon", "delta"),
-    "theta0": ("kind", "var"),
-    "compare": ("sources", "times", "tolerances", "marginal_times"),
-    "compare.tolerances": COMPARED_KERNELS + ("default", "w2"),
-    "equilibrium": ("g_star", "g", "delta", "sigma2", "tol", "n_gh", "sweep_sigma2"),
-    "regularizer": ("D", "eps"),
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _array_of(test):
+    return lambda value: isinstance(value, list) and all(map(test, value))
+
+
+# Every value the CLI reads, by section: key -> (what the value must be, the
+# test of a given value, its default). A key whose default is None has none: left
+# out, it stays out. Ranges that depend on the pipeline or on other values are
+# checked by _value_errors; ModelParams and the prior families check their own.
+_TABLE = {
+    "": {
+        "pipeline": (f"one of {PIPELINES}", lambda v: v in PIPELINES, None),
+        "seed": ("an integer >= 0", lambda v: v is None or _is_int(v) and v >= 0, None),
+        "out": ("a string", lambda v: isinstance(v, str), "out"),
+        "threads": ("an integer", _is_int, 1),
+        "replicas": ("an integer", _is_int, 0),
+        "n_paths": ("an integer", _is_int, 0),
+        "quad_nodes": ("an integer", _is_int, 400),
+        "retain_every": ("an integer", _is_int, 10),
+        "design": (f"one of {DESIGNS}", lambda v: v in DESIGNS, "gaussian"),
+        "response_steps": ("an array of integers", _array_of(_is_int), ()),
+        "response_method": (f"one of {RESPONSE_METHODS}", lambda v: v in RESPONSE_METHODS, "exact-product"),
+        "n_probes": ("an integer", _is_int, 32),
+        "response_budget_bytes": ("an integer", _is_int, dmft._DEFAULT_RESPONSE_BUDGET),
+        "tau_star2": ("a number > 0", _is_positive, None),
+    },
+    "model": {
+        **{key: ("an integer", _is_int, None) for key in ("n", "d")},
+        **{key: ("a number", _is_number, None) for key in ("sigma2", "beta", "gamma", "horizon")},
+        "delta": ("a number", lambda v: v is None or _is_number(v), None),
+    },
+    "theta0": {
+        "kind": (f"one of {_THETA0_KINDS}", lambda v: v in _THETA0_KINDS, None),
+        "var": ("a number >= 0", lambda v: _is_number(v) and v >= 0, None),
+    },
+    "compare": {
+        "sources": (
+            "exactly two of simulate|dmft|dmft-linear|oracle",
+            lambda v: isinstance(v, list) and len(v) == 2 and all(s in _COMPARABLE for s in v),
+            None,
+        ),
+        "times": ("an array of numbers", lambda v: v is None or _array_of(_is_number)(v), None),
+        "marginal_times": ("an array of numbers", _array_of(_is_number), (1.0,)),
+    },
+    "compare.tolerances": {
+        key: ("a number >= 0 or null", lambda v: v is None or _is_number(v) and v >= 0, None)
+        for key in COMPARED_KERNELS + ("default", "w2")
+    },
+    "equilibrium": {
+        "delta": ("a number > 0", _is_positive, None),
+        "sigma2": ("a number > 0", _is_positive, None),
+        "tol": ("a number >= 0", lambda v: _is_number(v) and v >= 0, 1e-10),
+        "n_gh": ("an integer >= 1", lambda v: _is_int(v) and v >= 1, 64),
+        "sweep_sigma2": ("an array of numbers > 0", _array_of(_is_positive), None),
+    },
+    "regularizer": {key: ("a number", _is_number, None) for key in ("D", "eps")},
 }
+
+# Sections inside a section, by dotted name; a prior section's keys are its family's.
+_SUBSECTIONS = (
+    "model", "prior", "theta0", "compare", "equilibrium", "regularizer",
+    "compare.tolerances", "equilibrium.g_star", "equilibrium.g",
+)
 
 
 def _json_type(value) -> str:
@@ -102,14 +162,12 @@ def _unknown(where: str, section: dict, allowed) -> list[str]:
 
 
 def _sections(raw: dict) -> dict:
-    """Every config section present, by dotted name: the `_KEYS` sections and the prior sections."""
+    """Every config section present, by dotted name ("" is the top level)."""
     out = {"": raw}
-    for name in ("model", "theta0", "compare", "equilibrium", "regularizer", "prior"):
-        if name in raw:
-            out[name] = raw[name]
-    for parent, child in (("compare", "tolerances"), ("equilibrium", "g_star"), ("equilibrium", "g")):
+    for name in _SUBSECTIONS:
+        parent, _, child = name.rpartition(".")
         if isinstance(out.get(parent), dict) and child in out[parent]:
-            out[f"{parent}.{child}"] = out[parent][child]
+            out[name] = out[parent][child]
     return out
 
 
@@ -121,8 +179,9 @@ def _key_errors(raw) -> list[str]:
     for name, section in _sections(raw).items():
         if not isinstance(section, dict):
             errors.append(f"{name}: must be a JSON object, got {_json_type(section)}")
-        elif name in _KEYS:
-            errors += _unknown(f"{name}." if name else "", section, _KEYS[name])
+        elif name in _TABLE:
+            inner = [s.rpartition(".")[2] for s in _SUBSECTIONS if s.rpartition(".")[0] == name]
+            errors += _unknown(f"{name}." if name else "", section, list(_TABLE[name]) + inner)
         else:
             fam = section.get("family")
             if isinstance(fam, str) and fam in _FAMILIES:
@@ -132,84 +191,55 @@ def _key_errors(raw) -> list[str]:
     return errors
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is no integer
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Numeric values by dotted key: (what the value must be, its test). The ranges
-# here are those that no later check enforces; a null seed or model.delta means
-# "not given".
-_NUMERIC = {
-    **{
-        key: ("an integer", _is_int)
-        for key in (
-            "threads", "replicas", "n_paths", "quad_nodes", "retain_every", "n_probes",
-            "response_budget_bytes", "model.n", "model.d",
-        )
-    },
-    **{
-        key: ("a number", _is_number)
-        for key in ("tau_star2", "model.sigma2", "model.beta", "model.gamma", "model.horizon")
-    },
-    "seed": ("an integer", lambda v: v is None or _is_int(v)),
-    "model.delta": ("a number", lambda v: v is None or _is_number(v)),
-    "equilibrium.n_gh": ("an integer >= 1", lambda v: _is_int(v) and v >= 1),
-    "equilibrium.delta": ("a number > 0", lambda v: _is_number(v) and v > 0),
-    "equilibrium.sigma2": ("a number > 0", lambda v: _is_number(v) and v > 0),
-    "equilibrium.tol": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
-    "equilibrium.sweep_sigma2": (
-        "an array of numbers > 0",
-        lambda v: isinstance(v, list) and all(_is_number(x) and x > 0 for x in v),
-    ),
-}
-
-
-def _number_errors(raw: dict) -> list[str]:
-    """Numeric values of the wrong type or out of their range (after _key_errors: every section is an object)."""
+def _values(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
+    """Each `_TABLE` section, defaults filled in and overrides (unless None) applied,
+    each prior section as given or None, and every given value of the wrong type or range."""
     sections = _sections(raw)
+    sections[""] = {**raw, **{key: v for key, v in overrides.items() if v is not None}}
+    values = {name: sections.get(name) for name in _SUBSECTIONS if name not in _TABLE}
     errors = []
-    for key, (what, ok) in _NUMERIC.items():
-        name, _, field = key.rpartition(".")
-        section = sections.get(name, {})
-        if field in section and not ok(section[field]):
-            errors.append(f"{key}: must be {what}, got {section[field]!r}")
-    return errors
+    for name, keys in _TABLE.items():
+        given, values[name] = sections.get(name, {}), {}
+        for key, (what, ok, default) in keys.items():
+            if key in given and not ok(given[key]):
+                errors.append(f"{name}.{key}".lstrip(".") + f": must be {what}, got {given[key]!r}")
+            if key in given or default is not None:
+                values[name][key] = given.get(key, default)
+    return values, errors
 
 
-def _build_prior(cfg: dict, theta0_cfg: Optional[dict]) -> PriorSpec:
-    family = _FAMILIES[cfg["family"]][1](cfg)
-    k = family.dim_alpha
-    alpha0 = np.asarray(cfg.get("alpha0", np.zeros(k)), dtype=float)
+def _build_prior(cfg: dict, theta0: dict) -> PriorSpec:
+    keys, build = _FAMILIES[cfg["family"]]
+    family = build(**{key: cfg[key] for key in keys if key in cfg})
+    alpha0 = np.asarray(cfg.get("alpha0", np.zeros(family.dim_alpha)), dtype=float)
     alpha_star = np.asarray(cfg.get("alpha_star", alpha0), dtype=float)
-    theta0 = Theta0Spec(**(theta0_cfg or {}))
-    return PriorSpec(family, alpha0, alpha_star, theta0)
+    return PriorSpec(family, alpha0, alpha_star, Theta0Spec(**theta0))
+
+
+def _built(errors: list, name: str, build):
+    """The object `build()` returns, or None with its error recorded under `name`."""
+    try:
+        return build()
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        errors.append(f"{name}: {exc}")
+        return None
 
 
 @dataclass
 class RunConfig:
+    """A checked run: its config values, defaults filled in, and every object it uses.
+    `raw` is the config as given, read only for the config hash and the manifest."""
+
     pipeline: str
     raw: dict
-    seed: Optional[int]
     out_dir: Path
-    threads: int
+    opts: dict  # the top-level values
+    compare: dict  # the compare values, `tolerances` included
+    sources: list  # the sources run, by pipeline name
     model: Optional[ModelParams] = None
     prior: Optional[PriorSpec] = None
-    replicas: int = 0
-    n_paths: int = 0
-    quad_nodes: int = 400
-    retain_every: int = 10
-    response_steps: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
-    compare_sources: list = field(default_factory=list)
-    marginal_times: list = field(default_factory=lambda: list(_DEFAULT_MARGINAL_TIMES))
-
-    @property
-    def hash(self) -> str:
-        return config_hash(self.raw)
+    regularizer: Optional[SmoothHinge] = None
+    equilibrium: Optional[dict] = None  # the equilibrium values, g_star and g built
 
 
 def _compare_checks_something(cfg: RunConfig) -> None:
@@ -224,19 +254,16 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     Monte Carlo sources and an adaptive prior. A W2 check needs two Monte Carlo
     sources and a marginal time on both grids.
     """
-    params, tol, sources = cfg.model, cfg.tolerances, cfg.compare_sources
+    params, tol, sources, retain = cfg.model, cfg.compare["tolerances"], cfg.sources, cfg.opts["retain_every"]
     full = params.gamma_step * np.arange(params.n_steps + 1)
-    retained = full[:: cfg.retain_every]  # the simulate and oracle grids
+    retained = full[::retain]  # the simulate and oracle grids
     simulate = "simulate" in sources
-    monte_carlo = all(s in ("simulate", "dmft", "dmft-mc") for s in sources)
-    coarse = any(s in ("simulate", "oracle", "mp-oracle") for s in sources)
-    times = cfg.raw["compare"].get("times")
+    monte_carlo = all(s in ("simulate", "dmft") for s in sources)
+    coarse = any(s in ("simulate", "oracle") for s in sources)
+    times = cfg.compare.get("times")
     if times is not None:
-        try:
-            times = np.asarray(times, dtype=float).ravel()
-        except (TypeError, ValueError):
-            raise ConfigError(f"compare.times: must be an array of numbers, got {times!r}") from None
-        on, every = (retained, cfg.retain_every) if simulate else (full, 1)
+        times = np.asarray(times, dtype=float)
+        on, every = (retained, retain) if simulate else (full, 1)
         off = [t for t in times.tolist() if time_index(on, t) is None]
         if off:
             raise ConfigError(
@@ -244,7 +271,7 @@ def _compare_checks_something(cfg: RunConfig) -> None:
                 + (f" that simulate retains (retain_every = {every})" if simulate else "")
             )
     grid = times if times is not None else (retained if coarse else full)
-    lag_steps = {k for k in cfg.response_steps if time_index(grid, params.gamma_step * k) is not None}
+    lag_steps = {k for k in cfg.opts["response_steps"] if time_index(grid, params.gamma_step * k) is not None}
     lagged = grid.size >= 2 and (not simulate or len(lag_steps) >= 2)
     present = {"r_theta": lagged, "r_eta": lagged, "r_eta_star": not simulate}
     present["alpha"] = monte_carlo and cfg.prior.dim_alpha > 0
@@ -252,7 +279,7 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     if any(tol.get(k, tol.get("default")) is not None for k in kernels):
         return
     marginal_grid = retained if simulate else full
-    w2 = monte_carlo and any(time_index(marginal_grid, t) is not None for t in cfg.marginal_times)
+    w2 = monte_carlo and any(time_index(marginal_grid, t) is not None for t in cfg.compare["marginal_times"])
     if tol.get("w2") is None or not w2:
         raise ConfigError(
             "compare: no compared kernel and no W2 marginal has a tolerance "
@@ -260,38 +287,28 @@ def _compare_checks_something(cfg: RunConfig) -> None:
         )
 
 
-def _value_errors(raw: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
+def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
     """Values that the run would otherwise refuse only deep inside a source."""
-    errors = []
-    closed = [s for s in sources if s in ("dmft-linear", "oracle", "mp-oracle")]
+    opts, errors = values[""], []
+    closed = [s for s in sources if s in ("dmft-linear", "oracle")]
     if closed and prior is not None and not isinstance(prior.family, GaussianFixed):
-        errors.append(f"prior.family: {closed[0]} requires gaussian_fixed, got {raw['prior']['family']!r}")
-    oracle = any(s in ("oracle", "mp-oracle") for s in sources)
-    if oracle and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
+        errors.append(f"prior.family: {closed[0]} requires gaussian_fixed, got {values['prior']['family']!r}")
+    if "oracle" in sources and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
         errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
-    if oracle and int(raw.get("quad_nodes", 400)) < mp_oracle.MIN_QUAD_NODES:
+    if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
         errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
     per_path = prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None
-    if any(s in ("dmft", "dmft-mc") for s in sources):
-        n_paths = int(raw.get("n_paths", 0))
-        budget = int(raw.get("response_budget_bytes", dmft._DEFAULT_RESPONSE_BUDGET))
-        over = per_path and model is not None and dmft._response_budget_error(n_paths, model.n_steps, budget)
-        if n_paths < 100:
-            errors.append("n_paths: must be >= 100 for a dmft source")
-        elif over:
+    if "dmft" in sources and opts["n_paths"] < 100:
+        errors.append("n_paths: must be >= 100 for a dmft source")
+    elif "dmft" in sources and per_path and model is not None:
+        if over := dmft._response_budget_error(opts["n_paths"], model.n_steps, opts["response_budget_bytes"]):
             errors.append(f"n_paths: {over}")
-    design = raw.get("design", "gaussian")
-    if design not in DESIGNS:
-        errors.append(f"design: must be one of {DESIGNS}, got {design!r}")
-    method = raw.get("response_method", "exact-product")
-    if method not in simulator.RESPONSE_METHODS:
-        errors.append(f"response_method: must be one of {simulator.RESPONSE_METHODS}, got {method!r}")
-    elif method == "probe" and int(raw.get("n_probes", 32)) < 2:
+    if opts["response_method"] == "probe" and opts["n_probes"] < 2:
         errors.append("n_probes: must be >= 2 in probe mode")
-    steps, retain = raw.get("response_steps", []), int(raw.get("retain_every", 10))
+    steps, retain = opts["response_steps"], opts["retain_every"]
     if retain < 1:
         errors.append("retain_every: must be >= 1")
-    elif model is not None and any(s in ("simulate", "response") for s in sources):
+    elif model is not None and "simulate" in sources:
         if model.n_steps % retain:
             errors.append(f"retain_every: {retain} does not divide the {model.n_steps} steps")
         off = [k for k in steps if not 0 <= k <= model.n_steps]
@@ -299,6 +316,8 @@ def _value_errors(raw: dict, sources, model: Optional[ModelParams], prior: Optio
             errors.append(f"response_steps: {off} outside 0..{model.n_steps}")
         if steps and per_path and retain != 1:
             errors.append("response_steps: a theta-dependent prior needs retain_every = 1")
+    if opts["threads"] < 1:
+        errors.append("threads: must be >= 1")
     return errors
 
 
@@ -312,88 +331,72 @@ def _read_json(path) -> object:
 
 
 def load_config(config, out_override=None, seed_override=None, threads_override=None) -> RunConfig:
-    """Parse and validate a run config (JSON path or dict); collects all
-    field errors before reporting."""
+    """Parse and check a run config (JSON path or dict) and build every object
+    the run uses; collects all field errors before reporting."""
     if isinstance(config, (str, os.PathLike)):
         raw = _read_json(config)
     else:
         raw = json.loads(json.dumps(config))  # defensive copy, JSON-clean
     # Unknown keys are reported alone: one may be a misspelled required key.
-    # Then mistyped numbers, alone too: every check below reads them.
-    errors = _key_errors(raw) or _number_errors(raw)
+    # Then values of the wrong type or range, alone too: every check below reads them.
+    errors = _key_errors(raw)
+    if not errors:
+        values, errors = _values(raw, {"seed": seed_override, "threads": threads_override})
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    pipeline = raw.get("pipeline")
-    if pipeline not in PIPELINES:
-        errors.append(f"pipeline: must be one of {PIPELINES}, got {pipeline!r}")
-
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    needs_seed = pipeline in ("simulate", "dmft", "response", "compare")
-    if needs_seed and seed is None:
+    opts = values[""]
+    pipeline = opts.get("pipeline")
+    if pipeline in ("simulate", "dmft", "response", "compare") and opts.get("seed") is None:
         errors.append("seed: required (explicit seeds only; no wall-clock seeding)")
 
-    model = prior = None
-    needs_model = pipeline in ("simulate", "dmft", "dmft-linear", "oracle", "response", "compare")
-    if needs_model:
-        mc = raw.get("model")
-        if not isinstance(mc, dict):
+    model = prior = equilibrium_run = None
+    if pipeline is None:
+        errors.append("pipeline: required")
+    elif pipeline != "equilibrium":
+        m = values["model"]
+        if not m:
             errors.append("model: required section")
         else:
-            try:
-                model = ModelParams(
-                    n=mc["n"], d=mc["d"], sigma2=mc["sigma2"], beta=mc.get("beta", 1.0 / mc["sigma2"]),
-                    gamma_step=mc["gamma"], horizon=mc["horizon"], delta=mc.get("delta"),
-                )
-            except (KeyError, ValueError) as exc:
-                errors.append(f"model: {exc}")
-        pc = raw.get("prior")
-        if not isinstance(pc, dict):
+            model = _built(errors, "model", lambda: ModelParams(
+                n=m["n"], d=m["d"], sigma2=m["sigma2"], beta=m.get("beta", 1.0 / m["sigma2"]),
+                gamma_step=m["gamma"], horizon=m["horizon"], delta=m.get("delta"),
+            ))
+        if values["prior"] is None:
             errors.append("prior: required section")
         else:
-            try:
-                prior = _build_prior(pc, raw.get("theta0"))
-            except (KeyError, ValueError) as exc:
-                errors.append(f"prior: {exc}")
+            prior = _built(errors, "prior", lambda: _build_prior(values["prior"], values["theta0"]))
 
-    replicas = int(raw.get("replicas", 0))
-    if pipeline in ("simulate", "response") and replicas < 1:
+    if pipeline in ("simulate", "response") and opts["replicas"] < 1:
         errors.append("replicas: must be >= 1 for the simulate/response pipelines")
-    if pipeline == "response" and not raw.get("response_steps"):
+    if pipeline == "response" and not opts["response_steps"]:
         errors.append("response_steps: required for the response pipeline")
-    ec = raw.get("equilibrium", {})
-    if pipeline == "equilibrium" and not all(k in ec for k in ("g_star", "delta", "sigma2")):
-        errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
-    cc = raw.get("compare", {})
-    sources = [pipeline]
-    if pipeline == "compare":
-        sources = cc.get("sources", [])
-        allowed = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
-        if len(sources) != 2 or any(s not in allowed for s in sources):
-            errors.append("compare.sources: exactly two of simulate|dmft|dmft-linear|oracle")
-    errors += _value_errors(raw, sources, model, prior)
+    if pipeline == "equilibrium":
+        ec, gc = values["equilibrium"], values["equilibrium.g"]
+        if values["equilibrium.g_star"] is None or "delta" not in ec or "sigma2" not in ec:
+            errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
+        else:
+            g_star = _built(errors, "equilibrium.g_star", lambda: _build_prior(values["equilibrium.g_star"], {}))
+            g = g_star if gc is None else _built(errors, "equilibrium.g", lambda: _build_prior(gc, {}))
+            equilibrium_run = dict(ec, g_star=g_star, g=g)
+    names = values["compare"].get("sources", []) if pipeline == "compare" else [pipeline]
+    if not names:
+        errors.append("compare.sources: required for the compare pipeline")
+    sources = [_ALIASES.get(s, s) for s in names]
+    errors += _value_errors(values, sources, model, prior)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
-    out = out_override or os.environ.get("DMFT_LAB_OUT") or raw.get("out", "out")
-    threads = int(threads_override if threads_override is not None else raw.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("threads: must be >= 1")
     cfg = RunConfig(
         pipeline=pipeline,
         raw=raw,
-        seed=None if seed is None else int(seed),
-        out_dir=Path(out),
-        threads=threads,
+        out_dir=Path(out_override or os.environ.get("DMFT_LAB_OUT") or opts["out"]),
+        opts=opts,
+        compare=dict(values["compare"], tolerances=values["compare.tolerances"]),
+        sources=sources,
         model=model,
         prior=prior,
-        replicas=replicas,
-        n_paths=int(raw.get("n_paths", 0)),
-        quad_nodes=int(raw.get("quad_nodes", 400)),
-        retain_every=int(raw.get("retain_every", 10)),
-        response_steps=list(raw.get("response_steps", [])),
-        tolerances=dict(cc.get("tolerances", {})),
-        compare_sources=list(cc.get("sources", [])),
-        marginal_times=list(cc.get("marginal_times", _DEFAULT_MARGINAL_TIMES)),
+        regularizer=SmoothHinge(**values["regularizer"]) if values["regularizer"] else None,
+        equilibrium=equilibrium_run,
     )
     if pipeline == "compare":
         _compare_checks_something(cfg)
@@ -419,13 +422,10 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: dict):
     manifest = {
-        "config_hash": cfg.hash,
+        "config_hash": config_hash(cfg.raw),
         "pipeline": cfg.pipeline,
         "source": source,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "replicas": cfg.replicas,
-        "n_paths": cfg.n_paths,
+        **{key: cfg.opts.get(key) for key in ("seed", "threads", "replicas", "n_paths")},
         "model": cfg.raw.get("model"),
         "prior": cfg.raw.get("prior"),
         "build": _git_describe(),
@@ -435,40 +435,36 @@ def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: dict):
     _write_json(cfg.out_dir / "manifest.json", manifest)
 
 
-def _replica_seeds(seed: int, replicas: int) -> list[int]:
-    return [seed * 1000 + r for r in range(replicas)]
-
-
 def _run_simulate(cfg: RunConfig):
-    params, prior = cfg.model, cfg.prior
-    seeds = _replica_seeds(cfg.seed, cfg.replicas)
-    reg = _regularizer(cfg)
+    params, prior, opts = cfg.model, cfg.prior, cfg.opts
+    seeds = [opts["seed"] * 1000 + r for r in range(opts["replicas"])]
 
     def one(rs: int):
-        inst = sample_instance(params, prior, seed=rs, design=cfg.raw.get("design", "gaussian"))
-        traj = simulator.evolve(inst, prior, params, seed=rs, retain_every=cfg.retain_every, regularizer=reg)
+        inst = sample_instance(params, prior, seed=rs, design=opts["design"])
+        traj = simulator.evolve(
+            inst, prior, params, seed=rs, retain_every=opts["retain_every"], regularizer=cfg.regularizer
+        )
         traces = None
-        if cfg.response_steps:
+        if opts["response_steps"]:
             traces = simulator.response_traces(
-                traj if traj.full else None, inst, prior, params, cfg.response_steps,
-                method=cfg.raw.get("response_method", "exact-product"),
-                n_probes=int(cfg.raw.get("n_probes", 32)), seed=rs,
+                traj if traj.full else None, inst, prior, params, opts["response_steps"],
+                method=opts["response_method"], n_probes=opts["n_probes"], seed=rs,
             )
         return inst, traj, traces
 
-    if cfg.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+    if opts["threads"] > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
             results = list(pool.map(one, seeds))
     else:
         results = [one(rs) for rs in seeds]
     instances = [r[0] for r in results]
     trajs = [r[1] for r in results]
     table = simulator.empirical_kernels(trajs, instances, params)
-    if cfg.response_steps:
+    if opts["response_steps"]:
         traces = simulator.average_response_traces([r[2] for r in results])
         simulator.attach_response(table, traces)
     marginals = {}
-    for t in cfg.marginal_times:
+    for t in cfg.compare["marginal_times"]:
         idx = time_index(trajs[0].times, t)
         if idx is not None:
             marginals[t] = np.concatenate([tr.theta_path[idx] for tr in trajs])
@@ -476,26 +472,18 @@ def _run_simulate(cfg: RunConfig):
 
 
 def _run_dmft(cfg: RunConfig):
-    reg = _regularizer(cfg)
+    opts = cfg.opts
     res = dmft.solve_dmft(
-        cfg.model, cfg.prior, n_paths=cfg.n_paths, seed=cfg.seed, regularizer=reg,
-        response_budget_bytes=int(cfg.raw.get("response_budget_bytes", dmft._DEFAULT_RESPONSE_BUDGET)),
+        cfg.model, cfg.prior, n_paths=opts["n_paths"], seed=opts["seed"], regularizer=cfg.regularizer,
+        response_budget_bytes=opts["response_budget_bytes"],
     )
     marginals = {}
-    for t in cfg.marginal_times:
+    for t in cfg.compare["marginal_times"]:
         try:
-            _, th = dmft.dmft_marginal_samples(res, t, min(cfg.n_paths, 20000))
-            marginals[t] = th
+            _, marginals[t] = dmft.dmft_marginal_samples(res, t, min(opts["n_paths"], 20000))
         except ValueError:
             pass
     return res.table, marginals
-
-
-def _regularizer(cfg: RunConfig) -> Optional[SmoothHinge]:
-    rc = cfg.raw.get("regularizer")
-    if not rc:
-        return None
-    return SmoothHinge(D=float(rc.get("D", 10.0)), eps=float(rc.get("eps", 1.0)))
 
 
 def _run_linear(cfg: RunConfig):
@@ -511,44 +499,35 @@ def _run_oracle(cfg: RunConfig):
         delta=params.delta,
         # the closed forms tolerate a misspecified prior: the true second
         # moment may be overridden independently of the nominal precision
-        tau_star2=float(cfg.raw.get("tau_star2", prior.family.second_moment())),
+        tau_star2=cfg.opts.get("tau_star2", prior.family.second_moment()),
     )
-    law = mp_oracle.mp_quadrature(params.delta, cfg.quad_nodes)
-    times = cfg.raw.get("compare", {}).get("times")
+    law = mp_oracle.mp_quadrature(params.delta, cfg.opts["quad_nodes"])
+    times = cfg.compare.get("times")
     if times is None:
-        times = params.gamma_step * np.arange(0, params.n_steps + 1, cfg.retain_every)
+        times = params.gamma_step * np.arange(0, params.n_steps + 1, cfg.opts["retain_every"])
     return mp_oracle.oracle_table(np.asarray(times, dtype=float), oracle, law), {}
 
 
-# Kernel-table source name (aliases included) -> (table, marginal samples).
-# The response pipeline is simulate with response_steps required.
+# Kernel-table source, by pipeline name -> (table, marginal samples).
 _SOURCES = {
     "simulate": _run_simulate,
-    "response": _run_simulate,
     "dmft": _run_dmft,
-    "dmft-mc": _run_dmft,
     "dmft-linear": _run_linear,
     "oracle": _run_oracle,
-    "mp-oracle": _run_oracle,
 }
 
 
 def _run_equilibrium(cfg: RunConfig) -> dict:
-    ec = cfg.raw["equilibrium"]
-    g_star = _build_prior(ec["g_star"], None)
-    g = _build_prior(ec.get("g", ec["g_star"]), None)
-    delta = float(ec["delta"])
-    sigma2 = float(ec["sigma2"])
-    sol = equilibrium.solve_fixed_point(
-        delta, sigma2, g_star, g,
-        tol=float(ec.get("tol", 1e-10)), n_gh=int(ec.get("n_gh", 64)),
+    ec = cfg.equilibrium
+    solve = functools.partial(
+        equilibrium.solve_fixed_point, ec["delta"], g_star=ec["g_star"], g=ec["g"], tol=ec["tol"], n_gh=ec["n_gh"]
     )
-    out = sol.to_dict()
+    out = solve(ec["sigma2"]).to_dict()
     sweep = ec.get("sweep_sigma2")
     if sweep:
         rows = ["param,omega,omega_star,mse,mse_star,ymse,free_energy"]
         for s2 in sweep:
-            so = equilibrium.solve_fixed_point(delta, float(s2), g_star, g, n_gh=int(ec.get("n_gh", 64)))
+            so = solve(s2)
             rows.append(
                 ",".join(
                     "%.17g" % v
@@ -563,17 +542,17 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
 def _run_compare(cfg: RunConfig) -> dict:
     tables = []
     marginal_sets = []
-    compare_times = cfg.raw.get("compare", {}).get("times")
-    for source in cfg.compare_sources:
+    compare_times = cfg.compare.get("times")
+    for source in cfg.sources:
         table, marg = _SOURCES[source](cfg)
         tables.append(table)
         marginal_sets.append(marg)
         write_table_csv(table, cfg.out_dir / f"kernels_{table.source}.csv")
     if compare_times:
         tables = [restrict_to_times(t, compare_times) for t in tables]
-    report = compare_tables(tables[0], tables[1], cfg.tolerances)
-    w2_tol = cfg.tolerances.get("w2")
-    for t in cfg.marginal_times:
+    report = compare_tables(tables[0], tables[1], cfg.compare["tolerances"])
+    w2_tol = cfg.compare["tolerances"].get("w2")
+    for t in cfg.compare["marginal_times"]:
         a = marginal_sets[0].get(t)
         b = marginal_sets[1].get(t)
         if a is None or b is None:
@@ -604,7 +583,7 @@ def run(config_path, out=None, seed=None, threads=None) -> int:
             extra["report_passed"] = report["passed"]
             status = 0 if report["passed"] else 1
         else:
-            table, _ = _SOURCES[cfg.pipeline](cfg)
+            table, _ = _SOURCES[cfg.sources[0]](cfg)
             source, name = table.source, f"kernels_{table.source}.csv"
             write_table_csv(table, cfg.out_dir / name)
             if source == "simulate":

@@ -260,6 +260,10 @@ class EquilibriumSolution:
         }
 
 
+_DAMPING = 0.5  # the first step of the damped fixed-point iteration; halved on oscillation
+_MAX_SWEEPS = 10000
+
+
 def solve_fixed_point(
     delta: float,
     sigma2: float,
@@ -267,9 +271,7 @@ def solve_fixed_point(
     g,
     alpha_star=None,
     alpha=None,
-    damping: float = 0.5,
     tol: float = 1e-10,
-    max_sweeps: int = 10000,
     n_gh: int = 64,
     with_free_energy: bool = True,
 ) -> EquilibriumSolution:
@@ -281,11 +283,11 @@ def solve_fixed_point(
     if delta <= 0 or sigma2 <= 0:
         raise ValueError("delta and sigma2 must be positive")
     omega = omega_star = delta / sigma2
-    rho = damping
+    rho = _DAMPING
     trace = []
     prev_res = np.inf
     mse = mse_star = np.nan
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         spec = ScalarChannelSpec(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
         mse, mse_star = mse_pair(spec)
         target_o = delta / (sigma2 + mse)

@@ -182,7 +182,8 @@ def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
         raise ValueError("resp_kernels requires t >= 0")
     x, w, h = _spectrum(oracle, law, gamma)
     e = _propagator(h, t, gamma)
-    e_lag = _propagator(h, np.maximum(t - gamma, 0.0), gamma)
+    lag = np.maximum(t - gamma, 0.0)
+    e_lag = e if np.array_equal(lag, t) else _propagator(h, lag, gamma)  # one evaluation at gamma = 0
     alpha = _integral(e_lag, w)
     beta = -_integral(e_lag * x, w) / oracle.sigma2
     g_mp = _integral((1.0 - e) * (x / h), w) / oracle.sigma2

@@ -247,11 +247,14 @@ def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _gaussian_default(tmp_path, **compare):
-    cfg = json.loads((CONFIG_DIR / "gaussian_default.json").read_text())
+def _shipped(name, **compare):
+    cfg = json.loads((CONFIG_DIR / name).read_text())
     cfg["compare"].update(compare)
-    cfg["out"] = str(tmp_path / "out")
     return cfg
+
+
+def _gaussian_default(tmp_path, **compare):
+    return dict(_shipped("gaussian_default.json", **compare), out=str(tmp_path / "out"))
 
 
 def _config_error(cfg) -> str:
@@ -318,7 +321,7 @@ def test_top_level_compare_aliases_rejected(alias):
 def test_table_pipelines_accept_a_compare_block():
     for pipeline in ("oracle", "dmft-linear"):
         cfg = load_config(small_config(pipeline, compare=dict(ORACLE_COMPARE)))
-        assert cfg.tolerances == {"default": 0.08}
+        assert cfg.compare["tolerances"] == {"default": 0.08}
 
 
 def test_compare_without_any_tolerance_exits_2(tmp_path):
@@ -403,6 +406,26 @@ def _equilibrium(**values):
         (_equilibrium(delta=-1), None, "equilibrium.delta: must be a number > 0, got -1"),
         (_equilibrium(tol="x"), None, "equilibrium.tol: must be a number >= 0, got 'x'"),
         (_equilibrium(sweep_sigma2=["a"]), None, "equilibrium.sweep_sigma2: must be an array of numbers > 0"),
+        # values and objects that used to be checked or built only once the run started
+        (small_config("simulate", regularizer={"D": "x"}), None, "regularizer.D: must be a number, got 'x'"),
+        (small_config("dmft", regularizer={"eps": "x"}), None, "regularizer.eps: must be a number, got 'x'"),
+        (small_config("oracle", tau_star2=-1), None, "tau_star2: must be a number > 0, got -1"),
+        (small_config("simulate", theta0={"kind": "gaussian", "var": "x"}), None, "theta0.var: must be a number >= 0"),
+        (small_config("simulate", theta0={"kind": "gaussian", "var": -1}), None, "theta0.var: must be a number >= 0"),
+        (_shipped("gaussian_default.json", tolerances={"c_eta": "x"}), None,
+         "compare.tolerances.c_eta: must be a number >= 0 or null, got 'x'"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, marginal_times="x")), None,
+         "compare.marginal_times: must be an array of numbers, got 'x'"),
+        (small_config("response", response_steps="ab"), None, "response_steps: must be an array of integers, got 'ab'"),
+        (small_config("simulate", prior={"family": "gaussian_fixed", "lam": "x"}), None, "prior: '<=' not supported"),
+        (small_config("response", response_steps=[0, 2.5]), None, "response_steps: must be an array of integers"),
+        (_equilibrium(g_star={"family": "gaussian_fixed"}), None,
+         "equilibrium.g_star: GaussianFixed.__init__() missing 1 required positional argument: 'lam'"),
+        (_equilibrium(g_star={"family": "gaussian_fixed", "lam": 1.0, "alpha0": [1.0]}), None,
+         "equilibrium.g_star: alpha and alpha_star must have dimension 0"),
+        (_equilibrium(g={"family": "gaussian_fixed", "lam": -1}), None, "equilibrium.g: lam must be positive"),
+        (small_config("simulate", model=dict(SMALL_MODEL, sigma2=0)), None, "model: float division by zero"),
+        (small_config("simulate", seed=-1), None, "seed: must be an integer >= 0, got -1"),
         # bytes are the text of a config file, read by both `main` and `run`
         (b"[]", None, "config: must be a JSON object, got array"),
         (b'{"pipeline": "simulate",', None, "config: cannot read"),
@@ -420,6 +443,42 @@ def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times
     assert message in _config_error(cfg)
     assert run(cfg, out=str(tmp_path / "out")) == 2
     assert not (tmp_path / "out").exists()
+
+
+# Every value of the config table but `out`, which any string fits.
+TABLE_KEYS = [(section, key) for section, keys in cli._TABLE.items() for key in keys if key != "out"]
+
+
+@pytest.mark.parametrize("section,key", TABLE_KEYS, ids=[f"{s}.{k}".lstrip(".") for s, k in TABLE_KEYS])
+def test_every_table_value_is_checked_by_load_config(section, key):
+    if section == "equilibrium":
+        cfg = _equilibrium()
+    else:
+        cfg = small_config("compare", compare=ORACLE_COMPARE, theta0={"kind": "zero"}, regularizer={"D": 5.0})
+    cfg = json.loads(json.dumps(cfg))
+    load_config(cfg)  # valid as written
+    target = cfg
+    for name in filter(None, section.split(".")):
+        target = target.setdefault(name, {})
+    target[key] = "x"
+    assert f"{section}.{key}".lstrip(".") + ": must be" in _config_error(cfg)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    load_config(path)
+
+
+def test_sigma2_sweep_uses_the_configured_tol(tmp_path):
+    # A loose tol stops the iteration early; the sweep row at the config's own
+    # sigma2 is the same solve, so it matches equilibrium.json bit for bit.
+    g = {"family": "gaussian_fixed", "lam": 0.5}
+    assert run(_equilibrium(g=g, tol=1e-3, sweep_sigma2=[0.5, 1.0]), out=str(tmp_path)) == 0
+    sol = json.loads((tmp_path / "equilibrium.json").read_text())
+    header, *rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
+    row = dict(zip(header, map(float, next(r for r in rows if float(r[0]) == 1.0))))
+    for name in ("omega", "omega_star", "mse", "mse_star", "ymse", "free_energy"):
+        assert row[name] == sol[name]
 
 
 LOCATION = {"family": "gaussian_location", "alpha0": [0.0]}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from dmft_lab import mp_oracle
 from dmft_lab.dmft import linear_gaussian_dmft
 from dmft_lab.model import ModelInstance, ModelParams
 from dmft_lab.mp_oracle import (
@@ -234,6 +235,17 @@ def test_oracle_table_responses_are_bitwise_those_of_resp_kernels(default_oracle
         lags = t - times[:i]
         assert np.array_equal(table.r_theta[i, :i], resp_kernels(lags, default_oracle, default_law)[0])
         assert np.array_equal(table.r_eta[i, :i], response_eta(lags, default_oracle, default_law))
+
+
+@pytest.mark.parametrize("gamma,calls", [(0.0, 1), (0.01, 2)])
+def test_resp_kernels_evaluates_the_lag_propagator_only_on_the_chain(
+    monkeypatch, default_oracle, default_law, gamma, calls
+):
+    # Without a step the lag grid is t itself, so one propagator serves both integrals.
+    propagator, seen = mp_oracle._propagator, []
+    monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, g: seen.append(g) or propagator(h, t, g))
+    resp_kernels(0.01 * np.arange(6), default_oracle, default_law, gamma)
+    assert len(seen) == calls
 
 
 def _oracle_table_by_entries(times, oracle, law):
