@@ -14,6 +14,7 @@ import concurrent.futures
 import difflib
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,7 +46,6 @@ from .priors import (
     PriorSpec,
     SmoothHinge,
     Theta0Spec,
-    polynomial_stats,
 )
 from .simulator import RESPONSE_METHODS
 
@@ -54,6 +54,8 @@ PIPELINES = ("simulate", "dmft", "dmft-linear", "oracle", "equilibrium", "compar
 # Source names accepted besides the pipeline names, and the pipeline each runs.
 _ALIASES = {"dmft-mc": "dmft", "mp-oracle": "oracle", "response": "simulate"}
 _COMPARABLE = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
+# The closed-form sources: theta0 = 0 and a Gaussian theta_star of second moment tau_star2.
+_CLOSED = ("dmft-linear", "oracle")
 
 
 class ConfigError(ValueError):
@@ -66,9 +68,14 @@ _FAMILIES = {
     "gaussian_location": (("scale",), GaussianLocation),
     "gaussian_mean_mixture": (("weights", "precisions"), GaussianMeanMixture),
     "gaussian_weight_mixture": (("means", "precisions"), GaussianWeightMixture),
-    "exp_family": (("powers",), lambda powers: ExpFamily(polynomial_stats(powers))),
+    "exp_family": (("powers",), ExpFamily),
 }
-_PRIOR_KEYS = ("family", "alpha0", "alpha_star")
+# The keys of each prior section besides its family's; only `prior` draws theta_star.
+_PRIOR_KEYS = {
+    "prior": ("family", "alpha0", "alpha_star"),
+    "equilibrium.g_star": ("family", "alpha0"),
+    "equilibrium.g": ("family", "alpha0"),
+}
 
 
 def _is_int(value) -> bool:
@@ -185,7 +192,7 @@ def _key_errors(raw) -> list[str]:
         else:
             fam = section.get("family")
             if isinstance(fam, str) and fam in _FAMILIES:
-                errors += _unknown(f"{name}.", section, _PRIOR_KEYS + _FAMILIES[fam][0])
+                errors += _unknown(f"{name}.", section, _PRIOR_KEYS[name] + _FAMILIES[fam][0])
             else:
                 errors.append(f"{name}.family: unknown family {fam!r}{_hint(fam, _FAMILIES)}")
     return errors
@@ -208,12 +215,19 @@ def _values(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
     return values, errors
 
 
-def _build_prior(cfg: dict, theta0: dict) -> PriorSpec:
+def _build_family(cfg: dict):
+    """(family, alpha0) of a prior section; alpha0 defaults to zeros."""
     keys, build = _FAMILIES[cfg["family"]]
     family = build(**{key: cfg[key] for key in keys if key in cfg})
-    alpha0 = np.asarray(cfg.get("alpha0", np.zeros(family.dim_alpha)), dtype=float)
-    alpha_star = np.asarray(cfg.get("alpha_star", alpha0), dtype=float)
-    return PriorSpec(family, alpha0, alpha_star, Theta0Spec(**theta0))
+    alpha0 = np.asarray(cfg.get("alpha0", np.zeros(family.dim_alpha)), dtype=float).reshape(-1)
+    if alpha0.size != family.dim_alpha:
+        raise ValueError(f"alpha0 must have dimension {family.dim_alpha}")
+    return family, alpha0
+
+
+def _build_prior(cfg: dict, theta0: dict) -> PriorSpec:
+    family, alpha0 = _build_family(cfg)
+    return PriorSpec(family, alpha0, cfg.get("alpha_star", alpha0), Theta0Spec(**theta0))
 
 
 def _built(errors: list, name: str, build):
@@ -239,7 +253,7 @@ class RunConfig:
     model: Optional[ModelParams] = None
     prior: Optional[PriorSpec] = None
     regularizer: Optional[SmoothHinge] = None
-    equilibrium: Optional[dict] = None  # the equilibrium values, g_star and g built
+    equilibrium: Optional[dict] = None  # the equilibrium values; g_star, alpha_star, g and alpha built
 
 
 def _compare_checks_something(cfg: RunConfig) -> None:
@@ -290,9 +304,16 @@ def _compare_checks_something(cfg: RunConfig) -> None:
 def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
     """Values that the run would otherwise refuse only deep inside a source."""
     opts, errors = values[""], []
-    closed = [s for s in sources if s in ("dmft-linear", "oracle")]
+    closed = [s for s in sources if s in _CLOSED]
     if closed and prior is not None and not isinstance(prior.family, GaussianFixed):
         errors.append(f"prior.family: {closed[0]} requires gaussian_fixed, got {values['prior']['family']!r}")
+    if closed and values["theta0"].get("kind", "zero") != "zero":
+        errors.append(f"theta0.kind: {closed[0]} assumes theta0 = 0, got {values['theta0']['kind']!r}")
+    drawn = [s for s in sources if s not in _CLOSED]
+    if "tau_star2" in opts and drawn:
+        errors.append(f"tau_star2: only dmft-linear and oracle read it, not {drawn[0]}")
+    if opts.get("seed") is not None and opts["seed"] * 1000 + opts["replicas"] > 2**64:
+        errors.append(f"seed: seed * 1000 + replicas - 1 must fit in 64 bits, got seed {opts['seed']}")
     if "oracle" in sources and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
         errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
     if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
@@ -316,16 +337,27 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
             errors.append(f"response_steps: {off} outside 0..{model.n_steps}")
         if steps and per_path and retain != 1:
             errors.append("response_steps: a theta-dependent prior needs retain_every = 1")
+        unretained = [k for k in steps if k % retain]
+        if unretained:
+            errors.append(f"response_steps: {unretained} not multiples of retain_every = {retain}")
     if opts["threads"] < 1:
         errors.append("threads: must be >= 1")
     return errors
+
+
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and numbers beyond the float range are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def _read_json(path) -> object:
     """The parsed JSON of a config file; a file that cannot be read or parsed is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
 
@@ -336,7 +368,10 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     if isinstance(config, (str, os.PathLike)):
         raw = _read_json(config)
     else:
-        raw = json.loads(json.dumps(config))  # defensive copy, JSON-clean
+        try:  # defensive copy, JSON-clean
+            raw = json.loads(json.dumps(config), parse_float=_finite, parse_constant=_finite)
+        except ValueError as exc:
+            raise ConfigError(f"config: {exc}") from None
     # Unknown keys are reported alone: one may be a misspelled required key.
     # Then values of the wrong type or range, alone too: every check below reads them.
     errors = _key_errors(raw)
@@ -375,9 +410,10 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         if values["equilibrium.g_star"] is None or "delta" not in ec or "sigma2" not in ec:
             errors.append("equilibrium: the equilibrium pipeline needs g_star, delta and sigma2")
         else:
-            g_star = _built(errors, "equilibrium.g_star", lambda: _build_prior(values["equilibrium.g_star"], {}))
-            g = g_star if gc is None else _built(errors, "equilibrium.g", lambda: _build_prior(gc, {}))
-            equilibrium_run = dict(ec, g_star=g_star, g=g)
+            g_star = _built(errors, "equilibrium.g_star", lambda: _build_family(values["equilibrium.g_star"]))
+            g = g_star if gc is None else _built(errors, "equilibrium.g", lambda: _build_family(gc))
+            if g_star and g:
+                equilibrium_run = dict(ec, g_star=g_star[0], alpha_star=g_star[1], g=g[0], alpha=g[1])
     names = values["compare"].get("sources", []) if pipeline == "compare" else [pipeline]
     if not names:
         errors.append("compare.sources: required for the compare pipeline")
@@ -385,6 +421,10 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     errors += _value_errors(values, sources, model, prior)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
+    if any(s in _CLOSED for s in sources):
+        # The closed forms allow a misspecified prior: the second moment of
+        # theta_star may be set apart from the nominal precision lam.
+        opts.setdefault("tau_star2", prior.family.second_moment())
 
     cfg = RunConfig(
         pipeline=pipeline,
@@ -452,11 +492,8 @@ def _run_simulate(cfg: RunConfig):
             )
         return inst, traj, traces
 
-    if opts["threads"] > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(rs) for rs in seeds]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
+        results = list(pool.map(one, seeds))  # in replica order
     instances = [r[0] for r in results]
     trajs = [r[1] for r in results]
     table = simulator.empirical_kernels(trajs, instances, params)
@@ -487,8 +524,7 @@ def _run_dmft(cfg: RunConfig):
 
 
 def _run_linear(cfg: RunConfig):
-    family = cfg.prior.family
-    return dmft.linear_gaussian_dmft(cfg.model, family.lam, family.second_moment()), {}
+    return dmft.linear_gaussian_dmft(cfg.model, cfg.prior.family.lam, cfg.opts["tau_star2"]), {}
 
 
 def _run_oracle(cfg: RunConfig):
@@ -497,9 +533,7 @@ def _run_oracle(cfg: RunConfig):
         lam=prior.family.lam,
         sigma2=params.sigma2,
         delta=params.delta,
-        # the closed forms tolerate a misspecified prior: the true second
-        # moment may be overridden independently of the nominal precision
-        tau_star2=cfg.opts.get("tau_star2", prior.family.second_moment()),
+        tau_star2=cfg.opts["tau_star2"],
     )
     law = mp_oracle.mp_quadrature(params.delta, cfg.opts["quad_nodes"])
     times = cfg.compare.get("times")
@@ -520,7 +554,8 @@ _SOURCES = {
 def _run_equilibrium(cfg: RunConfig) -> dict:
     ec = cfg.equilibrium
     solve = functools.partial(
-        equilibrium.solve_fixed_point, ec["delta"], g_star=ec["g_star"], g=ec["g"], tol=ec["tol"], n_gh=ec["n_gh"]
+        equilibrium.solve_fixed_point, ec["delta"],
+        **{key: ec[key] for key in ("g_star", "g", "alpha_star", "alpha", "tol", "n_gh")},
     )
     out = solve(ec["sigma2"]).to_dict()
     sweep = ec.get("sweep_sigma2")

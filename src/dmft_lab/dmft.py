@@ -341,7 +341,7 @@ def solve_dmft(
         )
         np.square(paths[t + 1], out=sq[t + 1])
         if K:
-            alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior, regularizer)
+            alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior.family, regularizer)
 
     if given_eta is None:
         c_eta = eta.c_eta

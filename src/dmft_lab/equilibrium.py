@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .priors import ExpFamily, PriorFamily, PriorSpec, SmoothHinge, logsumexp, softmax
+from .priors import ExpFamily, PriorFamily, SmoothHinge, logsumexp, softmax
 
 
 class DiscretePrior:
@@ -41,10 +41,6 @@ class DiscretePrior:
         if np.any(w < 0) or w.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
         self.weights = w / w.sum()
-        self.dim_alpha = 0
-
-    def second_moment(self, alpha=None) -> float:
-        return float(np.sum(self.weights * self.atoms**2))
 
 
 def _prior_law(family, alpha, truth: bool = False):
@@ -131,14 +127,13 @@ def _posterior_mixture(y, components, omega):
 def posterior_moments(y, g, omega: float, alpha=None):
     """(posterior mean, posterior second moment) of the scalar channel.
 
-    `g` is a PriorSpec, PriorFamily, or DiscretePrior; Gaussian mixtures use
-    conjugate closed forms, discrete and exp-family priors atom sums.
+    `g` is a PriorFamily or DiscretePrior with parameter `alpha`; Gaussian
+    mixtures use conjugate closed forms, discrete and exp-family priors atom sums.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    family, alpha = _family_alpha(g, alpha)
     y_arr = np.asarray(y, dtype=float)
-    components, atoms = _prior_law(family, alpha)
+    components, atoms = _prior_law(g, alpha)
     if atoms is None:
         w, pm, pv = _posterior_mixture(y_arr, components, omega)
         m1 = np.sum(w * pm, axis=-1)
@@ -155,17 +150,10 @@ def _match_shape(value, template):
     return float(value) if np.isscalar(template) or np.asarray(template).ndim == 0 else value
 
 
-def _family_alpha(g, alpha):
-    if isinstance(g, PriorSpec):
-        return g.family, g.alpha if alpha is None else alpha
-    return g, alpha
-
-
 def log_marginal(y, g, omega: float, alpha=None):
     """log P_{g, omega}(y): marginal density of the scalar channel."""
-    family, alpha = _family_alpha(g, alpha)
     y_arr = np.asarray(y, dtype=float)
-    components, atoms = _prior_law(family, alpha)
+    components, atoms = _prior_law(g, alpha)
     if atoms is None:
         out = logsumexp(_mixture_log_marginals(y_arr, components, omega))
     else:
@@ -204,31 +192,14 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int):
     return tn[:, None], y, tw[:, None] * (w / w.sum())[None, :]
 
 
-@dataclass
-class ScalarChannelSpec:
-    """The two-prior scalar channel: truth (g_star; 1/omega_star), posterior
-    computed under (g; omega)."""
-
-    g_star: PriorSpec | PriorFamily | DiscretePrior
-    g: PriorSpec | PriorFamily | DiscretePrior
-    omega: float
-    omega_star: float
-    alpha_star: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
-    n_gh: int = 64
-
-    def __post_init__(self):
-        if self.omega <= 0 or self.omega_star <= 0:
-            raise ValueError("channel precisions must be positive")
-        self.g_star_family, self.alpha_star = _family_alpha(self.g_star, self.alpha_star)
-        self.g_family, self.alpha = _family_alpha(self.g, self.alpha)
-
-
-def mse_pair(spec: ScalarChannelSpec) -> tuple[float, float]:
-    """(mse, mse_star): posterior variance and truth error, averaged over the
-    true channel by tensorized quadrature (Gauss-Hermite in the noise)."""
-    tn, y, w2d = _true_channel(spec.g_star_family, spec.alpha_star, spec.omega_star, spec.n_gh)
-    m1, m2 = posterior_moments(y, spec.g_family, spec.omega, spec.alpha)
+def mse_pair(g_star, g, omega: float, omega_star: float, alpha_star=None, alpha=None, n_gh: int = 64):
+    """(mse, mse_star) of the two-prior scalar channel: truth (g_star; 1/omega_star),
+    posterior under (g; omega). The posterior variance and the truth error are
+    averaged over the true channel by tensorized quadrature (Gauss-Hermite in the noise)."""
+    if omega <= 0 or omega_star <= 0:
+        raise ValueError("channel precisions must be positive")
+    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
+    m1, m2 = posterior_moments(y, g, omega, alpha)
     mse = float(np.sum(w2d * (m2 - m1**2)))
     mse_star = float(np.sum(w2d * (tn - m1) ** 2))
     return mse, mse_star
@@ -277,8 +248,10 @@ def solve_fixed_point(
 ) -> EquilibriumSolution:
     """Damped iteration of omega <- delta/(sigma2 + mse(omega, omega_star)).
 
-    Starts from omega = omega_star = delta/sigma2; on oscillation the step is
-    halved. Raises on non-convergence with the residual trace attached.
+    The truth prior is g_star at alpha_star, the posterior prior g at alpha;
+    each is a PriorFamily or a DiscretePrior. Starts from omega = omega_star =
+    delta/sigma2; on oscillation the step is halved. Raises on non-convergence
+    with the residual trace attached.
     """
     if delta <= 0 or sigma2 <= 0:
         raise ValueError("delta and sigma2 must be positive")
@@ -288,8 +261,7 @@ def solve_fixed_point(
     prev_res = np.inf
     mse = mse_star = np.nan
     for _ in range(_MAX_SWEEPS):
-        spec = ScalarChannelSpec(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
-        mse, mse_star = mse_pair(spec)
+        mse, mse_star = mse_pair(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
         target_o = delta / (sigma2 + mse)
         target_s = delta / (sigma2 + mse_star)
         res = max(abs(omega - target_o), abs(omega_star - target_s))
@@ -348,10 +320,8 @@ def free_energy(
     """
     if omega <= 0 or omega_star <= 0:
         raise ValueError("precisions must be positive")
-    g_star_family, alpha_star = _family_alpha(g_star, alpha_star)
-    g_family, alpha = _family_alpha(g, alpha)
-    _, y, w2d = _true_channel(g_star_family, alpha_star, omega_star, n_gh)
-    e_logp = float(np.sum(w2d * log_marginal(y, g_family, omega, alpha)))
+    _, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
+    e_logp = float(np.sum(w2d * log_marginal(y, g, omega, alpha)))
     s = 1.0 / sigma2
     bracket = (
         2 * delta
@@ -394,8 +364,7 @@ def grad_F(
     sol = solve_fixed_point(
         delta, sigma2, g_star, prior_family, alpha_star, alpha, n_gh=n_gh, with_free_energy=False
     )
-    g_star_family, alpha_star = _family_alpha(g_star, alpha_star)
-    _, y, w2d = _true_channel(g_star_family, alpha_star, sol.omega_star, n_gh)
+    _, y, w2d = _true_channel(g_star, alpha_star, sol.omega_star, n_gh)
     gmean = posterior_grad_alpha_mean(prior_family, alpha, y, sol.omega)
     out = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
     if regularizer is not None:

@@ -8,7 +8,7 @@ All evaluators are pure and vectorized over theta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -234,27 +234,39 @@ class GaussianWeightMixture(GaussianMixture):
 
 
 class ExpFamily(PriorFamily):
-    """Exponential family g = exp(sum_k alpha_k T_k(theta) - A(alpha)) on the line.
+    """Exponential family g = exp(sum_k alpha_k theta^k - A(alpha)) on the line.
 
-    Sufficient statistics are given as (T, T', T'') callable triples. The
-    log-partition A(alpha) is a trapezoid sum on n_grid points of [-L, L],
-    with L expanded from l_init until the boundary tail mass is below 1e-12.
+    The sufficient statistics are the monomials theta^k of the given integer
+    powers k >= 1. The log-partition A(alpha) is a trapezoid sum on n_grid
+    points of [-L, L], with L expanded from l_init until the boundary tail
+    mass is below 1e-12.
     """
 
     l_init = 8.0
     n_grid = 4097
 
-    def __init__(self, stats: Sequence[tuple[Callable, Callable, Callable]]):
-        self.stats = list(stats)
-        self.dim_alpha = len(self.stats)
+    def __init__(self, powers: Sequence[int]):
+        if not powers or not all(isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in powers):
+            raise ValueError(f"powers must be a non-empty array of integers >= 1, got {powers!r}")
+        self.powers = list(powers)
+        self.dim_alpha = len(self.powers)
+
+    def _monomials(self, x, order: int):
+        """d^order/dx^order of x^k for each power k, order 0, 1 or 2."""
+        x = np.asarray(x, dtype=float)
+        if order == 0:
+            return [x**k for k in self.powers]
+        if order == 1:
+            return [k * x ** (k - 1) for k in self.powers]
+        return [k * (k - 1) * x ** (k - 2) if k >= 2 else np.zeros_like(x) for k in self.powers]
 
     def _theta_derivative(self, theta, alpha, order: int):
-        """d^order/dtheta^order of sum_k alpha_k T_k, order 0, 1 or 2."""
+        """d^order/dtheta^order of sum_k alpha_k theta^k, order 0, 1 or 2."""
         theta = np.asarray(theta, dtype=float)
         alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
         out = np.zeros_like(theta)
-        for a_k, stat in zip(alpha, self.stats):
-            out = out + a_k * stat[order](theta)
+        for a_k, t_k in zip(alpha, self._monomials(theta, order)):
+            out = out + a_k * t_k
         return out
 
     def _grid(self, alpha):
@@ -279,7 +291,7 @@ class ExpFamily(PriorFamily):
     def grad_log_partition(self, alpha) -> np.ndarray:
         x, w, _ = self._grid(alpha)
         z = np.trapezoid(w, x)
-        return np.array([np.trapezoid(w * t_k(x), x) / z for t_k, _, _ in self.stats])
+        return np.array([np.trapezoid(w * t_k, x) / z for t_k in self._monomials(x, 0)])
 
     def log_g(self, theta, alpha):
         return self._theta_derivative(theta, alpha, 0) - self.log_partition(alpha)
@@ -291,10 +303,8 @@ class ExpFamily(PriorFamily):
         return self._theta_derivative(theta, alpha, 2)
 
     def grad_alpha_log_g(self, theta, alpha):
-        theta = np.asarray(theta, dtype=float)
         grad_a = self.grad_log_partition(alpha)
-        cols = [t_k(theta) - g_k for (t_k, _, _), g_k in zip(self.stats, grad_a)]
-        return np.stack(cols, axis=-1)
+        return np.stack([t_k - g_k for t_k, g_k in zip(self._monomials(theta, 0), grad_a)], axis=-1)
 
     def sample(self, alpha, rng, size):
         # Grid-based inverse CDF; adequate for the smooth densities used here.
@@ -307,21 +317,6 @@ class ExpFamily(PriorFamily):
         x, w, _ = self._grid(alpha)
         z = np.trapezoid(w, x)
         return float(np.trapezoid(w * x * x, x) / z)
-
-
-def polynomial_stats(powers: Sequence[int]):
-    """Sufficient-statistic triples T_k = theta^k with exact derivatives,
-    for building exponential families from plain config data."""
-
-    def triple(k: int):
-        t = lambda x, k=k: np.asarray(x, dtype=float) ** k
-        dt = lambda x, k=k: k * np.asarray(x, dtype=float) ** (k - 1)
-        ddt = lambda x, k=k: k * (k - 1) * np.asarray(x, dtype=float) ** (k - 2) if k >= 2 else (
-            np.zeros_like(np.asarray(x, dtype=float))
-        )
-        return (t, dt, ddt)
-
-    return [triple(int(k)) for k in powers]
 
 
 @dataclass
@@ -400,17 +395,16 @@ class PriorSpec:
         return self.family.dim_alpha
 
 
-def drift_s(theta, alpha, prior: PriorSpec | PriorFamily):
-    """Evaluate s(theta, alpha) = d/dtheta log g for the prior's family."""
+def drift_s(theta, alpha, family: PriorFamily):
+    """Evaluate s(theta, alpha) = d/dtheta log g for the family."""
     _check_finite(theta, alpha)
-    family = prior.family if isinstance(prior, PriorSpec) else prior
     return family.drift_s(theta, alpha)
 
 
 def gradient_map_G(
     alpha,
     samples,
-    prior: PriorSpec | PriorFamily,
+    family: PriorFamily,
     regularizer: Optional[SmoothHinge] = None,
 ) -> np.ndarray:
     """Empirical-Bayes gradient map: mean over samples of grad_alpha log g,
@@ -419,7 +413,6 @@ def gradient_map_G(
     if samples.size == 0:
         raise ValueError("gradient_map_G requires a non-empty sample set")
     _check_finite(samples, alpha)
-    family = prior.family if isinstance(prior, PriorSpec) else prior
     g = family.grad_alpha_log_g(samples, alpha)
     out = np.mean(np.atleast_2d(g), axis=0) if g.ndim > 1 else np.array([float(np.mean(g))])
     out = out.reshape(family.dim_alpha)

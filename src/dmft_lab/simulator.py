@@ -38,12 +38,9 @@ class DivergenceError(RuntimeError):
 @dataclass
 class Trajectory:
     times: np.ndarray  # retained physical times
-    step_indices: np.ndarray
     theta_path: np.ndarray  # (retained, d)
     alpha_path: np.ndarray  # (retained, K)
     residual_path: np.ndarray  # (retained, n): X theta^t - y
-    seed: int
-    noise_mode: str
     retain_every: int
 
     @property
@@ -90,14 +87,14 @@ def evolve(
     for t in range(T + 1):
         if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > _NORM_GUARD:
             raise DivergenceError(f"state diverged at step {t} (gamma too large for this instance)")
+        resid = X @ theta - y
         if t in keep_pos:
             i = keep_pos[t]
             theta_path[i] = theta
             alpha_path[i] = alpha
-            residual_path[i] = X @ theta - y
+            residual_path[i] = resid
         if t == T:
             break
-        resid = X @ theta - y
         drift = -beta * (X.T @ resid) + prior.family.drift_s(theta, alpha)
         if noise_mode == "stochastic":
             incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
@@ -105,17 +102,14 @@ def evolve(
             incr = 0.0
         new_theta = theta + gamma * drift + np.sqrt(2.0) * incr
         if K:
-            alpha = alpha + gamma * gradient_map_G(alpha, theta, prior, regularizer)
+            alpha = alpha + gamma * gradient_map_G(alpha, theta, prior.family, regularizer)
         theta = new_theta
 
     return Trajectory(
         times=gamma * np.asarray(kept, dtype=float),
-        step_indices=np.asarray(kept),
         theta_path=theta_path,
         alpha_path=alpha_path,
         residual_path=residual_path,
-        seed=int(seed),
-        noise_mode=noise_mode,
         retain_every=retain_every,
     )
 

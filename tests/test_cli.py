@@ -282,7 +282,7 @@ def test_misspelled_tolerance_and_stray_keys_exit_2(tmp_path):
         (("theta0",), "vars", "var"),
         (("compare",), "marginal_time", "marginal_times"),
         (("equilibrium",), "n_ghh", "n_gh"),
-        (("equilibrium", "g_star"), "alpha_str", "alpha_star"),
+        (("equilibrium", "g_star"), "alpha_str", "alpha0"),
         (("regularizer",), "epsilon", "eps"),
     ],
 )
@@ -422,10 +422,29 @@ def _equilibrium(**values):
         (_equilibrium(g_star={"family": "gaussian_fixed"}), None,
          "equilibrium.g_star: GaussianFixed.__init__() missing 1 required positional argument: 'lam'"),
         (_equilibrium(g_star={"family": "gaussian_fixed", "lam": 1.0, "alpha0": [1.0]}), None,
-         "equilibrium.g_star: alpha and alpha_star must have dimension 0"),
+         "equilibrium.g_star: alpha0 must have dimension 0"),
         (_equilibrium(g={"family": "gaussian_fixed", "lam": -1}), None, "equilibrium.g: lam must be positive"),
         (small_config("simulate", model=dict(SMALL_MODEL, sigma2=0)), None, "model: float division by zero"),
         (small_config("simulate", seed=-1), None, "seed: must be an integer >= 0, got -1"),
+        # replica r is seeded with seed * 1000 + r, a 64-bit Philox key
+        (small_config("simulate", seed=2**62), None, "seed: seed * 1000 + replicas - 1 must fit in 64 bits"),
+        # JSON has no NaN or Infinity; Python's parser reads them, and 1e999 as inf
+        (_equilibrium(delta=float("inf")), None, "config: non-finite number Infinity"),
+        (small_config("simulate", regularizer={"D": float("nan")}), None, "config: non-finite number NaN"),
+        (json.dumps(small_config("simulate", regularizer={"D": 1.5})).replace("1.5", "1e999").encode(), None,
+         "non-finite number 1e999"),
+        # sources that would ignore a value of the config
+        (small_config("dmft", tau_star2=0.5), None, "tau_star2: only dmft-linear and oracle read it, not dmft"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["simulate", "oracle"]), tau_star2=0.5), None,
+         "tau_star2: only dmft-linear and oracle read it, not simulate"),
+        (small_config("dmft-linear", theta0={"kind": "gaussian", "var": 1.0}), None,
+         "theta0.kind: dmft-linear assumes theta0 = 0, got 'gaussian'"),
+        (_equilibrium(g_star={"family": "gaussian_location", "alpha0": [0.0], "alpha_star": [3.0]}), None,
+         "equilibrium.g_star.alpha_star: unknown key"),
+        (_equilibrium(g_star={"family": "exp_family", "powers": [2.5], "alpha0": [-0.5]}), None,
+         "equilibrium.g_star: powers must be a non-empty array of integers >= 1, got [2.5]"),
+        # simulate keeps only every retain_every-th step, so a response step between them has no row
+        (small_config("simulate", response_steps=[0, 3, 4]), None, "response_steps: [3] not multiples of retain_every = 2"),
         # bytes are the text of a config file, read by both `main` and `run`
         (b"[]", None, "config: must be a JSON object, got array"),
         (b'{"pipeline": "simulate",', None, "config: cannot read"),
@@ -467,6 +486,14 @@ def test_every_table_value_is_checked_by_load_config(section, key):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_configs_load(path):
     load_config(path)
+
+
+def test_closed_forms_honor_tau_star2(tmp_path):
+    # Both closed-form sources solve the misspecified system theta_star ~ N(0, 0.5), lam = 1.
+    cfg = dict(_gaussian_default(tmp_path), tau_star2=0.5)
+    assert run(cfg) == 0
+    for name in ("kernels_mp-oracle.csv", "kernels_dmft-linear.csv"):
+        assert cli.read_table_csv(tmp_path / "out" / name).c_star_star == 0.5
 
 
 def test_sigma2_sweep_uses_the_configured_tol(tmp_path):

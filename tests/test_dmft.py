@@ -333,9 +333,9 @@ _EQUILIBRIUM_AND_SAVE = """
 import sys
 import numpy as np
 from dmft_lab.equilibrium import log_marginal, posterior_moments
-from dmft_lab.priors import ExpFamily, polynomial_stats
+from dmft_lab.priors import ExpFamily
 
-fam, alpha = ExpFamily(polynomial_stats([2, 4])), np.array([-0.5, -0.1])
+fam, alpha = ExpFamily([2, 4]), np.array([-0.5, -0.1])
 y = np.linspace(-4.0, 4.0, 513 * 8).reshape(513, 8)
 m1, m2 = posterior_moments(y, fam, 1.3, alpha)
 np.savez(sys.argv[2], m1=m1, m2=m2, log_marginal=log_marginal(y, fam, 1.3, alpha))

@@ -6,7 +6,6 @@ import pytest
 from dmft_lab import equilibrium
 from dmft_lab.equilibrium import (
     DiscretePrior,
-    ScalarChannelSpec,
     free_energy,
     grad_F,
     log_marginal,
@@ -21,7 +20,6 @@ from dmft_lab.priors import (
     GaussianLocation,
     GaussianMeanMixture,
     GaussianWeightMixture,
-    polynomial_stats,
 )
 
 MATCHED = dict(delta=2.0, sigma2=1.0)
@@ -52,7 +50,7 @@ def test_posterior_mean_two_point_tanh():
 
 def test_posterior_moments_numeric_matches_closed_form():
     # Exponential-family Gaussian equals the conjugate closed form.
-    fam = ExpFamily(polynomial_stats([1, 2]))
+    fam = ExpFamily([1, 2])
     alpha = np.array([0.0, -0.5])  # N(0, 1)
     m1n, m2n = posterior_moments(0.8, fam, 2.0, alpha)
     m1c, m2c = posterior_moments(0.8, GaussianFixed(1.0), 2.0)
@@ -64,8 +62,7 @@ def test_posterior_moments_numeric_matches_closed_form():
 
 def test_mse_pair_matched_gaussian_conjugacy():
     omega = 1.7
-    spec = ScalarChannelSpec(GaussianFixed(1.0), GaussianFixed(1.0), omega, omega)
-    mse, mse_star = mse_pair(spec)
+    mse, mse_star = mse_pair(GaussianFixed(1.0), GaussianFixed(1.0), omega, omega)
     assert mse == pytest.approx(1.0 / (1.0 + omega), abs=1e-12)
     assert mse_star == pytest.approx(mse, abs=1e-10)  # tower property, matched
 
@@ -77,19 +74,17 @@ def test_mse_pair_matched_gaussian_conjugacy():
         (GaussianLocation(0.8), np.array([0.3]), 64, 1e-9),
         (GaussianWeightMixture([-1.0, 1.0], [1.0, 2.0]), np.array([0.2, -0.2]), 64, 2e-6),
         (DiscretePrior([-1.0, 0.5], [0.5, 0.5]), None, 64, 1e-9),
-        (ExpFamily(polynomial_stats([1, 2])), np.array([0.4, -0.6]), 16, 1e-4),
+        (ExpFamily([1, 2]), np.array([0.4, -0.6]), 16, 1e-4),
     ],
 )
 def test_mse_pair_matched_tower_all_families(family, alpha, n_gh, tol):
     # Correctly specified channel: E(theta* - <theta>)^2 = E<(theta-<theta>)^2>.
-    spec = ScalarChannelSpec(family, family, 1.3, 1.3, alpha_star=alpha, alpha=alpha, n_gh=n_gh)
-    mse, mse_star = mse_pair(spec)
+    mse, mse_star = mse_pair(family, family, 1.3, 1.3, alpha_star=alpha, alpha=alpha, n_gh=n_gh)
     assert mse == pytest.approx(mse_star, abs=tol)
 
 
 def test_mse_vanishes_in_strong_channel():
-    spec = ScalarChannelSpec(GaussianFixed(1.0), GaussianFixed(1.0), 1e8, 1e8)
-    mse, _ = mse_pair(spec)
+    mse, _ = mse_pair(GaussianFixed(1.0), GaussianFixed(1.0), 1e8, 1e8)
     assert mse < 2e-8
 
 
@@ -232,7 +227,7 @@ def test_solver_failure_reports_trace():
 def test_exp_family_atom_path_matches_gaussian_closed_forms():
     # alpha = (0, -1/2) makes the exp family N(0, 1): its grid atoms must give
     # the conjugate location score, E[theta^2 | y] - 1 and the Gaussian marginal.
-    fam = ExpFamily(polynomial_stats([1, 2]))
+    fam = ExpFamily([1, 2])
     alpha = np.array([0.0, -0.5])
     omega = 1.3
     y = np.linspace(-3.0, 3.0, 13).reshape(13, 1) + np.array([0.0, 0.1])
@@ -262,7 +257,7 @@ def _dense_atom_posterior(y, nodes, masses, omega):
     return np.exp(lp, out=lp), top[:, 0]
 
 
-EXP_FAMILY = (ExpFamily(polynomial_stats([2, 4])), np.array([-0.5, -0.1]))
+EXP_FAMILY = (ExpFamily([2, 4]), np.array([-0.5, -0.1]))
 ATOM_PRIORS = [EXP_FAMILY, (DiscretePrior([-1.0, 0.3, 2.0], [0.2, 0.5, 0.3]), None)]
 
 
