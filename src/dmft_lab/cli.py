@@ -216,18 +216,22 @@ def _values(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
 
 
 def _build_family(cfg: dict):
-    """(family, alpha0) of a prior section; alpha0 defaults to zeros."""
+    """(family, alpha0) of a prior section; alpha0 defaults to zeros. Evaluating
+    log g at each alpha refuses one whose density does not normalize (exp_family)."""
     keys, build = _FAMILIES[cfg["family"]]
     family = build(**{key: cfg[key] for key in keys if key in cfg})
     alpha0 = np.asarray(cfg.get("alpha0", np.zeros(family.dim_alpha)), dtype=float).reshape(-1)
     if alpha0.size != family.dim_alpha:
         raise ValueError(f"alpha0 must have dimension {family.dim_alpha}")
+    family.log_g(0.0, alpha0)
     return family, alpha0
 
 
 def _build_prior(cfg: dict, theta0: dict) -> PriorSpec:
     family, alpha0 = _build_family(cfg)
-    return PriorSpec(family, alpha0, cfg.get("alpha_star", alpha0), Theta0Spec(**theta0))
+    prior = PriorSpec(family, alpha0, cfg.get("alpha_star", alpha0), Theta0Spec(**theta0))
+    family.log_g(0.0, prior.alpha_star)
+    return prior
 
 
 def _built(errors: list, name: str, build):
@@ -475,6 +479,17 @@ def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: dict):
     _write_json(cfg.out_dir / "manifest.json", manifest)
 
 
+def _marginals(table: KernelTable, paths: list, times) -> dict:
+    """The theta draws at each of `times` on the table's grid: that time's row
+    of every time-major array in `paths`, pooled. Off-grid times are left out."""
+    out = {}
+    for t in times:
+        i = time_index(table.times, t)
+        if i is not None:
+            out[t] = np.concatenate([p[i] for p in paths])
+    return out
+
+
 def _run_simulate(cfg: RunConfig):
     params, prior, opts = cfg.model, cfg.prior, cfg.opts
     seeds = [opts["seed"] * 1000 + r for r in range(opts["replicas"])]
@@ -494,18 +509,11 @@ def _run_simulate(cfg: RunConfig):
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
         results = list(pool.map(one, seeds))  # in replica order
-    instances = [r[0] for r in results]
     trajs = [r[1] for r in results]
-    table = simulator.empirical_kernels(trajs, instances, params)
+    table = simulator.empirical_kernels(trajs, [r[0] for r in results], params)
     if opts["response_steps"]:
-        traces = simulator.average_response_traces([r[2] for r in results])
-        simulator.attach_response(table, traces)
-    marginals = {}
-    for t in cfg.compare["marginal_times"]:
-        idx = time_index(trajs[0].times, t)
-        if idx is not None:
-            marginals[t] = np.concatenate([tr.theta_path[idx] for tr in trajs])
-    return table, marginals
+        simulator.fill_response(table, [r[2] for r in results], opts["response_steps"])
+    return table, _marginals(table, [tr.theta_path for tr in trajs], cfg.compare["marginal_times"])
 
 
 def _run_dmft(cfg: RunConfig):
@@ -514,13 +522,8 @@ def _run_dmft(cfg: RunConfig):
         cfg.model, cfg.prior, n_paths=opts["n_paths"], seed=opts["seed"], regularizer=cfg.regularizer,
         response_budget_bytes=opts["response_budget_bytes"],
     )
-    marginals = {}
-    for t in cfg.compare["marginal_times"]:
-        try:
-            _, marginals[t] = dmft.dmft_marginal_samples(res, t, min(opts["n_paths"], 20000))
-        except ValueError:
-            pass
-    return res.table, marginals
+    draws = res.paths[:, : min(opts["n_paths"], 20000)]
+    return res.table, _marginals(res.table, [draws], cfg.compare["marginal_times"])
 
 
 def _run_linear(cfg: RunConfig):

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .kernels import KernelTable, time_index
+from .kernels import KernelTable
 from .model import ModelParams, component_rng
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
@@ -196,8 +196,8 @@ def _response_rows_paths(t, v, coeff, gamma, r_eta_raw_row):
 @dataclass
 class DmftResult:
     table: KernelTable
-    theta_paths: Optional[np.ndarray]  # (paths, steps+1) when retention is on; a view
-    theta_star: Optional[np.ndarray]
+    paths: np.ndarray  # (steps+1, paths): theta of every path at every step
+    theta_star: np.ndarray
     chol_clamped_steps: list = field(default_factory=list)
     chol_jitter_log: list = field(default_factory=list)
 
@@ -221,7 +221,6 @@ def solve_dmft(
     n_paths: int,
     seed: int,
     regularizer: Optional[SmoothHinge] = None,
-    retain_paths: bool = True,
     response_budget_bytes: int = _DEFAULT_RESPONSE_BUDGET,
     given_eta: Optional[KernelTable] = None,
 ) -> DmftResult:
@@ -369,8 +368,8 @@ def solve_dmft(
     )
     return DmftResult(
         table=table,
-        theta_paths=paths.T if retain_paths else None,
-        theta_star=theta_star if retain_paths else None,
+        paths=paths,
+        theta_star=theta_star,
         chol_clamped_steps=chol.clamped_steps,
         chol_jitter_log=chol.jitter_log,
     )
@@ -448,19 +447,6 @@ def linear_gaussian_dmft(
         r_eta_star=eta.r_eta_star(),
         alpha=np.zeros((T + 1, 0)),
     )
-
-
-def dmft_marginal_samples(result: DmftResult, t: float, n: int):
-    """Retained ensemble draws (theta_star, theta^t) at grid time t."""
-    if result.theta_paths is None:
-        raise ValueError("path retention was disabled for this solve")
-    idx = time_index(result.table.times, t)
-    if idx is None:
-        raise ValueError(f"t={t} is not on the solver grid")
-    P = result.theta_paths.shape[0]
-    if n > P:
-        raise ValueError(f"requested {n} samples but the ensemble has {P}")
-    return result.theta_star[:n].copy(), result.theta_paths[:n, idx].copy()
 
 
 def eta_response_identity_residual(table: KernelTable) -> float:

@@ -60,17 +60,6 @@ class KernelTable:
     def n_times(self) -> int:
         return self.times.size
 
-    def r_theta_raw(self) -> np.ndarray:
-        """Per-step theta response of the producing discretization."""
-        if self.gamma == 0.0:
-            raise ValueError("raw responses are only defined for discretized sources")
-        return self.r_theta * self.gamma
-
-    def r_eta_raw(self) -> np.ndarray:
-        if self.gamma == 0.0:
-            raise ValueError("raw responses are only defined for discretized sources")
-        return self.r_eta * self.gamma
-
     def restrict(self, idx: np.ndarray) -> "KernelTable":
         idx = np.asarray(idx, dtype=int)
         sub = lambda grid: np.asarray(grid)[np.ix_(*[idx] * np.ndim(grid))]

@@ -66,8 +66,6 @@ class ModelInstance:
     eps: np.ndarray
     y: np.ndarray
     theta0: np.ndarray
-    seed: int
-    design: str = "gaussian"
 
     @property
     def n(self) -> int:
@@ -113,6 +111,4 @@ def sample_instance(
 
     theta0 = prior.theta0.sample(prior, component_rng(seed, _STREAM_THETA0), d, theta_star)
 
-    return ModelInstance(
-        X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0, seed=int(seed), design=design
-    )
+    return ModelInstance(X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0)

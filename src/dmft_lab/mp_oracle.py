@@ -74,7 +74,6 @@ class MPLaw:
     nodes: np.ndarray
     weights: np.ndarray
     atom: float
-    edge_lo: float
     edge_hi: float
 
     def integrate(self, f) -> float:
@@ -119,7 +118,7 @@ def mp_quadrature(delta: float, n_nodes: int = 400) -> MPLaw:
     x = c + r * np.sin(phi)
     w = gw * (0.5 * np.pi) * delta * (r * np.cos(phi)) ** 2 / (2.0 * np.pi * x)
     atom = max(0.0, 1.0 - delta)
-    return MPLaw(delta=delta, nodes=x, weights=w, atom=atom, edge_lo=lo, edge_hi=hi)
+    return MPLaw(delta=delta, nodes=x, weights=w, atom=atom, edge_hi=hi)
 
 
 def _spectrum(oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
@@ -263,7 +262,6 @@ def finite_d_oracle(instance, oracle: OracleParams, t: float, s: float):
         nodes=evals,
         weights=np.full(evals.shape, 1.0 / evals.size),
         atom=0.0,
-        edge_lo=float(evals.min()),
         edge_hi=float(evals.max()),
     )
     c_ts, c_tstar, _ = corr_kernels(t, s, oracle, emp)

@@ -282,7 +282,7 @@ class ExpFamily(PriorFamily):
             if edge < 1e-12 * total:
                 return x, w, m
             half *= 1.5
-        raise RuntimeError("log-partition support expansion did not terminate")
+        raise ValueError(f"exp(sum_k alpha_k theta^k) does not normalize for alpha = {np.asarray(alpha).tolist()}")
 
     def log_partition(self, alpha) -> float:
         x, w, m = self._grid(alpha)

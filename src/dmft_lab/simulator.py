@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import KernelTable
+from .kernels import KernelTable, time_index
 from .model import ModelInstance, ModelParams, component_rng
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
@@ -174,18 +174,15 @@ def empirical_kernels(
 
 @dataclass
 class ResponseTraces:
-    """Normalized Jacobian-product response traces on a coarse time grid.
+    """Normalized Jacobian-product response traces between the response steps.
 
     Values are raw per-step responses: the theta-side base case (t = s+1)
     equals gamma exactly; divide by gamma for the density-unit kernels."""
 
-    times: np.ndarray
-    step_indices: np.ndarray
     r_theta: np.ndarray  # (m, m), entries for t > s
     r_eta: np.ndarray
-    r_theta_stderr: Optional[np.ndarray] = None
+    r_theta_stderr: Optional[np.ndarray] = None  # probe mode only
     r_eta_stderr: Optional[np.ndarray] = None
-    method: str = "exact-product"
 
 
 def _omega_matvec(w, X, gamma_beta, gamma_ds):
@@ -237,7 +234,7 @@ def response_traces(
                 pw = om**k
                 r_theta[a, b] = gamma * float(np.mean(pw))
                 r_eta[a, b] = delta * beta**2 * gamma * float(np.sum(evals * pw)) / n
-        return ResponseTraces(steps * gamma, steps, r_theta, r_eta, method=method)
+        return ResponseTraces(r_theta, r_eta)
 
     if method == "exact-product":
         ds_at = lambda t: prior.family.dtheta_drift_s(
@@ -256,7 +253,7 @@ def response_traces(
                 if t == steps[-1]:
                     break
                 P = _omega_matvec(P, X, gamma * beta, gamma * ds_at(t))
-        return ResponseTraces(steps * gamma, steps, r_theta, r_eta, method=method)
+        return ResponseTraces(r_theta, r_eta)
 
     rng = component_rng(seed, _STREAM_PROBES)
     for b in range(m):
@@ -283,28 +280,17 @@ def response_traces(
                 ds = prior.family.dtheta_drift_s(trajectory.theta_path[t], trajectory.alpha_path[t])
             w_theta = _omega_matvec(w_theta, X, gamma * beta, gamma * ds)
             w_eta = _omega_matvec(w_eta, X, gamma * beta, gamma * ds)
-    return ResponseTraces(steps * gamma, steps, r_theta, r_eta, r_theta_se, r_eta_se, method=method)
+    return ResponseTraces(r_theta, r_eta, r_theta_se, r_eta_se)
 
 
-def average_response_traces(traces: list[ResponseTraces]) -> ResponseTraces:
-    """Replica-average of response traces (fixed merge order)."""
-    base = traces[0]
-    rt = np.mean([tr.r_theta for tr in traces], axis=0)
-    re = np.mean([tr.r_eta for tr in traces], axis=0)
-    return ResponseTraces(base.times, base.step_indices, rt, re, method=base.method)
-
-
-def attach_response(table: KernelTable, traces: ResponseTraces) -> KernelTable:
-    """Fill a simulator kernel table's response grids (density units)."""
-    pos = {int(k): i for i, k in enumerate(np.rint(table.times / table.gamma))}
-    for a, ka in enumerate(traces.step_indices):
-        for b, kb in enumerate(traces.step_indices):
-            if b >= a or np.isnan(traces.r_theta[a, b]):
-                continue
-            i, j = pos[int(ka)], pos[int(kb)]
-            table.r_theta[i, j] = traces.r_theta[a, b] / table.gamma
-            table.r_eta[i, j] = traces.r_eta[a, b] / table.gamma
-    return table
+def fill_response(table: KernelTable, traces: list[ResponseTraces], step_indices) -> None:
+    """Write the replica mean of response traces taken between `step_indices`
+    into a simulator table's response grids, in density units."""
+    rows = np.array([time_index(table.times, table.gamma * k) for k in sorted(set(step_indices))])
+    below = np.tril_indices(rows.size, -1)
+    for name in ("r_theta", "r_eta"):
+        mean = np.mean([getattr(tr, name) for tr in traces], axis=0)
+        getattr(table, name)[rows[below[0]], rows[below[1]]] = mean[below] / table.gamma
 
 
 def wasserstein2_1d(samples_a, samples_b) -> float:

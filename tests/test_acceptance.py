@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from dmft_lab import cli, dmft, equilibrium, mp_oracle, simulator
+from dmft_lab.kernels import time_index
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.priors import GaussianFixed, GaussianLocation, PriorSpec
 
@@ -63,8 +64,8 @@ def sim_pack():
         trajs.append(simulator.evolve(inst, prior, params, seed=SIM_SEED * 1000 + r, retain_every=10))
         traces.append(simulator.response_traces(None, inst, prior, params, steps))
     table = simulator.empirical_kernels(trajs, instances, params)
-    resp = simulator.average_response_traces(traces)
-    return params, prior, table, resp, trajs
+    simulator.fill_response(table, traces, steps)
+    return params, prior, table, trajs
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +213,7 @@ def test_criterion_03_mc_dmft_vs_linear(mc_result, linear_table):
 
 def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
     oracle, law = oracle_pack
-    params, prior, table, resp, _ = sim_pack
+    params, prior, table, _ = sim_pack
     idx = _coarse_idx(table.times, SIM_GRID)
     errs = dict.fromkeys(("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta"), 0.0)
     for a, t in zip(idx, SIM_GRID):
@@ -225,15 +226,13 @@ def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
             cts, _, ce = mp_oracle.corr_kernels(t, s, oracle, law)
             errs["c_theta"] = max(errs["c_theta"], abs(table.c_theta[a, b] - cts))
             errs["c_eta"] = max(errs["c_eta"], abs(table.c_eta[a, b] - ce))
-    for a, t in enumerate(SIM_GRID):
-        for b, s in enumerate(SIM_GRID):
+    for a, t in zip(idx, SIM_GRID):
+        for b, s in zip(idx, SIM_GRID):
             if s >= t:
                 continue
             al, be, _ = mp_oracle.resp_kernels(t - s, oracle, law)
-            errs["r_theta"] = max(errs["r_theta"], abs(resp.r_theta[a, b] / GAMMA - al))
-            errs["r_eta"] = max(
-                errs["r_eta"], abs(resp.r_eta[a, b] / GAMMA - (-(DELTA / SIGMA2) * be))
-            )
+            errs["r_theta"] = max(errs["r_theta"], abs(table.r_theta[a, b] - al))
+            errs["r_eta"] = max(errs["r_eta"], abs(table.r_eta[a, b] - (-(DELTA / SIGMA2) * be)))
     worst = max(errs.values())
     detail = "  ".join(f"{k}={v:.4f}" for k, v in errs.items())
     _line(4, worst <= 0.05, f"d=400, 20 replicas vs oracle: {detail}")
@@ -245,10 +244,10 @@ def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
 
 def test_criterion_05_response_identities(mc_result, sim_pack):
     tab = mc_result.table
-    raw = tab.r_theta_raw()
+    raw = tab.r_theta * tab.gamma
     base_dev = max(abs(raw[t, t - 1] - GAMMA) for t in range(1, tab.n_times))
     eta_dev = dmft.eta_response_identity_residual(tab)
-    params, prior, _, _, _ = sim_pack
+    params, prior, _, _ = sim_pack
     inst = sample_instance(params, prior, seed=SIM_SEED * 1000)
     sim_dev = 0.0
     for s in (0, 100, 199):
@@ -350,16 +349,17 @@ def test_criterion_09_long_time_handoff(oracle_pack):
 
 
 def test_criterion_10_marginal_w2(sim_pack, adaptive_pack, mc_result):
-    _, _, _, _, trajs = sim_pack
+    _, _, _, trajs = sim_pack
     idx = int(np.argmin(np.abs(trajs[0].times - 1.0)))
     pooled = np.concatenate([tr.theta_path[idx] for tr in trajs])
-    _, ens = dmft.dmft_marginal_samples(mc_result, 1.0, N_PATHS)
+    idx_mc = time_index(mc_result.table.times, 1.0)
+    ens = mc_result.paths[idx_mc]
     a, b = simulator.resample_to_common_size(pooled, ens)
     w2_gauss = simulator.wasserstein2_1d(a, b)
 
     _, _, _, trajs_loc, res_loc = adaptive_pack
     pooled_loc = np.concatenate([tr.theta_path[idx] for tr in trajs_loc])
-    _, ens_loc = dmft.dmft_marginal_samples(res_loc, 1.0, N_PATHS)
+    ens_loc = res_loc.paths[idx_mc]
     a, b = simulator.resample_to_common_size(pooled_loc, ens_loc)
     w2_loc = simulator.wasserstein2_1d(a, b)
     ok = w2_gauss <= 0.05 and w2_loc <= 0.05

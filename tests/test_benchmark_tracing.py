@@ -1,0 +1,53 @@
+"""The benchmark's tracer installs against the package and its count hooks fire.
+
+`benchmark/tracing.py` wraps package functions by name and reads result fields
+(`DmftResult.chol_clamped_steps`, `EquilibriumSolution.residual_trace`, ...),
+so a rename in `src/` that breaks the benchmark's traced run fails here first.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from dmft_lab import cli
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_path):
+    tracing = _tracing()
+    tracer = tracing.Tracer("test")
+    mixture = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [4.0, 4.0],
+               "alpha0": [-0.5, 0.5], "alpha_star": [-1.0, 1.0]}
+    compare = {
+        "pipeline": "compare", "seed": 11, "prior": mixture, "replicas": 2, "n_paths": 200, "retain_every": 2,
+        "model": {"n": 60, "d": 30, "sigma2": 1.0, "beta": 1.0, "gamma": 0.05, "horizon": 0.5},
+        "compare": {"sources": ["simulate", "dmft"], "marginal_times": [0.5], "tolerances": {"alpha": 10.0, "w2": 10.0}},
+    }
+    exp_family = {
+        "pipeline": "equilibrium",
+        "equilibrium": {
+            "g_star": {"family": "exp_family", "powers": [2, 4], "alpha0": [-0.5, -0.1]},
+            "delta": 2.0, "sigma2": 1.0, "n_gh": 2, "tol": 1e-6,
+        },
+    }
+    tracing.install(tracer)
+    try:
+        assert cli.run(compare, out=str(tmp_path / "compare")) == 0
+        assert cli.run(exp_family, out=str(tmp_path / "eq")) == 0
+    finally:
+        tracer.uninstall()
+    T, P = 10, 200
+    assert tracer.counts["dmft.corr_row_entries"] == P * (T + 1) * (T + 2) // 2
+    assert tracer.counts["simulator.coord_steps"] == 2 * T * 30
+    sweeps = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())["sweeps"]
+    assert tracer.counts["equilibrium.sweeps"] == sweeps > 0
+    assert tracer.layer_totals()["cli.run.calls"] == 2
+    assert not hasattr(cli.run, "__wrapped__")  # uninstalled

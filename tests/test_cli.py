@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmft_lab import cli
+from dmft_lab import cli, simulator
 from dmft_lab.cli import ConfigError, compare_artifacts, load_artifact, load_config, run
+from dmft_lab.model import sample_instance
 
 SMALL_MODEL = {"n": 60, "d": 30, "sigma2": 1.0, "beta": 1.0, "gamma": 0.05, "horizon": 0.5}
 
@@ -242,6 +243,27 @@ def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
         assert np.all(np.isfinite(np.tril(table.r_theta[np.ix_([0, 2, 4], [0, 2, 4])], k=-1)))
 
 
+@pytest.mark.parametrize("method", simulator.RESPONSE_METHODS)
+def test_response_csv_is_the_replica_mean_over_gamma(tmp_path, method):
+    steps = [0, 4, 10]
+    cfg = small_config("response", out=str(tmp_path / "r"), response_steps=steps, response_method=method, n_probes=8)
+    assert run(cfg) == 0
+    table, _ = load_artifact(tmp_path / "r")
+    c = load_config(cfg)
+    traces = []
+    for r in range(c.opts["replicas"]):
+        rs = c.opts["seed"] * 1000 + r
+        inst = sample_instance(c.model, c.prior, seed=rs)
+        traces.append(simulator.response_traces(None, inst, c.prior, c.model, steps, method=method, n_probes=8, seed=rs))
+    rows = [k // c.opts["retain_every"] for k in steps]
+    below = np.tril(np.ones((len(steps),) * 2, dtype=bool), k=-1)
+    for name in ("r_theta", "r_eta"):
+        want = np.mean([getattr(tr, name) for tr in traces], axis=0) / c.model.gamma_step
+        grid = getattr(table, name)
+        assert np.array_equal(grid[np.ix_(rows, rows)][below], want[below])
+        assert np.count_nonzero(~np.isnan(grid)) == below.sum()  # nothing off the response steps
+
+
 # ------------------------------------------------------------- strict config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -448,6 +470,15 @@ def _equilibrium(**values):
         # bytes are the text of a config file, read by both `main` and `run`
         (b"[]", None, "config: must be a JSON object, got array"),
         (b'{"pipeline": "simulate",', None, "config: cannot read"),
+        # exp_family densities that do not normalize: the zero default, a positive top coefficient
+        (_equilibrium(g_star={"family": "exp_family", "powers": [2, 4]}), None,
+         "equilibrium.g_star: exp(sum_k alpha_k theta^k) does not normalize for alpha = [0.0, 0.0]"),
+        (_equilibrium(g={"family": "exp_family", "powers": [2, 4], "alpha0": [-0.5, 0.1]}), None,
+         "equilibrium.g: exp(sum_k alpha_k theta^k) does not normalize for alpha = [-0.5, 0.1]"),
+        (small_config("simulate", prior={"family": "exp_family", "powers": [2, 4]}), None,
+         "prior: exp(sum_k alpha_k theta^k) does not normalize for alpha = [0.0, 0.0]"),
+        (small_config("simulate", prior={"family": "exp_family", "powers": [2], "alpha0": [-0.5], "alpha_star": [0.5]}),
+         None, "prior: exp(sum_k alpha_k theta^k) does not normalize for alpha = [0.5]"),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):

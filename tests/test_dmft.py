@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import dmft_lab
+from dmft_lab import cli
 from dmft_lab.dmft import (
     CholeskyExtender,
     IllConditionedKernelError,
     MemoryBudgetError,
-    dmft_marginal_samples,
     eta_response_identity_residual,
     linear_gaussian_dmft,
     propagate_eta,
@@ -171,7 +171,7 @@ def test_solver_initial_law_zero(small_solution):
 
 def test_solver_response_base_case_exact(small_solution):
     params, _, res = small_solution
-    raw = res.table.r_theta_raw()
+    raw = res.table.r_theta * res.table.gamma
     for t in range(1, params.n_steps + 1):
         assert raw[t, t - 1] == params.gamma_step
 
@@ -186,7 +186,7 @@ def test_solver_deterministic(small_solution):
     res2 = solve_dmft(params, prior, n_paths=2000, seed=11)
     assert np.array_equal(res.table.c_theta, res2.table.c_theta)
     assert np.array_equal(res.table.c_eta, res2.table.c_eta)
-    assert np.array_equal(res.theta_paths, res2.theta_paths)
+    assert np.array_equal(res.paths, res2.paths)
 
 
 def test_solver_against_linear_engine(small_solution):
@@ -204,15 +204,10 @@ def test_solver_against_linear_engine(small_solution):
 
 def test_marginal_samples_contract(small_solution):
     params, _, res = small_solution
-    star, th = dmft_marginal_samples(res, 0.0, 500)
-    assert np.all(th == 0.0)
-    with pytest.raises(ValueError):
-        dmft_marginal_samples(res, 0.0, 10**7)
-    with pytest.raises(ValueError):
-        dmft_marginal_samples(res, params.gamma_step / 3, 10)
-    res_no = solve_dmft(params, PriorSpec(GaussianFixed(1.0)), 200, seed=1, retain_paths=False)
-    with pytest.raises(ValueError):
-        dmft_marginal_samples(res_no, 0.0, 10)
+    draws = cli._marginals(res.table, [res.paths[:, :500]], [0.0, params.gamma_step / 3])
+    assert list(draws) == [0.0]  # the off-grid time has no draws
+    assert draws[0.0].shape == (500,)
+    assert np.all(draws[0.0] == 0.0)
 
 
 def test_fixed_point_replay(small_solution):
@@ -248,7 +243,7 @@ def test_mixture_prior_runs_per_path_responses():
         theta0=Theta0Spec("prior"),
     )
     res = solve_dmft(params, prior, n_paths=500, seed=3)
-    raw = res.table.r_theta_raw()
+    raw = res.table.r_theta * res.table.gamma
     for t in range(1, params.n_steps + 1):
         assert raw[t, t - 1] == params.gamma_step  # base case survives float32
     assert eta_response_identity_residual(res.table) <= 1e-12
@@ -258,7 +253,7 @@ def test_mixture_prior_runs_per_path_responses():
 def test_correlation_stderr_matches_two_pass_std(small_solution):
     # The solver's one-pass E[p^2] - E[p]^2 against np.std of the products.
     _, _, res = small_solution
-    paths = res.theta_paths
+    paths = res.paths.T
     se = res.table.stderr["c_theta"]
     for t in range(paths.shape[1]):
         prods = paths[:, : t + 1] * paths[:, t : t + 1]
@@ -308,7 +303,7 @@ res = solve_dmft(params, prior, n_paths=n_paths, seed=5)
 t = res.table
 arrays = {k: getattr(t, k) for k in ("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta", "r_eta_star", "alpha")}
 arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
-np.savez(sys.argv[2], theta_paths=res.theta_paths, theta_star=res.theta_star, **arrays)
+np.savez(sys.argv[2], paths=res.paths, theta_star=res.theta_star, **arrays)
 """
 
 # The oracle's node sums: 10,000 nodes by 61 times would put a node-axis GEMV
@@ -319,7 +314,7 @@ import numpy as np
 from dmft_lab.mp_oracle import MPLaw, OracleParams, corr_kernels, resp_kernels
 
 x = np.linspace(0.1, 5.8, 10000)
-law = MPLaw(delta=2.0, nodes=x, weights=np.full(x.size, 1e-4), atom=0.0, edge_lo=x[0], edge_hi=x[-1])
+law = MPLaw(delta=2.0, nodes=x, weights=np.full(x.size, 1e-4), atom=0.0, edge_hi=x[-1])
 oracle = OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
 s = 0.01 * np.arange(61)
 arrays = dict(zip(("c_theta", "c_theta_star", "c_eta"), corr_kernels(s[-1], s, oracle, law)))

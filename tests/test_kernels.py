@@ -47,7 +47,8 @@ def simulate_response_table():
     traj = simulator.evolve(inst, prior, SMALL, seed=5, retain_every=2)
     table = simulator.empirical_kernels([traj], inst, SMALL)
     traces = simulator.response_traces(None, inst, prior, SMALL, [0, 4, 8])
-    return simulator.attach_response(table, simulator.average_response_traces([traces]))
+    simulator.fill_response(table, [traces], [0, 4, 8])
+    return table
 
 
 @pytest.mark.parametrize("make", [linear_table_with_stderr, mixture_dmft_table, simulate_response_table])

@@ -177,7 +177,7 @@ def test_finite_d_oracle_zero_time(default_oracle, rng):
     X = rng.normal(0.0, 1.0 / np.sqrt(10), size=(20, 10))
     inst = ModelInstance(
         X=X, theta_star=np.zeros(10), eps=np.zeros(20), y=np.zeros(20),
-        theta0=np.zeros(10), seed=0,
+        theta0=np.zeros(10),
     )
     cts, ctstar = finite_d_oracle(inst, default_oracle, 0.0, 0.0)
     assert cts == pytest.approx(0.0, abs=1e-14)
@@ -191,7 +191,7 @@ def test_finite_d_oracle_scalar_ou_vs_euler(default_oracle, rng):
     X = rng.normal(0.0, 1.0, size=(n, d))
     inst = ModelInstance(
         X=X, theta_star=np.zeros(d), eps=np.zeros(n), y=np.zeros(n),
-        theta0=np.zeros(d), seed=0,
+        theta0=np.zeros(d),
     )
     t_hi, t_lo = 0.5, 0.25
     cts, ctstar = finite_d_oracle(inst, default_oracle, t_hi, t_lo)

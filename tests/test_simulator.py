@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmft_lab.kernels import empty_table
 from dmft_lab.model import ModelInstance, ModelParams, component_rng, sample_instance
 from dmft_lab.priors import (
     GaussianFixed,
@@ -14,8 +15,8 @@ from dmft_lab.priors import (
 )
 from dmft_lab.simulator import (
     DivergenceError,
-    average_response_traces,
     empirical_kernels,
+    fill_response,
     evolve,
     resample_to_common_size,
     response_traces,
@@ -29,7 +30,7 @@ def manual_instance(X, y=None, theta0=None, theta_star=None, eps=None):
     eps = np.zeros(n) if eps is None else eps
     y = X @ theta_star + eps if y is None else y
     theta0 = np.zeros(d) if theta0 is None else theta0
-    return ModelInstance(X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0, seed=0)
+    return ModelInstance(X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0)
 
 
 def test_pure_brownian_path_exact():
@@ -235,8 +236,9 @@ def test_response_replica_average():
     for seed in (1, 2):
         inst = sample_instance(params, prior, seed=seed)
         traces.append(response_traces(None, inst, prior, params, [0, 5]))
-    avg = average_response_traces(traces)
-    assert avg.r_theta[1, 0] == pytest.approx(
+    table = empty_table(params.gamma_step * np.arange(params.n_steps + 1), params.gamma_step, "simulate")
+    fill_response(table, traces, [0, 5])
+    assert table.r_theta[5, 0] * params.gamma_step == pytest.approx(
         0.5 * (traces[0].r_theta[1, 0] + traces[1].r_theta[1, 0]), rel=1e-15
     )
 
