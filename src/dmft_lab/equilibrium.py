@@ -15,7 +15,10 @@ c_eta_tti(0) = delta/sigma2 - omega and c_eta_inf = omega^2 / omega_star:
     ymse_star = (sigma2^2 / delta) (c_eta_inf + 2 c_eta_tti(0)) - sigma2.
 
 Gaussian-mixture families use conjugate closed forms; discrete priors and
-exp-family densities (on their quadrature grid) use exact weighted-atom sums.
+exp-family densities (on their quadrature grid) use exact weighted-atom sums,
+32 channel outputs at a time. When an exp-family truth and an exp-family
+posterior share one uniform grid, the averages over the true channel use a
+kernel that depends only on the lag between grid points (`_shifted_sums`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .priors import ExpFamily, PriorFamily, SmoothHinge, logsumexp, softmax
 
@@ -50,19 +54,23 @@ def _prior_law(family, alpha, truth: bool = False):
     masses proportional to the prior mass of each node; any other family is a
     Gaussian mixture and gives ((weights, means, precisions), None). An
     exp-family density becomes the atoms of its quadrature grid (density times
-    cell width). For `truth` nodes that grid is thinned by the stride
-    n_grid // 512 (4097 points give 513 nodes), because truth nodes multiply
-    the rows of the posterior matrix.
+    cell width). For `truth` nodes that grid is thinned by `_truth_stride`
+    (4097 points give 513 nodes), because every truth node adds n_gh channel
+    outputs at which the posterior is summed over all atoms.
     """
     if isinstance(family, DiscretePrior):
         return None, (family.atoms, family.weights)
     if isinstance(family, ExpFamily):
         x, dens, _ = family._grid(alpha)
         if truth:
-            stride = max(1, x.size // 512)
+            stride = _truth_stride(x.size)
             x, dens = x[::stride], dens[::stride]
         return None, (x, dens * np.gradient(x))
     return family.components(alpha), None
+
+
+def _truth_stride(n_grid: int) -> int:
+    return max(1, n_grid // 512)
 
 
 _ROWS = 32  # rows of the posterior held at once; a multiple of 4 (see _atom_sums)
@@ -192,14 +200,80 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int):
     return tn[:, None], y, tw[:, None] * (w / w.sum())[None, :]
 
 
+def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
+    """z and the statistic sums of the posterior at y[i, k] = x[stride i] + c[k].
+
+    On the exactly uniform grid x, with spacing h, atom j weighs
+    (masses_j / max masses) exp(-omega ((stride i - j) h + c_k)^2 / 2): the
+    kernel depends only on the lag stride i - j, so each noise node takes one
+    exp per lag. The weights of output (i, k) are the window of that kernel
+    starting at lag index stride i, read against the reversed masses. The
+    einsum keeps the sums off BLAS, so their bits do not depend on its
+    threads. Returns z and the sums of each statistic, each (rows, c.size).
+    """
+    n = x.size
+    weights = masses / masses.max()
+    cols = np.ascontiguousarray(np.stack([weights] + [weights * s for s in stats])[:, ::-1])
+    lags = np.arange(1 - n, n) * (x[1] - x[0])
+    out = np.empty((len(cols), len(range(0, n, stride)), c.size))
+    for k, ck in enumerate(c):
+        kern = np.exp(-0.5 * omega * (lags + ck) ** 2)
+        out[:, :, k] = np.einsum("ij,qj->qi", sliding_window_view(kern, n)[::stride], cols)
+    return out[0], out[1:]
+
+
+_Z_FLOOR = np.exp(-600.0)  # a scaled z below this goes back to the log-space _atom_sums
+
+
+def _channel_posterior(kind: str, g_star, alpha_star, g, alpha, omega: float, omega_star: float, n_gh: int):
+    """The posterior under (g; omega) at each output of the true channel
+    (g_star; 1/omega_star).
+
+    Returns the theta_star column and the joint weights of `_true_channel`,
+    and per output: for `kind` "moments" the posterior mean and second moment
+    (last axis), for "log_marginal" log P_{g, omega}(y), for "grad_alpha" the
+    posterior mean of grad_alpha log g (last axis). These are the public
+    per-y functions at the outputs, unless g_star and g are exp families on
+    one exactly uniform grid; then `_shifted_sums` gives them, and only the
+    outputs whose scaled z falls below `_Z_FLOOR` take the per-y functions.
+    """
+    if kind == "moments":
+        per_y = lambda y: np.stack(posterior_moments(y, g, omega, alpha), axis=-1)
+        stats = lambda x: [x, x * x]
+    elif kind == "log_marginal":
+        per_y = lambda y: log_marginal(y, g, omega, alpha)
+        stats = lambda x: []
+    else:
+        per_y = lambda y: posterior_grad_alpha_mean(g, alpha, y, omega)
+        stats = lambda x: list(g.grad_alpha_log_g(x, alpha).T)
+    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
+    if not (isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily)):
+        return tn, w2d, per_y(y)
+    _, (x, masses) = _prior_law(g, alpha)
+    uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
+    if not (np.array_equal(g_star._grid(alpha_star)[0], x) and np.array_equal(x, uniform)):
+        return tn, w2d, per_y(y)
+    c = _hermite_rule(n_gh)[0] / np.sqrt(omega_star)
+    z, sums = _shifted_sums(x, masses, _truth_stride(x.size), c, omega, stats(x))
+    low = z < _Z_FLOOR
+    z[low] = 1.0  # no log(0) or 0/0: these outputs are replaced below
+    if kind == "log_marginal":
+        out = np.log(z) + np.log(masses.max() / masses.sum()) + 0.5 * np.log(omega / (2 * np.pi))
+    else:
+        out = np.moveaxis(sums / z, 0, -1)
+    if low.any():
+        out[low] = per_y(y[low])
+    return tn, w2d, out
+
+
 def mse_pair(g_star, g, omega: float, omega_star: float, alpha_star=None, alpha=None, n_gh: int = 64):
     """(mse, mse_star) of the two-prior scalar channel: truth (g_star; 1/omega_star),
     posterior under (g; omega). The posterior variance and the truth error are
     averaged over the true channel by tensorized quadrature (Gauss-Hermite in the noise)."""
     if omega <= 0 or omega_star <= 0:
         raise ValueError("channel precisions must be positive")
-    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
-    m1, m2 = posterior_moments(y, g, omega, alpha)
+    tn, w2d, post = _channel_posterior("moments", g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
+    m1, m2 = post[..., 0], post[..., 1]
     mse = float(np.sum(w2d * (m2 - m1**2)))
     mse_star = float(np.sum(w2d * (tn - m1) ** 2))
     return mse, mse_star
@@ -320,8 +394,8 @@ def free_energy(
     """
     if omega <= 0 or omega_star <= 0:
         raise ValueError("precisions must be positive")
-    _, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
-    e_logp = float(np.sum(w2d * log_marginal(y, g, omega, alpha)))
+    _, w2d, logp = _channel_posterior("log_marginal", g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
+    e_logp = float(np.sum(w2d * logp))
     s = 1.0 / sigma2
     bracket = (
         2 * delta
@@ -364,8 +438,9 @@ def grad_F(
     sol = solve_fixed_point(
         delta, sigma2, g_star, prior_family, alpha_star, alpha, n_gh=n_gh, with_free_energy=False
     )
-    _, y, w2d = _true_channel(g_star, alpha_star, sol.omega_star, n_gh)
-    gmean = posterior_grad_alpha_mean(prior_family, alpha, y, sol.omega)
+    _, w2d, gmean = _channel_posterior(
+        "grad_alpha", g_star, alpha_star, prior_family, alpha, sol.omega, sol.omega_star, n_gh
+    )
     out = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
     if regularizer is not None:
         out = out + regularizer.grad(alpha)

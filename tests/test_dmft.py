@@ -336,10 +336,29 @@ m1, m2 = posterior_moments(y, fam, 1.3, alpha)
 np.savez(sys.argv[2], m1=m1, m2=m2, log_marginal=log_marginal(y, fam, 1.3, alpha))
 """
 
-_SCRIPTS = {"oracle_rows": _ORACLE_ROWS_AND_SAVE, "equilibrium": _EQUILIBRIUM_AND_SAVE}
+# The exp-family fixed point: shift-invariant channel sums in every sweep.
+_FIXED_POINT_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab.equilibrium import solve_fixed_point
+from dmft_lab.priors import ExpFamily
+
+fam, alpha = ExpFamily([2, 4]), np.array([-0.5, -0.1])
+sol = solve_fixed_point(2.0, 1.0, fam, fam, alpha, alpha, n_gh=8)
+np.savez(
+    sys.argv[2], omega=sol.omega, omega_star=sol.omega_star, mse=sol.mse, mse_star=sol.mse_star,
+    free_energy=sol.free_energy, residual_trace=np.array(sol.residual_trace),
+)
+"""
+
+_SCRIPTS = {
+    "oracle_rows": _ORACLE_ROWS_AND_SAVE,
+    "equilibrium": _EQUILIBRIUM_AND_SAVE,
+    "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
+}
 
 
-@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows", "equilibrium"])
+@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows", "equilibrium", "exp_family_fixed_point"])
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])
     script = _SCRIPTS.get(case, _SOLVE_AND_SAVE)

@@ -310,3 +310,98 @@ def test_hermite_rule_is_cached_read_only():
         w[0] = 0.0
     want = np.polynomial.hermite_e.hermegauss(8)
     assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
+
+# ------------------------------------------------- shift-invariant channel sums
+
+
+def _per_y_channel(kind, g_star, alpha_star, g, alpha, omega, omega_star, n_gh):
+    """`_channel_posterior` from `_true_channel` and the public per-y functions only."""
+    tn, y, w2d = equilibrium._true_channel(g_star, alpha_star, omega_star, n_gh)
+    if kind == "moments":
+        return tn, w2d, np.stack(posterior_moments(y, g, omega, alpha), axis=-1)
+    if kind == "log_marginal":
+        return tn, w2d, log_marginal(y, g, omega, alpha)
+    return tn, w2d, posterior_grad_alpha_mean(g, alpha, y, omega)
+
+
+def _channel_values(g_star, alpha_star, g, alpha, omega, omega_star, n_gh):
+    """mse, mse_star, the free energy, and -E[grad_alpha log g] over the true
+    channel with the scale of its summands, at fixed precisions."""
+    mse, mse_star = mse_pair(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
+    fe = free_energy(omega, omega_star, g_star, g, 2.0, 1.0, alpha_star, alpha, n_gh)
+    _, w2d, gmean = equilibrium._channel_posterior(
+        "grad_alpha", g_star, alpha_star, g, alpha, omega, omega_star, n_gh
+    )
+    grad = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
+    scale = np.sum(w2d[..., None] * np.abs(gmean), axis=(0, 1))
+    return np.array([mse, mse_star, fe]), grad, scale
+
+
+SHIFTED_CASES = {
+    # case -> (g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
+    "matched_8": (*EXP_FAMILY, *EXP_FAMILY, 1.3, 1.1, 8),
+    "matched_64": (*EXP_FAMILY, *EXP_FAMILY, 1.3, 1.1, 64),
+    "other_alpha": (*EXP_FAMILY, ExpFamily([2, 4]), np.array([-0.6, -0.05]), 1.3, 1.1, 8),
+    # Outputs far in the tails of a narrow prior: their scaled z underflows.
+    "fallback": (ExpFamily([2]), np.array([-50.0]), ExpFamily([2]), np.array([-50.0]), 40.0, 40.0, 16),
+}
+
+
+@pytest.mark.parametrize("case", SHIFTED_CASES)
+def test_shifted_channel_sums_match_the_per_y_functions(monkeypatch, case):
+    args = SHIFTED_CASES[case]
+    g_star, alpha_star, g, alpha, _, _, n_gh = args
+    assert np.array_equal(g_star._grid(alpha_star)[0], g._grid(alpha)[0])  # the shifted path applies
+    rows = []
+    atom_sums = equilibrium._atom_sums
+    monkeypatch.setattr(equilibrium, "_atom_sums", lambda y, *a: rows.append(y.size) or atom_sums(y, *a))
+    values, grad, scale = _channel_values(*args)
+    fell_back = sum(rows) // 3  # three channel averages per _channel_values
+    assert (0 < fell_back < 513 * n_gh) if case == "fallback" else fell_back == 0
+    monkeypatch.setattr(equilibrium, "_channel_posterior", _per_y_channel)
+    want, want_grad, _ = _channel_values(*args)
+    assert np.all(np.abs(values - want) <= 1e-13 * np.abs(want))
+    # grad_alpha is near 0 in the matched case, so it is held to the scale of its summands.
+    assert np.all(np.abs(grad - want_grad) <= 1e-13 * scale)
+
+
+def test_grad_f_shifted_matches_the_per_y_functions(monkeypatch):
+    # Truth and posterior on one grid with different alpha: grad_F is O(1).
+    g_star, alpha_star, g, alpha, *_ = SHIFTED_CASES["other_alpha"]
+    got = grad_F(alpha, 2.0, 1.0, g_star, g, alpha_star, n_gh=8)
+    monkeypatch.setattr(equilibrium, "_channel_posterior", _per_y_channel)
+    want = grad_F(alpha, 2.0, 1.0, g_star, g, alpha_star, n_gh=8)
+    assert np.min(np.abs(want)) > 1e-3
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_grids_that_differ_keep_the_per_y_bits(monkeypatch):
+    # The flatter prior's support expands past L = 8, so the grids differ.
+    g_star, alpha_star = EXP_FAMILY
+    g, alpha = ExpFamily([2]), np.array([-0.02])
+    assert not np.array_equal(g_star._grid(alpha_star)[0], g._grid(alpha)[0])
+    args = (g_star, alpha_star, g, alpha, 1.3, 1.1, 8)
+    values, grad, _ = _channel_values(*args)
+    monkeypatch.setattr(equilibrium, "_channel_posterior", _per_y_channel)
+    want, want_grad, _ = _channel_values(*args)
+    assert values.tobytes() == want.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_matched_exp_family_takes_the_shifted_path(monkeypatch):
+    # No output of this channel falls back, so the row-blocked sums must not run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("_atom_sums reached")
+
+    monkeypatch.setattr(equilibrium, "_atom_sums", refuse)
+    fam, alpha = EXP_FAMILY
+    tracemalloc.start()
+    try:
+        mse, mse_star = mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=8)
+        fe = free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite([mse, mse_star, fe]).all()
+    assert peak < 8 * 2**20  # windows of one kernel: no (outputs, atoms) matrix
