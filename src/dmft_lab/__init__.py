@@ -3,7 +3,7 @@ linear models: direct simulation, discrete dynamical mean-field solver,
 Marcenko-Pastur closed forms, and equilibrium fixed points, with pipelines
 that cross-validate the four against each other."""
 
-from .kernels import KernelTable, compare_tables, grid_align, read_table_csv, write_table_csv
+from .kernels import KernelTable, compare_tables, read_table_csv, write_table_csv
 from .model import ModelInstance, ModelParams, sample_instance
 from .priors import (
     ExpFamily,
@@ -34,7 +34,6 @@ __all__ = [
     "gradient_map_G",
     "sample_instance",
     "compare_tables",
-    "grid_align",
     "read_table_csv",
     "write_table_csv",
 ]

@@ -31,7 +31,6 @@ from .kernels import (
     compare_tables,
     config_hash,
     read_table_csv,
-    restrict_to_times,
     time_index,
     write_table_csv,
 )
@@ -130,7 +129,11 @@ _TABLE = {
             lambda v: isinstance(v, list) and len(v) == 2 and all(s in _COMPARABLE for s in v),
             None,
         ),
-        "times": ("an array of numbers", lambda v: v is None or _array_of(_is_number)(v), None),
+        "times": (
+            "an array of numbers, non-empty and strictly increasing",
+            lambda v: v is None or _array_of(_is_number)(v) and v != [] and all(a < b for a, b in zip(v, v[1:])),
+            None,
+        ),
         "marginal_times": ("an array of numbers", _array_of(_is_number), (1.0,)),
     },
     "compare.tolerances": {
@@ -261,16 +264,17 @@ class RunConfig:
 
 
 def _compare_checks_something(cfg: RunConfig) -> None:
-    """Refuse, before any source runs, a compare whose times are off the grid
-    of a source or whose report would check nothing.
+    """Refuse, before any source runs, a compare whose report would check
+    nothing or whose times are off the grid of a source.
 
     Every compare time must lie on the step grid 0, gamma, ..., horizon, and
     on the retained grid (every `retain_every` steps) when `simulate` is a
-    source. A kernel is compared when both sources carry it on the compared
-    grid (the rule `compare_tables` applies): `simulate` has no `r_eta_star` and lag
-    responses only between two of its `response_steps`, and `alpha` needs two
-    Monte Carlo sources and an adaptive prior. A W2 check needs two Monte Carlo
-    sources and a marginal time on both grids.
+    source; without them `compare_tables` compares every time both sources
+    carry. A kernel is compared when both sources carry it at the compared
+    times: `simulate` has no `r_eta_star` and lag responses only between two
+    of its `response_steps`, and `alpha` needs two Monte Carlo sources and an
+    adaptive prior. A W2 check needs two Monte Carlo sources, and under a `w2`
+    tolerance every marginal time must lie on the same grid as compare times.
     """
     params, tol, sources, retain = cfg.model, cfg.compare["tolerances"], cfg.sources, cfg.opts["retain_every"]
     full = params.gamma_step * np.arange(params.n_steps + 1)
@@ -278,31 +282,29 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     simulate = "simulate" in sources
     monte_carlo = all(s in ("simulate", "dmft") for s in sources)
     coarse = any(s in ("simulate", "oracle") for s in sources)
+    on, every = (retained, retain) if simulate else (full, 1)
     times = cfg.compare.get("times")
-    if times is not None:
-        times = np.asarray(times, dtype=float)
-        on, every = (retained, retain) if simulate else (full, 1)
-        off = [t for t in times.tolist() if time_index(on, t) is None]
-        if off:
-            raise ConfigError(
-                f"compare.times: {off} not on the grid 0, {every * params.gamma_step:g}, ..., {on[-1]:g}"
-                + (f" that simulate retains (retain_every = {every})" if simulate else "")
-            )
-    grid = times if times is not None else (retained if coarse else full)
+    grid = np.asarray(times, dtype=float) if times is not None else (retained if coarse else full)
     lag_steps = {k for k in cfg.opts["response_steps"] if time_index(grid, params.gamma_step * k) is not None}
     lagged = grid.size >= 2 and (not simulate or len(lag_steps) >= 2)
     present = {"r_theta": lagged, "r_eta": lagged, "r_eta_star": not simulate}
     present["alpha"] = monte_carlo and cfg.prior.dim_alpha > 0
     kernels = [k for k in COMPARED_KERNELS if present.get(k, True)]
-    if any(tol.get(k, tol.get("default")) is not None for k in kernels):
-        return
-    marginal_grid = retained if simulate else full
-    w2 = monte_carlo and any(time_index(marginal_grid, t) is not None for t in cfg.compare["marginal_times"])
-    if tol.get("w2") is None or not w2:
+    marginal_times = cfg.compare["marginal_times"] if monte_carlo and tol.get("w2") is not None else []
+    if not any(tol.get(k, tol.get("default")) is not None for k in kernels) and not any(
+        time_index(on, t) is not None for t in marginal_times
+    ):
         raise ConfigError(
             "compare: no compared kernel and no W2 marginal has a tolerance "
             f"(compared {kernels}); set compare.tolerances"
         )
+    for key, given in (("compare.times", times or []), ("compare.marginal_times", marginal_times)):
+        off = [t for t in given if time_index(on, t) is None]
+        if off:
+            raise ConfigError(
+                f"{key}: {off} not on the grid 0, {every * params.gamma_step:g}, ..., {on[-1]:g}"
+                + (f" that simulate retains (retain_every = {every})" if simulate else "")
+            )
 
 
 def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
@@ -580,15 +582,12 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
 def _run_compare(cfg: RunConfig) -> dict:
     tables = []
     marginal_sets = []
-    compare_times = cfg.compare.get("times")
     for source in cfg.sources:
         table, marg = _SOURCES[source](cfg)
         tables.append(table)
         marginal_sets.append(marg)
         write_table_csv(table, cfg.out_dir / f"kernels_{table.source}.csv")
-    if compare_times:
-        tables = [restrict_to_times(t, compare_times) for t in tables]
-    report = compare_tables(tables[0], tables[1], cfg.compare["tolerances"])
+    report = compare_tables(tables[0], tables[1], cfg.compare["tolerances"], cfg.compare.get("times"))
     w2_tol = cfg.compare["tolerances"].get("w2")
     for t in cfg.compare["marginal_times"]:
         a = marginal_sets[0].get(t)

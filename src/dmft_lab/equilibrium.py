@@ -47,7 +47,7 @@ class DiscretePrior:
         self.weights = w / w.sum()
 
 
-def _prior_law(family, alpha, truth: bool = False):
+def _prior_law(family, alpha, truth: bool = False, grid=None):
     """The prior as Gaussian-mixture components or as weighted atoms.
 
     Returns (None, (nodes, masses)) for a discrete or exp-family prior, with
@@ -56,12 +56,13 @@ def _prior_law(family, alpha, truth: bool = False):
     exp-family density becomes the atoms of its quadrature grid (density times
     cell width). For `truth` nodes that grid is thinned by `_truth_stride`
     (4097 points give 513 nodes), because every truth node adds n_gh channel
-    outputs at which the posterior is summed over all atoms.
+    outputs at which the posterior is summed over all atoms. `grid` is the
+    exp family's `_grid(alpha)`, when the caller has built it already.
     """
     if isinstance(family, DiscretePrior):
         return None, (family.atoms, family.weights)
     if isinstance(family, ExpFamily):
-        x, dens, _ = family._grid(alpha)
+        x, dens, _ = family._grid(alpha) if grid is None else grid
         if truth:
             stride = _truth_stride(x.size)
             x, dens = x[::stride], dens[::stride]
@@ -181,13 +182,13 @@ def _hermite_rule(n_gh: int):
     return x, w
 
 
-def _true_channel(family, alpha, omega_star: float, n_gh: int):
+def _true_channel(family, alpha, omega_star: float, n_gh: int, grid=None):
     """Tensorized quadrature of the true channel (g_star; 1/omega_star).
 
     Returns the theta_star nodes as a column, the outputs y = theta_star + z
     (nodes by Gauss-Hermite noise nodes) and their joint weights. theta_star
     takes Gauss-Hermite nodes per mixture component or the prior's atoms."""
-    components, atoms = _prior_law(family, alpha, truth=True)
+    components, atoms = _prior_law(family, alpha, truth=True, grid=grid)
     x, w = _hermite_rule(n_gh)
     if atoms is None:
         pw, pm, pp = components
@@ -246,12 +247,16 @@ def _channel_posterior(kind: str, g_star, alpha_star, g, alpha, omega: float, om
     else:
         per_y = lambda y: posterior_grad_alpha_mean(g, alpha, y, omega)
         stats = lambda x: list(g.grad_alpha_log_g(x, alpha).T)
-    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
     if not (isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily)):
+        tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
         return tn, w2d, per_y(y)
-    _, (x, masses) = _prior_law(g, alpha)
+    # one grid per (family, alpha): the truth's, and the posterior's unless it is the same
+    star_grid = g_star._grid(alpha_star)
+    grid = star_grid if g is g_star and np.array_equal(alpha, alpha_star) else g._grid(alpha)
+    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh, star_grid)
+    _, (x, masses) = _prior_law(g, alpha, grid=grid)
     uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
-    if not (np.array_equal(g_star._grid(alpha_star)[0], x) and np.array_equal(x, uniform)):
+    if not (np.array_equal(star_grid[0], x) and np.array_equal(x, uniform)):
         return tn, w2d, per_y(y)
     c = _hermite_rule(n_gh)[0] / np.sqrt(omega_star)
     z, sums = _shifted_sums(x, masses, _truth_stride(x.size), c, omega, stats(x))

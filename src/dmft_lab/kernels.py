@@ -31,7 +31,7 @@ COMPARED_KERNELS = ("c_theta", "c_theta_star", "c_star_star", "c_eta", "r_theta"
 
 
 class GridAlignmentError(ValueError):
-    """Raised when two tables do not share a common grid refinement."""
+    """Raised when the compared times are not times that both tables carry."""
 
 
 @dataclass
@@ -145,60 +145,13 @@ def read_table_csv(path) -> KernelTable:
     return table
 
 
-# ---------------------------------------------------------- grid alignment
+# ------------------------------------------------------------ grid times
 
 
 def time_index(times: np.ndarray, t: float) -> Optional[int]:
     """Index of the grid time within 1e-9 of t, or None when t is off the grid."""
     idx = int(np.argmin(np.abs(times - t)))
     return None if abs(times[idx] - t) > 1e-9 else idx
-
-
-def restrict_to_times(table: KernelTable, times) -> KernelTable:
-    """Restrict a table to an explicit list of grid times (exact match)."""
-    idx = []
-    for t in np.asarray(times, dtype=float):
-        i = time_index(table.times, t)
-        if i is None:
-            raise GridAlignmentError(f"time {t} not on the table grid")
-        idx.append(i)
-    return table.restrict(np.asarray(idx))
-
-
-def _uniform_step(times: np.ndarray) -> float:
-    d = np.diff(times)
-    if d.size == 0:
-        return 0.0
-    if np.max(np.abs(d - d[0])) > 1e-9:
-        raise GridAlignmentError("non-uniform time grid")
-    return float(d[0])
-
-
-def grid_align(table_a: KernelTable, table_b: KernelTable):
-    """Restrict the finer-grid table to the coarser grid.
-
-    Requires one grid step to divide the other (within 1e-9); the common range
-    is the overlap of the two horizons.
-    """
-    sa, sb = _uniform_step(table_a.times), _uniform_step(table_b.times)
-    if sa == 0.0 or sb == 0.0:
-        if table_a.n_times != table_b.n_times or np.max(np.abs(table_a.times - table_b.times)) > 1e-9:
-            raise GridAlignmentError("degenerate grids must coincide")
-        return table_a, table_b
-    fine, coarse, swap = (table_a, table_b, False) if sa <= sb else (table_b, table_a, True)
-    sf, sc = min(sa, sb), max(sa, sb)
-    ratio = sc / sf
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise GridAlignmentError(f"incommensurate steps {sf} and {sc}")
-    ratio = int(round(ratio))
-    t_max = min(fine.times[-1], coarse.times[-1]) + 1e-12
-    idx_f = np.arange(0, fine.n_times, ratio)
-    idx_f = idx_f[fine.times[idx_f] <= t_max]
-    idx_c = np.arange(coarse.n_times)[coarse.times <= t_max]
-    fine_r, coarse_r = fine.restrict(idx_f), coarse.restrict(idx_c)
-    if np.max(np.abs(fine_r.times - coarse_r.times)) > 1e-9:
-        raise GridAlignmentError("aligned grids do not coincide")
-    return (fine_r, coarse_r) if not swap else (coarse_r, fine_r)
 
 
 # ------------------------------------------------------------- comparison
@@ -245,10 +198,27 @@ def compare_tables(
     table_a: KernelTable,
     table_b: KernelTable,
     tolerances: Optional[dict] = None,
+    times=None,
 ) -> CompareReport:
-    """Per-kernel max-abs and RMS discrepancies on the aligned common grid."""
+    """Per-kernel max-abs and RMS discrepancies at the compared times.
+
+    These are `times`, strictly increasing and each on both grids (within
+    1e-9), or by default every time of `table_a` that `table_b` also carries.
+    """
     tolerances = tolerances or {}
-    a, b = grid_align(table_a, table_b)
+    if times is None:
+        times = [t for t in table_a.times if time_index(table_b.times, t) is not None]
+        if not times:
+            raise GridAlignmentError("the tables share no time")
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or np.any(np.diff(times) <= 0):
+        raise GridAlignmentError(f"compared times must be non-empty and strictly increasing, got {times.tolist()}")
+    idx = [(time_index(table_a.times, t), time_index(table_b.times, t)) for t in times]
+    off = [t for t, pair in zip(times.tolist(), idx) if None in pair]
+    if off:
+        raise GridAlignmentError(f"times {off} are not on both grids")
+    ia, ib = zip(*idx)
+    a, b = table_a.restrict(ia), table_b.restrict(ib)
     strict_lower = np.tril(np.ones((a.n_times,) * 2, dtype=bool), k=-1)
     out, passed = [], True
     for name in COMPARED_KERNELS:

@@ -38,10 +38,16 @@ def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_
             "delta": 2.0, "sigma2": 1.0, "n_gh": 2, "tol": 1e-6,
         },
     }
+    # the oracle-grid workload's path: two written tables, then cli.compare_artifacts
+    gaussian = dict(compare, prior={"family": "gaussian_fixed", "lam": 1.0}, retain_every=1)
+    del gaussian["compare"]
+    for pipeline in ("oracle", "dmft-linear"):
+        assert cli.run(dict(gaussian, pipeline=pipeline), out=str(tmp_path / pipeline)) == 0
     tracing.install(tracer)
     try:
         assert cli.run(compare, out=str(tmp_path / "compare")) == 0
         assert cli.run(exp_family, out=str(tmp_path / "eq")) == 0
+        report = cli.compare_artifacts(tmp_path / "oracle", tmp_path / "dmft-linear", {"default": 1.0})
     finally:
         tracer.uninstall()
     T, P = 10, 200
@@ -49,5 +55,9 @@ def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_
     assert tracer.counts["simulator.coord_steps"] == 2 * T * 30
     sweeps = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())["sweeps"]
     assert tracer.counts["equilibrium.sweeps"] == sweeps > 0
-    assert tracer.layer_totals()["cli.run.calls"] == 2
+    totals = tracer.layer_totals()
+    assert totals["cli.run.calls"] == 2
+    assert totals["cli.compare_artifacts.calls"] == 1
+    assert totals["kernels.compare_tables.calls"] == 2  # the compare run's and compare_artifacts'
+    assert next(k for k in report.discrepancies if k.kernel == "c_theta").n_entries == (T + 1) ** 2
     assert not hasattr(cli.run, "__wrapped__")  # uninstalled

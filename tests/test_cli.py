@@ -129,6 +129,15 @@ def test_compare_oracle_vs_linear(tmp_path):
     assert run(cfg) == 1
 
 
+def test_compare_at_uneven_times_writes_a_report(tmp_path):
+    # the compared times need not be evenly spaced; each is compared on both grids
+    compare = dict(ORACLE_COMPARE, times=[0.0, 0.1, 0.45], tolerances={"default": 1.0})
+    assert run(small_config("compare", out=str(tmp_path), compare=compare, retain_every=1)) == 0
+    kernels = {k["kernel"]: k for k in json.loads((tmp_path / "report.json").read_text())["kernels"]}
+    assert kernels["r_theta"]["n_entries"] == 3
+    assert kernels["c_theta"]["n_entries"] == 9
+
+
 def test_compare_simulate_vs_dmft_with_w2(tmp_path):
     out = tmp_path / "w2"
     cfg = small_config(
@@ -367,6 +376,8 @@ def test_compare_with_only_a_w2_check(tmp_path):
     assert not (tmp_path / "off").exists()
 
 
+LOCATION = {"family": "gaussian_location", "alpha0": [0.0]}
+W2_COMPARE = {"sources": ["simulate", "dmft"], "tolerances": {"alpha": 10.0, "w2": 1e-9}}
 MIXTURE = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [1.0, 3.0], "alpha0": [-1.0, 1.0]}
 EQUILIBRIUM = {"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0}
 
@@ -479,6 +490,23 @@ def _equilibrium(**values):
          "prior: exp(sum_k alpha_k theta^k) does not normalize for alpha = [0.0, 0.0]"),
         (small_config("simulate", prior={"family": "exp_family", "powers": [2], "alpha0": [-0.5], "alpha_star": [0.5]}),
          None, "prior: exp(sum_k alpha_k theta^k) does not normalize for alpha = [0.5]"),
+        # compare times that are empty, decreasing or repeated
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["dmft-linear", "dmft"], times=[])), None,
+         "compare.times: must be an array of numbers, non-empty and strictly increasing, got []"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, times=[0.5, 0.0])), None,
+         "compare.times: must be an array of numbers, non-empty and strictly increasing, got [0.5, 0.0]"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, times=[0.25, 0.25])), None,
+         "compare.times: must be an array of numbers, non-empty and strictly increasing, got [0.25, 0.25]"),
+        # under a w2 tolerance every marginal time is checked, also beside a kernel tolerance
+        (small_config("compare", prior=LOCATION, compare=dict(W2_COMPARE, marginal_times=[0.55])), None,
+         "compare.marginal_times: [0.55] not on the grid 0, 0.1, ..., 0.5 that simulate retains (retain_every = 2)"),
+        (
+            small_config(
+                "compare", prior=LOCATION, compare=dict(W2_COMPARE, sources=["dmft", "dmft"], marginal_times=[0.5, 0.33])
+            ),
+            None,
+            "compare.marginal_times: [0.33] not on the grid 0, 0.05, ..., 0.5",
+        ),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):
@@ -538,8 +566,6 @@ def test_sigma2_sweep_uses_the_configured_tol(tmp_path):
     for name in ("omega", "omega_star", "mse", "mse_star", "ymse", "free_energy"):
         assert row[name] == sol[name]
 
-
-LOCATION = {"family": "gaussian_location", "alpha0": [0.0]}
 
 # (compare section, other config keys, whether the report checks anything);
 # small_config's grids: dmft every 0.05, simulate and oracle every 0.1.

@@ -17,7 +17,7 @@ from dmft_lab.dmft import (
     propagate_eta,
     solve_dmft,
 )
-from dmft_lab.kernels import restrict_to_times
+from dmft_lab.kernels import time_index
 from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import corr_kernels, resp_kernels
 from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec, Theta0Spec
@@ -396,7 +396,8 @@ def test_gamma_refinement_monotone(default_oracle, default_law):
     errs = []
     for gamma in (0.04, 0.02, 0.01):
         params = ModelParams(n=200, d=100, sigma2=1.0, beta=1.0, gamma_step=gamma, horizon=0.8)
-        tab = restrict_to_times(linear_gaussian_dmft(params, 1.0, 1.0), times)
+        tab = linear_gaussian_dmft(params, 1.0, 1.0)
+        tab = tab.restrict([time_index(tab.times, t) for t in times])
         worst = 0.0
         for i, t in enumerate(times):
             for j, s in enumerate(times):

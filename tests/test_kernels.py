@@ -8,9 +8,7 @@ from dmft_lab.kernels import (
     GridAlignmentError,
     compare_tables,
     empty_table,
-    grid_align,
     read_table_csv,
-    restrict_to_times,
     write_table_csv,
 )
 from dmft_lab.model import ModelParams, sample_instance
@@ -82,30 +80,64 @@ def test_round_trip_preserves_nan_holes(tmp_path):
     assert np.isnan(back.c_star_star)
 
 
-def test_grid_align_restricts_fine_to_coarse():
+def _compared_at(table_a, table_b, idx_a, idx_b, **kwargs):
+    """The report of comparing the two tables, asserted equal to the report on
+    their restrictions to the given rows; returns the compared times."""
+    report = compare_tables(table_a, table_b, **kwargs).to_dict()
+    a, b = table_a.restrict(idx_a), table_b.restrict(idx_b)
+    assert np.allclose(a.times, b.times, rtol=0, atol=1e-12)
+    assert report == compare_tables(a, b).to_dict()
+    c_theta = next(k for k in report["kernels"] if k["kernel"] == "c_theta")
+    assert c_theta["n_entries"] == a.n_times**2
+    assert c_theta["max_abs"] == np.max(np.abs(a.c_theta - b.c_theta))
+    return a.times
+
+
+def test_compare_tables_restricts_fine_to_coarse():
     fine, coarse = table_for(0.01), table_for(0.02)
-    a, b = grid_align(fine, coarse)
-    assert np.array_equal(a.times, b.times)
-    assert a.times[1] == pytest.approx(0.02)
-    # identical grids pass through unchanged
-    c, d = grid_align(coarse, coarse)
-    assert np.array_equal(c.times, coarse.times)
+    times = _compared_at(fine, coarse, np.arange(0, 41, 2), np.arange(21))
+    assert times[1] == pytest.approx(0.02)
+    # identical grids are compared at every time
+    assert np.array_equal(_compared_at(coarse, coarse, np.arange(21), np.arange(21)), coarse.times)
 
 
-def test_grid_align_divisibility_rule():
-    a, b = grid_align(table_for(0.01), table_for(0.03, horizon=0.39))
-    assert a.times[1] == pytest.approx(0.03)
-    with pytest.raises(GridAlignmentError):
-        grid_align(table_for(0.02), table_for(0.03, horizon=0.39))
+def test_compare_tables_compares_the_shared_times():
+    # 0.03 divides into 0.01 steps: the 0.03 grid up to the shorter horizon
+    times = _compared_at(table_for(0.01), table_for(0.03, horizon=0.39), np.arange(0, 40, 3), np.arange(14))
+    assert times[1] == pytest.approx(0.03)
+    # incommensurate steps share every 0.06 up to the shorter horizon
+    times = _compared_at(table_for(0.02), table_for(0.03, horizon=0.39), np.arange(0, 19, 3), np.arange(0, 13, 2))
+    assert np.allclose(times, 0.06 * np.arange(7))
 
 
-def test_restrict_to_times_exact_match():
+def test_compare_tables_at_explicit_times():
     table = table_for(0.02)
-    sub = restrict_to_times(table, [0.0, 0.1, 0.2])
-    assert np.allclose(sub.times, [0.0, 0.1, 0.2])
-    assert sub.c_theta[2, 1] == table.c_theta[10, 5]
+    times = _compared_at(table_for(0.01), table, [0, 10, 20], [0, 5, 10], times=[0.0, 0.1, 0.2])
+    assert np.allclose(times, [0.0, 0.1, 0.2])
     with pytest.raises(GridAlignmentError):
-        restrict_to_times(table, [0.005])
+        compare_tables(table, table, times=[0.005])
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        [0.0, 0.04],  # off the 0.03 grid
+        [0.0, 0.03],  # off the 0.02 grid
+        [0.0, 0.42],  # beyond the 0.02 grid's horizon
+        [],
+        [0.06, 0.0],
+        [0.06, 0.06],
+    ],
+)
+def test_compare_tables_refuses_times_not_on_both_grids(times):
+    with pytest.raises(GridAlignmentError):
+        compare_tables(table_for(0.02), table_for(0.03, horizon=0.42), times=times)
+
+
+def test_compare_tables_refuses_tables_that_share_no_time():
+    a, b = empty_table([0.0, 0.1], 0.1, "x"), empty_table([0.05, 0.15], 0.1, "y")
+    with pytest.raises(GridAlignmentError, match="share no time"):
+        compare_tables(a, b)
 
 
 def test_compare_tables_self_is_zero():
