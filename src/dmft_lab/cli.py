@@ -273,7 +273,8 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     carry. A kernel is compared when both sources carry it at the compared
     times: `simulate` has no `r_eta_star` and lag responses only between two
     of its `response_steps`, and `alpha` needs two Monte Carlo sources and an
-    adaptive prior. A W2 check needs two Monte Carlo sources, and under a `w2`
+    adaptive prior. A W2 check needs two Monte Carlo sources, so a `w2`
+    tolerance beside a closed-form source is refused, and under a `w2`
     tolerance every marginal time must lie on the same grid as compare times.
     """
     params, tol, sources, retain = cfg.model, cfg.compare["tolerances"], cfg.sources, cfg.opts["retain_every"]
@@ -298,6 +299,8 @@ def _compare_checks_something(cfg: RunConfig) -> None:
             "compare: no compared kernel and no W2 marginal has a tolerance "
             f"(compared {kernels}); set compare.tolerances"
         )
+    if tol.get("w2") is not None and not monte_carlo:
+        raise ConfigError(f"compare.tolerances.w2: W2 needs two Monte Carlo sources, got {sources}")
     for key, given in (("compare.times", times or []), ("compare.marginal_times", marginal_times)):
         off = [t for t in given if time_index(on, t) is None]
         if off:

@@ -30,6 +30,7 @@ _STREAM_U = 103
 _STREAM_BROWNIAN = 104
 
 _DEFAULT_RESPONSE_BUDGET = 2 * 1024**3  # bytes for the per-path response array
+_ROW_BLOCK = 8  # rows of a (steps, paths) slab reduced at a time
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -202,6 +203,19 @@ class DmftResult:
     chol_jitter_log: list = field(default_factory=list)
 
 
+def _row_blocks(n: int):
+    """(start, stop) ranges of about _ROW_BLOCK rows covering range(n).
+
+    A one-row tail joins the block before it: einsum takes another kernel for
+    a one-row operand once the row passes its 8192-element buffer, whose last
+    bits differ from the same row in a taller slab, and every row must keep
+    the bits of one reduction over all rows."""
+    starts = list(range(0, n, _ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [n])
+
+
 def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
     """Why a per-path response array of n_paths x (n_steps+1)^2 float32 would
     exceed the budget, or None when it fits."""
@@ -235,7 +249,10 @@ def solve_dmft(
     The ensemble is stored time-major, (steps+1, paths), and every reduction
     over paths is a contiguous numpy pass (einsum rows, mean, std). None goes
     through BLAS, whose threaded reductions would make the bits depend on the
-    thread count.
+    thread count. Each step reduces its slabs a few rows at a time: the squares
+    for the correlation standard errors go through one reused buffer, not a
+    second (steps+1, paths) array, and the per-path response rows are widened
+    to float64 one block at a time.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -264,8 +281,7 @@ def solve_dmft(
 
     paths = np.zeros((T + 1, P))
     paths[0] = theta
-    sq = np.zeros((T + 1, P))  # paths**2, for the correlation standard errors
-    sq[0] = theta**2
+    sq_block = np.empty((_ROW_BLOCK + 1, P))  # squares of one block of path rows
     z_innov = np.zeros((T, P))  # standardized innovations of the u draws
     alpha = np.zeros((T + 1, K))
     alpha[0] = prior.alpha
@@ -289,10 +305,16 @@ def solve_dmft(
     sqP = np.sqrt(P)
     for t in range(T + 1):
         th_t = paths[t]
-        c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
+        sq_t = np.square(th_t)
+        c_row, sq_row = np.empty(t + 1), np.empty(t + 1)
+        for lo, hi in _row_blocks(t + 1):
+            c_row[lo:hi] = np.einsum("sp,p->s", paths[lo:hi], th_t)
+            sq = np.square(paths[lo:hi], out=sq_block[: hi - lo])
+            sq_row[lo:hi] = np.einsum("sp,p->s", sq, sq_t)
+        c_row /= P
+        sq_row /= P
         c_theta[t, : t + 1] = c_row
         c_theta[: t + 1, t] = c_row
-        sq_row = np.einsum("sp,p->s", sq[: t + 1], sq[t]) / P
         c_theta_se[t, : t + 1] = np.sqrt(np.maximum(sq_row - c_row**2, 0.0)) / sqP
         c_theta_se[: t + 1, t] = c_theta_se[t, : t + 1]
         star_prod = th_t * theta_star
@@ -300,9 +322,10 @@ def solve_dmft(
         c_theta_star_se[t] = star_prod.std() / sqP
         if t > 0:
             if per_path:
-                rows = v_resp[t, :t].astype(np.float64)
-                r_theta_raw[t, :t] = gamma * rows.mean(axis=1)
-                r_theta_se[t, :t] = gamma * rows.std(axis=1) / sqP
+                for lo, hi in _row_blocks(t):
+                    rows = v_resp[t, lo:hi].astype(np.float64)
+                    r_theta_raw[t, lo:hi] = gamma * rows.mean(axis=1)
+                    r_theta_se[t, lo:hi] = gamma * rows.std(axis=1) / sqP
             else:
                 r_theta_raw[t, :t] = gamma * v_resp[t, :t]
 
@@ -338,7 +361,6 @@ def solve_dmft(
         paths[t + 1] = (
             th_t + gamma * (drift + u_t) + np.sqrt(2.0) * rng_b.normal(0.0, np.sqrt(gamma), size=P)
         )
-        np.square(paths[t + 1], out=sq[t + 1])
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior.family, regularizer)
 

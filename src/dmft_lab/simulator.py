@@ -84,18 +84,19 @@ def evolve(
     residual_path = np.empty((len(kept), params.n))
     keep_pos = {t: i for i, t in enumerate(kept)}
 
+    # X^T (X theta - y) = gram theta - xty: one d x d product per step, not two n x d.
+    gram, xty = X.T @ X, X.T @ y
     for t in range(T + 1):
         if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > _NORM_GUARD:
             raise DivergenceError(f"state diverged at step {t} (gamma too large for this instance)")
-        resid = X @ theta - y
         if t in keep_pos:
             i = keep_pos[t]
             theta_path[i] = theta
             alpha_path[i] = alpha
-            residual_path[i] = resid
+            residual_path[i] = X @ theta - y
         if t == T:
             break
-        drift = -beta * (X.T @ resid) + prior.family.drift_s(theta, alpha)
+        drift = -beta * (gram @ theta - xty) + prior.family.drift_s(theta, alpha)
         if noise_mode == "stochastic":
             incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
         else:

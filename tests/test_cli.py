@@ -507,6 +507,16 @@ def _equilibrium(**values):
             None,
             "compare.marginal_times: [0.33] not on the grid 0, 0.05, ..., 0.5",
         ),
+        # a closed-form source draws no marginals, so a w2 tolerance beside it would check nothing
+        (
+            small_config(
+                "compare",
+                compare={"sources": ["dmft", "dmft-linear"], "tolerances": {"default": 1.0, "w2": 1e-9},
+                         "marginal_times": [0.5]},
+            ),
+            None,
+            "compare.tolerances.w2: W2 needs two Monte Carlo sources, got ['dmft', 'dmft-linear']",
+        ),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):

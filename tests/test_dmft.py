@@ -262,6 +262,25 @@ def test_correlation_stderr_matches_two_pass_std(small_solution):
         np.testing.assert_allclose(res.table.c_theta[t, : t + 1], prods.mean(axis=0), rtol=1e-12, atol=1e-15)
 
 
+def test_correlation_rows_are_full_slab_einsums():
+    # The solver forms each row a few path rows at a time; every entry must
+    # keep the bits of one einsum over the whole (t+1, P) slab and its squares.
+    # T = 20 reaches the slab heights 9 and 17, one row past a block of 8.
+    # A one-row einsum sums in other chunks once P passes numpy's 8192-element
+    # iterator buffer, so P is above it.
+    params = small_params(horizon=1.0)
+    prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0], theta0=Theta0Spec("prior"))
+    res = solve_dmft(params, prior, n_paths=10000, seed=3)
+    paths, P = res.paths, res.paths.shape[1]
+    for t in range(params.n_steps + 1):
+        c_row = np.einsum("sp,p->s", paths[: t + 1], paths[t]) / P
+        sq = np.square(paths[: t + 1])
+        sq_row = np.einsum("sp,p->s", sq, sq[t]) / P
+        se_row = np.sqrt(np.maximum(sq_row - c_row**2, 0.0)) / np.sqrt(P)
+        assert res.table.c_theta[t, : t + 1].tobytes() == c_row.tobytes(), t
+        assert res.table.stderr["c_theta"][t, : t + 1].tobytes() == se_row.tobytes(), t
+
+
 def test_identical_components_match_the_constant_route():
     # Two identical components are one Gaussian, but their curvature is not
     # flagged constant: the per-path float32 response must reproduce the
@@ -351,14 +370,37 @@ np.savez(
 )
 """
 
+# The Euler chain at the shipped n and d, a size at which threaded LAPACK does
+# change bits: an eigh of X^T X in the step would show here. The response
+# traces stay out, because the bits of their eigvalsh(X^T X) do depend on it.
+_SIMULATE_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.priors import GaussianLocation, PriorSpec
+from dmft_lab.simulator import empirical_kernels, evolve
+
+params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
+prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
+insts = [sample_instance(params, prior, seed=s) for s in (1, 2)]
+trajs = [evolve(inst, prior, params, seed=s, retain_every=5) for s, inst in zip((1, 2), insts)]
+t = empirical_kernels(trajs, insts, params)
+arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha")}
+arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
+np.savez(sys.argv[2], theta_paths=np.stack([tr.theta_path for tr in trajs]), **arrays)
+"""
+
 _SCRIPTS = {
+    "simulate": _SIMULATE_AND_SAVE,
     "oracle_rows": _ORACLE_ROWS_AND_SAVE,
     "equilibrium": _EQUILIBRIUM_AND_SAVE,
     "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
 }
 
 
-@pytest.mark.parametrize("case", ["per_path", "constant", "oracle_rows", "equilibrium", "exp_family_fixed_point"])
+@pytest.mark.parametrize(
+    "case", ["per_path", "constant", "oracle_rows", "equilibrium", "exp_family_fixed_point", "simulate"]
+)
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])
     script = _SCRIPTS.get(case, _SOLVE_AND_SAVE)

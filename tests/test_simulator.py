@@ -91,6 +91,16 @@ def test_alpha_update_single_step():
     assert traj.alpha_path[1, 0] == pytest.approx(0.5 + 0.2 * (2.0 - 0.5), abs=1e-14)
 
 
+def test_residual_path_is_the_residual_at_retained_steps():
+    params = ModelParams(n=40, d=20, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
+    prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
+    inst = sample_instance(params, prior, seed=5)
+    traj = evolve(inst, prior, params, seed=5, retain_every=2)
+    # One GEMM against a GEMV per step: equal up to the order of the sums.
+    expected = (inst.X @ traj.theta_path.T - inst.y[:, None]).T
+    np.testing.assert_allclose(traj.residual_path, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_retain_grid_must_divide():
     params = ModelParams(n=2, d=2, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=1.0)
     inst = manual_instance(np.eye(2))
