@@ -181,17 +181,29 @@ def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
     v[t + 1, t] = 1.0
 
 
-def _response_rows_paths(t, v, coeff, gamma, r_eta_raw_row):
-    """Per-path variant: v has shape (steps+1, steps+1, paths), coeff (paths,).
+def _packed_row(r: int) -> int:
+    """Offset of row r of a packed strict lower triangle, which holds s < r."""
+    return r * (r - 1) // 2
 
-    The memory sum runs over the contiguous (s, path) slab in float32."""
+
+def _response_rows_paths(t, v, coeff, gamma, r_eta_raw_row, scratch):
+    """Per-path variant on the packed strict lower triangle: v has shape
+    (steps*(steps+1)/2, paths) and holds row r (s < r) at _packed_row(r);
+    coeff (paths,); scratch a (steps, paths) float32 buffer.
+
+    The memory sum over r = 1..t-1 accumulates in float32 into row t+1, row r
+    at a time and only over the columns s < r it carries. The zero upper
+    triangle adds nothing, so the bits are those of einsum("r,rsp->sp") over
+    the full (r, s, path) slab."""
+    new = v[_packed_row(t + 1) : _packed_row(t + 2)]
     if t > 0:
-        if t > 1:
-            mem = np.einsum("r,rsp->sp", r_eta_raw_row[1:t].astype(np.float32), v[1:t, :t])
-        else:
-            mem = 0.0
-        v[t + 1, :t] = v[t, :t] * coeff + np.float32(gamma) * mem
-    v[t + 1, t] = 1.0
+        w = r_eta_raw_row.astype(np.float32)
+        for r in range(1, t):
+            np.multiply(v[_packed_row(r) : _packed_row(r + 1)], w[r], out=scratch[:r])
+            new[:r] += scratch[:r]
+        new[:t] *= np.float32(gamma)
+        new[:t] += np.multiply(v[_packed_row(t) : _packed_row(t + 1)], coeff, out=scratch[:t])
+    new[t] = 1.0
 
 
 @dataclass
@@ -217,9 +229,10 @@ def _row_blocks(n: int):
 
 
 def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
-    """Why a per-path response array of n_paths x (n_steps+1)^2 float32 would
-    exceed the budget, or None when it fits."""
-    per_path = (n_steps + 1) ** 2 * 4
+    """Why a per-path response array of n_steps(n_steps+1)/2 float32 entries
+    per path (the packed strict lower triangle) would exceed the budget, or
+    None when it fits."""
+    per_path = _packed_row(n_steps + 1) * 4
     if n_paths * per_path <= budget_bytes:
         return None
     return (
@@ -253,6 +266,14 @@ def solve_dmft(
     for the correlation standard errors go through one reused buffer, not a
     second (steps+1, paths) array, and the per-path response rows are widened
     to float64 one block at a time.
+
+    A prior with theta-dependent curvature carries one response recursion per
+    path. It is stored as the packed strict lower triangle, one float32
+    (steps(steps+1)/2, paths) array with row r (entries s < r) at offset
+    r(r-1)/2, and `response_budget_bytes` bounds that array: 2 GiB fits
+    20000 paths at 200 steps. The memory term adds only the stored entries,
+    in the order and precision of one float32 einsum over the full square, so
+    the packing does not change a bit.
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -267,7 +288,8 @@ def solve_dmft(
         error = _response_budget_error(P, T, response_budget_bytes)
         if error:
             raise MemoryBudgetError(error)
-        v_resp = np.zeros((T + 1, T + 1, P), dtype=np.float32)
+        v_resp = np.zeros((_packed_row(T + 1), P), dtype=np.float32)
+        resp_scratch = np.empty((T, P), dtype=np.float32)
     else:
         v_resp = np.zeros((T + 1, T + 1))
 
@@ -322,8 +344,9 @@ def solve_dmft(
         c_theta_star_se[t] = star_prod.std() / sqP
         if t > 0:
             if per_path:
+                row_t = v_resp[_packed_row(t) : _packed_row(t + 1)]
                 for lo, hi in _row_blocks(t):
-                    rows = v_resp[t, lo:hi].astype(np.float64)
+                    rows = row_t[lo:hi].astype(np.float64)
                     r_theta_raw[t, lo:hi] = gamma * rows.mean(axis=1)
                     r_theta_se[t, lo:hi] = gamma * rows.std(axis=1) / sqP
             else:
@@ -349,7 +372,7 @@ def solve_dmft(
         if per_path:
             ds = prior.family.dtheta_drift_s(th_t, alpha[t]).astype(np.float32)
             coeff = np.float32(1.0) + np.float32(gamma) * (np.float32(-delta * beta) + ds)
-            _response_rows_paths(t, v_resp, coeff, gamma, r_eta_row)
+            _response_rows_paths(t, v_resp, coeff, gamma, r_eta_row, resp_scratch)
         else:
             coeff = 1.0 + gamma * (-delta * beta + curvature)
             _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +556,32 @@ def test_every_table_value_is_checked_by_load_config(section, key):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_shipped_configs_load(path):
     load_config(path)
+
+
+def test_acceptance_scale_mixture_dmft_fits_the_default_budget():
+    # P=20000, T=200: the packed triangle needs 1.50 GiB of the 2 GiB default.
+    cfg = _shipped("adaptive_location.json")
+    cfg.update(pipeline="dmft", prior=dict(MIXTURE, alpha_star=[-1.0, 1.0]))
+    del cfg["compare"]
+    tracemalloc.start()
+    try:
+        run = load_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (run.model.n_steps, run.opts["n_paths"]) == (200, 20000)
+    assert peak < 2**20  # checked, not allocated
+
+
+def test_budget_one_byte_below_the_packed_triangle_exits_2(tmp_path):
+    # 10 steps: 55 float32 entries per path; 400 paths need 88000 bytes.
+    per_path = 55 * 4
+    cfg = small_config("dmft", prior=MIXTURE, response_budget_bytes=400 * per_path)
+    load_config(cfg)
+    cfg["response_budget_bytes"] -= 1
+    assert f"reduce n_paths to <= {cfg['response_budget_bytes'] // per_path} " in _config_error(cfg)
+    assert run(cfg, out=str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_forms_honor_tau_star2(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dmft_lab
-from dmft_lab import cli
+from dmft_lab import cli, dmft
 from dmft_lab.dmft import (
     CholeskyExtender,
     IllConditionedKernelError,
@@ -234,6 +234,61 @@ def test_memory_budget_refusal():
     prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
     with pytest.raises(MemoryBudgetError):
         solve_dmft(params, prior, n_paths=1000, seed=0, response_budget_bytes=1024)
+
+
+def test_memory_budget_is_the_packed_triangle():
+    # 10 steps: 55 float32 entries per path, the strict lower triangle.
+    params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
+    prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
+    need = 400 * 55 * 4
+    with pytest.raises(MemoryBudgetError, match="reduce n_paths to <= 399 "):
+        solve_dmft(params, prior, n_paths=400, seed=0, response_budget_bytes=need - 1)
+    solve_dmft(params, prior, n_paths=400, seed=0, response_budget_bytes=need)
+
+
+def test_packed_response_has_the_full_tensor_bits(monkeypatch):
+    # Replay the full (T+1, T+1, P) recursion, memory term one float32 einsum
+    # over the square slab, from the coefficients and r_eta rows each step was
+    # given. Every packed row, and the r_theta means and SEs widened from it,
+    # must carry the bits of the full tensor. T = 20 reaches the row blocks of
+    # 9 and 17; P is above einsum's 8192-element iterator buffer.
+    params = small_params(horizon=1.0)
+    prior = PriorSpec(
+        GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0],
+        theta0=Theta0Spec("prior"),
+    )
+    steps, arrays = [], []
+    step = dmft._response_rows_paths
+
+    def spy(t, v, coeff, gamma, r_eta_raw_row, scratch):
+        steps.append((t, coeff.copy(), r_eta_raw_row.copy()))
+        arrays.append(v)
+        step(t, v, coeff, gamma, r_eta_raw_row, scratch)
+
+    monkeypatch.setattr(dmft, "_response_rows_paths", spy)
+    res = solve_dmft(params, prior, n_paths=9000, seed=3)
+    T, P, gamma = params.n_steps, 9000, params.gamma_step
+    assert [t for t, _, _ in steps] == list(range(T))
+
+    full = np.zeros((T + 1, T + 1, P), dtype=np.float32)
+    for t, coeff, r_eta_row in steps:
+        if t > 0:
+            mem = np.einsum("r,rsp->sp", r_eta_row[1:t].astype(np.float32), full[1:t, :t]) if t > 1 else 0.0
+            full[t + 1, :t] = full[t, :t] * coeff + np.float32(gamma) * mem
+        full[t + 1, t] = 1.0
+    v = arrays[-1]
+    assert all(a is v for a in arrays)
+    assert v.shape == (T * (T + 1) // 2, P)
+    for r in range(1, T + 1):
+        assert v[r * (r - 1) // 2 : r * (r + 1) // 2].tobytes() == full[r, :r].tobytes(), r
+
+    r_theta, se = np.zeros((T + 1, T + 1)), np.zeros((T + 1, T + 1))
+    for t in range(1, T + 1):
+        rows = full[t, :t].astype(np.float64)
+        r_theta[t, :t] = gamma * rows.mean(axis=1)
+        se[t, :t] = gamma * rows.std(axis=1) / np.sqrt(P)
+    assert res.table.r_theta.tobytes() == (r_theta / gamma).tobytes()
+    assert res.table.stderr["r_theta"].tobytes() == (se / gamma).tobytes()
 
 
 def test_mixture_prior_runs_per_path_responses():
