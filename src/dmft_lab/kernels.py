@@ -72,15 +72,9 @@ class KernelTable:
         )
 
 
-def empty_table(times, gamma: float, source: str, dim_alpha: int = 0) -> KernelTable:
-    times = np.asarray(times, dtype=float)
-    m = times.size
-    # c_star_star too is an array (0-d), so read_table_csv fills every kernel in place
-    grids = {name: np.full((m,) * axes, np.nan) for name, axes in _AXES.items()}
-    return KernelTable(times, gamma, source, alpha=np.full((m, dim_alpha), np.nan), **grids)
-
-
 # ---------------------------------------------------------------- CSV I/O
+
+_HEADER = "t,s,value,stderr"
 
 
 def _fmt(x: float) -> str:
@@ -88,61 +82,103 @@ def _fmt(x: float) -> str:
 
 
 def write_table_csv(table: KernelTable, path) -> None:
-    times = [_fmt(t) for t in table.times]
-    lines = ["t,s,value,stderr", f"# gamma: {_fmt(table.gamma)}", f"# source: {table.source}"]
-    lines.append(f"# times: {','.join(times)}")
+    """Write the table; each section is formatted by one %-format call and
+    written as soon as it is formatted."""
+    labels = np.array([_fmt(t) for t in table.times.tolist()], dtype=object)
     sections = [(name, np.asarray(getattr(table, name)), table.stderr.get(name)) for name in _AXES]
     sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
-    for name, grid, se in sections:
-        lines.append(f"# kernel: {name}")
-        keep = ~np.isnan(grid)
-        values = map(_fmt, grid[keep].tolist())
-        errors = repeat("") if se is None or grid.ndim == 0 else map(_fmt, se[keep].tolist())
-        # entries in row-major order; s (and t) is -1 where the kernel has no such axis
-        labels = [map(times.__getitem__, axis) for axis in np.argwhere(keep).T.tolist()]
-        labels += [repeat("-1")] * (2 - grid.ndim)
-        lines += [f"{t},{s},{v},{e}" for t, s, v, e in zip(*labels, values, errors)]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_HEADER}\n# gamma: {_fmt(table.gamma)}\n# source: {table.source}\n")
+        fh.write(f"# times: {','.join(labels)}\n")
+        for name, grid, se in sections:
+            fh.write(f"# kernel: {name}\n")
+            keep = ~np.isnan(grid)
+            with_se = se is not None and grid.ndim > 0
+            # entries in row-major order; s (and t) is -1 where the kernel has no such axis
+            at = np.argwhere(keep)
+            rows = np.full((at.shape[0], 4 if with_se else 3), "-1", dtype=object)
+            rows[:, : grid.ndim] = labels[at]
+            rows[:, 2] = grid[keep]
+            if with_se:
+                rows[:, 3] = se[keep]
+            fmt = "%s,%s,%.17g," + ("%.17g\n" if with_se else "\n")
+            fh.write(fmt * at.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def read_table_csv(path) -> KernelTable:
+    """Read a table written by `write_table_csv`. Each `# kernel:` section is
+    parsed by numpy's C reader from its list of lines; an entry whose label
+    is not a grid time raises."""
     meta = {"gamma": "0", "source": "unknown"}
-    sections: dict[str, list[tuple[float, float, float, Optional[float]]]] = {}
+    sections: dict[str, np.ndarray] = {}
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "t,s,value,stderr":
+        if header != _HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
+        name, lines = None, []
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, val = line[1:].partition(":")
                 if key.strip() == "kernel":
-                    rows = sections[val.strip()] = []
+                    if name is not None:
+                        sections[name] = _parse_section(lines)
+                    name, lines = val.strip(), []
                 else:
                     meta[key.strip()] = val.strip()
-                continue
-            t_s, s_s, v_s, e_s = line.split(",")
-            rows.append((float(t_s), float(s_s), float(v_s), float(e_s) if e_s else None))
+            elif line:
+                if name is None:
+                    raise ValueError(f"entry before any '# kernel:' line: {line!r}")
+                lines.append(line)
+        if name is not None:
+            sections[name] = _parse_section(lines)
     if "times" not in meta:
         raise ValueError("CSV is missing the '# times:' line")
     times = np.array([float(v) for v in meta["times"].split(",")])
-    dim_alpha = sum(1 for k in sections if k.startswith("alpha_"))
-    table = empty_table(times, float(meta["gamma"]), meta["source"], dim_alpha)
-    index = {t: i for i, t in enumerate(times)}
+    m, n_alpha = times.size, sum(1 for k in sections if k.startswith("alpha_"))
+    grids = {name: np.full((m,) * axes, np.nan) for name, axes in _AXES.items()}
+    grids["alpha"] = np.full((m, n_alpha), np.nan)
+    stderr = {}
     for name, rows in sections.items():
-        grid = table.alpha[:, int(name.removeprefix("alpha_"))] if name.startswith("alpha_") else getattr(table, name)
-        se = None
-        for t, s, v, e in rows:
-            at = (index[t], index[s]) if grid.ndim == 2 else (index[t],) if grid.ndim == 1 else ()
-            grid[at] = v
-            if e is not None:
-                if se is None:
-                    se = table.stderr[name] = np.full(grid.shape, np.nan)
-                se[at] = e
-    return table
+        if name.startswith("alpha_"):
+            grid = grids["alpha"][:, int(name.removeprefix("alpha_"))]
+        elif name in _AXES:
+            grid = grids[name]
+        else:
+            raise ValueError(f"unknown kernel section {name!r}")
+        if not rows.size:
+            continue
+        at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
+        rows = rows if grid.ndim else rows[-1]  # the scalar c_star_star takes its last entry
+        grid[at] = rows[..., 2]
+        if rows.shape[-1] == 4:
+            stderr[name] = np.full(grid.shape, np.nan)
+            stderr[name][at] = rows[..., 3]
+    grids["c_star_star"] = float(grids["c_star_star"])
+    return KernelTable(times, float(meta["gamma"]), meta["source"], stderr=stderr, **grids)
+
+
+def _parse_section(lines: list) -> np.ndarray:
+    """(entries, 3) rows t, s, value, or (entries, 4) when any entry has a
+    stderr; an empty stderr field beside others reads as NaN."""
+    if not lines:
+        return np.empty((0, 3))
+    no_stderr = sum(map(str.endswith, lines, repeat(",")))
+    if no_stderr == len(lines):
+        return np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
+    if no_stderr:
+        lines = [line + "nan" if line.endswith(",") else line for line in lines]
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _grid_index(times: np.ndarray, labels: np.ndarray, kernel: str) -> np.ndarray:
+    """Index of each label among the grid times, which it must equal exactly."""
+    order = np.argsort(times, kind="stable")
+    at = order[np.minimum(np.searchsorted(times, labels, sorter=order), times.size - 1)]
+    off = times[at] != labels
+    if np.any(off):
+        raise ValueError(f"kernel {kernel}: label {labels[off][0]!r} is not a grid time")
+    return at
 
 
 # ------------------------------------------------------------ grid times

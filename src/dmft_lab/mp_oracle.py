@@ -41,6 +41,7 @@ import numpy as np
 
 _EXP_CAP = 745.0  # exp(-745) underflows to 0; larger exponents are treated as 0
 MIN_QUAD_NODES = 8
+_BLOCK_ENTRIES = 1 << 16  # times x nodes per temporary: 512 KB of float64
 
 
 class UnsupportedOracleError(ValueError):
@@ -157,6 +158,19 @@ def _integral(f, w):
     return np.einsum("...n,n->...", f, w)
 
 
+def _blocks(n_rows: int, n_nodes: int):
+    """Slices of at most _BLOCK_ENTRIES // n_nodes rows (at least one) covering n_rows."""
+    step = max(1, _BLOCK_ENTRIES // n_nodes)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _distinct(v):
+    """Sorted distinct values of v and, shaped like v, the index of each entry
+    among them. Equal floats share one evaluation, so they get equal bits."""
+    values, inverse = np.unique(v.reshape(-1), return_inverse=True)
+    return values, inverse.reshape(v.shape)
+
+
 def _floats(*arrays):
     """Python floats for 0-d results, arrays otherwise."""
     return tuple(float(a) if np.ndim(a) == 0 else a for a in arrays)
@@ -175,18 +189,24 @@ def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     rho = 1 - gamma h: exp(-h t) becomes rho^(k-1) in alpha_mp and beta_mp
     and rho^k in gamma_mp. The chain has no lag-0 response; at t = 0 alpha_mp
     and beta_mp take the lag-1 value, as the continuous ones take t -> 0+.
+
+    Times are taken in blocks, so no temporary spans every time by every node;
+    each entry is the same node sum whatever the block.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("resp_kernels requires t >= 0")
     x, w, h = _spectrum(oracle, law, gamma)
-    e = _propagator(h, t, gamma)
-    lag = np.maximum(t - gamma, 0.0)
-    e_lag = e if np.array_equal(lag, t) else _propagator(h, lag, gamma)  # one evaluation at gamma = 0
-    alpha = _integral(e_lag, w)
-    beta = -_integral(e_lag * x, w) / oracle.sigma2
-    g_mp = _integral((1.0 - e) * (x / h), w) / oracle.sigma2
-    return _floats(alpha, beta, g_mp)
+    flat, out = t.reshape(-1), np.empty((3, t.size))
+    for rows in _blocks(t.size, x.size):
+        tb = flat[rows]
+        e = _propagator(h, tb, gamma)
+        lag = np.maximum(tb - gamma, 0.0)
+        e_lag = e if np.array_equal(lag, tb) else _propagator(h, lag, gamma)  # one evaluation at gamma = 0
+        out[0, rows] = _integral(e_lag, w)
+        out[1, rows] = -_integral(e_lag * x, w) / oracle.sigma2
+        out[2, rows] = _integral((1.0 - e) * (x / h), w) / oracle.sigma2
+    return _floats(*out.reshape((3,) + t.shape))
 
 
 def response_eta(dt, oracle: OracleParams, law: MPLaw):
@@ -212,29 +232,36 @@ def corr_kernels(t, s, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     With gamma > 0 they are the Euler chain's kernels at t = k gamma,
     s = j gamma: exp(-h t) becomes rho^k (rho = 1 - gamma h) and each Brownian
     term is divided by 1 - gamma h / 2.
+
+    Both kernels are node sums of separable terms. With E_t = exp(-h t)
+    (rho^k on the chain), U_t = 1 - E_t and E_{t+s} = E_t E_s, the product
+    terms are einsums over the distinct t and the distinct s, so the cost
+    grows with their product; the Brownian lag term E_{|t-s|} is integrated
+    once per distinct lag, in blocks of lags.
     """
     t, s = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
     if np.any(t < 0) or np.any(s < 0):
         raise ValueError("corr_kernels requires t, s >= 0")
     dl, s2, t2 = oracle.delta, oracle.sigma2, oracle.tau_star2
     x, w, h = _spectrum(oracle, law, gamma)
-    ut, us = 1.0 - _propagator(h, t, gamma), 1.0 - _propagator(h, s, gamma)
-    brown = (_propagator(h, np.abs(t - s), gamma) - _propagator(h, t + s, gamma)) / (1.0 - 0.5 * gamma * h)
+    (t_u, t_i), (s_u, s_i), (lags, l_i) = (_distinct(v) for v in (t, s, np.abs(t - s)))
+    e_t, e_s = _propagator(h, t_u, gamma), _propagator(h, s_u, gamma)
+    u_t, u_s = 1.0 - e_t, 1.0 - e_s
 
-    sig = (dl**2 * t2 * x**2 + dl * s2 * x) / s2**2
-    c_ts = _integral(sig / h**2 * ut * us + brown / h, w)
-    c_tstar = dl * t2 * resp_kernels(t, oracle, law, gamma)[2]
+    # Node weights of U_t U_s and of the Brownian term E_|t-s| - E_t E_s, one
+    # row per kernel: C_theta, and sigma2^2 C_eta less its one-sided terms.
+    uu = w * np.stack([dl**2 * t2 * x**2 + dl * s2 * x, dl**3 * t2 * x**3 + dl**2 * s2 * x**2]) / s2**2 / h**2
+    brown = w * np.stack([np.ones_like(x), dl * x]) / h / (1.0 - 0.5 * gamma * h)
+    pairs = np.einsum("kin,jn->kij", uu[:, None] * u_t, u_s) - np.einsum("kin,jn->kij", brown[:, None] * e_t, e_s)
+    lag_sums = np.empty((2, lags.size))
+    for rows in _blocks(lags.size, x.size):
+        lag_sums[:, rows] = np.einsum("ln,kn->kl", _propagator(h, lags[rows], gamma), brown)
+    c_ts, c_eta = pairs[:, t_i, s_i] + lag_sums[:, l_i]
 
-    # C_eta(t,s) = A(t,s)/sigma2^2 - B(t)/sigma2^2 - B(s)/sigma2^2 + delta/sigma2
-    a_ts = _integral(
-        (dl**3 * t2 * x**3 + dl**2 * s2 * x**2) / s2**2 / h**2 * ut * us
-        + dl * x / h * brown
-        - dl**2 * x**2 * t2 / s2 / h * (ut + us),
-        w,
-    ) + dl * t2
-    b_t = _integral(dl * x / h * ut, w)
-    b_s = _integral(dl * x / h * us, w)
-    c_eta = a_ts / s2**2 - (b_t + b_s) / s2**2 + dl / s2
+    one_side = -w * (dl**2 * t2 * x**2 / s2 + dl * x) / h  # of U_t and of U_s in sigma2^2 C_eta
+    c_eta = c_eta + _integral(u_t, one_side)[t_i] + _integral(u_s, one_side)[s_i]
+    c_eta = c_eta / s2**2 + (dl * t2 / s2**2 + dl / s2)
+    c_tstar = dl * t2 * resp_kernels(t_u, oracle, law, gamma)[2][t_i]
     return _floats(c_ts, c_tstar, c_eta)
 
 
@@ -300,30 +327,34 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
     """Evaluate all closed-form kernels on a time grid as a KernelTable.
 
     Response grids are in density units and carry the lab sign convention;
-    gamma is 0 to mark the table as a continuous (bias-free) source.
+    gamma is 0 to mark the table as a continuous (bias-free) source. The
+    response entries come from one `resp_kernels` call on the distinct lags
+    t - s (s < t) and times t, so each has the bits of a direct call.
     """
     from .kernels import KernelTable
 
     times = np.asarray(times, dtype=float)
     m = times.size
-    c_theta, c_eta = np.zeros((m, m)), np.zeros((m, m))
-    r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
-    for i, t in enumerate(times):
-        c_theta[i, : i + 1], _, c_eta[i, : i + 1] = corr_kernels(t, times[: i + 1], oracle, law)
-        r_theta[i, :i], b, _ = resp_kernels(t - times[:i], oracle, law)
-        r_eta[i, :i] = -(oracle.delta / oracle.sigma2) * b  # response_eta, one resp_kernels call
+    c_theta, c_tstar, c_eta = corr_kernels(times[:, None], times, oracle, law)
     c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
     c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
+    rows, cols = np.tril_indices(m, -1)
+    lags, at = _distinct(np.concatenate([times[rows] - times[cols], times]))
+    alpha_mp, beta_mp, gamma_mp = resp_kernels(lags, oracle, law)
+    scale = -(oracle.delta / oracle.sigma2)  # response_eta and response_eta_star
+    r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
+    r_theta[rows, cols] = alpha_mp[at[: rows.size]]
+    r_eta[rows, cols] = scale * beta_mp[at[: rows.size]]
     return KernelTable(
         times=times,
         gamma=0.0,
         source="mp-oracle",
         c_theta=c_theta,
-        c_theta_star=corr_kernels(times, times, oracle, law)[1],
+        c_theta_star=np.diagonal(c_tstar).copy(),
         c_star_star=oracle.tau_star2,
         c_eta=c_eta,
         r_theta=r_theta,
         r_eta=r_eta,
-        r_eta_star=response_eta_star(times, oracle, law),
+        r_eta_star=scale * gamma_mp[at[rows.size :]],
         alpha=np.zeros((m, 0)),
     )

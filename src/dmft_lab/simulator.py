@@ -226,8 +226,13 @@ def response_traces(
     r_eta_se = np.full((m, m), np.nan)
 
     if method == "exact-product" and const is not None:
-        # Constant curvature: Omega is step-independent; use its spectrum.
-        evals = np.linalg.eigvalsh(X.T @ X)
+        # Constant curvature: Omega is step-independent; use its spectrum, the
+        # squared singular values of X (ascending, plus d - n zeros when n < d).
+        # LAPACK's symmetric eigensolvers change their last bits with the BLAS
+        # thread count; its SVD of X does not.
+        sv = np.linalg.svd(X, compute_uv=False)
+        evals = np.zeros(d)
+        evals[d - sv.size :] = np.sort(sv**2)
         om = 1.0 - gamma * beta * evals + gamma * const
         for a in range(m):
             for b in range(a):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmft_lab.kernels import KernelTable
 from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
 from dmft_lab.priors import GaussianFixed, PriorSpec
@@ -29,3 +30,19 @@ def default_law():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def nan_table():
+    """Makes a KernelTable on the given times with every kernel entry NaN."""
+
+    def make(times, gamma, source):
+        m = len(times)
+        square, vector = np.full((m, m), np.nan), np.full(m, np.nan)
+        return KernelTable(
+            times, gamma, source, c_theta=square.copy(), c_theta_star=vector.copy(), c_star_star=np.nan,
+            c_eta=square.copy(), r_theta=square.copy(), r_eta=square.copy(), r_eta_star=vector.copy(),
+            alpha=np.full((m, 0), np.nan),
+        )
+
+    return make

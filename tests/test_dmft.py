@@ -380,20 +380,20 @@ arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
 np.savez(sys.argv[2], paths=res.paths, theta_star=res.theta_star, **arrays)
 """
 
-# The oracle's node sums: 10,000 nodes by 61 times would put a node-axis GEMV
-# above the same cut-off. (A Legendre rule that large takes minutes to build.)
-_ORACLE_ROWS_AND_SAVE = """
+# The oracle table: 10,000 nodes by 61 times would put any node-axis GEMV or
+# GEMM above the same cut-off. (A Legendre rule that large takes minutes to
+# build.)
+_ORACLE_TABLE_AND_SAVE = """
 import sys
 import numpy as np
-from dmft_lab.mp_oracle import MPLaw, OracleParams, corr_kernels, resp_kernels
+from dmft_lab.mp_oracle import MPLaw, OracleParams, oracle_table
 
 x = np.linspace(0.1, 5.8, 10000)
 law = MPLaw(delta=2.0, nodes=x, weights=np.full(x.size, 1e-4), atom=0.0, edge_hi=x[-1])
 oracle = OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
-s = 0.01 * np.arange(61)
-arrays = dict(zip(("c_theta", "c_theta_star", "c_eta"), corr_kernels(s[-1], s, oracle, law)))
-arrays.update(zip(("alpha_mp", "beta_mp", "gamma_mp"), resp_kernels(s, oracle, law)))
-np.savez(sys.argv[2], **arrays)
+t = oracle_table(0.01 * np.arange(61), oracle, law)
+names = ("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta", "r_eta_star")
+np.savez(sys.argv[2], **{k: getattr(t, k) for k in names})
 """
 
 
@@ -425,36 +425,39 @@ np.savez(
 )
 """
 
-# The Euler chain at the shipped n and d, a size at which threaded LAPACK does
-# change bits: an eigh of X^T X in the step would show here. The response
-# traces stay out, because the bits of their eigvalsh(X^T X) do depend on it.
+# The Euler chain and its exact response traces at the shipped n and d, a
+# size at which threaded LAPACK does change bits: an eigh of X^T X in the
+# step or in the traces' spectrum would show here.
 _SIMULATE_AND_SAVE = """
 import sys
 import numpy as np
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.priors import GaussianLocation, PriorSpec
-from dmft_lab.simulator import empirical_kernels, evolve
+from dmft_lab.simulator import empirical_kernels, evolve, fill_response, response_traces
 
 params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
 prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
 insts = [sample_instance(params, prior, seed=s) for s in (1, 2)]
 trajs = [evolve(inst, prior, params, seed=s, retain_every=5) for s, inst in zip((1, 2), insts)]
 t = empirical_kernels(trajs, insts, params)
-arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha")}
+steps = [0, 10, 20, 30, 40, 50]
+traces = [response_traces(None, inst, prior, params, steps) for inst in insts]  # constant curvature
+fill_response(t, traces, steps)
+arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha", "r_theta", "r_eta")}
 arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
 np.savez(sys.argv[2], theta_paths=np.stack([tr.theta_path for tr in trajs]), **arrays)
 """
 
 _SCRIPTS = {
     "simulate": _SIMULATE_AND_SAVE,
-    "oracle_rows": _ORACLE_ROWS_AND_SAVE,
+    "oracle_table": _ORACLE_TABLE_AND_SAVE,
     "equilibrium": _EQUILIBRIUM_AND_SAVE,
     "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
 }
 
 
 @pytest.mark.parametrize(
-    "case", ["per_path", "constant", "oracle_rows", "equilibrium", "exp_family_fixed_point", "simulate"]
+    "case", ["per_path", "constant", "oracle_table", "equilibrium", "exp_family_fixed_point", "simulate"]
 )
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])

@@ -7,7 +7,6 @@ from dmft_lab.kernels import (
     COMPARED_KERNELS,
     GridAlignmentError,
     compare_tables,
-    empty_table,
     read_table_csv,
     write_table_csv,
 )
@@ -49,7 +48,29 @@ def simulate_response_table():
     return table
 
 
-@pytest.mark.parametrize("make", [linear_table_with_stderr, mixture_dmft_table, simulate_response_table])
+def feature_table():
+    """Every CSV feature on a non-uniform grid: NaN upper response triangles
+    and holes, stderr on some sections with `nan` entries, two alpha columns,
+    an all-NaN (empty) section, the scalar c_star_star and extreme floats."""
+    table = table_for(0.05).restrict([0, 1, 3, 4, 8])
+    rng = np.random.default_rng(4)
+    table.c_eta[3, 3], table.c_eta[2, 1], table.c_eta[1, 2] = np.nan, 5e-324, -1.7976931348623157e308
+    table.c_theta[1, 0] = -0.0
+    upper = np.triu_indices(table.n_times)
+    table.r_theta[upper], table.r_eta[upper] = np.nan, np.nan
+    table.r_eta_star[:] = np.nan
+    table.alpha = rng.normal(size=(table.n_times, 2)) / 3.0
+    table.alpha[2, 1] = np.nan
+    table.stderr["c_theta"] = np.abs(table.c_theta) * 0.01
+    table.stderr["c_theta"][1, 2] = np.nan
+    table.stderr["r_theta"] = np.where(np.isnan(table.r_theta), np.nan, 1.0 / 7.0)
+    table.stderr["c_theta_star"] = rng.random(table.n_times)
+    return table
+
+
+@pytest.mark.parametrize(
+    "make", [linear_table_with_stderr, mixture_dmft_table, simulate_response_table, feature_table]
+)
 def test_csv_round_trip_exact(tmp_path, make):
     table = make()
     path = tmp_path / "kernels_test.csv"
@@ -69,8 +90,80 @@ def test_csv_round_trip_exact(tmp_path, make):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def test_round_trip_preserves_nan_holes(tmp_path):
-    table = empty_table([0.0, 0.1], 0.1, "simulate")
+def _read_by_lines(path):
+    """Reference parser: each section of a table CSV read line by line with
+    float(), as {name: (grid, stderr or None)}. An empty stderr field is NaN
+    once another entry of its section has one."""
+    lines = path.read_text().splitlines()
+    times = [float(v) for v in next(x for x in lines if x.startswith("# times:")).partition(":")[2].split(",")]
+    index = {t: i for i, t in enumerate(times)}
+    out = {}
+    for line in lines[1:]:
+        if line.startswith("# kernel:"):
+            name = line.partition(":")[2].strip()
+            axes = 2 if name in ("c_theta", "c_eta", "r_theta", "r_eta") else 0 if name == "c_star_star" else 1
+            grid, se = out[name] = [np.full((len(times),) * axes, np.nan), None]
+        elif line and not line.startswith("#"):
+            t, s, v, e = line.split(",")
+            at = tuple(index[float(label)] for label in (t, s)[: grid.ndim])
+            grid[at] = float(v)
+            if e:
+                se = out[name][1] = np.full(grid.shape, np.nan) if se is None else se
+                se[at] = float(e)
+    return out
+
+
+def _assert_reads_as_reference(path):
+    back, ref = read_table_csv(path), _read_by_lines(path)
+    for name, (grid, se) in ref.items():
+        got = back.alpha[:, int(name[6:])] if name.startswith("alpha_") else np.asarray(getattr(back, name))
+        assert got.tobytes() == grid.tobytes(), name
+        assert (back.stderr.get(name) is None) == (se is None), name
+        assert se is None or back.stderr[name].tobytes() == se.tobytes(), name
+    assert sorted(back.stderr) == sorted(k for k, (_, se) in ref.items() if se is not None)
+
+
+@pytest.mark.parametrize("make", [linear_table_with_stderr, mixture_dmft_table, feature_table])
+def test_csv_reader_matches_line_by_line_parser(tmp_path, make):
+    path = tmp_path / "k.csv"
+    write_table_csv(make(), path)
+    _assert_reads_as_reference(path)
+
+
+def test_csv_reader_reads_an_empty_stderr_beside_others_as_nan(tmp_path):
+    path = tmp_path / "k.csv"
+    write_table_csv(feature_table(), path)
+    lines = path.read_text().splitlines()
+    at = lines.index("# kernel: c_theta") + 3  # an entry with a stderr
+    lines[at] = lines[at].rpartition(",")[0] + ","
+    path.write_text("\n".join(lines) + "\n")
+    _assert_reads_as_reference(path)
+    assert np.isnan(read_table_csv(path).stderr["c_theta"][0, 2])
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (lambda lines: ["t,s,value"] + lines[1:], "header"),
+        (lambda lines: [x for x in lines if not x.startswith("# times:")], "times"),
+        (lambda lines: [x.replace("0.15000000000000002,0,", "0.15,0,") for x in lines], "not a grid time"),
+        (lambda lines: [x.replace("0.40000000000000002,-1,", "0.41,-1,") for x in lines], "not a grid time"),
+    ],
+    ids=["header", "no_times", "off_grid_label", "off_grid_vector_label"],
+)
+def test_csv_reader_refuses_malformed_files(tmp_path, edit, match):
+    path = tmp_path / "k.csv"
+    write_table_csv(feature_table(), path)
+    lines = path.read_text().splitlines()
+    edited = edit(lines)
+    assert edited != lines
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_table_csv(path)
+
+
+def test_round_trip_preserves_nan_holes(tmp_path, nan_table):
+    table = nan_table([0.0, 0.1], 0.1, "simulate")
     table.c_theta[0, 0] = 1.25
     path = tmp_path / "k.csv"
     write_table_csv(table, path)
@@ -134,8 +227,8 @@ def test_compare_tables_refuses_times_not_on_both_grids(times):
         compare_tables(table_for(0.02), table_for(0.03, horizon=0.42), times=times)
 
 
-def test_compare_tables_refuses_tables_that_share_no_time():
-    a, b = empty_table([0.0, 0.1], 0.1, "x"), empty_table([0.05, 0.15], 0.1, "y")
+def test_compare_tables_refuses_tables_that_share_no_time(nan_table):
+    a, b = nan_table([0.0, 0.1], 0.1, "x"), nan_table([0.05, 0.15], 0.1, "y")
     with pytest.raises(GridAlignmentError, match="share no time"):
         compare_tables(a, b)
 
@@ -159,9 +252,9 @@ def test_compare_tables_tolerance_gate():
     assert d["source_a"] == "dmft-linear" and len(d["kernels"]) >= 5
 
 
-def test_compare_skips_missing_entries():
-    a = empty_table([0.0, 0.1], 0.1, "x")
-    b = empty_table([0.0, 0.1], 0.1, "y")
+def test_compare_skips_missing_entries(nan_table):
+    a = nan_table([0.0, 0.1], 0.1, "x")
+    b = nan_table([0.0, 0.1], 0.1, "y")
     a.c_theta[:] = 1.0
     b.c_theta[:] = 1.0
     b.c_theta[1, 1] = np.nan

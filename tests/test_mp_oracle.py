@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from dmft_lab import mp_oracle
 from dmft_lab.dmft import linear_gaussian_dmft
+from dmft_lab.kernels import read_table_csv, write_table_csv
 from dmft_lab.model import ModelInstance, ModelParams
 from dmft_lab.mp_oracle import (
     OracleParams,
@@ -278,14 +281,47 @@ ATOM_ORACLE = OracleParams(lam=2.0, sigma2=0.7, delta=0.5, tau_star2=0.5)  # del
 )
 def test_oracle_table_rows_match_entrywise_calls(oracle):
     law = mp_quadrature(oracle.delta, 400)
-    times = np.linspace(0.0, 2.0, 21)
-    table = oracle_table(times, oracle, law)
-    for name, ref in _oracle_table_by_entries(times, oracle, law).items():
-        got = getattr(table, name)
-        assert np.array_equal(np.isnan(got), np.isnan(ref)), name
-        assert np.nanmax(np.abs(got - ref)) <= 1e-13, name
-    assert np.array_equal(table.c_theta, table.c_theta.T)
-    assert np.array_equal(table.c_eta, table.c_eta.T)
+    # a uniform grid, where lags repeat, and a non-uniform one, where few do
+    for times in (np.linspace(0.0, 2.0, 21), np.r_[0.0, np.geomspace(0.013, 2.0, 20)]):
+        table = oracle_table(times, oracle, law)
+        for name, ref in _oracle_table_by_entries(times, oracle, law).items():
+            got = getattr(table, name)
+            assert np.array_equal(np.isnan(got), np.isnan(ref)), name
+            assert np.nanmax(np.abs(got - ref)) <= 1e-13, name
+        assert np.array_equal(table.c_theta, table.c_theta.T)
+        assert np.array_equal(table.c_eta, table.c_eta.T)
+
+
+def test_oracle_table_and_csv_read_allocate_no_entries_by_nodes_array(tmp_path, default_oracle, default_law):
+    # The oracle-grid workload's 201 times, and 201 non-uniform ones whose
+    # 20,100 lags are nearly all distinct; 401 nodes with the atom.
+    uniform, spread = 0.01 * np.arange(201), np.r_[0.0, np.geomspace(0.013, 2.0, 200)]
+    oracle_table(uniform[:3], default_oracle, default_law)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        oracle_peaks = []
+        for times in (spread, uniform):
+            tracemalloc.reset_peak()
+            table = oracle_table(times, default_oracle, default_law)
+            oracle_peaks.append(tracemalloc.get_traced_memory()[1])
+            del table
+        table = oracle_table(uniform, default_oracle, default_law)
+        path = tmp_path / "kernels.csv"
+        write_table_csv(table, path)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_table_csv(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # One (entries x nodes) float64 array is 20301 x 401 x 8 = 65 MB. Measured
+    # peaks: 6.0 MB (non-uniform) and 5.6 MB; the bound leaves 33 % headroom.
+    assert max(oracle_peaks) < 8e6
+    # Measured peak: 6.3 MB (numpy 2.4, CPython 3.11), while parsing one
+    # section's lines. A copy of the whole 6.1 MB file on top of the 1.3 MB
+    # of arrays the reader returns exceeds the bound, 18 % above the measured.
+    returned = sum(np.asarray(getattr(back, k)).nbytes for k in ("c_theta", "c_eta", "r_theta", "r_eta"))
+    assert read_peak < path.stat().st_size + returned
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.02])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmft_lab.kernels import empty_table
 from dmft_lab.model import ModelInstance, ModelParams, component_rng, sample_instance
 from dmft_lab.priors import (
     GaussianFixed,
@@ -239,14 +238,14 @@ def test_general_path_requires_full_trajectory():
         response_traces(None, inst, mix, params, [0, 200])  # outside horizon
 
 
-def test_response_replica_average():
+def test_response_replica_average(nan_table):
     params = ModelParams(n=40, d=20, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.25)
     prior = PriorSpec(GaussianFixed(1.0))
     traces = []
     for seed in (1, 2):
         inst = sample_instance(params, prior, seed=seed)
         traces.append(response_traces(None, inst, prior, params, [0, 5]))
-    table = empty_table(params.gamma_step * np.arange(params.n_steps + 1), params.gamma_step, "simulate")
+    table = nan_table(params.gamma_step * np.arange(params.n_steps + 1), params.gamma_step, "simulate")
     fill_response(table, traces, [0, 5])
     assert table.r_theta[5, 0] * params.gamma_step == pytest.approx(
         0.5 * (traces[0].r_theta[1, 0] + traces[1].r_theta[1, 0]), rel=1e-15
