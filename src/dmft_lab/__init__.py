@@ -14,7 +14,6 @@ from .priors import (
     PriorSpec,
     SmoothHinge,
     Theta0Spec,
-    drift_s,
     gradient_map_G,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "GaussianWeightMixture",
     "ExpFamily",
     "SmoothHinge",
-    "drift_s",
     "gradient_map_G",
     "sample_instance",
     "compare_tables",

@@ -150,27 +150,6 @@ class EtaSide:
         return self.delta * self.beta * self.deta_dwstar
 
 
-def propagate_eta(
-    c_theta: np.ndarray,
-    c_theta_star: np.ndarray,
-    c_star_star: float,
-    r_theta_raw: np.ndarray,
-    sigma2: float,
-    delta: float,
-    beta: float,
-):
-    """Full-grid eta-side propagation from complete theta-side grids.
-
-    Returns (c_eta, r_eta_raw, r_eta_star) with r_eta_raw in per-step units
-    and r_eta_star in natural units. Pure linear algebra, no sampling.
-    """
-    T = c_theta.shape[0] - 1
-    side = EtaSide(T, sigma2, delta, beta)
-    for t in range(T + 1):
-        side.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
-    return side.c_eta, side.r_eta_raw, side.r_eta_star()
-
-
 def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
     """One step of the response recursion with theta-independent curvature.
 
@@ -249,15 +228,13 @@ def solve_dmft(
     seed: int,
     regularizer: Optional[SmoothHinge] = None,
     response_budget_bytes: int = _DEFAULT_RESPONSE_BUDGET,
-    given_eta: Optional[KernelTable] = None,
 ) -> DmftResult:
     """Solve the discrete DMFT system by the time-iterated construction.
 
     Per step: extend every path's theta with a freshly sampled conditional
     Gaussian field, update response arrays, take ensemble means for the
     theta-side kernels and the parameter flow, and propagate the eta-side
-    deterministically. `given_eta` freezes the eta-side kernels to an existing
-    table (used for fixed-point verification) instead of self-consistency.
+    deterministically.
 
     The ensemble is stored time-major, (steps+1, paths), and every reduction
     over paths is a contiguous numpy pass (einsum rows, mean, std). None goes
@@ -318,11 +295,6 @@ def solve_dmft(
 
     eta = EtaSide(T, sigma2, delta, beta)
     chol = CholeskyExtender(T + 1)
-    if given_eta is not None:
-        if given_eta.n_times != T + 1:
-            raise ValueError("given_eta grid does not match the requested horizon")
-        ce_given = given_eta.c_eta
-        re_given = given_eta.r_eta * gamma  # density -> per-step units
 
     sqP = np.sqrt(P)
     for t in range(T + 1):
@@ -352,13 +324,9 @@ def solve_dmft(
             else:
                 r_theta_raw[t, :t] = gamma * v_resp[t, :t]
 
-        if given_eta is None:
-            eta.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
-            c_eta_row = eta.c_eta[t, : t + 1]
-            r_eta_row = eta.r_eta_raw[t, :t]
-        else:
-            c_eta_row = ce_given[t, : t + 1]
-            r_eta_row = re_given[t, :t]
+        eta.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
+        c_eta_row = eta.c_eta[t, : t + 1]
+        r_eta_row = eta.r_eta_raw[t, :t]
 
         if t == T:
             break
@@ -387,15 +355,6 @@ def solve_dmft(
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior.family, regularizer)
 
-    if given_eta is None:
-        c_eta = eta.c_eta
-        r_eta_raw_full = eta.r_eta_raw
-        r_eta_star = eta.r_eta_star()
-    else:
-        c_eta = ce_given.copy()
-        r_eta_raw_full = re_given.copy()
-        r_eta_star = given_eta.r_eta_star.copy()
-
     times = gamma * np.arange(T + 1)
     table = KernelTable(
         times=times,
@@ -404,10 +363,10 @@ def solve_dmft(
         c_theta=c_theta,
         c_theta_star=c_theta_star,
         c_star_star=c_star_star,
-        c_eta=c_eta,
+        c_eta=eta.c_eta,
         r_theta=r_theta_raw / gamma,
-        r_eta=r_eta_raw_full / gamma,
-        r_eta_star=r_eta_star,
+        r_eta=eta.r_eta_raw / gamma,
+        r_eta_star=eta.r_eta_star(),
         alpha=alpha,
         stderr={"c_theta": c_theta_se, "c_theta_star": c_theta_star_se, "r_theta": r_theta_se / gamma},
     )
@@ -492,16 +451,3 @@ def linear_gaussian_dmft(
         r_eta_star=eta.r_eta_star(),
         alpha=np.zeros((T + 1, 0)),
     )
-
-
-def eta_response_identity_residual(table: KernelTable) -> float:
-    """Max over grid times of |r_eta_star(t) + sum_s r_eta_raw(t, s)|.
-
-    The signal-field response must equal minus the row sum of the field
-    responses exactly (a discrete chain-rule identity)."""
-    r_eta_raw = table.r_eta * table.gamma
-    m = table.n_times
-    worst = 0.0
-    for t in range(m):
-        worst = max(worst, abs(table.r_eta_star[t] + r_eta_raw[t, :t].sum()))
-    return worst

@@ -68,10 +68,6 @@ class ModelInstance:
     theta0: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def d(self) -> int:
         return self.X.shape[1]
 

@@ -18,7 +18,7 @@ lab-wide (simulator / DMFT-engine) response kernels are
     R_eta(t, s)    = -(delta / sigma2) * beta_mp(t - s)   (>= 0 near diagonal)
     R_eta(t, *)    = -(delta / sigma2) * gamma_mp(t)      (<= 0)
 
-`response_eta` / `response_eta_star` apply that mapping.
+`oracle_table` applies that mapping.
 
 `resp_kernels` and `corr_kernels` also give the exact large-d kernels of the
 Euler chain at step gamma > 0, the system the linear DMFT engine solves.
@@ -62,10 +62,6 @@ class OracleParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def beta(self) -> float:
-        return 1.0 / self.sigma2
-
 
 @dataclass
 class MPLaw:
@@ -76,34 +72,6 @@ class MPLaw:
     weights: np.ndarray
     atom: float
     edge_hi: float
-
-    def integrate(self, f) -> float:
-        """Integral of f against the law; the atom contributes f(0)."""
-        total = float(np.sum(self.weights * f(self.nodes)))
-        if self.atom > 0:
-            total += self.atom * float(f(np.asarray(0.0)))
-        return total
-
-    def mass(self) -> float:
-        return float(np.sum(self.weights)) + self.atom
-
-    def mean(self) -> float:
-        return float(np.sum(self.weights * self.nodes))
-
-
-def stieltjes_m(z: float, delta: float) -> float:
-    """Positive root m(z) of (1 + z m)(1 + m/delta) = m, for z < 0."""
-    if z >= 0:
-        raise ValueError("stieltjes_m requires z < 0 (bulk support is nonnegative)")
-    a = z / delta
-    b = z + 1.0 / delta - 1.0
-    disc = b * b - 4.0 * a
-    sq = np.sqrt(disc)
-    # Stable quadratic roots: q-formula avoids cancellation.
-    q = -0.5 * (b + np.copysign(sq, b))
-    roots = [q / a, 1.0 / q] if q != 0 else [-b / a]
-    pos = [r for r in roots if r > 0]
-    return float(max(pos))
 
 
 def mp_quadrature(delta: float, n_nodes: int = 400) -> MPLaw:
@@ -209,18 +177,6 @@ def resp_kernels(t, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     return _floats(*out.reshape((3,) + t.shape))
 
 
-def response_eta(dt, oracle: OracleParams, law: MPLaw):
-    """Eta response density in the lab convention (positive near diagonal)."""
-    _, b, _ = resp_kernels(dt, oracle, law)
-    return -(oracle.delta / oracle.sigma2) * b
-
-
-def response_eta_star(t, oracle: OracleParams, law: MPLaw):
-    """Response of eta^t to the signal-field component, lab convention."""
-    _, _, g = resp_kernels(t, oracle, law)
-    return -(oracle.delta / oracle.sigma2) * g
-
-
 def corr_kernels(t, s, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     """(C_theta(t,s), C_theta(t,*), C_eta(t,s)) for theta^0 = 0, elementwise
     over t and s broadcast together.
@@ -265,64 +221,6 @@ def corr_kernels(t, s, oracle: OracleParams, law: MPLaw, gamma: float = 0.0):
     return _floats(c_ts, c_tstar, c_eta)
 
 
-def ceta_stationary(r: float, oracle: OracleParams, law: MPLaw) -> float:
-    """Stationary residual-kernel limit C_eta^inf(r), matched case only.
-
-    Valid for lam = 1/tau_star2; equals -(delta/sigma2) (gamma_mp(|r|) - 1)."""
-    if abs(oracle.lam - 1.0 / oracle.tau_star2) > 1e-12:
-        raise UnsupportedOracleError("ceta_stationary requires the matched prior lam = 1/tau_star2")
-    dl, s2 = oracle.delta, oracle.sigma2
-    x, w, h = _spectrum(oracle, law)
-    return float(_integral(dl * x / h * (_propagator(h, abs(r), 0.0) - 1.0), w)) / s2**2 + dl / s2
-
-
-def finite_d_oracle(instance, oracle: OracleParams, t: float, s: float):
-    """Exact finite-d conditional kernels via the eigendecomposition of
-    X^T X / delta: each eigenmode is an explicit Ornstein-Uhlenbeck process,
-    so (C_theta(t,s|X), C_theta(t,*|X)) follow by averaging the per-mode
-    moments over the empirical spectrum. theta^0 = 0 assumed.
-    """
-    evals = np.linalg.eigvalsh(instance.X.T @ instance.X / oracle.delta)
-    evals = np.clip(evals, 0.0, None)
-    emp = MPLaw(
-        delta=oracle.delta,
-        nodes=evals,
-        weights=np.full(evals.shape, 1.0 / evals.size),
-        atom=0.0,
-        edge_hi=float(evals.max()),
-    )
-    c_ts, c_tstar, _ = corr_kernels(t, s, oracle, emp)
-    return c_ts, c_tstar
-
-
-def fdt_check(tau_grid, oracle: OracleParams, law: MPLaw) -> float:
-    """Max residual over the grid of the integrated fluctuation-dissipation
-    identity c_theta^tti(0) - c_theta^tti(tau) = int_0^tau alpha_mp(s) ds.
-
-    The left side comes from `stationary_ctheta_tti`, the right side from a
-    48-node Gauss-Legendre rule in s over `resp_kernels`, so a wrong time
-    scale in either integrand shows.
-    """
-    tau = np.asarray(tau_grid, dtype=float).reshape(-1)
-    c_tti = np.array([stationary_ctheta_tti(t, oracle, law) for t in tau])
-    u, gw = np.polynomial.legendre.leggauss(48)
-    alpha = resp_kernels(0.5 * tau[:, None] * (u + 1.0), oracle, law)[0]
-    area = 0.5 * tau * _integral(alpha, gw)
-    return float(np.max(np.abs(stationary_ctheta_tti(0.0, oracle, law) - c_tti - area), initial=0.0))
-
-
-def stationary_ctheta_tti(tau: float, oracle: OracleParams, law: MPLaw) -> float:
-    """Time-translation-invariant part of C_theta at stationarity."""
-    _, w, h = _spectrum(oracle, law)
-    return float(_integral(_propagator(h, tau, 0.0) / h, w))
-
-
-def gamma_limit(oracle: OracleParams, law: MPLaw) -> float:
-    """lim_{t->inf} gamma_mp(t) = (1/sigma2) int (x/h) mu(dx)."""
-    x, w, h = _spectrum(oracle, law)
-    return float(_integral(x / h, w)) / oracle.sigma2
-
-
 def oracle_table(times, oracle: OracleParams, law: MPLaw):
     """Evaluate all closed-form kernels on a time grid as a KernelTable.
 
@@ -341,7 +239,7 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
     rows, cols = np.tril_indices(m, -1)
     lags, at = _distinct(np.concatenate([times[rows] - times[cols], times]))
     alpha_mp, beta_mp, gamma_mp = resp_kernels(lags, oracle, law)
-    scale = -(oracle.delta / oracle.sigma2)  # response_eta and response_eta_star
+    scale = -(oracle.delta / oracle.sigma2)  # the lab sign convention of the eta responses
     r_theta, r_eta = np.full((m, m), np.nan), np.full((m, m), np.nan)
     r_theta[rows, cols] = alpha_mp[at[: rows.size]]
     r_eta[rows, cols] = scale * beta_mp[at[: rows.size]]

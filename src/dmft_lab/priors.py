@@ -151,34 +151,6 @@ class GaussianFixed(GaussianMixture):
         return np.zeros(r.shape[:-1] + (0,))
 
 
-class ZeroDrift(PriorFamily):
-    """Degenerate drift s = 0 (flat improper prior); diagnostics and tests
-    only. Not samplable and carries no finite moments."""
-
-    dim_alpha = 0
-
-    def log_g(self, theta, alpha=None):
-        return np.zeros_like(np.asarray(theta, dtype=float))
-
-    def drift_s(self, theta, alpha=None):
-        return np.zeros_like(np.asarray(theta, dtype=float))
-
-    def dtheta_drift_s(self, theta, alpha=None):
-        return np.zeros_like(np.asarray(theta, dtype=float))
-
-    def grad_alpha_log_g(self, theta, alpha=None):
-        return np.zeros(np.asarray(theta, dtype=float).shape + (0,))
-
-    def sample(self, alpha, rng, size):
-        raise ValueError("the flat drift family has no sampling law")
-
-    def second_moment(self, alpha=None):
-        raise ValueError("the flat drift family has no finite moments")
-
-    def theta_curvature_constant(self, alpha=None):
-        return 0.0
-
-
 class GaussianMeanMixture(GaussianMixture):
     """Mixture sum_k p_k N(alpha_k, 1/omega_k) with adaptive means alpha in R^K."""
 
@@ -327,14 +299,6 @@ class SmoothHinge:
     D: float = 10.0
     eps: float = 1.0
 
-    def value(self, alpha) -> float:
-        r = float(np.linalg.norm(np.asarray(alpha, dtype=float)))
-        if r <= self.D:
-            return 0.0
-        if r <= self.D + self.eps:
-            return (r - self.D) ** 3 / self.eps
-        return 3 * self.eps * (r - self.D - self.eps) + self.eps**2
-
     def grad(self, alpha) -> np.ndarray:
         alpha = np.asarray(alpha, dtype=float)
         r = float(np.linalg.norm(alpha))
@@ -393,12 +357,6 @@ class PriorSpec:
     @property
     def dim_alpha(self) -> int:
         return self.family.dim_alpha
-
-
-def drift_s(theta, alpha, family: PriorFamily):
-    """Evaluate s(theta, alpha) = d/dtheta log g for the family."""
-    _check_finite(theta, alpha)
-    return family.drift_s(theta, alpha)
 
 
 def gradient_map_G(

@@ -53,17 +53,10 @@ def evolve(
     prior: PriorSpec,
     params: ModelParams,
     seed: int,
-    noise_mode: str = "stochastic",
     retain_every: int = 10,
     regularizer: Optional[SmoothHinge] = None,
 ) -> Trajectory:
-    """Run the Euler chain; returns a Trajectory.
-
-    frozen-zero noise mode sets every Brownian increment to zero, which turns
-    the chain into deterministic gradient descent for unit testing.
-    """
-    if noise_mode not in ("stochastic", "frozen-zero"):
-        raise ValueError("noise_mode must be 'stochastic' or 'frozen-zero'")
+    """Run the Euler chain; returns a Trajectory."""
     X, y = instance.X, instance.y
     if X.shape != (params.n, params.d):
         raise ValueError("instance dimensions do not match params")
@@ -97,10 +90,7 @@ def evolve(
         if t == T:
             break
         drift = -beta * (gram @ theta - xty) + prior.family.drift_s(theta, alpha)
-        if noise_mode == "stochastic":
-            incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
-        else:
-            incr = 0.0
+        incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
         new_theta = theta + gamma * drift + np.sqrt(2.0) * incr
         if K:
             alpha = alpha + gamma * gradient_map_G(alpha, theta, prior.family, regularizer)
@@ -115,23 +105,29 @@ def evolve(
     )
 
 
+def _replica_se(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over the leading (replica) axis: the sample
+    std (ddof 1) over sqrt(R). NaN with one replica, which has no spread."""
+    R = values.shape[0]
+    if R < 2:
+        return np.full(values.shape[1:], np.nan)
+    return values.std(axis=0, ddof=1) / np.sqrt(R)
+
+
 def empirical_kernels(
     replicas: list[Trajectory],
-    instances,
+    instances: list[ModelInstance],
     params: ModelParams,
 ) -> KernelTable:
     """Replica-averaged coordinate kernels with across-replica standard errors.
 
-    `instances` is either one shared ModelInstance (replicas differ only in
-    the Brownian path) or a list aligned with `replicas` (each replica is an
-    independent realization of the model). C_theta(t,s) averages
-    theta^t . theta^s / d; C_eta scales the residual Gram by
-    delta beta^2 / n. Symmetric blocks are computed once and mirrored.
+    `instances` is aligned with `replicas`: each replica is an independent
+    realization of the model. C_theta(t,s) averages theta^t . theta^s / d;
+    C_eta scales the residual Gram by delta beta^2 / n. Symmetric blocks are
+    computed once and mirrored.
     """
     if not replicas:
         raise ValueError("need at least one replica")
-    if isinstance(instances, ModelInstance):
-        instances = [instances] * len(replicas)
     if len(instances) != len(replicas):
         raise ValueError("instances must align with replicas")
     t0 = replicas[0]
@@ -144,19 +140,13 @@ def empirical_kernels(
     cs = np.stack([tr.theta_path @ inst.theta_star / d for tr, inst in zip(replicas, instances)])
     ss = np.array([inst.theta_star @ inst.theta_star / d for inst in instances])
     al = np.stack([tr.alpha_path for tr in replicas])
-    R = len(replicas)
-    ddof = 1 if R > 1 else 0
     m = t0.times.size
     ce = np.stack([scale_eta * (tr.residual_path @ tr.residual_path.T) for tr in replicas])
     c_eta = ce.mean(axis=0)
     c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
     c_theta = ct.mean(axis=0)
     c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
-    stderr = {
-        "c_theta": ct.std(axis=0, ddof=ddof) / np.sqrt(R),
-        "c_theta_star": cs.std(axis=0, ddof=ddof) / np.sqrt(R),
-        "c_eta": ce.std(axis=0, ddof=ddof) / np.sqrt(R),
-    }
+    stderr = {"c_theta": _replica_se(ct), "c_theta_star": _replica_se(cs), "c_eta": _replica_se(ce)}
     return KernelTable(
         times=t0.times,
         gamma=params.gamma_step,
@@ -291,12 +281,19 @@ def response_traces(
 
 def fill_response(table: KernelTable, traces: list[ResponseTraces], step_indices) -> None:
     """Write the replica mean of response traces taken between `step_indices`
-    into a simulator table's response grids, in density units."""
+    into a simulator table's response grids, in density units, and its
+    across-replica standard error into the table's stderr, as for the
+    correlation kernels. Each replica has its own design (and probes), so the
+    spread covers both."""
     rows = np.array([time_index(table.times, table.gamma * k) for k in sorted(set(step_indices))])
     below = np.tril_indices(rows.size, -1)
+    at = (rows[below[0]], rows[below[1]])
     for name in ("r_theta", "r_eta"):
-        mean = np.mean([getattr(tr, name) for tr in traces], axis=0)
-        getattr(table, name)[rows[below[0]], rows[below[1]]] = mean[below] / table.gamma
+        values = np.stack([getattr(tr, name) for tr in traces])
+        grid = getattr(table, name)
+        grid[at] = values.mean(axis=0)[below] / table.gamma
+        table.stderr[name] = np.full(grid.shape, np.nan)
+        table.stderr[name][at] = _replica_se(values)[below] / table.gamma
 
 
 def wasserstein2_1d(samples_a, samples_b) -> float:

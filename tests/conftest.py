@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dmft_lab.dmft import linear_gaussian_dmft
 from dmft_lab.kernels import KernelTable
 from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
@@ -25,6 +28,19 @@ def default_oracle():
 @pytest.fixture(scope="session")
 def default_law():
     return mp_quadrature(2.0, 400)
+
+
+@pytest.fixture(scope="session")
+def long_time_params(gaussian_default_params):
+    """gaussian_default's model up to T = 10: criterion 09's setting."""
+    return replace(gaussian_default_params, horizon=10.0)
+
+
+@pytest.fixture(scope="session")
+def long_time_table(long_time_params):
+    """The linear engine's kernels in criterion 09's setting (1001 steps,
+    about 2 s), shared by the criterion and its mutation test."""
+    return linear_gaussian_dmft(long_time_params, 1.0, 1.0)
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import closed_forms
 from dmft_lab import cli, dmft, equilibrium, mp_oracle, simulator
 from dmft_lab.kernels import time_index
 from dmft_lab.model import ModelParams, sample_instance
@@ -92,17 +93,13 @@ def _coarse_idx(times, grid):
 def test_criterion_01_oracle_self_consistency(oracle_pack):
     oracle, law = oracle_pack
     t0 = time.time()
-    a0, b0, g0 = mp_oracle.resp_kernels(0.0, oracle, law)
-    worst = max(abs(a0 - 1.0), abs(g0), abs(b0 + 1.0 / SIGMA2))
-    worst = max(worst, abs(law.mass() - 1.0), abs(law.mean() - 1.0))
-    for z in (-0.5, -1.0, -5.0):
-        worst = max(worst, abs(mp_oracle.stieltjes_m(z, DELTA) - law.integrate(lambda x: 1.0 / (x - z))))
-    fdt = mp_oracle.fdt_check(np.linspace(0.0, 2.0, 41), oracle, law)
-    worst = max(worst, fdt)
+    checks = closed_forms.criterion_01(oracle, law)
     elapsed = time.time() - t0
-    ok = worst <= 1e-10 and elapsed < 1.0
+    worst, fdt = max(m for m, _ in checks.values()), checks["fdt"][0]
+    failed = closed_forms.failed(checks)
+    ok = not failed and elapsed < 1.0
     _line(1, ok, f"oracle identities max residual {worst:.2e}, fdt {fdt:.2e}, {elapsed:.2f}s")
-    assert worst <= 1e-10
+    assert not failed
     assert elapsed < 1.0
 
 
@@ -243,21 +240,13 @@ def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
 
 
 def test_criterion_05_response_identities(mc_result, sim_pack):
-    tab = mc_result.table
-    raw = tab.r_theta * tab.gamma
-    base_dev = max(abs(raw[t, t - 1] - GAMMA) for t in range(1, tab.n_times))
-    eta_dev = dmft.eta_response_identity_residual(tab)
     params, prior, _, _ = sim_pack
     inst = sample_instance(params, prior, seed=SIM_SEED * 1000)
-    sim_dev = 0.0
-    for s in (0, 100, 199):
-        tr = simulator.response_traces(None, inst, prior, params, [s, s + 1])
-        sim_dev = max(sim_dev, abs(tr.r_theta[1, 0] - GAMMA))
-    ok = base_dev <= 1e-12 and eta_dev <= 1e-12 and sim_dev <= 1e-14
-    _line(5, ok, f"engine base {base_dev:.1e}, field identity {eta_dev:.1e}, simulator base {sim_dev:.1e}")
-    assert base_dev <= 1e-12
-    assert eta_dev <= 1e-12
-    assert sim_dev <= 1e-14
+    traces = [simulator.response_traces(None, inst, prior, params, [s, s + 1]) for s in (0, 100, 199)]
+    checks = closed_forms.criterion_05(mc_result.table, traces)
+    failed = closed_forms.failed(checks)
+    _line(5, not failed, ", ".join(f"{name} {margin:.1e}" for name, (margin, _) in checks.items()))
+    assert not failed
 
 
 # --------------------------------------------------------------- criterion 6
@@ -270,7 +259,7 @@ def test_criterion_06_finite_d_bridge(oracle_pack):
     vals = []
     for r in range(5):
         inst = sample_instance(params, prior, seed=600 + r)
-        vals.append(mp_oracle.finite_d_oracle(inst, oracle, 1.0, 0.5))
+        vals.append(closed_forms.finite_d_oracle(inst, oracle, 1.0, 0.5))
     mean = np.mean(vals, axis=0)
     cts, ctstar, _ = mp_oracle.corr_kernels(1.0, 0.5, oracle, law)
     dev = max(abs(mean[0] - cts), abs(mean[1] - ctstar))
@@ -334,15 +323,13 @@ def test_criterion_08_stationarity_and_immse():
 # --------------------------------------------------------------- criterion 9
 
 
-def test_criterion_09_long_time_handoff(oracle_pack):
+def test_criterion_09_long_time_handoff(oracle_pack, long_time_table):
     oracle, law = oracle_pack
-    tab = dmft.linear_gaussian_dmft(params_at(horizon=10.0), LAM, TAU2)
-    dev_theta = abs(tab.c_theta[-1, -1] - TAU2)
-    dev_eta = abs(tab.c_eta[-1, -1] - mp_oracle.ceta_stationary(0.0, oracle, law))
-    ok = dev_theta <= 0.01 and dev_eta <= 0.02
-    _line(9, ok, f"T=10: |C_theta - tau*^2| = {dev_theta:.5f}, |C_eta - delta/sigma2| = {dev_eta:.5f}")
-    assert dev_theta <= 0.01
-    assert dev_eta <= 0.02
+    checks = closed_forms.criterion_09(long_time_table, oracle, law)
+    failed = closed_forms.failed(checks)
+    (dev_theta, _), (dev_eta, _) = checks["c_theta"], checks["c_eta"]
+    _line(9, not failed, f"T=10: |C_theta - tau*^2| = {dev_theta:.5f}, |C_eta - delta/sigma2| = {dev_eta:.5f}")
+    assert not failed
 
 
 # -------------------------------------------------------------- criterion 10

@@ -253,9 +253,9 @@ def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
         assert np.all(np.isfinite(np.tril(table.r_theta[np.ix_([0, 2, 4], [0, 2, 4])], k=-1)))
 
 
-@pytest.mark.parametrize("method", simulator.RESPONSE_METHODS)
-def test_response_csv_is_the_replica_mean_over_gamma(tmp_path, method):
-    steps = [0, 4, 10]
+def _response_run(tmp_path, method, steps):
+    """A response run's table read back from its CSV, the response traces of
+    its replicas recomputed one by one, and the rows of its response steps."""
     cfg = small_config("response", out=str(tmp_path / "r"), response_steps=steps, response_method=method, n_probes=8)
     assert run(cfg) == 0
     table, _ = load_artifact(tmp_path / "r")
@@ -265,13 +265,33 @@ def test_response_csv_is_the_replica_mean_over_gamma(tmp_path, method):
         rs = c.opts["seed"] * 1000 + r
         inst = sample_instance(c.model, c.prior, seed=rs)
         traces.append(simulator.response_traces(None, inst, c.prior, c.model, steps, method=method, n_probes=8, seed=rs))
-    rows = [k // c.opts["retain_every"] for k in steps]
+    return table, traces, [k // c.opts["retain_every"] for k in steps]
+
+
+@pytest.mark.parametrize("method", simulator.RESPONSE_METHODS)
+def test_response_csv_is_the_replica_mean_over_gamma(tmp_path, method):
+    steps = [0, 4, 10]
+    table, traces, rows = _response_run(tmp_path, method, steps)
     below = np.tril(np.ones((len(steps),) * 2, dtype=bool), k=-1)
     for name in ("r_theta", "r_eta"):
-        want = np.mean([getattr(tr, name) for tr in traces], axis=0) / c.model.gamma_step
+        want = np.mean([getattr(tr, name) for tr in traces], axis=0) / table.gamma
         grid = getattr(table, name)
         assert np.array_equal(grid[np.ix_(rows, rows)][below], want[below])
         assert np.count_nonzero(~np.isnan(grid)) == below.sum()  # nothing off the response steps
+
+
+def test_probe_response_csv_carries_the_replica_spread_as_stderr(tmp_path):
+    # The replica rule of the correlation kernels: std (ddof 1) over the 3
+    # replicas' traces, over sqrt(3). It covers the probe noise as well.
+    steps = [0, 4, 10]
+    table, traces, rows = _response_run(tmp_path, "probe", steps)
+    below = np.tril(np.ones((len(steps),) * 2, dtype=bool), k=-1)
+    for name in ("r_theta", "r_eta"):
+        values = np.array([getattr(tr, name) for tr in traces])
+        want = values.std(axis=0, ddof=1) / np.sqrt(len(traces)) / table.gamma
+        se = table.stderr[name]
+        assert np.array_equal(se[np.ix_(rows, rows)][below], want[below])
+        assert np.array_equal(np.isnan(se), np.isnan(getattr(table, name)))  # one SE per entry
 
 
 # ------------------------------------------------------------- strict config

@@ -9,13 +9,9 @@ ymse and on gamma_mp(inf)."""
 
 import pytest
 
+from closed_forms import ceta_stationary, gamma_limit
 from dmft_lab.equilibrium import solve_fixed_point
-from dmft_lab.mp_oracle import (
-    OracleParams,
-    ceta_stationary,
-    gamma_limit,
-    mp_quadrature,
-)
+from dmft_lab.mp_oracle import OracleParams, mp_quadrature
 from dmft_lab.priors import GaussianFixed
 
 

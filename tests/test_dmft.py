@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import dmft_lab
+from closed_forms import eta_response_identity_residual, propagate_eta
 from dmft_lab import cli, dmft
 from dmft_lab.dmft import (
     CholeskyExtender,
     IllConditionedKernelError,
     MemoryBudgetError,
-    eta_response_identity_residual,
     linear_gaussian_dmft,
-    propagate_eta,
     solve_dmft,
 )
 from dmft_lab.kernels import time_index
@@ -210,11 +209,20 @@ def test_marginal_samples_contract(small_solution):
     assert np.all(draws[0.0] == 0.0)
 
 
-def test_fixed_point_replay(small_solution):
+def test_fixed_point_replay(monkeypatch, small_solution):
     # Re-running the theta-side against the solver's own eta kernels with a
-    # fresh seed reproduces the theta kernels within Monte Carlo error.
+    # fresh seed reproduces the theta kernels within Monte Carlo error. The
+    # eta side is frozen: each step copies row t of the solved table.
     params, prior, res = small_solution
-    replay = solve_dmft(params, prior, n_paths=2000, seed=77, given_eta=res.table)
+    given = res.table
+
+    def frozen(self, t, *theta_side):
+        self.c_eta[t] = given.c_eta[t]
+        self.r_eta_raw[t] = given.r_eta[t] * given.gamma
+        self.deta_dwstar[t] = given.r_eta_star[t] / (self.delta * self.beta)
+
+    monkeypatch.setattr(dmft.EtaSide, "add_step", frozen)
+    replay = solve_dmft(params, prior, n_paths=2000, seed=77)
     se = np.sqrt(res.table.stderr["c_theta"] ** 2 + replay.table.stderr["c_theta"] ** 2)
     diff = np.abs(replay.table.c_theta - res.table.c_theta)
     assert np.all(diff <= 4 * se + 1e-9)

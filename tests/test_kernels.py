@@ -42,7 +42,7 @@ def simulate_response_table():
     prior = PriorSpec(GaussianFixed(1.0), alpha=[])
     inst = sample_instance(SMALL, prior, seed=5)
     traj = simulator.evolve(inst, prior, SMALL, seed=5, retain_every=2)
-    table = simulator.empirical_kernels([traj], inst, SMALL)
+    table = simulator.empirical_kernels([traj], [inst], SMALL)
     traces = simulator.response_traces(None, inst, prior, SMALL, [0, 4, 8])
     simulator.fill_response(table, [traces], [0, 4, 8])
     return table

@@ -13,7 +13,6 @@ from dmft_lab.priors import (
     PriorSpec,
     SmoothHinge,
     Theta0Spec,
-    drift_s,
     gradient_map_G,
 )
 
@@ -41,23 +40,23 @@ def _fd(f, x, h=1e-5):
 
 def test_drift_gaussian_fixed_unit():
     # N(0, 1/lam) with lam = 1 at theta = 1 has score -1.
-    assert drift_s(1.0, None, GaussianFixed(1.0)) == -1.0
+    assert GaussianFixed(1.0).drift_s(1.0, None) == -1.0
 
 
 def test_drift_location_at_mode():
-    assert drift_s(2.0, np.array([2.0]), GaussianLocation(1.0)) == 0.0
+    assert GaussianLocation(1.0).drift_s(2.0, np.array([2.0])) == 0.0
 
 
 def test_drift_single_component_mixture():
     fam = GaussianMeanMixture([1.0], [2.0])
-    assert drift_s(1.0, np.array([0.0]), fam) == pytest.approx(-2.0, abs=1e-14)
+    assert fam.drift_s(1.0, np.array([0.0])) == pytest.approx(-2.0, abs=1e-14)
 
 
-def test_drift_rejects_nonfinite():
+def test_gradient_map_rejects_nonfinite():
     with pytest.raises(InputDomainError):
-        drift_s(np.nan, None, GaussianFixed(1.0))
+        gradient_map_G(None, [np.nan], GaussianFixed(1.0))
     with pytest.raises(InputDomainError):
-        drift_s(0.0, np.array([np.inf]), GaussianLocation())
+        gradient_map_G(np.array([np.inf]), [0.0], GaussianLocation())
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -163,16 +162,15 @@ def test_exp_family_normalizer_matches_gaussian():
 
 def test_smooth_hinge_is_c1():
     reg = SmoothHinge(D=1.0, eps=0.5)
-    assert reg.value(np.array([0.5])) == 0.0
-    assert reg.grad(np.array([0.5]))[0] == 0.0
-    for r in (1.0 - 1e-9, 1.0 + 1e-9, 1.5 - 1e-9, 1.5 + 1e-9):
-        lo = reg.value(np.array([r - 1e-7]))
-        hi = reg.value(np.array([r + 1e-7]))
-        fd = (hi - lo) / 2e-7
-        assert abs(fd - reg.grad(np.array([r]))[0]) < 1e-5
-    # linear branch with slope 3 eps
-    g = reg.grad(np.array([10.0]))[0]
-    assert g == pytest.approx(3 * 0.5, abs=1e-12)
+    grad = lambda r: reg.grad(np.array([r]))[0]
+    assert grad(0.5) == 0.0
+    # continuous at D and at D + eps
+    for r in (1.0, 1.5):
+        assert abs(grad(r + 1e-9) - grad(r - 1e-9)) < 1e-5
+    # the cubic ramp's slope 3 (r - D)^2 / eps, then the linear branch's 3 eps
+    for r in (1.1, 1.3, 1.5):
+        assert grad(r) == pytest.approx(3 * (r - 1.0) ** 2 / 0.5, abs=1e-12)
+    assert grad(10.0) == pytest.approx(3 * 0.5, abs=1e-12)
 
 
 def test_theta0_spec_kinds():

@@ -1,0 +1,85 @@
+"""Every agreement check must be able to fail.
+
+Each case monkeypatches one known-wrong variant into shipped code and asserts
+that the acceptance criterion's own computation (`closed_forms.criterion_*`,
+the function `test_acceptance.py` asserts on) reports the failure, and that
+it passes without the fault. This is mutation testing (DeMillo, Lipton and
+Sayward 1978), done by hand.
+"""
+
+import numpy as np
+import pytest
+
+import closed_forms
+from dmft_lab import dmft, mp_oracle, simulator
+from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.priors import GaussianFixed, PriorSpec
+
+
+def time_scale_error(monkeypatch):
+    """Every mode decays on a 1 % faster clock."""
+    propagator = mp_oracle._propagator
+    monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, gamma: propagator(h, 1.01 * np.asarray(t), gamma))
+
+
+def signal_response_without_unit(monkeypatch):
+    """deta^t/dw* recursed without the `+ 1.0` of the direct w* term."""
+    add_step = dmft.EtaSide.add_step
+
+    def mutant(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row):
+        add_step(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row)
+        if t > 0:
+            self.deta_dwstar[t] = -self.beta * float(r_theta_raw_row @ self.deta_dwstar[:t])
+
+    monkeypatch.setattr(dmft.EtaSide, "add_step", mutant)
+
+
+def noise_variance_dropped(monkeypatch):
+    """The eta side's input covariance without its sigma2 noise entry."""
+    init = dmft.EtaSide.__init__
+
+    def mutant(self, *args):
+        init(self, *args)
+        self.sig[1, 1] = 0.0
+
+    monkeypatch.setattr(dmft.EtaSide, "__init__", mutant)
+
+
+@pytest.fixture(scope="module")
+def oracle_pack():
+    oracle = mp_oracle.OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
+    return oracle, mp_oracle.mp_quadrature(2.0, 400)
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_01_catches_a_time_scale_error_in_the_propagator(monkeypatch, oracle_pack, mutate):
+    if mutate:
+        time_scale_error(monkeypatch)
+    failed = closed_forms.failed(closed_forms.criterion_01(*oracle_pack))
+    assert failed == (["fdt"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_05_catches_a_signal_response_without_its_unit(monkeypatch, mutate):
+    # The criterion on a small MC-DMFT solve and simulator instance at one step.
+    params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=1.0)
+    prior = PriorSpec(GaussianFixed(1.0))
+    inst = sample_instance(params, prior, seed=1)
+    traces = [simulator.response_traces(None, inst, prior, params, [s, s + 1]) for s in (0, 10, 19)]
+    if mutate:
+        signal_response_without_unit(monkeypatch)
+    table = dmft.solve_dmft(params, prior, n_paths=200, seed=1).table
+    failed = closed_forms.failed(closed_forms.criterion_05(table, traces))
+    assert failed == (["field identity"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_09_catches_the_noise_variance_dropped(
+    monkeypatch, oracle_pack, long_time_params, long_time_table, mutate
+):
+    table = long_time_table  # criterion 09's own input
+    if mutate:
+        noise_variance_dropped(monkeypatch)
+        table = dmft.linear_gaussian_dmft(long_time_params, 1.0, 1.0)
+    failed = closed_forms.failed(closed_forms.criterion_09(table, *oracle_pack))
+    assert ("c_eta" in failed) if mutate else not failed

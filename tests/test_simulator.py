@@ -8,9 +8,9 @@ from dmft_lab.priors import (
     GaussianFixed,
     GaussianMeanMixture,
     GaussianLocation,
+    PriorFamily,
     PriorSpec,
     Theta0Spec,
-    ZeroDrift,
 )
 from dmft_lab.simulator import (
     DivergenceError,
@@ -32,32 +32,46 @@ def manual_instance(X, y=None, theta0=None, theta_star=None, eps=None):
     return ModelInstance(X=X, theta_star=theta_star, eps=eps, y=y, theta0=theta0)
 
 
+class FlatDrift(PriorFamily):
+    """s = 0, the flat improper prior: the chain keeps only likelihood and noise."""
+
+    def drift_s(self, theta, alpha=None):
+        return np.zeros_like(theta)
+
+
+def brownian_increments(seed, params):
+    """The chain's sqrt(2) (b^{t+1} - b^t), one row per step, from its own stream."""
+    rng = component_rng(seed, 201)
+    return [np.sqrt(2.0) * rng.normal(0.0, np.sqrt(params.gamma_step), size=params.d) for _ in range(params.n_steps)]
+
+
 def test_pure_brownian_path_exact():
     # beta = 0, s = 0: theta^t - theta^0 is exactly sqrt(2) * b^t.
     params = ModelParams(n=3, d=4, sigma2=1.0, beta=0.0, gamma_step=0.1, horizon=1.0)
     inst = manual_instance(np.zeros((3, 4)), theta0=np.ones(4))
-    traj = evolve(inst, PriorSpec(ZeroDrift()), params, seed=9, retain_every=1)
-    rng = component_rng(9, 201)
+    traj = evolve(inst, PriorSpec(FlatDrift()), params, seed=9, retain_every=1)
     theta = inst.theta0.copy()
-    for t in range(params.n_steps):
-        theta = theta + params.gamma_step * 0.0 + np.sqrt(2.0) * rng.normal(
-            0.0, np.sqrt(params.gamma_step), size=4
-        )
+    for t, incr in enumerate(brownian_increments(9, params)):
+        theta = theta + params.gamma_step * 0.0 + incr
         assert np.array_equal(traj.theta_path[t + 1], theta)
 
 
 def test_one_step_contraction_identity_design():
+    # X = I, y = 0, lam = 1: the drift is -2 theta, so gamma = 1/4 halves theta.
     params = ModelParams(n=2, d=2, sigma2=1.0, beta=1.0, gamma_step=0.25, horizon=0.25)
     inst = manual_instance(np.eye(2), theta0=np.ones(2))
-    traj = evolve(inst, PriorSpec(GaussianFixed(1.0)), params, seed=0, noise_mode="frozen-zero", retain_every=1)
-    assert np.allclose(traj.theta_path[1], [0.5, 0.5], atol=1e-15)
+    traj = evolve(inst, PriorSpec(GaussianFixed(1.0)), params, seed=0, retain_every=1)
+    (incr,) = brownian_increments(0, params)
+    assert np.allclose(traj.theta_path[1], 0.5 + incr, rtol=0.0, atol=1e-15)
 
 
 def test_two_step_scalar_contraction():
+    # X = 1, y = 0, s = 0: each step multiplies theta by 1 - gamma = 0.9.
     params = ModelParams(n=1, d=1, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=0.2)
     inst = manual_instance(np.ones((1, 1)), theta0=np.ones(1))
-    traj = evolve(inst, PriorSpec(ZeroDrift()), params, seed=0, noise_mode="frozen-zero", retain_every=1)
-    assert traj.theta_path[2, 0] == pytest.approx(0.81, abs=1e-15)
+    traj = evolve(inst, PriorSpec(FlatDrift()), params, seed=0, retain_every=1)
+    b1, b2 = brownian_increments(0, params)
+    assert traj.theta_path[2, 0] == pytest.approx(0.81 + 0.9 * b1[0] + b2[0], abs=1e-15)
 
 
 def test_evolve_is_deterministic():
@@ -77,7 +91,7 @@ def test_divergence_guard_reports_step():
     params = ModelParams(n=4, d=4, sigma2=1.0, beta=1.0, gamma_step=10.0, horizon=100.0)
     inst = manual_instance(np.eye(4) * 5.0, theta0=np.ones(4))
     with pytest.raises(DivergenceError):
-        evolve(inst, PriorSpec(GaussianFixed(1.0)), params, seed=0, noise_mode="frozen-zero")
+        evolve(inst, PriorSpec(GaussianFixed(1.0)), params, seed=0)
 
 
 def test_alpha_update_single_step():
@@ -86,7 +100,7 @@ def test_alpha_update_single_step():
     theta0 = np.array([1.0, 2.0, 3.0])
     inst = manual_instance(np.zeros((2, 3)), theta0=theta0)
     prior = PriorSpec(GaussianLocation(1.0), alpha=[0.5], alpha_star=[0.5])
-    traj = evolve(inst, prior, params, seed=0, noise_mode="frozen-zero", retain_every=1)
+    traj = evolve(inst, prior, params, seed=0, retain_every=1)
     assert traj.alpha_path[1, 0] == pytest.approx(0.5 + 0.2 * (2.0 - 0.5), abs=1e-14)
 
 
@@ -115,8 +129,9 @@ def test_initial_second_moment_lln():
     prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("gaussian", var=1.0))
     inst = sample_instance(params, prior, seed=17)
     traj = evolve(inst, prior, params, seed=17, retain_every=1)
-    table = empirical_kernels([traj], inst, params)
+    table = empirical_kernels([traj], [inst], params)
     assert abs(table.c_theta[0, 0] - 1.0) < 3 * np.sqrt(2.0) / np.sqrt(params.d)
+    assert all(np.isnan(se).all() for se in table.stderr.values())  # one replica has no spread
 
 
 def test_star_initialization_residual_kernel():
@@ -124,7 +139,7 @@ def test_star_initialization_residual_kernel():
     prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("star"))
     inst = sample_instance(params, prior, seed=23)
     traj = evolve(inst, prior, params, seed=23, retain_every=1)
-    table = empirical_kernels([traj], inst, params)
+    table = empirical_kernels([traj], [inst], params)
     exact = params.delta * params.beta**2 / params.n * (inst.eps @ inst.eps)
     assert table.c_eta[0, 0] == pytest.approx(exact, rel=1e-12)
     assert abs(table.c_eta[0, 0] - params.delta * params.beta**2 * params.sigma2) < 0.6
