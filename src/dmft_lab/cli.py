@@ -1,8 +1,10 @@
 """Run configuration, pipeline orchestration, and reproducible I/O.
 
 Usage: dmft-lab <pipeline> --config <file> [--out <dir>] [--seed <u64>]
-[--threads <n>]. Pipelines: simulate, dmft, dmft-linear, oracle, equilibrium,
-compare, response. Every run writes kernels_<source>.csv (where applicable),
+[--threads <n>]. Pipelines: the four kernel routes simulate, dmft, dmft-linear
+and oracle, then equilibrium and compare. A route has one name: its pipeline,
+its compare source, the source line of its table and its file
+kernels_<route>.csv. Every run writes that file (where applicable),
 manifest.json, and (for compare) report.json into the output directory; the
 env var DMFT_LAB_OUT overrides the output directory.
 """
@@ -48,13 +50,13 @@ from .priors import (
 )
 from .simulator import RESPONSE_METHODS
 
-PIPELINES = ("simulate", "dmft", "dmft-linear", "oracle", "equilibrium", "compare", "response")
-
-# Source names accepted besides the pipeline names, and the pipeline each runs.
-_ALIASES = {"dmft-mc": "dmft", "mp-oracle": "oracle", "response": "simulate"}
-_COMPARABLE = ("simulate", "dmft", "dmft-mc", "dmft-linear", "oracle", "mp-oracle")
+# The kernel routes, each a pipeline and a compare source of the same name.
+ROUTES = ("simulate", "dmft", "dmft-linear", "oracle")
+PIPELINES = ROUTES + ("equilibrium", "compare")
 # The closed-form sources: theta0 = 0 and a Gaussian theta_star of second moment tau_star2.
 _CLOSED = ("dmft-linear", "oracle")
+# The Monte Carlo sources: they draw from the seed and carry marginal samples.
+_MONTE_CARLO = ("simulate", "dmft")
 
 
 class ConfigError(ValueError):
@@ -125,8 +127,8 @@ _TABLE = {
     },
     "compare": {
         "sources": (
-            "exactly two of simulate|dmft|dmft-linear|oracle",
-            lambda v: isinstance(v, list) and len(v) == 2 and all(s in _COMPARABLE for s in v),
+            f"exactly two of {'|'.join(ROUTES)}",
+            lambda v: isinstance(v, list) and len(v) == 2 and all(s in ROUTES for s in v),
             None,
         ),
         "times": (
@@ -281,7 +283,7 @@ def _compare_checks_something(cfg: RunConfig) -> None:
     full = params.gamma_step * np.arange(params.n_steps + 1)
     retained = full[::retain]  # the simulate and oracle grids
     simulate = "simulate" in sources
-    monte_carlo = all(s in ("simulate", "dmft") for s in sources)
+    monte_carlo = all(s in _MONTE_CARLO for s in sources)
     coarse = any(s in ("simulate", "oracle") for s in sources)
     on, every = (retained, retain) if simulate else (full, 1)
     times = cfg.compare.get("times")
@@ -321,6 +323,9 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
     drawn = [s for s in sources if s not in _CLOSED]
     if "tau_star2" in opts and drawn:
         errors.append(f"tau_star2: only dmft-linear and oracle read it, not {drawn[0]}")
+    seeded = [s for s in sources if s in _MONTE_CARLO]
+    if seeded and opts.get("seed") is None:
+        errors.append(f"seed: required for a {seeded[0]} source (explicit seeds only; no wall-clock seeding)")
     if opts.get("seed") is not None and opts["seed"] * 1000 + opts["replicas"] > 2**64:
         errors.append(f"seed: seed * 1000 + replicas - 1 must fit in 64 bits, got seed {opts['seed']}")
     if "oracle" in sources and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
@@ -328,6 +333,8 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
     if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
         errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
     per_path = prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None
+    if "simulate" in sources and opts["replicas"] < 1:
+        errors.append("replicas: must be >= 1 for a simulate source")
     if "dmft" in sources and opts["n_paths"] < 100:
         errors.append("n_paths: must be >= 100 for a dmft source")
     elif "dmft" in sources and per_path and model is not None:
@@ -390,8 +397,6 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     opts = values[""]
     pipeline = opts.get("pipeline")
-    if pipeline in ("simulate", "dmft", "response", "compare") and opts.get("seed") is None:
-        errors.append("seed: required (explicit seeds only; no wall-clock seeding)")
 
     model = prior = equilibrium_run = None
     if pipeline is None:
@@ -410,10 +415,6 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         else:
             prior = _built(errors, "prior", lambda: _build_prior(values["prior"], values["theta0"]))
 
-    if pipeline in ("simulate", "response") and opts["replicas"] < 1:
-        errors.append("replicas: must be >= 1 for the simulate/response pipelines")
-    if pipeline == "response" and not opts["response_steps"]:
-        errors.append("response_steps: required for the response pipeline")
     if pipeline == "equilibrium":
         ec, gc = values["equilibrium"], values["equilibrium.g"]
         if values["equilibrium.g_star"] is None or "delta" not in ec or "sigma2" not in ec:
@@ -423,10 +424,9 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
             g = g_star if gc is None else _built(errors, "equilibrium.g", lambda: _build_family(gc))
             if g_star and g:
                 equilibrium_run = dict(ec, g_star=g_star[0], alpha_star=g_star[1], g=g[0], alpha=g[1])
-    names = values["compare"].get("sources", []) if pipeline == "compare" else [pipeline]
-    if not names:
+    sources = values["compare"].get("sources", []) if pipeline == "compare" else [pipeline]
+    if not sources:
         errors.append("compare.sources: required for the compare pipeline")
-    sources = [_ALIASES.get(s, s) for s in names]
     errors += _value_errors(values, sources, model, prior)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))

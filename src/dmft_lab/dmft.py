@@ -359,7 +359,7 @@ def solve_dmft(
     table = KernelTable(
         times=times,
         gamma=gamma,
-        source="dmft-mc",
+        source="dmft",
         c_theta=c_theta,
         c_theta_star=c_theta_star,
         c_star_star=c_star_star,
@@ -383,7 +383,6 @@ def linear_gaussian_dmft(
     params: ModelParams,
     lam: float,
     tau_star2: float,
-    source: str = "dmft-linear",
 ) -> KernelTable:
     """Monte-Carlo-free DMFT solution for the fixed Gaussian prior, theta^0 = 0.
 
@@ -441,7 +440,7 @@ def linear_gaussian_dmft(
     return KernelTable(
         times=times,
         gamma=gamma,
-        source=source,
+        source="dmft-linear",
         c_theta=c_theta,
         c_theta_star=c_theta_star,
         c_star_star=tau_star2,

@@ -246,7 +246,7 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
     return KernelTable(
         times=times,
         gamma=0.0,
-        source="mp-oracle",
+        source="oracle",
         c_theta=c_theta,
         c_theta_star=np.diagonal(c_tstar).copy(),
         c_star_star=oracle.tau_star2,

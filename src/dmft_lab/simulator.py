@@ -176,11 +176,6 @@ class ResponseTraces:
     r_eta_stderr: Optional[np.ndarray] = None
 
 
-def _omega_matvec(w, X, gamma_beta, gamma_ds):
-    """Apply Omega = I - gamma beta X^T X + gamma diag(ds) to columns of w."""
-    return w - gamma_beta * (X.T @ (X @ w)) + gamma_ds[:, None] * w
-
-
 def response_traces(
     trajectory: Optional[Trajectory],
     instance: ModelInstance,
@@ -193,9 +188,13 @@ def response_traces(
 ) -> ResponseTraces:
     """Estimate d^-1 Tr R_theta(t,s) and n^-1 Tr R_eta(t,s) on a step grid.
 
-    exact-product forms the Omega chain products (O(d^3) per step range);
-    probe mode pushes Rademacher probes through the chain and reports
-    Hutchinson standard errors. Entries are raw per-step responses.
+    Both methods push one block W through the Omega chain from each start
+    step: the identity (exact-product) or d x n_probes Rademacher probes z
+    (probe). Column k of W reads gamma z_k.w_k / d for R_theta and, as
+    Tr(X R X^T) = Tr(X^T X R), delta beta^2 gamma (X z_k).(X w_k) / n for
+    R_eta. The identity's columns are summed; the probes' are averaged, with
+    Hutchinson standard errors. Constant curvature takes the exact product
+    from the spectrum of X instead. Entries are raw per-step responses.
     """
     if method not in RESPONSE_METHODS:
         raise ValueError(f"method must be one of {RESPONSE_METHODS}")
@@ -212,8 +211,6 @@ def response_traces(
 
     r_theta = np.full((m, m), np.nan)
     r_eta = np.full((m, m), np.nan)
-    r_theta_se = np.full((m, m), np.nan)
-    r_eta_se = np.full((m, m), np.nan)
 
     if method == "exact-product" and const is not None:
         # Constant curvature: Omega is step-independent; use its spectrum, the
@@ -232,51 +229,36 @@ def response_traces(
                 r_eta[a, b] = delta * beta**2 * gamma * float(np.sum(evals * pw)) / n
         return ResponseTraces(r_theta, r_eta)
 
-    if method == "exact-product":
-        ds_at = lambda t: prior.family.dtheta_drift_s(
-            trajectory.theta_path[t], trajectory.alpha_path[t]
-        )
-        for b in range(m):
-            s = steps[b]
-            P = np.eye(d)
-            targets = {steps[a]: a for a in range(b + 1, m)}
-            for t in range(s + 1, steps[-1] + 1):
-                if t in targets:
-                    a = targets[t]
-                    r_theta[a, b] = gamma * float(np.trace(P)) / d
-                    XP = X @ P
-                    r_eta[a, b] = delta * beta**2 * gamma * float(np.sum(XP * X)) / n
-                if t == steps[-1]:
-                    break
-                P = _omega_matvec(P, X, gamma * beta, gamma * ds_at(t))
-        return ResponseTraces(r_theta, r_eta)
-
+    probe = method == "probe"
+    r_theta_se = np.full((m, m), np.nan)
+    r_eta_se = np.full((m, m), np.nan)
     rng = component_rng(seed, _STREAM_PROBES)
     for b in range(m):
-        s = steps[b]
-        z = (2.0 * rng.integers(0, 2, size=(d, n_probes)) - 1.0)  # theta-side probes
-        q = (2.0 * rng.integers(0, 2, size=(n, n_probes)) - 1.0)  # eta-side probes
-        w_theta = z.copy()
-        w_eta = X.T @ q
+        z = 2.0 * rng.integers(0, 2, size=(d, n_probes)) - 1.0 if probe else np.eye(d)
+        xz = X @ z if probe else X
+        w = z
         targets = {steps[a]: a for a in range(b + 1, m)}
-        for t in range(s + 1, steps[-1] + 1):
+        for t in range(steps[b] + 1, steps[-1] + 1):
             if t in targets:
                 a = targets[t]
-                est_t = gamma * np.sum(z * w_theta, axis=0) / d
-                r_theta[a, b] = float(est_t.mean())
-                r_theta_se[a, b] = float(est_t.std(ddof=1) / np.sqrt(n_probes))
-                est_e = delta * beta**2 * gamma * np.sum(q * (X @ w_eta), axis=0) / n
-                r_eta[a, b] = float(est_e.mean())
-                r_eta_se[a, b] = float(est_e.std(ddof=1) / np.sqrt(n_probes))
+                est_theta = gamma * np.sum(z * w, axis=0) / d
+                est_eta = delta * beta**2 * gamma * np.sum(xz * (X @ w), axis=0) / n
+                for grid, se, est in ((r_theta, r_theta_se, est_theta), (r_eta, r_eta_se, est_eta)):
+                    if probe:
+                        grid[a, b] = est.mean()
+                        se[a, b] = est.std(ddof=1) / np.sqrt(n_probes)
+                    else:
+                        grid[a, b] = est.sum()
             if t == steps[-1]:
                 break
-            if const is not None:
-                ds = np.full(d, const)
+            if const is None:
+                ds = prior.family.dtheta_drift_s(trajectory.theta_path[t], trajectory.alpha_path[t])[:, None]
             else:
-                ds = prior.family.dtheta_drift_s(trajectory.theta_path[t], trajectory.alpha_path[t])
-            w_theta = _omega_matvec(w_theta, X, gamma * beta, gamma * ds)
-            w_eta = _omega_matvec(w_eta, X, gamma * beta, gamma * ds)
-    return ResponseTraces(r_theta, r_eta, r_theta_se, r_eta_se)
+                ds = const
+            w = w - gamma * beta * (X.T @ (X @ w)) + gamma * ds * w
+    if probe:
+        return ResponseTraces(r_theta, r_eta, r_theta_se, r_eta_se)
+    return ResponseTraces(r_theta, r_eta)
 
 
 def fill_response(table: KernelTable, traces: list[ResponseTraces], step_indices) -> None:

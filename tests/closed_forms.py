@@ -156,6 +156,29 @@ def criterion_01(oracle: OracleParams, law: MPLaw) -> dict:
     return {"identities": (worst, 1e-10), "fdt": (fdt, 1e-10)}
 
 
+def criterion_04(table, oracle: OracleParams, law: MPLaw, times) -> dict:
+    """Simulator against the oracle: per kernel, the worst deviation of the
+    table's rows nearest `times` from the continuous closed forms, the
+    correlations on and below the diagonal, the responses below it."""
+    idx = [int(np.argmin(np.abs(table.times - t))) for t in times]
+    errs = dict.fromkeys(("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta"), 0.0)
+    for a, t in zip(idx, times):
+        errs["c_theta_star"] = max(
+            errs["c_theta_star"], abs(table.c_theta_star[a] - mp_oracle.corr_kernels(t, t, oracle, law)[1])
+        )
+        for b, s in zip(idx, times):
+            if s > t:
+                continue
+            cts, _, ce = mp_oracle.corr_kernels(t, s, oracle, law)
+            errs["c_theta"] = max(errs["c_theta"], abs(table.c_theta[a, b] - cts))
+            errs["c_eta"] = max(errs["c_eta"], abs(table.c_eta[a, b] - ce))
+            if s < t:
+                al, be, _ = mp_oracle.resp_kernels(t - s, oracle, law)
+                errs["r_theta"] = max(errs["r_theta"], abs(table.r_theta[a, b] - al))
+                errs["r_eta"] = max(errs["r_eta"], abs(table.r_eta[a, b] - (-(oracle.delta / oracle.sigma2) * be)))
+    return {kernel: (err, 0.05) for kernel, err in errs.items()}
+
+
 def criterion_05(table, sim_traces) -> dict:
     """Response identities: a DMFT table's base case R_theta(t+1, t) = gamma
     and its field identity, and the simulator's base case in `sim_traces`,

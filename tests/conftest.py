@@ -1,11 +1,13 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dmft_lab import simulator
 from dmft_lab.dmft import linear_gaussian_dmft
 from dmft_lab.kernels import KernelTable
-from dmft_lab.model import ModelParams
+from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
 from dmft_lab.priors import GaussianFixed, PriorSpec
 
@@ -41,6 +43,28 @@ def long_time_table(long_time_params):
     """The linear engine's kernels in criterion 09's setting (1001 steps,
     about 2 s), shared by the criterion and its mutation test."""
     return linear_gaussian_dmft(long_time_params, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def sim_pack(gaussian_default_params, gaussian_default_prior):
+    """gaussian_default's simulation, criterion 04's input: 20 replicas
+    (seeds 7000 + r), every 10th step kept, and exact response traces between
+    the steps of `times`. Shared by criteria 04, 05 and 10 and by criterion
+    04's mutation test, which recomputes only the traces."""
+    params, prior = gaussian_default_params, gaussian_default_prior
+    times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    steps = (times / params.gamma_step + 0.5).astype(int)
+    instances, trajs, traces = [], [], []
+    for r in range(20):
+        inst = sample_instance(params, prior, seed=7000 + r)
+        instances.append(inst)
+        trajs.append(simulator.evolve(inst, prior, params, seed=7000 + r, retain_every=10))
+        traces.append(simulator.response_traces(None, inst, prior, params, steps))
+    table = simulator.empirical_kernels(trajs, instances, params)
+    simulator.fill_response(table, traces, steps)
+    return SimpleNamespace(
+        params=params, prior=prior, times=times, steps=steps, instances=instances, trajs=trajs, table=table
+    )
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ D_SIM, N_SIM, REPLICAS = 400, 800, 20
 N_PATHS = 20000
 SIM_SEED, MC_SEED = 7, 5
 COARSE = np.array([0.25 * k for k in range(9)])  # {0, 0.25, ..., 2}
-SIM_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 def _line(num, ok, detail):
@@ -51,22 +50,6 @@ def linear_table():
 @pytest.fixture(scope="module")
 def mc_result():
     return dmft.solve_dmft(params_at(), PriorSpec(GaussianFixed(LAM)), N_PATHS, seed=MC_SEED)
-
-
-@pytest.fixture(scope="module")
-def sim_pack():
-    params = params_at()
-    prior = PriorSpec(GaussianFixed(LAM))
-    steps = (SIM_GRID / GAMMA + 0.5).astype(int)
-    instances, trajs, traces = [], [], []
-    for r in range(REPLICAS):
-        inst = sample_instance(params, prior, seed=SIM_SEED * 1000 + r)
-        instances.append(inst)
-        trajs.append(simulator.evolve(inst, prior, params, seed=SIM_SEED * 1000 + r, retain_every=10))
-        traces.append(simulator.response_traces(None, inst, prior, params, steps))
-    table = simulator.empirical_kernels(trajs, instances, params)
-    simulator.fill_response(table, traces, steps)
-    return params, prior, table, trajs
 
 
 @pytest.fixture(scope="module")
@@ -209,39 +192,18 @@ def test_criterion_03_mc_dmft_vs_linear(mc_result, linear_table):
 
 
 def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
-    oracle, law = oracle_pack
-    params, prior, table, _ = sim_pack
-    idx = _coarse_idx(table.times, SIM_GRID)
-    errs = dict.fromkeys(("c_theta", "c_theta_star", "c_eta", "r_theta", "r_eta"), 0.0)
-    for a, t in zip(idx, SIM_GRID):
-        errs["c_theta_star"] = max(
-            errs["c_theta_star"], abs(table.c_theta_star[a] - mp_oracle.corr_kernels(t, t, oracle, law)[1])
-        )
-        for b, s in zip(idx, SIM_GRID):
-            if s > t:
-                continue
-            cts, _, ce = mp_oracle.corr_kernels(t, s, oracle, law)
-            errs["c_theta"] = max(errs["c_theta"], abs(table.c_theta[a, b] - cts))
-            errs["c_eta"] = max(errs["c_eta"], abs(table.c_eta[a, b] - ce))
-    for a, t in zip(idx, SIM_GRID):
-        for b, s in zip(idx, SIM_GRID):
-            if s >= t:
-                continue
-            al, be, _ = mp_oracle.resp_kernels(t - s, oracle, law)
-            errs["r_theta"] = max(errs["r_theta"], abs(table.r_theta[a, b] - al))
-            errs["r_eta"] = max(errs["r_eta"], abs(table.r_eta[a, b] - (-(DELTA / SIGMA2) * be)))
-    worst = max(errs.values())
-    detail = "  ".join(f"{k}={v:.4f}" for k, v in errs.items())
-    _line(4, worst <= 0.05, f"d=400, 20 replicas vs oracle: {detail}")
-    assert worst <= 0.05
+    checks = closed_forms.criterion_04(sim_pack.table, *oracle_pack, sim_pack.times)
+    failed = closed_forms.failed(checks)
+    detail = "  ".join(f"{kernel}={margin:.4f}" for kernel, (margin, _) in checks.items())
+    _line(4, not failed, f"d=400, 20 replicas vs oracle: {detail}")
+    assert not failed
 
 
 # --------------------------------------------------------------- criterion 5
 
 
 def test_criterion_05_response_identities(mc_result, sim_pack):
-    params, prior, _, _ = sim_pack
-    inst = sample_instance(params, prior, seed=SIM_SEED * 1000)
+    params, prior, inst = sim_pack.params, sim_pack.prior, sim_pack.instances[0]
     traces = [simulator.response_traces(None, inst, prior, params, [s, s + 1]) for s in (0, 100, 199)]
     checks = closed_forms.criterion_05(mc_result.table, traces)
     failed = closed_forms.failed(checks)
@@ -336,7 +298,7 @@ def test_criterion_09_long_time_handoff(oracle_pack, long_time_table):
 
 
 def test_criterion_10_marginal_w2(sim_pack, adaptive_pack, mc_result):
-    _, _, _, trajs = sim_pack
+    trajs = sim_pack.trajs
     idx = int(np.argmin(np.abs(trajs[0].times - 1.0)))
     pooled = np.concatenate([tr.theta_path[idx] for tr in trajs])
     idx_mc = time_index(mc_result.table.times, 1.0)
@@ -390,9 +352,9 @@ def test_criterion_12_reproducibility(tmp_path):
     blobs = {}
     for pipeline, fname in (
         ("simulate", "kernels_simulate.csv"),
-        ("dmft", "kernels_dmft-mc.csv"),
+        ("dmft", "kernels_dmft.csv"),
         ("dmft-linear", "kernels_dmft-linear.csv"),
-        ("oracle", "kernels_mp-oracle.csv"),
+        ("oracle", "kernels_oracle.csv"),
     ):
         runs = []
         for tag, threads in (("x", 1), ("y", 1), ("z", 2)):

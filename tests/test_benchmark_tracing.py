@@ -1,28 +1,45 @@
-"""The benchmark's tracer installs against the package and its count hooks fire.
+"""The benchmark's inputs load and its tracer installs against the package.
 
+`benchmark/workloads.py` builds each run config from the shipped configs, and
 `benchmark/tracing.py` wraps package functions by name and reads result fields
 (`DmftResult.chol_clamped_steps`, `EquilibriumSolution.residual_trace`, ...),
-so a rename in `src/` that breaks the benchmark's traced run fails here first.
+so a pipeline, source or config rule, or a rename in `src/`, that breaks the
+benchmark fails here first. Both files are imported read-only.
 """
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from dmft_lab import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", ROOT / "benchmark" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its own module
     spec.loader.exec_module(module)
     return module
 
 
+WORKLOADS = _benchmark_module("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_run_config_loads(name):
+    runs = WORKLOADS[name].runs(ROOT)
+    assert runs
+    for label, raw in runs:
+        assert cli.load_config(raw).pipeline == raw["pipeline"], label
+
+
 def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_path):
-    tracing = _tracing()
+    tracing = _benchmark_module("tracing")
     tracer = tracing.Tracer("test")
     mixture = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [4.0, 4.0],
                "alpha0": [-0.5, 0.5], "alpha_star": [-1.0, 1.0]}

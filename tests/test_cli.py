@@ -97,7 +97,7 @@ def test_dmft_pipeline_and_artifact(tmp_path):
     cfg = small_config("dmft", out=str(out))
     assert run(cfg) == 0
     table, manifest = load_artifact(out)
-    assert manifest["source"] == "dmft-mc"
+    assert manifest["source"] == "dmft"
     assert table.gamma == pytest.approx(0.05)
 
 
@@ -223,17 +223,16 @@ ORACLE_COMPARE = {"sources": ["oracle", "dmft-linear"], "times": [0.0, 0.25, 0.5
 # pipeline -> (extra config, manifest source, manifest files, other files on disk)
 PIPELINE_RUNS = {
     "simulate": ({}, "simulate", ["kernels_simulate.csv"], []),
-    "response": ({"response_steps": [0, 4, 8]}, "simulate", ["kernels_simulate.csv"], []),
-    "dmft": ({}, "dmft-mc", ["kernels_dmft-mc.csv"], []),
+    "dmft": ({}, "dmft", ["kernels_dmft.csv"], []),
     "dmft-linear": ({}, "dmft-linear", ["kernels_dmft-linear.csv"], []),
-    "oracle": ({}, "mp-oracle", ["kernels_mp-oracle.csv"], []),
+    "oracle": ({}, "oracle", ["kernels_oracle.csv"], []),
     "equilibrium": (
         {"equilibrium": {"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0}},
         "equilibrium", ["equilibrium.json"], [],
     ),
     "compare": (
         {"compare": ORACLE_COMPARE}, "compare", ["report.json"],
-        ["kernels_dmft-linear.csv", "kernels_mp-oracle.csv"],
+        ["kernels_dmft-linear.csv", "kernels_oracle.csv"],
     ),
 }
 
@@ -248,15 +247,12 @@ def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
     assert manifest["source"] == source
     assert manifest["files"] == files
     assert sorted(p.name for p in out.iterdir()) == sorted(files + others + ["manifest.json"])
-    if pipeline == "response":
-        table, _ = load_artifact(out)
-        assert np.all(np.isfinite(np.tril(table.r_theta[np.ix_([0, 2, 4], [0, 2, 4])], k=-1)))
 
 
 def _response_run(tmp_path, method, steps):
-    """A response run's table read back from its CSV, the response traces of
+    """A simulate run's table read back from its CSV, the response traces of
     its replicas recomputed one by one, and the rows of its response steps."""
-    cfg = small_config("response", out=str(tmp_path / "r"), response_steps=steps, response_method=method, n_probes=8)
+    cfg = small_config("simulate", out=str(tmp_path / "r"), response_steps=steps, response_method=method, n_probes=8)
     assert run(cfg) == 0
     table, _ = load_artifact(tmp_path / "r")
     c = load_config(cfg)
@@ -418,12 +414,12 @@ def _equilibrium(**values):
         # values a source would refuse only after the output directory exists;
         # a dict is a whole config, whose compare times stay as they are
         (small_config("simulate", design="sobol"), None, "design: must be one of ('gaussian', 'rademacher')"),
-        (small_config("response", response_steps=[0, 4], response_method="hutch"), None, "response_method: must be one of"),
+        (small_config("simulate", response_steps=[0, 4], response_method="hutch"), None, "response_method: must be one of"),
         (small_config("oracle", quad_nodes=4), None, "quad_nodes: must be >= 8 for an oracle source"),
         (small_config("compare", compare=dict(ORACLE_COMPARE), quad_nodes=4), None, "quad_nodes: must be >= 8"),
-        (small_config("response", response_steps=[0, 4], response_method="probe", n_probes=1), None, "n_probes: must be >= 2"),
-        (small_config("response", response_steps=[0, 11]), None, "response_steps: [11] outside 0..10"),
-        (small_config("response", response_steps=[0, 4], prior=MIXTURE), None, "theta-dependent prior needs retain_every = 1"),
+        (small_config("simulate", response_steps=[0, 4], response_method="probe", n_probes=1), None, "n_probes: must be >= 2"),
+        (small_config("simulate", response_steps=[0, 11]), None, "response_steps: [11] outside 0..10"),
+        (small_config("simulate", response_steps=[0, 4], prior=MIXTURE), None, "theta-dependent prior needs retain_every = 1"),
         (small_config("dmft-linear", prior=MIXTURE), None, "prior.family: dmft-linear requires gaussian_fixed"),
         (small_config("oracle", prior=MIXTURE), None, "prior.family: oracle requires gaussian_fixed"),
         (small_config("oracle", model=dict(SMALL_MODEL, beta=0.5)), None, "model.beta: the oracle closed forms require"),
@@ -470,9 +466,9 @@ def _equilibrium(**values):
          "compare.tolerances.c_eta: must be a number >= 0 or null, got 'x'"),
         (small_config("compare", compare=dict(ORACLE_COMPARE, marginal_times="x")), None,
          "compare.marginal_times: must be an array of numbers, got 'x'"),
-        (small_config("response", response_steps="ab"), None, "response_steps: must be an array of integers, got 'ab'"),
+        (small_config("simulate", response_steps="ab"), None, "response_steps: must be an array of integers, got 'ab'"),
         (small_config("simulate", prior={"family": "gaussian_fixed", "lam": "x"}), None, "prior: '<=' not supported"),
-        (small_config("response", response_steps=[0, 2.5]), None, "response_steps: must be an array of integers"),
+        (small_config("simulate", response_steps=[0, 2.5]), None, "response_steps: must be an array of integers"),
         (_equilibrium(g_star={"family": "gaussian_fixed"}), None,
          "equilibrium.g_star: GaussianFixed.__init__() missing 1 required positional argument: 'lam'"),
         (_equilibrium(g_star={"family": "gaussian_fixed", "lam": 1.0, "alpha0": [1.0]}), None,
@@ -578,6 +574,25 @@ def test_shipped_configs_load(path):
     load_config(path)
 
 
+def test_a_simulate_source_needs_replicas_before_any_output(tmp_path):
+    # a compare, not only the simulate pipeline: the simulation would refuse
+    # zero replicas only after the output directory exists
+    cfg = small_config("compare", compare={"sources": ["simulate", "dmft"], "tolerances": {"default": 1.0}})
+    del cfg["replicas"]
+    assert "replicas: must be >= 1 for a simulate source" in _config_error(cfg)
+    assert run(cfg, out=str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_is_required_only_where_a_source_draws(tmp_path):
+    # oracle against dmft-linear draws nothing
+    cfg = _gaussian_default(tmp_path)
+    del cfg["seed"]
+    assert run(cfg) == 0
+    cfg["compare"]["sources"] = ["dmft", "dmft-linear"]
+    assert "seed: required for a dmft source" in _config_error(cfg)
+
+
 def test_acceptance_scale_mixture_dmft_fits_the_default_budget():
     # P=20000, T=200: the packed triangle needs 1.50 GiB of the 2 GiB default.
     cfg = _shipped("adaptive_location.json")
@@ -608,7 +623,7 @@ def test_closed_forms_honor_tau_star2(tmp_path):
     # Both closed-form sources solve the misspecified system theta_star ~ N(0, 0.5), lam = 1.
     cfg = dict(_gaussian_default(tmp_path), tau_star2=0.5)
     assert run(cfg) == 0
-    for name in ("kernels_mp-oracle.csv", "kernels_dmft-linear.csv"):
+    for name in ("kernels_oracle.csv", "kernels_dmft-linear.csv"):
         assert cli.read_table_csv(tmp_path / "out" / name).c_star_star == 0.5
 
 

@@ -7,6 +7,9 @@ it passes without the fault. This is mutation testing (DeMillo, Lipton and
 Sayward 1978), done by hand.
 """
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,17 @@ def time_scale_error(monkeypatch):
     """Every mode decays on a 1 % faster clock."""
     propagator = mp_oracle._propagator
     monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, gamma: propagator(h, 1.01 * np.asarray(t), gamma))
+
+
+def eta_trace_without_delta(monkeypatch):
+    """The simulator's R_eta trace without its factor delta."""
+    response_traces = simulator.response_traces
+
+    def mutant(trajectory, instance, prior, params, *args, **kwargs):
+        traces = response_traces(trajectory, instance, prior, params, *args, **kwargs)
+        return replace(traces, r_eta=traces.r_eta / params.delta)
+
+    monkeypatch.setattr(simulator, "response_traces", mutant)
 
 
 def signal_response_without_unit(monkeypatch):
@@ -57,6 +71,19 @@ def test_criterion_01_catches_a_time_scale_error_in_the_propagator(monkeypatch, 
         time_scale_error(monkeypatch)
     failed = closed_forms.failed(closed_forms.criterion_01(*oracle_pack))
     assert failed == (["fdt"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_04_catches_an_eta_trace_without_its_delta(monkeypatch, oracle_pack, sim_pack, mutate):
+    sim = sim_pack
+    table = sim.table  # criterion 04's own input
+    if mutate:
+        eta_trace_without_delta(monkeypatch)
+        table = copy.deepcopy(table)
+        traces = [simulator.response_traces(None, inst, sim.prior, sim.params, sim.steps) for inst in sim.instances]
+        simulator.fill_response(table, traces, sim.steps)
+    failed = closed_forms.failed(closed_forms.criterion_04(table, *oracle_pack, sim.times))
+    assert failed == (["r_eta"] if mutate else [])
 
 
 @pytest.mark.parametrize("mutate", [False, True])

@@ -207,6 +207,51 @@ def test_probe_mode_agrees_with_exact():
             assert d_e <= 4 * probe.r_eta_stderr[a, b] + 1e-12
 
 
+MIXTURE = PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[-0.5, 0.5], alpha_star=[-1.0, 1.0])
+
+
+def _mixture_chain(n, d, gamma, horizon, seed):
+    """A two-component mixture's fully retained chain: the curvature, and so
+    Omega, changes from step to step."""
+    params = ModelParams(n=n, d=d, sigma2=1.0, beta=1.0, gamma_step=gamma, horizon=horizon)
+    inst = sample_instance(params, MIXTURE, seed=seed)
+    return params, inst, evolve(inst, MIXTURE, params, seed=seed, retain_every=1)
+
+
+def test_probe_mode_agrees_with_exact_on_a_mixture():
+    params, inst, traj = _mixture_chain(200, 100, 0.02, 1.0, seed=43)
+    steps = [0, 20, 40]
+    exact = response_traces(traj, inst, MIXTURE, params, steps)
+    probe = response_traces(traj, inst, MIXTURE, params, steps, method="probe", n_probes=64, seed=5)
+    below = np.tril_indices(3, -1)
+    for name in ("r_theta", "r_eta"):
+        gap = np.abs(getattr(probe, name) - getattr(exact, name))[below]
+        assert np.all(gap <= 4 * getattr(probe, name + "_stderr")[below])
+
+
+def test_probe_standard_errors_are_calibrated_on_a_mixture():
+    # Over K probe seeds, z = (probe - exact) / SE. With n_probes = p per-probe
+    # estimates, z is about Student-t with nu = p - 1 degrees of freedom: its
+    # std is sqrt(nu / (nu - 2)) and its kurtosis kappa = 3 + 6 / (nu - 4). The
+    # std of K draws then has sampling error std * sqrt((kappa - 1) / (4 K)),
+    # about std / sqrt(2 (K - 1)) for a normal law; the band is 4 of them.
+    K, p = 200, 32
+    params, inst, traj = _mixture_chain(100, 50, 0.05, 1.0, seed=44)
+    steps = [0, 20]
+    exact = response_traces(traj, inst, MIXTURE, params, steps)
+    probes = [
+        response_traces(traj, inst, MIXTURE, params, steps, method="probe", n_probes=p, seed=k) for k in range(K)
+    ]
+    nu = p - 1
+    center = np.sqrt(nu / (nu - 2))
+    half_width = 4 * center * np.sqrt((2 + 6 / (nu - 4)) / (4 * K))
+    for name in ("r_theta", "r_eta"):
+        got = np.array([getattr(tr, name)[1, 0] for tr in probes])
+        se = np.array([getattr(tr, name + "_stderr")[1, 0] for tr in probes])
+        z = (got - getattr(exact, name)[1, 0]) / se
+        assert abs(np.std(z, ddof=1) - center) <= half_width, name
+
+
 def test_general_product_path_matches_constant_shortcut():
     # A single-component mean mixture is the fixed Gaussian in disguise, but
     # takes the trajectory-dependent product route.
