@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelTable
 from .model import ModelParams, component_rng
@@ -70,12 +69,11 @@ class CholeskyExtender:
         new_row = np.asarray(new_row, dtype=float)
         if new_row.shape != (k,):
             raise ValueError(f"expected covariance row of length {k}")
-        if k == 0:
-            a = np.zeros(0)
-            cond_var = float(new_diag)
-        else:
-            a = solve_triangular(self._L_solve[:k, :k], new_row, lower=True)
-            cond_var = float(new_diag - a @ a)
+        L = self._L_solve
+        a = np.empty(k)
+        for i in range(k):
+            a[i] = (new_row[i] - L[i, :i] @ a[:i]) / L[i, i]
+        cond_var = float(new_diag - a @ a)
         for jit in self.JITTERS:
             if cond_var + jit >= -self.CLAMP_TOL:
                 break

@@ -230,6 +230,7 @@ def response_traces(
         return ResponseTraces(r_theta, r_eta)
 
     probe = method == "probe"
+    gram = X.T @ X
     r_theta_se = np.full((m, m), np.nan)
     r_eta_se = np.full((m, m), np.nan)
     rng = component_rng(seed, _STREAM_PROBES)
@@ -255,7 +256,7 @@ def response_traces(
                 ds = prior.family.dtheta_drift_s(trajectory.theta_path[t], trajectory.alpha_path[t])[:, None]
             else:
                 ds = const
-            w = w - gamma * beta * (X.T @ (X @ w)) + gamma * ds * w
+            w = w - gamma * beta * (gram @ w) + gamma * ds * w
     if probe:
         return ResponseTraces(r_theta, r_eta, r_theta_se, r_eta_se)
     return ResponseTraces(r_theta, r_eta)
@@ -300,8 +301,8 @@ def _sorted_quantiles(x: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
 
 
-def resample_to_common_size(samples_a, samples_b, size: Optional[int] = None):
-    """Empirical-quantile resampling of both samples to a common size.
+def resample_to_common_size(samples_a, samples_b):
+    """Empirical-quantile resampling of both samples to the larger one's size.
 
     Sorts each sample once: np.quantile partitions the sample around every one
     of its k levels, which is slow for k in the thousands."""
@@ -309,6 +310,6 @@ def resample_to_common_size(samples_a, samples_b, size: Optional[int] = None):
     b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
-    k = size or max(a.size, b.size)
+    k = max(a.size, b.size)
     qs = (np.arange(k) + 0.5) / k
     return _sorted_quantiles(np.sort(a, axis=None), qs), _sorted_quantiles(np.sort(b, axis=None), qs)

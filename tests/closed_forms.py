@@ -156,6 +156,26 @@ def criterion_01(oracle: OracleParams, law: MPLaw) -> dict:
     return {"identities": (worst, 1e-10), "fdt": (fdt, 1e-10)}
 
 
+def criterion_03(table, linear_table, times) -> dict:
+    """MC-DMFT against the linear engine (Gaussian prior) on the rows and
+    columns nearest `times`: per kernel the worst absolute deviation, and for
+    the Monte Carlo kernels, under "<kernel> band", the worst deviation in
+    units of its 4 se band plus a float allowance. The eta-side kernels are
+    propagated without Monte Carlo error and have no band."""
+    idx = [int(np.argmin(np.abs(table.times - t))) for t in times]
+    sub = np.ix_(idx, idx)
+    checks, bands = {}, {}
+    for name in ("c_theta", "c_theta_star", "r_theta", "c_eta", "r_eta"):
+        a = getattr(table, name)
+        diff = np.abs(np.nan_to_num(a - getattr(linear_table, name)))
+        sel = (idx,) if a.ndim == 1 else sub
+        checks[name] = (float(np.max(diff[sel])), 0.05)
+        if name in ("c_theta", "c_theta_star", "r_theta"):
+            band = 4 * table.stderr[name] + 1e-12
+            bands[f"{name} band"] = (float(np.max(diff[sel] / band[sel])), 1.0)
+    return checks | bands
+
+
 def criterion_04(table, oracle: OracleParams, law: MPLaw, times) -> dict:
     """Simulator against the oracle: per kernel, the worst deviation of the
     table's rows nearest `times` from the continuous closed forms, the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmft_lab import simulator
-from dmft_lab.dmft import linear_gaussian_dmft
+from dmft_lab.dmft import linear_gaussian_dmft, solve_dmft
 from dmft_lab.kernels import KernelTable
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
@@ -43,6 +43,21 @@ def long_time_table(long_time_params):
     """The linear engine's kernels in criterion 09's setting (1001 steps,
     about 2 s), shared by the criterion and its mutation test."""
     return linear_gaussian_dmft(long_time_params, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def linear_table(gaussian_default_params):
+    """The linear engine's kernels for gaussian_default: criterion 03's
+    reference, shared by criteria 02 and 02b."""
+    return linear_gaussian_dmft(gaussian_default_params, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def mc_result(gaussian_default_params, gaussian_default_prior):
+    """gaussian_default's MC-DMFT solve, 20000 paths at seed 5 (about 2 s):
+    criterion 03's input, shared by criteria 05 and 10 and by criterion 03's
+    mutation test."""
+    return solve_dmft(gaussian_default_params, gaussian_default_prior, 20000, seed=5)
 
 
 @pytest.fixture(scope="session")

@@ -43,16 +43,6 @@ def oracle_pack():
 
 
 @pytest.fixture(scope="module")
-def linear_table():
-    return dmft.linear_gaussian_dmft(params_at(), LAM, TAU2)
-
-
-@pytest.fixture(scope="module")
-def mc_result():
-    return dmft.solve_dmft(params_at(), PriorSpec(GaussianFixed(LAM)), N_PATHS, seed=MC_SEED)
-
-
-@pytest.fixture(scope="module")
 def adaptive_pack():
     params = params_at()
     prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
@@ -162,30 +152,12 @@ def test_criterion_02b_refinement_strictly_smaller(oracle_pack, linear_table):
 
 def test_criterion_03_mc_dmft_vs_linear(mc_result, linear_table):
     t0 = time.time()
-    tab = mc_result.table
-    idx = _coarse_idx(tab.times, COARSE)
-    sub = np.ix_(idx, idx)
-    checks = []
-    # kernels with Monte Carlo standard errors: 4 se band plus float allowance
-    for name in ("c_theta", "c_theta_star", "r_theta"):
-        a = getattr(tab, name)
-        b = getattr(linear_table, name)
-        se = tab.stderr[name]
-        diff = np.abs(np.nan_to_num(a - b))
-        band = 4 * se + 1e-12
-        sel = (idx,) if a.ndim == 1 else sub
-        checks.append((name, float(np.max(diff[sel])), bool(np.all(diff[sel] <= band[sel]))))
-    # deterministically propagated kernels: absolute tolerance only
-    for name in ("c_eta", "r_eta"):
-        diff = np.abs(np.nan_to_num(getattr(tab, name) - getattr(linear_table, name)))
-        checks.append((name, float(np.max(diff[sub])), True))
-    max_abs = max(c[1] for c in checks)
-    within_se = all(c[2] for c in checks)
-    ok = within_se and max_abs <= 0.05
-    detail = "  ".join(f"{n}={v:.4f}" for n, v, _ in checks)
-    _line(3, ok, f"{detail}  (4se bands {'ok' if within_se else 'violated'}, {time.time() - t0:.0f}s)")
-    assert within_se
-    assert max_abs <= 0.05
+    checks = closed_forms.criterion_03(mc_result.table, linear_table, COARSE)
+    failed = closed_forms.failed(checks)
+    within_se = not any(name.endswith(" band") for name in failed)
+    detail = "  ".join(f"{name}={margin:.4f}" for name, (margin, _) in checks.items() if not name.endswith(" band"))
+    _line(3, not failed, f"{detail}  (4se bands {'ok' if within_se else 'violated'}, {time.time() - t0:.0f}s)")
+    assert not failed
 
 
 # --------------------------------------------------------------- criterion 4

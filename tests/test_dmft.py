@@ -32,16 +32,24 @@ def small_params(gamma=0.05, horizon=1.5):
 
 
 def test_extender_matches_full_cholesky(rng):
+    # Rows grown one step at a time are those of LAPACK's factor to round-off,
+    # on small random covariances and on the linear engine's c_eta at the
+    # shipped T = 200.
+    covs = []
     for _ in range(10):
         k = rng.integers(2, 7)
         A = rng.normal(size=(k, k))
-        cov = A @ A.T + 0.1 * np.eye(k)
+        covs.append(A @ A.T + 0.1 * np.eye(k))
+    covs.append(linear_gaussian_dmft(small_params(gamma=0.01, horizon=2.0), 1.0, 1.0).c_eta)
+    for cov in covs:
+        k = cov.shape[0]
         ext = CholeskyExtender(k)
         rows = np.zeros((k, k))
         for i in range(k):
             rows[i, :i], rows[i, i] = ext.extend(cov[i, :i], cov[i, i])
         L = np.linalg.cholesky(cov)
-        assert np.allclose(rows, L, atol=1e-10)
+        assert np.max(np.abs(rows - L)) <= 1e-12 * np.max(np.abs(L))
+        assert not ext.clamped_steps and not ext.jitter_log
 
 
 def test_conditional_mean_and_variance_schur():

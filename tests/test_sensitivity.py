@@ -25,6 +25,18 @@ def time_scale_error(monkeypatch):
     monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, gamma: propagator(h, 1.01 * np.asarray(t), gamma))
 
 
+def conditional_draw_without_its_past(monkeypatch):
+    """The MC-DMFT memory field u^t drawn from its own innovation alone: the
+    conditioning coefficients on the past innovations zeroed."""
+    extend = dmft.CholeskyExtender.extend
+
+    def mutant(self, new_row, new_diag):
+        a, sd = extend(self, new_row, new_diag)
+        return np.zeros_like(a), sd
+
+    monkeypatch.setattr(dmft.CholeskyExtender, "extend", mutant)
+
+
 def eta_trace_without_delta(monkeypatch):
     """The simulator's R_eta trace without its factor delta."""
     response_traces = simulator.response_traces
@@ -71,6 +83,19 @@ def test_criterion_01_catches_a_time_scale_error_in_the_propagator(monkeypatch, 
         time_scale_error(monkeypatch)
     failed = closed_forms.failed(closed_forms.criterion_01(*oracle_pack))
     assert failed == (["fdt"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_03_catches_a_conditional_draw_without_its_past(
+    monkeypatch, gaussian_default_params, gaussian_default_prior, mc_result, linear_table, mutate
+):
+    result = mc_result  # criterion 03's own input
+    if mutate:
+        conditional_draw_without_its_past(monkeypatch)
+        result = dmft.solve_dmft(gaussian_default_params, gaussian_default_prior, 20000, seed=5)
+    times = 0.25 * np.arange(9)
+    failed = closed_forms.failed(closed_forms.criterion_03(result.table, linear_table, times))
+    assert ("c_theta band" in failed) if mutate else not failed
 
 
 @pytest.mark.parametrize("mutate", [False, True])
