@@ -29,7 +29,7 @@ _STREAM_U = 103
 _STREAM_BROWNIAN = 104
 
 _DEFAULT_RESPONSE_BUDGET = 2 * 1024**3  # bytes for the per-path response array
-_ROW_BLOCK = 8  # rows of a (steps, paths) slab reduced at a time
+_ROW_BLOCK = 8  # per-path response rows widened to float64 at a time
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -193,16 +193,26 @@ class DmftResult:
 
 
 def _row_blocks(n: int):
-    """(start, stop) ranges of about _ROW_BLOCK rows covering range(n).
+    """(start, stop) ranges of _ROW_BLOCK rows covering range(n): the blocks
+    in which a per-path float32 response row is widened to float64 for its
+    mean and std. Both reduce each row on its own, so a block's height does
+    not change a bit."""
+    return [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
 
-    A one-row tail joins the block before it: einsum takes another kernel for
-    a one-row operand once the row passes its 8192-element buffer, whose last
-    bits differ from the same row in a taller slab, and every row must keep
-    the bits of one reduction over all rows."""
-    starts = list(range(0, n, _ROW_BLOCK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return zip(starts, starts[1:] + [n])
+
+def _corr_stderr(paths: np.ndarray, c_theta: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Standard errors sqrt(E[p^2] - c^2)/sqrt(P) of the c_theta entries, p the
+    per-path products. The squared paths are written once into sq, a dead
+    (steps+1, paths) buffer; each E[p^2] row is one einsum over the whole path
+    axis, as each c_theta row is."""
+    P = paths.shape[1]
+    np.square(paths, out=sq)
+    se = np.zeros_like(c_theta)
+    for t in range(len(paths)):
+        sq_row = np.einsum("sp,p->s", sq[: t + 1], sq[t]) / P
+        se[t, : t + 1] = np.sqrt(np.maximum(sq_row - c_theta[t, : t + 1] ** 2, 0.0)) / np.sqrt(P)
+        se[: t + 1, t] = se[t, : t + 1]
+    return se
 
 
 def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
@@ -237,10 +247,11 @@ def solve_dmft(
     The ensemble is stored time-major, (steps+1, paths), and every reduction
     over paths is a contiguous numpy pass (einsum rows, mean, std). None goes
     through BLAS, whose threaded reductions would make the bits depend on the
-    thread count. Each step reduces its slabs a few rows at a time: the squares
-    for the correlation standard errors go through one reused buffer, not a
-    second (steps+1, paths) array, and the per-path response rows are widened
-    to float64 one block at a time.
+    thread count. Row t of c_theta is one einsum over the (t+1, paths) slab.
+    The loop never reads the c_theta standard errors, so they are formed after
+    it, from squares of the paths written into the innovation buffer, which is
+    dead by then: no third (steps+1, paths) array exists. Per-path response
+    rows are widened to float64 a few rows at a time.
 
     A prior with theta-dependent curvature carries one response recursion per
     path. It is stored as the packed strict lower triangle, one float32
@@ -278,13 +289,11 @@ def solve_dmft(
 
     paths = np.zeros((T + 1, P))
     paths[0] = theta
-    sq_block = np.empty((_ROW_BLOCK + 1, P))  # squares of one block of path rows
-    z_innov = np.zeros((T, P))  # standardized innovations of the u draws
+    z_innov = np.zeros((T + 1, P))  # standardized innovations of the u draws; then the squared paths
     alpha = np.zeros((T + 1, K))
     alpha[0] = prior.alpha
 
     c_theta = np.full((T + 1, T + 1), np.nan)
-    c_theta_se = np.zeros((T + 1, T + 1))
     c_theta_star = np.zeros(T + 1)
     c_theta_star_se = np.zeros(T + 1)
     r_theta_raw = np.zeros((T + 1, T + 1))
@@ -297,18 +306,9 @@ def solve_dmft(
     sqP = np.sqrt(P)
     for t in range(T + 1):
         th_t = paths[t]
-        sq_t = np.square(th_t)
-        c_row, sq_row = np.empty(t + 1), np.empty(t + 1)
-        for lo, hi in _row_blocks(t + 1):
-            c_row[lo:hi] = np.einsum("sp,p->s", paths[lo:hi], th_t)
-            sq = np.square(paths[lo:hi], out=sq_block[: hi - lo])
-            sq_row[lo:hi] = np.einsum("sp,p->s", sq, sq_t)
-        c_row /= P
-        sq_row /= P
+        c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
         c_theta[t, : t + 1] = c_row
         c_theta[: t + 1, t] = c_row
-        c_theta_se[t, : t + 1] = np.sqrt(np.maximum(sq_row - c_row**2, 0.0)) / sqP
-        c_theta_se[: t + 1, t] = c_theta_se[t, : t + 1]
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
         c_theta_star_se[t] = star_prod.std() / sqP
@@ -353,6 +353,7 @@ def solve_dmft(
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior.family, regularizer)
 
+    c_theta_se = _corr_stderr(paths, c_theta, z_innov)
     times = gamma * np.arange(T + 1)
     table = KernelTable(
         times=times,

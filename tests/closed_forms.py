@@ -140,6 +140,26 @@ def eta_response_identity_residual(table) -> float:
     return float(np.max(np.abs(table.r_eta_star + row_sums)))
 
 
+def se_calibration(tables) -> dict:
+    """Monte Carlo standard errors against the spread of independent solves:
+    per kernel, |median - 1| over the entries of (seed spread / mean reported
+    SE), c_theta on and below the diagonal. Each entry's ratio has a sampling
+    error of about 1/sqrt(2(K - 1)) over K solves; the budget is three of it.
+    Entries without Monte Carlo error (theta^0 = 0) have a zero SE and are
+    left out."""
+    budget = 3.0 / np.sqrt(2.0 * (len(tables) - 1))
+    checks = {}
+    for name in ("c_theta", "c_theta_star"):
+        values = np.stack([getattr(t, name) for t in tables])
+        se = np.mean([t.stderr[name] for t in tables], axis=0)
+        keep = se > 0
+        if se.ndim == 2:
+            keep &= np.tri(len(se), dtype=bool)
+        ratio = values.std(axis=0, ddof=1)[keep] / se[keep]
+        checks[name] = (abs(float(np.median(ratio)) - 1.0), budget)
+    return checks
+
+
 # ----------------------------------------------------- acceptance criteria
 
 

@@ -61,6 +61,22 @@ def mc_result(gaussian_default_params, gaussian_default_prior):
 
 
 @pytest.fixture(scope="session")
+def se_calibration_solves():
+    """Makes one MC-DMFT table per seed, gaussian_default's prior at 2000
+    paths and T = 40: the input of `closed_forms.se_calibration`."""
+    params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=2.0)
+    prior = PriorSpec(GaussianFixed(1.0))
+    return lambda seeds: [solve_dmft(params, prior, 2000, seed=s).table for s in seeds]
+
+
+@pytest.fixture(scope="session")
+def se_calibration_runs(se_calibration_solves):
+    """200 independent seeds (about 3 s), shared by the calibration test and
+    its mutation test."""
+    return se_calibration_solves(range(200))
+
+
+@pytest.fixture(scope="session")
 def sim_pack(gaussian_default_params, gaussian_default_prior):
     """gaussian_default's simulation, criterion 04's input: 20 replicas
     (seeds 7000 + r), every 10th step kept, and exact response traces between

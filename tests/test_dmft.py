@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dmft_lab
-from closed_forms import eta_response_identity_residual, propagate_eta
+from closed_forms import eta_response_identity_residual, failed, propagate_eta, se_calibration
 from dmft_lab import cli, dmft
 from dmft_lab.dmft import (
     CholeskyExtender,
@@ -266,8 +267,9 @@ def test_packed_response_has_the_full_tensor_bits(monkeypatch):
     # Replay the full (T+1, T+1, P) recursion, memory term one float32 einsum
     # over the square slab, from the coefficients and r_eta rows each step was
     # given. Every packed row, and the r_theta means and SEs widened from it,
-    # must carry the bits of the full tensor. T = 20 reaches the row blocks of
-    # 9 and 17; P is above einsum's 8192-element iterator buffer.
+    # must carry the bits of the full tensor. T = 20 reaches the rows of 9 and
+    # 17 entries, widened in blocks of 8 and a one-row tail; P is above
+    # numpy's 8192-element iterator buffer.
     params = small_params(horizon=1.0)
     prior = PriorSpec(
         GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0],
@@ -334,11 +336,11 @@ def test_correlation_stderr_matches_two_pass_std(small_solution):
 
 
 def test_correlation_rows_are_full_slab_einsums():
-    # The solver forms each row a few path rows at a time; every entry must
-    # keep the bits of one einsum over the whole (t+1, P) slab and its squares.
-    # T = 20 reaches the slab heights 9 and 17, one row past a block of 8.
-    # A one-row einsum sums in other chunks once P passes numpy's 8192-element
-    # iterator buffer, so P is above it.
+    # Every c_theta entry must keep the bits of one einsum over the whole
+    # (t+1, P) slab, and every standard error those of one einsum over its
+    # squares, the row the solver forms after the loop. A one-row einsum sums
+    # in other chunks once P passes numpy's 8192-element iterator buffer, so
+    # P is above it.
     params = small_params(horizon=1.0)
     prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0], theta0=Theta0Spec("prior"))
     res = solve_dmft(params, prior, n_paths=10000, seed=3)
@@ -350,6 +352,27 @@ def test_correlation_rows_are_full_slab_einsums():
         se_row = np.sqrt(np.maximum(sq_row - c_row**2, 0.0)) / np.sqrt(P)
         assert res.table.c_theta[t, : t + 1].tobytes() == c_row.tobytes(), t
         assert res.table.stderr["c_theta"][t, : t + 1].tobytes() == se_row.tobytes(), t
+
+
+def test_correlation_stderrs_match_the_seed_spread(se_calibration_runs):
+    checks = se_calibration(se_calibration_runs)
+    assert not failed(checks), checks
+
+
+def test_solver_keeps_two_path_sized_arrays():
+    # paths and the innovations, whose buffer then takes the squared paths
+    # for the standard errors, plus step temporaries: no third (T+1, P) array.
+    params = small_params(horizon=2.0)
+    prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0], theta0=Theta0Spec("prior"))
+    solve_dmft(small_params(horizon=0.1), prior, n_paths=100, seed=1)  # lazy imports of a first solve
+    P, T = 20000, params.n_steps
+    tracemalloc.start()
+    try:
+        solve_dmft(params, prior, n_paths=P, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (T + 1) * P * 8 + 16 * P * 8
 
 
 def test_identical_components_match_the_constant_route():

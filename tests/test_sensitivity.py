@@ -71,6 +71,12 @@ def noise_variance_dropped(monkeypatch):
     monkeypatch.setattr(dmft.EtaSide, "__init__", mutant)
 
 
+def correlation_stderr_halved(monkeypatch):
+    """The MC-DMFT c_theta standard errors at half their size."""
+    corr_stderr = dmft._corr_stderr
+    monkeypatch.setattr(dmft, "_corr_stderr", lambda *args: 0.5 * corr_stderr(*args))
+
+
 @pytest.fixture(scope="module")
 def oracle_pack():
     oracle = mp_oracle.OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
@@ -135,3 +141,15 @@ def test_criterion_09_catches_the_noise_variance_dropped(
         table = dmft.linear_gaussian_dmft(long_time_params, 1.0, 1.0)
     failed = closed_forms.failed(closed_forms.criterion_09(table, *oracle_pack))
     assert ("c_eta" in failed) if mutate else not failed
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_se_calibration_catches_halved_correlation_stderrs(
+    monkeypatch, se_calibration_runs, se_calibration_solves, mutate
+):
+    tables = se_calibration_runs  # the calibration test's own input
+    if mutate:
+        correlation_stderr_halved(monkeypatch)
+        tables = se_calibration_solves(range(50))  # the budget follows the seed count
+    failed = closed_forms.failed(closed_forms.se_calibration(tables))
+    assert failed == (["c_theta"] if mutate else [])
