@@ -12,7 +12,6 @@ env var DMFT_LAB_OUT overrides the output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import difflib
 import functools
 import json
@@ -36,7 +35,8 @@ from .kernels import (
     time_index,
     write_table_csv,
 )
-from .model import DESIGNS, ModelParams, sample_instance
+# sample_instance stays bound here: benchmark/tracing.py times it as cli.sample_instance.
+from .model import DESIGNS, ModelParams, sample_instance  # noqa: F401
 from .priors import (
     _THETA0_KINDS,
     ExpFamily,
@@ -57,6 +57,8 @@ PIPELINES = ROUTES + ("equilibrium", "compare")
 _CLOSED = ("dmft-linear", "oracle")
 # The Monte Carlo sources: they draw from the seed and carry marginal samples.
 _MONTE_CARLO = ("simulate", "dmft")
+# Replica r of seed s runs at seed s * _REPLICAS + r: more replicas would reuse seed s + 1's.
+_REPLICAS = 1000
 
 
 class ConfigError(ValueError):
@@ -326,8 +328,8 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
     seeded = [s for s in sources if s in _MONTE_CARLO]
     if seeded and opts.get("seed") is None:
         errors.append(f"seed: required for a {seeded[0]} source (explicit seeds only; no wall-clock seeding)")
-    if opts.get("seed") is not None and opts["seed"] * 1000 + opts["replicas"] > 2**64:
-        errors.append(f"seed: seed * 1000 + replicas - 1 must fit in 64 bits, got seed {opts['seed']}")
+    if opts.get("seed") is not None and opts["seed"] * _REPLICAS + opts["replicas"] > 2**64:
+        errors.append(f"seed: seed * {_REPLICAS} + replicas - 1 must fit in 64 bits, got seed {opts['seed']}")
     if "oracle" in sources and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
         errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
     if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
@@ -335,6 +337,11 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
     per_path = prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None
     if "simulate" in sources and opts["replicas"] < 1:
         errors.append("replicas: must be >= 1 for a simulate source")
+    elif "simulate" in sources and opts["replicas"] > _REPLICAS:
+        errors.append(
+            f"replicas: must be <= {_REPLICAS}: replica r runs at seed * {_REPLICAS} + r, so more "
+            "would repeat the replicas of the next seed"
+        )
     if "dmft" in sources and opts["n_paths"] < 100:
         errors.append("n_paths: must be >= 100 for a dmft source")
     elif "dmft" in sources and per_path and model is not None:
@@ -496,29 +503,14 @@ def _marginals(table: KernelTable, paths: list, times) -> dict:
 
 
 def _run_simulate(cfg: RunConfig):
-    params, prior, opts = cfg.model, cfg.prior, cfg.opts
-    seeds = [opts["seed"] * 1000 + r for r in range(opts["replicas"])]
-
-    def one(rs: int):
-        inst = sample_instance(params, prior, seed=rs, design=opts["design"])
-        traj = simulator.evolve(
-            inst, prior, params, seed=rs, retain_every=opts["retain_every"], regularizer=cfg.regularizer
-        )
-        traces = None
-        if opts["response_steps"]:
-            traces = simulator.response_traces(
-                traj if traj.full else None, inst, prior, params, opts["response_steps"],
-                method=opts["response_method"], n_probes=opts["n_probes"], seed=rs,
-            )
-        return inst, traj, traces
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=opts["threads"]) as pool:
-        results = list(pool.map(one, seeds))  # in replica order
-    trajs = [r[1] for r in results]
-    table = simulator.empirical_kernels(trajs, [r[0] for r in results], params)
-    if opts["response_steps"]:
-        simulator.fill_response(table, [r[2] for r in results], opts["response_steps"])
-    return table, _marginals(table, [tr.theta_path for tr in trajs], cfg.compare["marginal_times"])
+    opts = cfg.opts
+    table, paths = simulator.simulate(
+        cfg.model, cfg.prior, [opts["seed"] * _REPLICAS + r for r in range(opts["replicas"])],
+        retain_every=opts["retain_every"], design=opts["design"], response_steps=opts["response_steps"],
+        method=opts["response_method"], n_probes=opts["n_probes"], regularizer=cfg.regularizer,
+        threads=opts["threads"],
+    )
+    return table, _marginals(table, paths, cfg.compare["marginal_times"])
 
 
 def _run_dmft(cfg: RunConfig):
@@ -627,7 +619,7 @@ def run(config_path, out=None, seed=None, threads=None) -> int:
             source, name = table.source, f"kernels_{table.source}.csv"
             write_table_csv(table, cfg.out_dir / name)
             if source == "simulate":
-                extra["replica_seed_rule"] = "seed*1000 + replica"
+                extra["replica_seed_rule"] = f"seed*{_REPLICAS} + replica"
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

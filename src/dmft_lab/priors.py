@@ -104,6 +104,10 @@ class GaussianMixture(PriorFamily):
         return logsumexp(self._log_weights(theta, alpha)[1])
 
     def drift_s(self, theta, alpha=None):
+        if self.omega.size == 1:  # -omega (theta - m), without the (..., 1) responsibility chain
+            s = self.components(alpha)[1][0] - np.asarray(theta, dtype=float)
+            s *= self.omega[0]
+            return s
         r, diff = self._responsibilities(theta, alpha)
         return np.sum(r * self.omega * (-diff), axis=-1)
 

@@ -14,13 +14,14 @@ through the step matrices Omega^t = I - gamma beta X^T X
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .kernels import KernelTable, time_index
-from .model import ModelInstance, ModelParams, component_rng
+from .model import ModelInstance, ModelParams, component_rng, sample_instance
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
 _STREAM_BROWNIAN = 201
@@ -112,55 +113,6 @@ def _replica_se(values: np.ndarray) -> np.ndarray:
     if R < 2:
         return np.full(values.shape[1:], np.nan)
     return values.std(axis=0, ddof=1) / np.sqrt(R)
-
-
-def empirical_kernels(
-    replicas: list[Trajectory],
-    instances: list[ModelInstance],
-    params: ModelParams,
-) -> KernelTable:
-    """Replica-averaged coordinate kernels with across-replica standard errors.
-
-    `instances` is aligned with `replicas`: each replica is an independent
-    realization of the model. C_theta(t,s) averages theta^t . theta^s / d;
-    C_eta scales the residual Gram by delta beta^2 / n. Symmetric blocks are
-    computed once and mirrored.
-    """
-    if not replicas:
-        raise ValueError("need at least one replica")
-    if len(instances) != len(replicas):
-        raise ValueError("instances must align with replicas")
-    t0 = replicas[0]
-    for tr in replicas[1:]:
-        if tr.times.shape != t0.times.shape or np.max(np.abs(tr.times - t0.times)) > 1e-12:
-            raise ValueError("replica grids do not match")
-    d, n = params.d, params.n
-    scale_eta = params.delta * params.beta**2 / n
-    ct = np.stack([tr.theta_path @ tr.theta_path.T / d for tr in replicas])
-    cs = np.stack([tr.theta_path @ inst.theta_star / d for tr, inst in zip(replicas, instances)])
-    ss = np.array([inst.theta_star @ inst.theta_star / d for inst in instances])
-    al = np.stack([tr.alpha_path for tr in replicas])
-    m = t0.times.size
-    ce = np.stack([scale_eta * (tr.residual_path @ tr.residual_path.T) for tr in replicas])
-    c_eta = ce.mean(axis=0)
-    c_eta = np.tril(c_eta) + np.tril(c_eta, -1).T
-    c_theta = ct.mean(axis=0)
-    c_theta = np.tril(c_theta) + np.tril(c_theta, -1).T  # bit-exact symmetry
-    stderr = {"c_theta": _replica_se(ct), "c_theta_star": _replica_se(cs), "c_eta": _replica_se(ce)}
-    return KernelTable(
-        times=t0.times,
-        gamma=params.gamma_step,
-        source="simulate",
-        c_theta=c_theta,
-        c_theta_star=cs.mean(axis=0),
-        c_star_star=float(ss.mean()),
-        c_eta=c_eta,
-        r_theta=np.full((m, m), np.nan),
-        r_eta=np.full((m, m), np.nan),
-        r_eta_star=np.full(m, np.nan),
-        alpha=al.mean(axis=0),
-        stderr=stderr,
-    )
 
 
 @dataclass
@@ -262,21 +214,67 @@ def response_traces(
     return ResponseTraces(r_theta, r_eta)
 
 
-def fill_response(table: KernelTable, traces: list[ResponseTraces], step_indices) -> None:
-    """Write the replica mean of response traces taken between `step_indices`
-    into a simulator table's response grids, in density units, and its
-    across-replica standard error into the table's stderr, as for the
-    correlation kernels. Each replica has its own design (and probes), so the
-    spread covers both."""
-    rows = np.array([time_index(table.times, table.gamma * k) for k in sorted(set(step_indices))])
-    below = np.tril_indices(rows.size, -1)
-    at = (rows[below[0]], rows[below[1]])
-    for name in ("r_theta", "r_eta"):
-        values = np.stack([getattr(tr, name) for tr in traces])
-        grid = getattr(table, name)
-        grid[at] = values.mean(axis=0)[below] / table.gamma
-        table.stderr[name] = np.full(grid.shape, np.nan)
-        table.stderr[name][at] = _replica_se(values)[below] / table.gamma
+def simulate(
+    params: ModelParams, prior: PriorSpec, seeds, retain_every: int = 10, design: str = "gaussian",
+    response_steps=(), method: str = "exact-product", n_probes: int = 32,
+    regularizer: Optional[SmoothHinge] = None, threads: int = 1,
+) -> tuple[KernelTable, list[np.ndarray]]:
+    """Replica-averaged kernels with across-replica standard errors, one
+    replica per seed on a pool of `threads`; returns the table and each
+    replica's retained theta path.
+
+    A replica is reduced to its own terms as it ends, so no design outlives it:
+    theta^t . theta^s / d, theta^t . theta_star / d, theta_star . theta_star / d,
+    its alpha path, the residual Gram scaled by delta beta^2 / n (C_eta) and its
+    response traces between `response_steps`. Means and standard errors follow
+    in seed order; symmetric blocks are mirrored, responses are in density
+    units, and their spread covers each replica's own design (and probes).
+    """
+    d, scale_eta = params.d, params.delta * params.beta**2 / params.n
+    steps = sorted(set(int(k) for k in response_steps))
+
+    def one(seed):
+        inst = sample_instance(params, prior, seed=seed, design=design)
+        traj = evolve(inst, prior, params, seed=seed, retain_every=retain_every, regularizer=regularizer)
+        tp, rp, star = traj.theta_path, traj.residual_path, inst.theta_star
+        traces = None
+        if steps:
+            traces = response_traces(
+                traj if traj.full else None, inst, prior, params, steps,
+                method=method, n_probes=n_probes, seed=seed,
+            )
+        gram_eta = scale_eta * (rp @ rp.T)
+        return traj.times, tp @ tp.T / d, tp @ star / d, star @ star / d, traj.alpha_path, gram_eta, traces, tp
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        times, ct, cs, ss, al, ce, traces, paths = zip(*pool.map(one, seeds))  # in seed order
+    ct, cs, ce = np.stack(ct), np.stack(cs), np.stack(ce)
+    c_theta, c_eta = ct.mean(axis=0), ce.mean(axis=0)
+    m = times[0].size
+    table = KernelTable(
+        times=times[0],
+        gamma=params.gamma_step,
+        source="simulate",
+        c_theta=np.tril(c_theta) + np.tril(c_theta, -1).T,  # bit-exact symmetry
+        c_theta_star=cs.mean(axis=0),
+        c_star_star=float(np.array(ss).mean()),
+        c_eta=np.tril(c_eta) + np.tril(c_eta, -1).T,
+        r_theta=np.full((m, m), np.nan),
+        r_eta=np.full((m, m), np.nan),
+        r_eta_star=np.full(m, np.nan),
+        alpha=np.stack(al).mean(axis=0),
+        stderr={"c_theta": _replica_se(ct), "c_theta_star": _replica_se(cs), "c_eta": _replica_se(ce)},
+    )
+    if steps:
+        rows = np.array([time_index(table.times, table.gamma * k) for k in steps])
+        below = np.tril_indices(rows.size, -1)
+        at = (rows[below[0]], rows[below[1]])
+        for name in ("r_theta", "r_eta"):
+            values = np.stack([getattr(tr, name) for tr in traces])
+            getattr(table, name)[at] = values.mean(axis=0)[below] / table.gamma
+            table.stderr[name] = np.full((m, m), np.nan)
+            table.stderr[name][at] = _replica_se(values)[below] / table.gamma
+    return table, list(paths)
 
 
 def wasserstein2_1d(samples_a, samples_b) -> float:

@@ -15,8 +15,10 @@ each can fail.
 
 import numpy as np
 
-from dmft_lab import dmft, mp_oracle
+from dmft_lab import dmft, mp_oracle, simulator
+from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import MPLaw, OracleParams, UnsupportedOracleError
+from dmft_lab.priors import GaussianMeanMixture, PriorSpec
 
 
 def failed(checks) -> list:
@@ -157,6 +159,40 @@ def se_calibration(tables) -> dict:
             keep &= np.tri(len(se), dtype=bool)
         ratio = values.std(axis=0, ddof=1)[keep] / se[keep]
         checks[name] = (abs(float(np.median(ratio)) - 1.0), budget)
+    return checks
+
+
+def probe_se_calibration(K=200, p=32) -> dict:
+    """The simulator's probe standard errors against the probe spread, on a
+    two-component mixture's fully retained chain (n 100, d 50, seed 44), whose
+    curvature, and so Omega, changes from step to step.
+
+    Over K probe seeds, z = (probe - exact) / SE at lag 20 steps. With
+    n_probes = p per-probe estimates, z is about Student-t with nu = p - 1
+    degrees of freedom: its std is sqrt(nu / (nu - 2)) and its kurtosis
+    kappa = 3 + 6 / (nu - 4). The std of K draws then has sampling error
+    std * sqrt((kappa - 1) / (4 K)), about std / sqrt(2 (K - 1)) for a normal
+    law; the budget is 4 of them. Per kernel, |std z - sqrt(nu / (nu - 2))|.
+    """
+    prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[-0.5, 0.5], alpha_star=[-1.0, 1.0])
+    params = ModelParams(n=100, d=50, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=1.0)
+    inst = sample_instance(params, prior, seed=44)
+    traj = simulator.evolve(inst, prior, params, seed=44, retain_every=1)
+    steps = [0, 20]
+    exact = simulator.response_traces(traj, inst, prior, params, steps)
+    probes = [
+        simulator.response_traces(traj, inst, prior, params, steps, method="probe", n_probes=p, seed=k)
+        for k in range(K)
+    ]
+    nu = p - 1
+    center = np.sqrt(nu / (nu - 2))
+    half_width = 4 * center * np.sqrt((2 + 6 / (nu - 4)) / (4 * K))
+    checks = {}
+    for name in ("r_theta", "r_eta"):
+        got = np.array([getattr(tr, name)[1, 0] for tr in probes])
+        se = np.array([getattr(tr, name + "_stderr")[1, 0] for tr in probes])
+        z = (got - getattr(exact, name)[1, 0]) / se
+        checks[name] = (abs(np.std(z, ddof=1) - center), half_width)
     return checks
 
 

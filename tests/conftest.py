@@ -7,7 +7,7 @@ import pytest
 from dmft_lab import simulator
 from dmft_lab.dmft import linear_gaussian_dmft, solve_dmft
 from dmft_lab.kernels import KernelTable
-from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
 from dmft_lab.priors import GaussianFixed, PriorSpec
 
@@ -81,21 +81,13 @@ def sim_pack(gaussian_default_params, gaussian_default_prior):
     """gaussian_default's simulation, criterion 04's input: 20 replicas
     (seeds 7000 + r), every 10th step kept, and exact response traces between
     the steps of `times`. Shared by criteria 04, 05 and 10 and by criterion
-    04's mutation test, which recomputes only the traces."""
+    04's mutation test, which reruns `simulate` on `seeds`."""
     params, prior = gaussian_default_params, gaussian_default_prior
     times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     steps = (times / params.gamma_step + 0.5).astype(int)
-    instances, trajs, traces = [], [], []
-    for r in range(20):
-        inst = sample_instance(params, prior, seed=7000 + r)
-        instances.append(inst)
-        trajs.append(simulator.evolve(inst, prior, params, seed=7000 + r, retain_every=10))
-        traces.append(simulator.response_traces(None, inst, prior, params, steps))
-    table = simulator.empirical_kernels(trajs, instances, params)
-    simulator.fill_response(table, traces, steps)
-    return SimpleNamespace(
-        params=params, prior=prior, times=times, steps=steps, instances=instances, trajs=trajs, table=table
-    )
+    seeds = [7000 + r for r in range(20)]
+    table, paths = simulator.simulate(params, prior, seeds, retain_every=10, response_steps=steps)
+    return SimpleNamespace(params=params, prior=prior, times=times, steps=steps, seeds=seeds, paths=paths, table=table)
 
 
 @pytest.fixture

@@ -46,14 +46,10 @@ def oracle_pack():
 def adaptive_pack():
     params = params_at()
     prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
-    instances, trajs = [], []
-    for r in range(REPLICAS):
-        inst = sample_instance(params, prior, seed=SIM_SEED * 1000 + r)
-        instances.append(inst)
-        trajs.append(simulator.evolve(inst, prior, params, seed=SIM_SEED * 1000 + r, retain_every=10))
-    table = simulator.empirical_kernels(trajs, instances, params)
+    seeds = [SIM_SEED * 1000 + r for r in range(REPLICAS)]
+    table, paths = simulator.simulate(params, prior, seeds, retain_every=10)
     res = dmft.solve_dmft(params, prior, N_PATHS, seed=MC_SEED)
-    return params, prior, table, trajs, res
+    return params, prior, table, paths, res
 
 
 def _coarse_idx(times, grid):
@@ -175,7 +171,8 @@ def test_criterion_04_simulator_vs_oracle(oracle_pack, sim_pack):
 
 
 def test_criterion_05_response_identities(mc_result, sim_pack):
-    params, prior, inst = sim_pack.params, sim_pack.prior, sim_pack.instances[0]
+    params, prior = sim_pack.params, sim_pack.prior
+    inst = sample_instance(params, prior, seed=sim_pack.seeds[0])
     traces = [simulator.response_traces(None, inst, prior, params, [s, s + 1]) for s in (0, 100, 199)]
     checks = closed_forms.criterion_05(mc_result.table, traces)
     failed = closed_forms.failed(checks)
@@ -270,16 +267,15 @@ def test_criterion_09_long_time_handoff(oracle_pack, long_time_table):
 
 
 def test_criterion_10_marginal_w2(sim_pack, adaptive_pack, mc_result):
-    trajs = sim_pack.trajs
-    idx = int(np.argmin(np.abs(trajs[0].times - 1.0)))
-    pooled = np.concatenate([tr.theta_path[idx] for tr in trajs])
+    idx = int(np.argmin(np.abs(sim_pack.table.times - 1.0)))
+    pooled = np.concatenate([p[idx] for p in sim_pack.paths])
     idx_mc = time_index(mc_result.table.times, 1.0)
     ens = mc_result.paths[idx_mc]
     a, b = simulator.resample_to_common_size(pooled, ens)
     w2_gauss = simulator.wasserstein2_1d(a, b)
 
-    _, _, _, trajs_loc, res_loc = adaptive_pack
-    pooled_loc = np.concatenate([tr.theta_path[idx] for tr in trajs_loc])
+    _, _, _, paths_loc, res_loc = adaptive_pack
+    pooled_loc = np.concatenate([p[idx] for p in paths_loc])
     ens_loc = res_loc.paths[idx_mc]
     a, b = simulator.resample_to_common_size(pooled_loc, ens_loc)
     w2_loc = simulator.wasserstein2_1d(a, b)

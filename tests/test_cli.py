@@ -589,6 +589,31 @@ def test_a_simulate_source_needs_replicas_before_any_output(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_more_replicas_than_the_seed_stride_exit_2(tmp_path):
+    # replica r of seed s runs at seed s * 1000 + r: replica 1000 of seed 3
+    # would be replica 0 of seed 4, sharing its instance and Brownian path
+    cfg = small_config("simulate", replicas=1001)
+    assert "replicas: must be <= 1000" in _config_error(cfg)
+    assert run(cfg, out=str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
+    load_config(dict(cfg, replicas=1000))
+
+
+def test_simulate_keeps_about_one_design_alive():
+    # Each replica is reduced as it ends, so of 8 designs of n x d floats one
+    # is alive at a time, beside step temporaries of one replica.
+    n, d, R = 4000, 50, 8
+    cli._SOURCES["simulate"](load_config(small_config("simulate")))  # lazy imports of a first run
+    cfg = load_config(small_config("simulate", model=dict(SMALL_MODEL, n=n, d=d), replicas=R, retain_every=10))
+    tracemalloc.start()
+    try:
+        cli._SOURCES["simulate"](cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 8 + 16 * n * 8
+
+
 def test_seed_is_required_only_where_a_source_draws(tmp_path):
     # oracle against dmft-linear draws nothing
     cfg = _gaussian_default(tmp_path)

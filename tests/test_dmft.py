@@ -470,21 +470,17 @@ np.savez(
 _SIMULATE_AND_SAVE = """
 import sys
 import numpy as np
-from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.model import ModelParams
 from dmft_lab.priors import GaussianLocation, PriorSpec
-from dmft_lab.simulator import empirical_kernels, evolve, fill_response, response_traces
+from dmft_lab.simulator import simulate
 
 params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
 prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
-insts = [sample_instance(params, prior, seed=s) for s in (1, 2)]
-trajs = [evolve(inst, prior, params, seed=s, retain_every=5) for s, inst in zip((1, 2), insts)]
-t = empirical_kernels(trajs, insts, params)
-steps = [0, 10, 20, 30, 40, 50]
-traces = [response_traces(None, inst, prior, params, steps) for inst in insts]  # constant curvature
-fill_response(t, traces, steps)
+steps = [0, 10, 20, 30, 40, 50]  # constant curvature: the spectrum route
+t, paths = simulate(params, prior, [1, 2], retain_every=5, response_steps=steps)
 arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha", "r_theta", "r_eta")}
 arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
-np.savez(sys.argv[2], theta_paths=np.stack([tr.theta_path for tr in trajs]), **arrays)
+np.savez(sys.argv[2], theta_paths=np.stack(paths), **arrays)
 """
 
 _SCRIPTS = {

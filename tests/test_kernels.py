@@ -10,7 +10,7 @@ from dmft_lab.kernels import (
     read_table_csv,
     write_table_csv,
 )
-from dmft_lab.model import ModelParams, sample_instance
+from dmft_lab.model import ModelParams
 from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec, Theta0Spec
 
 
@@ -40,12 +40,7 @@ def mixture_dmft_table():
 def simulate_response_table():
     # responses only between the response steps: NaN holes in r_theta
     prior = PriorSpec(GaussianFixed(1.0), alpha=[])
-    inst = sample_instance(SMALL, prior, seed=5)
-    traj = simulator.evolve(inst, prior, SMALL, seed=5, retain_every=2)
-    table = simulator.empirical_kernels([traj], [inst], SMALL)
-    traces = simulator.response_traces(None, inst, prior, SMALL, [0, 4, 8])
-    simulator.fill_response(table, [traces], [0, 4, 8])
-    return table
+    return simulator.simulate(SMALL, prior, [5], retain_every=2, response_steps=[0, 4, 8])[0]
 
 
 def feature_table():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,25 @@ def test_location_scores_equal_closed_forms(rng):
     assert np.array_equal(fam.drift_s(theta, alpha), omega * (alpha[0] - theta))
     assert np.array_equal(fam.dtheta_drift_s(theta, alpha), np.full(theta.shape, -omega))
     assert np.array_equal(fam.grad_alpha_log_g(theta, alpha), (omega * (theta - alpha[0]))[:, None])
+
+
+@pytest.mark.parametrize(
+    "family, alpha", [(GaussianFixed(1.3), None), (GaussianLocation(0.8), np.array([0.4]))], ids=["fixed", "location"]
+)
+def test_one_component_drift_has_the_mixture_bits_and_one_temporary(rng, family, alpha):
+    # The mixture formula with r = 1 built about 5 path-sized temporaries;
+    # the direct form keeps its bits with the result and one temporary.
+    theta = 3.0 * rng.normal(size=20000)
+    diff = theta[:, None] - family.components(alpha)[1]
+    want = np.sum(np.ones_like(diff) * family.omega * (-diff), axis=-1)
+    assert np.array_equal(family.drift_s(theta, alpha), want)
+    tracemalloc.start()
+    try:
+        family.drift_s(theta, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * theta.nbytes
 
 
 def test_theta0_spec_sample_kinds(rng):

@@ -7,7 +7,6 @@ it passes without the fault. This is mutation testing (DeMillo, Lipton and
 Sayward 1978), done by hand.
 """
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -44,6 +43,19 @@ def eta_trace_without_delta(monkeypatch):
     def mutant(trajectory, instance, prior, params, *args, **kwargs):
         traces = response_traces(trajectory, instance, prior, params, *args, **kwargs)
         return replace(traces, r_eta=traces.r_eta / params.delta)
+
+    monkeypatch.setattr(simulator, "response_traces", mutant)
+
+
+def probe_stderr_halved(monkeypatch):
+    """The simulator's probe standard errors at half their size."""
+    response_traces = simulator.response_traces
+
+    def mutant(*args, **kwargs):
+        traces = response_traces(*args, **kwargs)
+        if traces.r_theta_stderr is None:  # the exact product has none
+            return traces
+        return replace(traces, r_theta_stderr=0.5 * traces.r_theta_stderr, r_eta_stderr=0.5 * traces.r_eta_stderr)
 
     monkeypatch.setattr(simulator, "response_traces", mutant)
 
@@ -110,11 +122,17 @@ def test_criterion_04_catches_an_eta_trace_without_its_delta(monkeypatch, oracle
     table = sim.table  # criterion 04's own input
     if mutate:
         eta_trace_without_delta(monkeypatch)
-        table = copy.deepcopy(table)
-        traces = [simulator.response_traces(None, inst, sim.prior, sim.params, sim.steps) for inst in sim.instances]
-        simulator.fill_response(table, traces, sim.steps)
+        table, _ = simulator.simulate(sim.params, sim.prior, sim.seeds, retain_every=10, response_steps=sim.steps)
     failed = closed_forms.failed(closed_forms.criterion_04(table, *oracle_pack, sim.times))
     assert failed == (["r_eta"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_probe_se_calibration_catches_halved_probe_stderrs(monkeypatch, mutate):
+    if mutate:
+        probe_stderr_halved(monkeypatch)
+    failed = closed_forms.failed(closed_forms.probe_se_calibration())
+    assert failed == (["r_theta", "r_eta"] if mutate else [])
 
 
 @pytest.mark.parametrize("mutate", [False, True])

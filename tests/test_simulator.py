@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closed_forms
+
 from dmft_lab.model import ModelInstance, ModelParams, component_rng, sample_instance
 from dmft_lab.priors import (
     GaussianFixed,
@@ -14,11 +16,10 @@ from dmft_lab.priors import (
 )
 from dmft_lab.simulator import (
     DivergenceError,
-    empirical_kernels,
-    fill_response,
     evolve,
     resample_to_common_size,
     response_traces,
+    simulate,
     wasserstein2_1d,
 )
 
@@ -127,9 +128,7 @@ def test_retain_grid_must_divide():
 def test_initial_second_moment_lln():
     params = ModelParams(n=100, d=10000, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=0.1)
     prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("gaussian", var=1.0))
-    inst = sample_instance(params, prior, seed=17)
-    traj = evolve(inst, prior, params, seed=17, retain_every=1)
-    table = empirical_kernels([traj], [inst], params)
+    table, _ = simulate(params, prior, [17], retain_every=1)
     assert abs(table.c_theta[0, 0] - 1.0) < 3 * np.sqrt(2.0) / np.sqrt(params.d)
     assert all(np.isnan(se).all() for se in table.stderr.values())  # one replica has no spread
 
@@ -137,9 +136,8 @@ def test_initial_second_moment_lln():
 def test_star_initialization_residual_kernel():
     params = ModelParams(n=200, d=100, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=0.1)
     prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("star"))
-    inst = sample_instance(params, prior, seed=23)
-    traj = evolve(inst, prior, params, seed=23, retain_every=1)
-    table = empirical_kernels([traj], [inst], params)
+    table, _ = simulate(params, prior, [23], retain_every=1)
+    inst = sample_instance(params, prior, seed=23)  # the replica's instance, for its noise
     exact = params.delta * params.beta**2 / params.n * (inst.eps @ inst.eps)
     assert table.c_eta[0, 0] == pytest.approx(exact, rel=1e-12)
     assert abs(table.c_eta[0, 0] - params.delta * params.beta**2 * params.sigma2) < 0.6
@@ -148,19 +146,12 @@ def test_star_initialization_residual_kernel():
 def test_kernel_table_symmetry_and_psd():
     params = ModelParams(n=40, d=20, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.5)
     prior = PriorSpec(GaussianFixed(1.0))
-    instances = [sample_instance(params, prior, seed=100 + r) for r in range(4)]
-    trajs = [evolve(inst, prior, params, seed=100 + r) for r, inst in enumerate(instances)]
-    table = empirical_kernels(trajs, instances, params)
+    table, paths = simulate(params, prior, [100 + r for r in range(4)])
     assert np.array_equal(table.c_theta, table.c_theta.T)
     assert np.all(table.c_theta.diagonal() >= 0.0)
-    for tr in trajs:  # per-replica Gram matrices are exactly PSD
-        gram = tr.theta_path @ tr.theta_path.T / params.d
+    for path in paths:  # per-replica Gram matrices are exactly PSD
+        gram = path @ path.T / params.d
         assert np.linalg.eigvalsh(gram).min() > -1e-10
-    with pytest.raises(ValueError):
-        empirical_kernels(trajs, instances[:2], params)
-    short = evolve(instances[0], prior, params, seed=0, retain_every=5)
-    with pytest.raises(ValueError):
-        empirical_kernels([trajs[0], short], instances[:2], params)
 
 
 # ----------------------------------------------------------------- response
@@ -230,26 +221,8 @@ def test_probe_mode_agrees_with_exact_on_a_mixture():
 
 
 def test_probe_standard_errors_are_calibrated_on_a_mixture():
-    # Over K probe seeds, z = (probe - exact) / SE. With n_probes = p per-probe
-    # estimates, z is about Student-t with nu = p - 1 degrees of freedom: its
-    # std is sqrt(nu / (nu - 2)) and its kurtosis kappa = 3 + 6 / (nu - 4). The
-    # std of K draws then has sampling error std * sqrt((kappa - 1) / (4 K)),
-    # about std / sqrt(2 (K - 1)) for a normal law; the band is 4 of them.
-    K, p = 200, 32
-    params, inst, traj = _mixture_chain(100, 50, 0.05, 1.0, seed=44)
-    steps = [0, 20]
-    exact = response_traces(traj, inst, MIXTURE, params, steps)
-    probes = [
-        response_traces(traj, inst, MIXTURE, params, steps, method="probe", n_probes=p, seed=k) for k in range(K)
-    ]
-    nu = p - 1
-    center = np.sqrt(nu / (nu - 2))
-    half_width = 4 * center * np.sqrt((2 + 6 / (nu - 4)) / (4 * K))
-    for name in ("r_theta", "r_eta"):
-        got = np.array([getattr(tr, name)[1, 0] for tr in probes])
-        se = np.array([getattr(tr, name + "_stderr")[1, 0] for tr in probes])
-        z = (got - getattr(exact, name)[1, 0]) / se
-        assert abs(np.std(z, ddof=1) - center) <= half_width, name
+    checks = closed_forms.probe_se_calibration()
+    assert not closed_forms.failed(checks), checks
 
 
 def test_general_product_path_matches_constant_shortcut():
@@ -298,15 +271,14 @@ def test_general_path_requires_full_trajectory():
         response_traces(None, inst, mix, params, [0, 200])  # outside horizon
 
 
-def test_response_replica_average(nan_table):
+def test_response_replica_average():
     params = ModelParams(n=40, d=20, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.25)
     prior = PriorSpec(GaussianFixed(1.0))
     traces = []
     for seed in (1, 2):
         inst = sample_instance(params, prior, seed=seed)
         traces.append(response_traces(None, inst, prior, params, [0, 5]))
-    table = nan_table(params.gamma_step * np.arange(params.n_steps + 1), params.gamma_step, "simulate")
-    fill_response(table, traces, [0, 5])
+    table, _ = simulate(params, prior, [1, 2], retain_every=1, response_steps=[0, 5])
     assert table.r_theta[5, 0] * params.gamma_step == pytest.approx(
         0.5 * (traces[0].r_theta[1, 0] + traces[1].r_theta[1, 0]), rel=1e-15
     )
