@@ -43,6 +43,7 @@ from .priors import (
     GaussianFixed,
     GaussianLocation,
     GaussianMeanMixture,
+    GaussianMixture,
     GaussianWeightMixture,
     PriorSpec,
     SmoothHinge,
@@ -57,6 +58,8 @@ PIPELINES = ROUTES + ("equilibrium", "compare")
 _CLOSED = ("dmft-linear", "oracle")
 # The Monte Carlo sources: they draw from the seed and carry marginal samples.
 _MONTE_CARLO = ("simulate", "dmft")
+# The sources that run the Euler step gamma.
+_STEPPING = ("simulate", "dmft", "dmft-linear")
 # Replica r of seed s runs at seed s * _REPLICAS + r: more replicas would reuse seed s + 1's.
 _REPLICAS = 1000
 
@@ -314,6 +317,29 @@ def _compare_checks_something(cfg: RunConfig) -> None:
             )
 
 
+def _step_rate(model: ModelParams, prior: PriorSpec) -> Optional[float]:
+    """h_max = omega_max + delta beta (1 + delta^(-1/2))^2 for a Gaussian family,
+    None for exp_family. The Euler step contracts every mode when gamma h_max < 2.
+
+    omega_max is the largest prior precision (lam for gaussian_fixed); a
+    mixture's curvature d s/d theta never falls below -omega_max. The second
+    term is the upper Marcenko-Pastur edge of beta X^T X. The stepping sources
+    share the bound: dmft-linear and dmft run the Euler chain of the d -> infinity
+    limit. simulate's finite-d design has its top eigenvalue above the edge by
+    O(d^(-2/3)) (Tracy-Widom fluctuations), so a gamma just under 2 / h_max can
+    still grow the top mode of a small-d run. An exp_family with a power above 2
+    has a curvature unbounded in theta, so no step is stable everywhere
+    (Euler-Maruyama can diverge at any gamma; Hutzenthaler, Jentzen & Kloeden
+    2011, Proc. R. Soc. A 467:1563). Such a config is not refused: a simulate
+    run that blows up is stopped by the simulator's divergence guard, and dmft
+    has no such guard.
+    """
+    if not isinstance(prior.family, GaussianMixture):
+        return None
+    edge = (1.0 + model.delta**-0.5) ** 2
+    return float(np.max(prior.family.omega)) + model.delta * model.beta * edge
+
+
 def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
     """Values that the run would otherwise refuse only deep inside a source."""
     opts, errors = values[""], []
@@ -334,6 +360,14 @@ def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Op
         errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
     if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
         errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
+    stepping = [s for s in sources if s in _STEPPING]
+    rate = _step_rate(model, prior) if stepping and model is not None and prior is not None else None
+    if rate is not None and model.gamma_step * rate >= 2.0:
+        errors.append(
+            f"model.gamma: {model.gamma_step:g} makes the Euler step of {stepping[0]} unstable: gamma * "
+            f"(omega_max + delta beta (1 + delta^-1/2)^2) = {model.gamma_step * rate:.4g} must be < 2, "
+            f"so gamma < {2.0 / rate:.6g}"
+        )
     per_path = prior is not None and prior.family.theta_curvature_constant(prior.alpha) is None
     if "simulate" in sources and opts["replicas"] < 1:
         errors.append("replicas: must be >= 1 for a simulate source")

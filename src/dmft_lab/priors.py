@@ -3,10 +3,27 @@
 Each family exposes the scalar score s(theta, alpha) = d/dtheta log g(theta, alpha),
 its theta-derivative, the alpha-gradient of log g, sampling, and second moments.
 All evaluators are pure and vectorized over theta.
+
+The Gaussian-mixture evaluators work in component columns: for each component
+k one array shaped like theta holds theta - m_k, one its log-weight, one its
+responsibility. The maximum over components is `np.maximum` of the K columns,
+and each sum over components adds the columns elementwise, so no (n, K) array
+is built and reduced over its short last axis; numpy's per-call cost there
+outweighed the arithmetic at K = 2. The columns keep the bits of the (n, K)
+formulas (tests/closed_forms.py), because they keep numpy's reduction orders:
+- a last-axis sum over K starts from +0.0 and adds left to right,
+  ((0 + x_0) + x_1) + x_2, which is `sum(columns, 0.0)`;
+- `np.mean` over the samples axis of an (n, K) alpha-gradient adds down the
+  rows for K >= 2, which is `np.cumsum` of each column from +0.0, and adds
+  pairwise for K = 1, whose (n, 1) column is contiguous, which is `np.mean` of
+  the column.
+Only `softmax`, `logsumexp` and `alpha_score` keep the (..., K) layout: the
+scalar channel in equilibrium reads them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,9 +47,9 @@ class InputDomainError(ValueError):
 
 
 def _check_finite(theta, alpha) -> None:
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise InputDomainError("non-finite theta")
-    if alpha is not None and not np.all(np.isfinite(alpha)):
+    if alpha is not None and not np.isfinite(alpha).all():
         raise InputDomainError("non-finite alpha")
 
 
@@ -54,6 +71,11 @@ class PriorFamily:
 
     def grad_alpha_log_g(self, theta, alpha):
         """Gradient of log g in alpha; shape (..., K) for array theta."""
+        cols = self._grad_alpha_columns(theta, alpha)
+        return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(theta) + (0,))
+
+    def _grad_alpha_columns(self, theta, alpha):
+        """The K entries of grad_alpha log g, as a list of arrays shaped like theta."""
         raise NotImplementedError
 
     def sample(self, alpha, rng: np.random.Generator, size: int):
@@ -72,11 +94,11 @@ class GaussianMixture(PriorFamily):
     """Gaussian mixture g = sum_k w_k N(m_k, 1/p_k) whose components depend on alpha.
 
     Subclasses set up `components(alpha) -> (weights, means, precisions)` and
-    the alpha score `alpha_score(r, centers, alpha)`: grad_alpha log g given
-    component responsibilities r and component centers (theta itself here, the
-    posterior component means in the scalar channel). Precisions `omega` never
-    depend on alpha. Responsibilities are computed in log space with
-    max-subtraction.
+    the alpha score twice: `alpha_score(r, centers, alpha)` in the (..., K)
+    layout, for the posterior component means of the scalar channel, and
+    `_alpha_score_columns` in component columns, for centers at theta itself.
+    Precisions `omega` never depend on alpha. Responsibilities are computed in
+    log space with max-subtraction.
     """
 
     omega: np.ndarray
@@ -87,39 +109,61 @@ class GaussianMixture(PriorFamily):
     def alpha_score(self, r, centers, alpha):
         raise NotImplementedError
 
+    def _alpha_score_columns(self, diff, r, alpha):
+        """`alpha_score` at centers theta, from the columns diff_k = theta - m_k
+        and r_k of `_responsibilities`: a list of K arrays shaped like theta."""
+        raise NotImplementedError
+
     def _log_weights(self, theta, alpha):
+        """Columns diff_k = theta - m_k and log(w_k N(theta; m_k, 1/p_k))."""
         w, m, p = self.components(alpha)
-        diff = np.asarray(theta, dtype=float)[..., None] - m
-        return diff, np.log(w) + 0.5 * np.log(p / (2 * np.pi)) - 0.5 * p * diff**2
+        theta = np.asarray(theta, dtype=float)
+        diff = [theta - m_k for m_k in m.tolist()]
+        log_c = (np.log(w) + 0.5 * np.log(p / (2 * np.pi))).tolist()
+        return diff, [c_k - h_k * d_k**2 for c_k, h_k, d_k in zip(log_c, (0.5 * p).tolist(), diff)]
+
+    @staticmethod
+    def _shifted_exp(lw):
+        """(max_k lw_k, exp(lw_k - max), their sum)."""
+        top = functools.reduce(np.maximum, lw)
+        e = [np.exp(lw_k - top) for lw_k in lw]
+        return top, e, sum(e, 0.0)
 
     def _responsibilities(self, theta, alpha):
-        """(r, diff); a single component has r = 1 exactly, with no log-space pass."""
+        """(diff, r) columns; a single component has r = 1 exactly, with no log-space pass."""
         if self.omega.size == 1:
-            diff = np.asarray(theta, dtype=float)[..., None] - self.components(alpha)[1]
-            return np.ones_like(diff), diff
+            diff = [np.asarray(theta, dtype=float) - self.components(alpha)[1][0]]
+            return diff, [np.ones_like(diff[0])]
         diff, lw = self._log_weights(theta, alpha)
-        return softmax(lw), diff
+        _, e, total = self._shifted_exp(lw)
+        return diff, [e_k / total for e_k in e]
 
     def log_g(self, theta, alpha=None):
-        return logsumexp(self._log_weights(theta, alpha)[1])
+        top, _, total = self._shifted_exp(self._log_weights(theta, alpha)[1])
+        return top + np.log(total)
 
     def drift_s(self, theta, alpha=None):
-        if self.omega.size == 1:  # -omega (theta - m), without the (..., 1) responsibility chain
-            s = self.components(alpha)[1][0] - np.asarray(theta, dtype=float)
-            s *= self.omega[0]
+        if self.omega.size == 1:  # -omega (theta - m), without the responsibility column
+            # + 0.0 reads m = -0.0 as +0.0: the mixture formula's sum never ends at -0.0
+            s = np.subtract(self.components(alpha)[1].item(0) + 0.0, theta, dtype=float)
+            s *= self.omega.item(0)
             return s
-        r, diff = self._responsibilities(theta, alpha)
-        return np.sum(r * self.omega * (-diff), axis=-1)
+        diff, r = self._responsibilities(theta, alpha)
+        terms = [r_k * w_k * -d_k for r_k, w_k, d_k in zip(r, self.omega.tolist(), diff)]
+        return sum(terms, 0.0)
 
     def dtheta_drift_s(self, theta, alpha=None):
-        r, diff = self._responsibilities(theta, alpha)
-        v = self.omega * (-diff)
-        mean_v = np.sum(r * v, axis=-1)
-        return np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * self.omega, axis=-1)
+        diff, r = self._responsibilities(theta, alpha)
+        omega = self.omega.tolist()
+        v = [w_k * -d_k for w_k, d_k in zip(omega, diff)]
+        rv = [r_k * v_k for r_k, v_k in zip(r, v)]
+        second = [rv_k * v_k for rv_k, v_k in zip(rv, v)]
+        rw = [r_k * w_k for r_k, w_k in zip(r, omega)]
+        mean_v = sum(rv, 0.0)
+        return sum(second, 0.0) - mean_v**2 - sum(rw, 0.0)
 
-    def grad_alpha_log_g(self, theta, alpha=None):
-        r = self._responsibilities(theta, alpha)[0]
-        return self.alpha_score(r, np.asarray(theta, dtype=float)[..., None], alpha)
+    def _grad_alpha_columns(self, theta, alpha=None):
+        return self._alpha_score_columns(*self._responsibilities(theta, alpha), alpha)
 
     def sample(self, alpha, rng, size):
         w, m, p = self.components(alpha)
@@ -154,6 +198,9 @@ class GaussianFixed(GaussianMixture):
     def alpha_score(self, r, centers, alpha=None):
         return np.zeros(r.shape[:-1] + (0,))
 
+    def _grad_alpha_columns(self, theta, alpha=None):
+        return []
+
 
 class GaussianMeanMixture(GaussianMixture):
     """Mixture sum_k p_k N(alpha_k, 1/omega_k) with adaptive means alpha in R^K."""
@@ -173,6 +220,16 @@ class GaussianMeanMixture(GaussianMixture):
 
     def alpha_score(self, r, centers, alpha):
         return self.omega * (centers - self.components(alpha)[1]) * r
+
+    def _alpha_score_columns(self, diff, r, alpha):
+        return [w_k * d_k * r_k for w_k, d_k, r_k in zip(self.omega.tolist(), diff, r)]
+
+    def _grad_alpha_columns(self, theta, alpha=None):
+        if self.omega.size == 1:  # omega (theta - m), without the responsibility column r = 1
+            s = np.subtract(theta, self.components(alpha)[1].item(0), dtype=float)
+            s *= self.omega.item(0)
+            return [s]
+        return super()._grad_alpha_columns(theta, alpha)
 
 
 class GaussianLocation(GaussianMeanMixture):
@@ -207,6 +264,9 @@ class GaussianWeightMixture(GaussianMixture):
 
     def alpha_score(self, r, centers, alpha):
         return r - self.components(alpha)[0]
+
+    def _alpha_score_columns(self, diff, r, alpha):
+        return [r_k - pi_k for r_k, pi_k in zip(r, self.components(alpha)[0].tolist())]
 
 
 class ExpFamily(PriorFamily):
@@ -278,9 +338,9 @@ class ExpFamily(PriorFamily):
     def dtheta_drift_s(self, theta, alpha):
         return self._theta_derivative(theta, alpha, 2)
 
-    def grad_alpha_log_g(self, theta, alpha):
+    def _grad_alpha_columns(self, theta, alpha):
         grad_a = self.grad_log_partition(alpha)
-        return np.stack([t_k - g_k for t_k, g_k in zip(self._monomials(theta, 0), grad_a)], axis=-1)
+        return [t_k - g_k for t_k, g_k in zip(self._monomials(theta, 0), grad_a)]
 
     def sample(self, alpha, rng, size):
         # Grid-based inverse CDF; adequate for the smooth densities used here.
@@ -375,9 +435,12 @@ def gradient_map_G(
     if samples.size == 0:
         raise ValueError("gradient_map_G requires a non-empty sample set")
     _check_finite(samples, alpha)
-    g = family.grad_alpha_log_g(samples, alpha)
-    out = np.mean(np.atleast_2d(g), axis=0) if g.ndim > 1 else np.array([float(np.mean(g))])
-    out = out.reshape(family.dim_alpha)
+    cols = family._grad_alpha_columns(samples, alpha)
+    # the bits of np.mean over the first axis of the (n, K) gradient (module docstring)
+    if len(cols) == 1:
+        out = np.array([np.mean(cols[0])])
+    else:
+        out = np.array([np.cumsum(c)[-1] + 0.0 for c in cols]) / samples.size
     if regularizer is not None:
         out = out - regularizer.grad(alpha)
     return out

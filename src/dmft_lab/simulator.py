@@ -28,6 +28,10 @@ _STREAM_BROWNIAN = 201
 _STREAM_PROBES = 202
 
 _NORM_GUARD = 1e6
+# Brownian increments are drawn this many steps at a time: the stream's order,
+# so the bits of one draw per step. One (steps, d) draw raised the benchmark's
+# peak RSS by its size.
+_INCR_BLOCK = 8
 
 RESPONSE_METHODS = ("exact-product", "probe")
 
@@ -91,8 +95,9 @@ def evolve(
         if t == T:
             break
         drift = -beta * (gram @ theta - xty) + prior.family.drift_s(theta, alpha)
-        incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
-        new_theta = theta + gamma * drift + np.sqrt(2.0) * incr
+        if t % _INCR_BLOCK == 0:
+            incr = rng_b.normal(0.0, np.sqrt(gamma), size=(min(_INCR_BLOCK, T - t), params.d))
+        new_theta = theta + gamma * drift + np.sqrt(2.0) * incr[t % _INCR_BLOCK]
         if K:
             alpha = alpha + gamma * gradient_map_G(alpha, theta, prior.family, regularizer)
         theta = new_theta

@@ -18,12 +18,41 @@ import numpy as np
 from dmft_lab import dmft, mp_oracle, simulator
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import MPLaw, OracleParams, UnsupportedOracleError
-from dmft_lab.priors import GaussianMeanMixture, PriorSpec
+from dmft_lab.priors import GaussianMeanMixture, PriorSpec, softmax
 
 
 def failed(checks) -> list:
     """Names of the checks whose margin exceeds (or is not within) its budget."""
     return [name for name, (margin, budget) in checks.items() if not margin <= budget]
+
+
+# ------------------------------------------------- mixture score references
+
+
+def mixture_scores(family, theta, alpha):
+    """A `GaussianMixture`'s drift_s, dtheta_drift_s and grad_alpha_log_g in
+    the (..., K) layout: theta - m_k on a last axis of size K, responsibilities
+    by `softmax` over it, and each K-sum by numpy's last-axis sum. A single
+    component has r = 1. The evaluators work on per-component columns and
+    must give these bits."""
+    theta = np.asarray(theta, dtype=float)
+    w, m, p = family.components(alpha)
+    diff = theta[..., None] - m
+    if family.omega.size == 1:
+        r = np.ones_like(diff)
+    else:
+        r = softmax(np.log(w) + 0.5 * np.log(p / (2 * np.pi)) - 0.5 * p * diff**2)
+    v = family.omega * (-diff)
+    mean_v = np.sum(r * v, axis=-1)
+    drift = np.sum(r * family.omega * (-diff), axis=-1)
+    curvature = np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * family.omega, axis=-1)
+    return drift, curvature, family.alpha_score(r, theta[..., None], alpha)
+
+
+def mixture_gradient_map(alpha, samples, family):
+    """gradient_map_G without a regularizer, as np.mean over the samples axis
+    of the (n, K) alpha-gradient of `mixture_scores`."""
+    return np.mean(mixture_scores(family, np.asarray(samples, dtype=float).reshape(-1), alpha)[2], axis=0)
 
 
 # ------------------------------------------------- Marcenko-Pastur closed forms

@@ -579,6 +579,41 @@ def test_shipped_configs_load(path):
     load_config(path)
 
 
+# gaussian_fixed lam 1 at delta 2: h_max = 1 + 2 (1 + 2^-1/2)^2 = 6.83, so gamma < 0.2929
+UNSTABLE_MODEL = {"n": 800, "d": 400, "sigma2": 1.0, "beta": 1.0, "gamma": 0.3, "horizon": 60.0}
+
+
+@pytest.mark.parametrize(
+    "pipeline, extra",
+    [
+        ("simulate", {}),
+        ("dmft", {}),
+        ("dmft-linear", {}),
+        ("compare", {"compare": {"sources": ["oracle", "dmft-linear"], "tolerances": {"default": 1.0}}}),
+    ],
+)
+def test_an_unstable_euler_step_exits_2_before_any_source(tmp_path, pipeline, extra):
+    cfg = small_config(pipeline, model=dict(UNSTABLE_MODEL), retain_every=1, **extra)
+    message = _config_error(cfg)
+    assert "model.gamma: 0.3 makes the Euler step of" in message
+    assert "= 2.049 must be < 2, so gamma < 0.292893" in message
+    assert run(cfg, out=str(tmp_path / "out")) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_step_bound_reads_the_largest_precision_and_spares_the_oracle():
+    # a mixture's bound is set by its stiffest component; the oracle's
+    # continuous kernels take no step, and exp_family has no bound
+    model = dict(UNSTABLE_MODEL, gamma=0.25, horizon=2.5)
+    mixture = {"family": "gaussian_mean_mixture", "weights": [0.5, 0.5], "precisions": [1.0, 4.0],
+               "alpha0": [-1.0, 1.0]}
+    assert "gamma < 0.203491" in _config_error(small_config("simulate", model=model, prior=mixture, retain_every=1))
+    load_config(small_config("simulate", model=dict(model, gamma=0.2, horizon=2.0), prior=mixture))
+    load_config(small_config("oracle", model=dict(UNSTABLE_MODEL), retain_every=1))
+    load_config(small_config("simulate", model=dict(UNSTABLE_MODEL), retain_every=1,
+                             prior={"family": "exp_family", "powers": [2, 4], "alpha0": [0.0, -0.1]}))
+
+
 def test_a_simulate_source_needs_replicas_before_any_output(tmp_path):
     # a compare, not only the simulate pipeline: the simulation would refuse
     # zero replicas only after the output directory exists
@@ -601,10 +636,12 @@ def test_more_replicas_than_the_seed_stride_exit_2(tmp_path):
 
 def test_simulate_keeps_about_one_design_alive():
     # Each replica is reduced as it ends, so of 8 designs of n x d floats one
-    # is alive at a time, beside step temporaries of one replica.
+    # is alive at a time, beside step temporaries of one replica. At delta 80
+    # a stable step is below 0.02; gamma 0.01 keeps the 10 steps.
     n, d, R = 4000, 50, 8
     cli._SOURCES["simulate"](load_config(small_config("simulate")))  # lazy imports of a first run
-    cfg = load_config(small_config("simulate", model=dict(SMALL_MODEL, n=n, d=d), replicas=R, retain_every=10))
+    model = dict(SMALL_MODEL, n=n, d=d, gamma=0.01, horizon=0.1)
+    cfg = load_config(small_config("simulate", model=model, replicas=R, retain_every=10))
     tracemalloc.start()
     try:
         cli._SOURCES["simulate"](cfg)

@@ -466,18 +466,28 @@ np.savez(
 
 # The Euler chain and its exact response traces at the shipped n and d, a
 # size at which threaded LAPACK does change bits: an eigh of X^T X in the
-# step or in the traces' spectrum would show here.
+# step or in the traces' spectrum would show here. The two-component mixture
+# runs the mixture score kernels in every step and, with response steps, the
+# per-step curvature through the Omega chain.
 _SIMULATE_AND_SAVE = """
 import sys
 import numpy as np
 from dmft_lab.model import ModelParams
-from dmft_lab.priors import GaussianLocation, PriorSpec
+from dmft_lab.priors import GaussianLocation, GaussianMeanMixture, PriorSpec
 from dmft_lab.simulator import simulate
 
+location = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
+mixture = PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[-0.5, 0.5], alpha_star=[-1.0, 1.0])
+steps = [0, 10, 20, 30, 40, 50]
+# case -> (prior, retain_every, response steps)
+cases = {
+    "simulate": (location, 5, steps),  # constant curvature: the spectrum route
+    "simulate_mixture": (mixture, 1, steps),
+    "simulate_mixture_paths": (mixture, 1, []),
+}
+prior, retain_every, steps = cases[sys.argv[1]]
 params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
-prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
-steps = [0, 10, 20, 30, 40, 50]  # constant curvature: the spectrum route
-t, paths = simulate(params, prior, [1, 2], retain_every=5, response_steps=steps)
+t, paths = simulate(params, prior, [1, 2], retain_every=retain_every, response_steps=steps)
 arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha", "r_theta", "r_eta")}
 arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
 np.savez(sys.argv[2], theta_paths=np.stack(paths), **arrays)
@@ -485,6 +495,8 @@ np.savez(sys.argv[2], theta_paths=np.stack(paths), **arrays)
 
 _SCRIPTS = {
     "simulate": _SIMULATE_AND_SAVE,
+    "simulate_mixture": _SIMULATE_AND_SAVE,
+    "simulate_mixture_paths": _SIMULATE_AND_SAVE,
     "oracle_table": _ORACLE_TABLE_AND_SAVE,
     "equilibrium": _EQUILIBRIUM_AND_SAVE,
     "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
@@ -492,7 +504,19 @@ _SCRIPTS = {
 
 
 @pytest.mark.parametrize(
-    "case", ["per_path", "constant", "oracle_table", "equilibrium", "exp_family_fixed_point", "simulate"]
+    "case",
+    [
+        "per_path", "constant", "oracle_table", "equilibrium", "exp_family_fixed_point", "simulate",
+        pytest.param(
+            "simulate_mixture",
+            # not strict: where OpenBLAS runs one thread whatever it is asked for, both runs agree
+            marks=pytest.mark.xfail(
+                reason="a theta-dependent curvature pushes d x d blocks through the Omega chain by BLAS GEMM, "
+                "whose bits change with the OpenBLAS thread count (r_eta and the response SEs)",
+            ),
+        ),
+        "simulate_mixture_paths",
+    ],
 )
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):
     src = str(Path(dmft_lab.__file__).resolve().parents[1])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from closed_forms import mixture_gradient_map, mixture_scores
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +228,52 @@ def test_one_component_drift_has_the_mixture_bits_and_one_temporary(rng, family,
     finally:
         tracemalloc.stop()
     assert peak <= 2 * theta.nbytes
+
+
+@st.composite
+def mixture_cases(draw):
+    """A Gaussian family with its alpha, and theta: a scalar or n coordinates,
+    some of them exactly at a component mean."""
+    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3), ("weight", 3)]))
+    positive = st.floats(0.1, 10.0)
+    line = st.floats(-3.0, 3.0)
+    if kind == "fixed":
+        family, alpha = GaussianFixed(draw(positive)), np.zeros(0)
+    elif kind == "location":
+        family, alpha = GaussianLocation(draw(positive)), np.array([draw(line)])
+    elif kind == "weight":
+        family = GaussianWeightMixture([draw(line) for _ in range(k)], [draw(positive) for _ in range(k)])
+        alpha = np.array([draw(line) for _ in range(k)])
+    else:
+        family = GaussianMeanMixture([draw(positive) for _ in range(k)], [draw(positive) for _ in range(k)])
+        alpha = np.array([draw(line) for _ in range(k)])
+    means = family.components(alpha)[1]
+    n = draw(st.sampled_from([None, 1, 2, 7, 400, 2000]))
+    if n is None:
+        theta = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(means.tolist())))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        theta = draw(st.floats(0.1, 10.0)) * rng.normal(size=n)
+        theta[rng.integers(0, n, size=min(n, k))] = means[: min(n, k)]
+    return family, alpha, theta
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mixture_cases())
+def test_score_columns_have_the_component_axis_bits(case):
+    # The evaluators work on per-component columns; the (..., K) formulas
+    # of closed_forms are the reference, signed zeros included.
+    family, alpha, theta = case
+    drift, curvature, grad_alpha = mixture_scores(family, theta, alpha)
+    assert _same_bits(family.drift_s(theta, alpha), drift)
+    assert _same_bits(family.dtheta_drift_s(theta, alpha), curvature)
+    assert _same_bits(family.grad_alpha_log_g(theta, alpha), grad_alpha)
+    assert _same_bits(gradient_map_G(alpha, theta, family), mixture_gradient_map(alpha, theta, family))
 
 
 def test_theta0_spec_sample_kinds(rng):
