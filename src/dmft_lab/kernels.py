@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -75,63 +75,84 @@ class KernelTable:
 # ---------------------------------------------------------------- CSV I/O
 
 _HEADER = "t,s,value,stderr"
+# Lines of a section written, or read and parsed, at a time.
+_BLOCK = 4096
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _distinct_texts(values: np.ndarray):
+    """`%.17g` of each distinct bit pattern among the float64 values, and the
+    index of each value's text. Bits, not float equality, tell values apart:
+    -0.0 and 0.0 print differently."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object), inverse
+
+
 def write_table_csv(table: KernelTable, path) -> None:
-    """Write the table; each section is formatted by one %-format call and
-    written as soon as it is formatted."""
+    """Write the table. Each section formats every distinct value (and
+    stderr) once, then joins and writes its lines `_BLOCK` entries at a time,
+    so no Python object is made per entry of a whole section."""
     labels = np.array([_fmt(t) for t in table.times.tolist()], dtype=object)
-    sections = [(name, np.asarray(getattr(table, name)), table.stderr.get(name)) for name in _AXES]
+    sections = [(name, getattr(table, name), table.stderr.get(name)) for name in _AXES]
     sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
     with open(path, "w") as fh:
         fh.write(f"{_HEADER}\n# gamma: {_fmt(table.gamma)}\n# source: {table.source}\n")
         fh.write(f"# times: {','.join(labels)}\n")
         for name, grid, se in sections:
             fh.write(f"# kernel: {name}\n")
-            keep = ~np.isnan(grid)
-            with_se = se is not None and grid.ndim > 0
-            # entries in row-major order; s (and t) is -1 where the kernel has no such axis
-            at = np.argwhere(keep)
-            rows = np.full((at.shape[0], 4 if with_se else 3), "-1", dtype=object)
-            rows[:, : grid.ndim] = labels[at]
-            rows[:, 2] = grid[keep]
-            if with_se:
-                rows[:, 3] = se[keep]
-            fmt = "%s,%s,%.17g," + ("%.17g\n" if with_se else "\n")
-            fh.write(fmt * at.shape[0] % tuple(rows.ravel().tolist()))
+            grid = np.asarray(grid, dtype=np.float64)
+            at = np.flatnonzero(~np.isnan(grid))  # entries in row-major order
+            # the fields t, s, value, stderr of a block of lines and their separators;
+            # s (and t) is -1 where the kernel has no such axis, the stderr empty without one
+            fields = np.empty((min(at.size, _BLOCK), 8), dtype=object)
+            fields[:] = np.array(["-1", ",", "-1", ",", "", ",", "", "\n"], dtype=object)
+            columns = [(4, _distinct_texts(grid.ravel()[at]))]
+            if se is not None and grid.ndim > 0:
+                columns.append((6, _distinct_texts(np.asarray(se, dtype=np.float64).ravel()[at])))
+            for start in range(0, at.size, _BLOCK):
+                flat = at[start : start + _BLOCK]
+                rows = fields[: flat.size]
+                # (row, column) of each flat index, of which the kernel's axes are the last ndim
+                for k, axis in enumerate(np.divmod(flat, table.n_times)[2 - grid.ndim :]):
+                    rows[:, 2 * k] = labels[axis]
+                for k, (texts, inverse) in columns:
+                    rows[:, k] = texts[inverse[start : start + _BLOCK]]
+                fh.write("".join(rows.ravel().tolist()))
 
 
 def read_table_csv(path) -> KernelTable:
-    """Read a table written by `write_table_csv`. Each `# kernel:` section is
-    parsed by numpy's C reader from its list of lines; an entry whose label
-    is not a grid time raises."""
+    """Read a table written by `write_table_csv`. Each line is tested once,
+    for a leading '#'; the entries of each `# kernel:` section are parsed by
+    numpy's C reader `_BLOCK` lines at a time. An entry whose label is not a
+    grid time raises."""
     meta = {"gamma": "0", "source": "unknown"}
-    sections: dict[str, np.ndarray] = {}
+    sections: dict[str, list] = {}  # name -> its parsed blocks of entries
     with open(path) as fh:
         header = fh.readline().strip()
         if header != _HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        name, lines = None, []
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                if key.strip() == "kernel":
-                    if name is not None:
-                        sections[name] = _parse_section(lines)
-                    name, lines = val.strip(), []
-                else:
-                    meta[key.strip()] = val.strip()
-            elif line:
-                if name is None:
-                    raise ValueError(f"entry before any '# kernel:' line: {line!r}")
-                lines.append(line)
-        if name is not None:
-            sections[name] = _parse_section(lines)
+        blocks = None  # of the current section
+        while lines := list(islice(fh, _BLOCK)):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"  # the last line of a file without a final newline
+            # markers and metadata start with '#'; blank lines only split runs of entries
+            breaks = [i for i, line in enumerate(lines) if line[0] in "#\n"]
+            start = 0
+            for stop in breaks + [len(lines)]:
+                if stop > start:
+                    if blocks is None:
+                        raise ValueError(f"entry before any '# kernel:' line: {lines[start].strip()!r}")
+                    blocks.append(_parse_block(lines[start:stop]))
+                if stop < len(lines) and lines[stop][0] == "#":
+                    key, _, val = lines[stop][1:].partition(":")
+                    if key.strip() == "kernel":
+                        blocks = sections[val.strip()] = []
+                    else:
+                        meta[key.strip()] = val.strip()
+                start = stop + 1
     if "times" not in meta:
         raise ValueError("CSV is missing the '# times:' line")
     times = np.array([float(v) for v in meta["times"].split(",")])
@@ -139,35 +160,34 @@ def read_table_csv(path) -> KernelTable:
     grids = {name: np.full((m,) * axes, np.nan) for name, axes in _AXES.items()}
     grids["alpha"] = np.full((m, n_alpha), np.nan)
     stderr = {}
-    for name, rows in sections.items():
+    for name, blocks in sections.items():
         if name.startswith("alpha_"):
             grid = grids["alpha"][:, int(name.removeprefix("alpha_"))]
         elif name in _AXES:
             grid = grids[name]
         else:
             raise ValueError(f"unknown kernel section {name!r}")
-        if not rows.size:
-            continue
-        at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
-        rows = rows if grid.ndim else rows[-1]  # the scalar c_star_star takes its last entry
-        grid[at] = rows[..., 2]
-        if rows.shape[-1] == 4:
+        if any(rows.shape[1] == 4 for rows in blocks):  # entries of the other blocks read as NaN
             stderr[name] = np.full(grid.shape, np.nan)
-            stderr[name][at] = rows[..., 3]
+        for rows in blocks:
+            at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
+            rows = rows if grid.ndim else rows[-1]  # the scalar c_star_star takes its last entry
+            grid[at] = rows[..., 2]
+            if rows.shape[-1] == 4:
+                stderr[name][at] = rows[..., 3]
     grids["c_star_star"] = float(grids["c_star_star"])
     return KernelTable(times, float(meta["gamma"]), meta["source"], stderr=stderr, **grids)
 
 
-def _parse_section(lines: list) -> np.ndarray:
-    """(entries, 3) rows t, s, value, or (entries, 4) when any entry has a
-    stderr; an empty stderr field beside others reads as NaN."""
-    if not lines:
-        return np.empty((0, 3))
-    no_stderr = sum(map(str.endswith, lines, repeat(",")))
+def _parse_block(lines: list) -> np.ndarray:
+    """(entries, 3) rows t, s, value of a block of entry lines, or (entries,
+    4) when any of them has a stderr; an empty stderr field beside others
+    reads as NaN."""
+    no_stderr = sum(map(str.endswith, lines, repeat(",\n")))
     if no_stderr == len(lines):
         return np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
     if no_stderr:
-        lines = [line + "nan" if line.endswith(",") else line for line in lines]
+        lines = [line[:-1] + "nan\n" if line.endswith(",\n") else line for line in lines]
     return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 

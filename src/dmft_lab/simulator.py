@@ -225,8 +225,9 @@ def simulate(
     regularizer: Optional[SmoothHinge] = None, threads: int = 1,
 ) -> tuple[KernelTable, list[np.ndarray]]:
     """Replica-averaged kernels with across-replica standard errors, one
-    replica per seed on a pool of `threads`; returns the table and each
-    replica's retained theta path.
+    replica per seed, on a pool of `threads` when that is more than one and
+    in the calling thread otherwise; returns the table and each replica's
+    retained theta path.
 
     A replica is reduced to its own terms as it ends, so no design outlives it:
     theta^t . theta^s / d, theta^t . theta_star / d, theta_star . theta_star / d,
@@ -251,8 +252,12 @@ def simulate(
         gram_eta = scale_eta * (rp @ rp.T)
         return traj.times, tp @ tp.T / d, tp @ star / d, star @ star / d, traj.alpha_path, gram_eta, traces, tp
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        times, ct, cs, ss, al, ce, traces, paths = zip(*pool.map(one, seeds))  # in seed order
+    if threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            replicas = list(pool.map(one, seeds))  # in seed order
+    else:
+        replicas = list(map(one, seeds))
+    times, ct, cs, ss, al, ce, traces, paths = zip(*replicas)
     ct, cs, ce = np.stack(ct), np.stack(cs), np.stack(ce)
     c_theta, c_eta = ct.mean(axis=0), ce.mean(axis=0)
     m = times[0].size

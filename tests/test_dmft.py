@@ -473,21 +473,24 @@ _SIMULATE_AND_SAVE = """
 import sys
 import numpy as np
 from dmft_lab.model import ModelParams
-from dmft_lab.priors import GaussianLocation, GaussianMeanMixture, PriorSpec
+from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec
 from dmft_lab.simulator import simulate
 
+fixed = PriorSpec(GaussianFixed(1.0), alpha=[])
 location = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
 mixture = PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[-0.5, 0.5], alpha_star=[-1.0, 1.0])
 steps = [0, 10, 20, 30, 40, 50]
-# case -> (prior, retain_every, response steps)
+# case -> (prior, retain_every, response steps, n, seeds); d = n / 2
 cases = {
-    "simulate": (location, 5, steps),  # constant curvature: the spectrum route
-    "simulate_mixture": (mixture, 1, steps),
-    "simulate_mixture_paths": (mixture, 1, []),
+    "simulate": (location, 5, steps, 800, [1, 2]),  # constant curvature: the spectrum route
+    "simulate_mixture": (mixture, 1, steps, 800, [1, 2]),
+    "simulate_mixture_paths": (mixture, 1, [], 800, [1, 2]),
+    "simulate_fixed_n200": (fixed, 1, [], 200, [1]),
+    "simulate_fixed_n600": (fixed, 1, [], 600, [1]),
 }
-prior, retain_every, steps = cases[sys.argv[1]]
-params = ModelParams(n=800, d=400, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
-t, paths = simulate(params, prior, [1, 2], retain_every=retain_every, response_steps=steps)
+prior, retain_every, steps, n, seeds = cases[sys.argv[1]]
+params = ModelParams(n=n, d=n // 2, sigma2=1.0, beta=1.0, gamma_step=0.01, horizon=0.5)
+t, paths = simulate(params, prior, seeds, retain_every=retain_every, response_steps=steps)
 arrays = {k: getattr(t, k) for k in ("c_theta", "c_eta", "c_theta_star", "alpha", "r_theta", "r_eta")}
 arrays.update({"stderr_" + k: v for k, v in t.stderr.items()})
 np.savez(sys.argv[2], theta_paths=np.stack(paths), **arrays)
@@ -497,6 +500,8 @@ _SCRIPTS = {
     "simulate": _SIMULATE_AND_SAVE,
     "simulate_mixture": _SIMULATE_AND_SAVE,
     "simulate_mixture_paths": _SIMULATE_AND_SAVE,
+    "simulate_fixed_n200": _SIMULATE_AND_SAVE,
+    "simulate_fixed_n600": _SIMULATE_AND_SAVE,
     "oracle_table": _ORACLE_TABLE_AND_SAVE,
     "equilibrium": _EQUILIBRIUM_AND_SAVE,
     "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
@@ -516,6 +521,17 @@ _SCRIPTS = {
             ),
         ),
         "simulate_mixture_paths",
+        *(
+            pytest.param(
+                case,
+                # not strict, as above; at n 800, d 400 the same chain agrees
+                marks=pytest.mark.xfail(
+                    reason="the Euler step's gram @ theta GEMV and its X.T @ X product take threaded "
+                    "OpenBLAS paths at this shape, whose bits change with the thread count (theta path, c_theta)",
+                ),
+            )
+            for case in ("simulate_fixed_n200", "simulate_fixed_n600")
+        ),
     ],
 )
 def test_solver_bits_do_not_depend_on_blas_threads(tmp_path, case):

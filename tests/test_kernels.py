@@ -1,11 +1,20 @@
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmft_lab import simulator
+from dmft_lab import kernels, simulator
 from dmft_lab.dmft import linear_gaussian_dmft, solve_dmft
 from dmft_lab.kernels import (
     COMPARED_KERNELS,
     GridAlignmentError,
+    KernelTable,
     compare_tables,
     read_table_csv,
     write_table_csv,
@@ -85,6 +94,132 @@ def test_csv_round_trip_exact(tmp_path, make):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def block_table(extra):
+    """A table whose c_theta section (with stderrs) has exactly `_BLOCK + extra`
+    lines: the first entries of its grid, in row-major order, are NaN."""
+    lines = kernels._BLOCK + extra
+    m = math.isqrt(lines) + 1
+    table = table_for(0.01, horizon=0.01 * (m - 1))
+    table.stderr["c_theta"] = np.abs(table.c_theta) / 3.0
+    table.c_theta.ravel()[: m * m - lines] = np.nan
+    return table
+
+
+def dmft_like_table(m=201):
+    """A table shaped like an adaptive MC-DMFT solve's: symmetric c_theta
+    (with stderrs) and c_eta, response grids with zero upper triangles (with
+    r_theta stderrs), c_theta_star with stderrs and one alpha column."""
+    rng = np.random.default_rng(5)
+
+    def symmetric():
+        grid = rng.normal(size=(m, m))
+        return np.tril(grid) + np.tril(grid, -1).T
+
+    def lower():
+        return np.tril(rng.normal(size=(m, m)))
+
+    return KernelTable(
+        times=0.01 * np.arange(m), gamma=0.01, source="dmft", c_theta=symmetric(),
+        c_theta_star=rng.normal(size=m), c_star_star=1.0, c_eta=symmetric(), r_theta=lower(), r_eta=lower(),
+        r_eta_star=rng.normal(size=m), alpha=rng.normal(size=(m, 1)),
+        stderr={"c_theta": np.abs(symmetric()), "c_theta_star": np.abs(rng.normal(size=m)), "r_theta": np.abs(lower())},
+    )
+
+
+def _write_by_entries(table, path):
+    """Reference writer: every entry goes through `%.17g` on its own, in one
+    object array per section and one %-format call."""
+    fmt17 = "%.17g".__mod__
+    labels = np.array([fmt17(t) for t in table.times.tolist()], dtype=object)
+    sections = [(name, np.asarray(getattr(table, name)), table.stderr.get(name)) for name in kernels._AXES]
+    sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
+    with open(path, "w") as fh:
+        fh.write(f"t,s,value,stderr\n# gamma: {fmt17(table.gamma)}\n# source: {table.source}\n")
+        fh.write(f"# times: {','.join(labels)}\n")
+        for name, grid, se in sections:
+            fh.write(f"# kernel: {name}\n")
+            keep = ~np.isnan(grid)
+            with_se = se is not None and grid.ndim > 0
+            at = np.argwhere(keep)
+            rows = np.full((at.shape[0], 4 if with_se else 3), "-1", dtype=object)
+            rows[:, : grid.ndim] = labels[at]
+            rows[:, 2] = grid[keep]
+            if with_se:
+                rows[:, 3] = se[keep]
+            fmt = "%s,%s,%.17g," + ("%.17g\n" if with_se else "\n")
+            fh.write(fmt * at.shape[0] % tuple(rows.ravel().tolist()))
+
+
+def _assert_writes_as_reference(table, directory):
+    write_table_csv(table, directory / "blocked.csv")
+    _write_by_entries(table, directory / "by_entries.csv")
+    assert (directory / "blocked.csv").read_bytes() == (directory / "by_entries.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        linear_table_with_stderr, mixture_dmft_table, simulate_response_table, feature_table,
+        lambda: block_table(0), lambda: block_table(1),
+    ],
+    ids=["linear", "mixture_dmft", "simulate", "features", "one_block", "one_block_and_a_line"],
+)
+def test_writer_bytes_match_the_per_entry_writer(tmp_path, make):
+    _assert_writes_as_reference(make(), tmp_path)
+
+
+# Values whose text a writer can get wrong: both zeros (equal as floats, not
+# as text), NaN, infinities, subnormals and the extremes.
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]
+
+
+@st.composite
+def tables(draw):
+    """Small tables of repeated values from a pool that mixes specials and
+    arbitrary floats: NaN holes, NaN stderrs beside finite values, exactly
+    mirrored grids, zero to two alpha columns."""
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL), st.floats()), min_size=1, max_size=6))
+
+    def grid(shape, mirrored=False):
+        out = np.array(draw(st.lists(st.sampled_from(pool), min_size=math.prod(shape), max_size=math.prod(shape))))
+        out = out.reshape(shape)
+        if mirrored:
+            i, j = np.triu_indices(m, 1)
+            out[i, j] = out[j, i]
+        return out
+
+    grids = {name: grid((m, m), draw(st.booleans())) for name in ("c_theta", "c_eta", "r_theta", "r_eta")}
+    grids.update(c_theta_star=grid((m,)), r_eta_star=grid((m,)))
+    with_stderr = draw(st.lists(st.sampled_from(sorted(grids)), unique=True))
+    return KernelTable(
+        times=np.cumsum(draw(st.lists(st.floats(1e-3, 10.0), min_size=m, max_size=m))),
+        gamma=draw(st.sampled_from(pool)), source="x", c_star_star=float(grid(())),
+        alpha=grid((m, draw(st.integers(0, 2)))), stderr={name: grid(grids[name].shape) for name in with_stderr},
+        **grids,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=tables(), block=st.integers(1, 7))
+def test_writer_bytes_match_the_per_entry_writer_on_any_values(table, block):
+    with tempfile.TemporaryDirectory() as directory, mock.patch.object(kernels, "_BLOCK", block):
+        _assert_writes_as_reference(table, Path(directory))
+
+
+def test_writer_traced_peak_stays_below_the_file_size(tmp_path):
+    # one object per entry of a whole section peaks at about 1.5 times the file
+    table, path = dmft_like_table(), tmp_path / "k.csv"
+    write_table_csv(table, path)
+    tracemalloc.start()
+    try:
+        write_table_csv(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
 def _read_by_lines(path):
     """Reference parser: each section of a table CSV read line by line with
     float(), as {name: (grid, stderr or None)}. An empty stderr field is NaN
@@ -123,6 +258,32 @@ def test_csv_reader_matches_line_by_line_parser(tmp_path, make):
     path = tmp_path / "k.csv"
     write_table_csv(make(), path)
     _assert_reads_as_reference(path)
+
+
+def test_csv_reader_reads_a_stderr_first_seen_after_a_block(tmp_path):
+    # the c_theta section's first blocks have no stderr column, its last entry has one
+    path = tmp_path / "k.csv"
+    table = block_table(1)
+    table.stderr.clear()
+    write_table_csv(table, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("# kernel: c_eta") - 1
+    lines[at] += "0.25"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_reads_as_reference(path)
+    back = read_table_csv(path).stderr["c_theta"]
+    assert back[-1, -1] == 0.25 and np.isnan(back[-1, -2])
+
+
+@pytest.mark.parametrize("ending", ["no_final_newline", "crlf"])
+def test_csv_reader_reads_other_line_endings(tmp_path, ending):
+    path = tmp_path / "k.csv"
+    write_table_csv(block_table(1), path)
+    text = path.read_bytes()
+    assert text.endswith(b"\n")
+    path.write_bytes(text[:-1] if ending == "no_final_newline" else text.replace(b"\n", b"\r\n"))
+    _assert_reads_as_reference(path)
+    assert read_table_csv(path).c_star_star == block_table(1).c_star_star
 
 
 def test_csv_reader_reads_an_empty_stderr_beside_others_as_nan(tmp_path):
