@@ -124,7 +124,6 @@ _TABLE = {
     "model": {
         **{key: ("an integer", _is_int, None) for key in ("n", "d")},
         **{key: ("a number", _is_number, None) for key in ("sigma2", "beta", "gamma", "horizon")},
-        "delta": ("a number", lambda v: v is None or _is_number(v), None),
     },
     "theta0": {
         "kind": (f"one of {_THETA0_KINDS}", lambda v: v in _THETA0_KINDS, None),
@@ -449,7 +448,7 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
         else:
             model = _built(errors, "model", lambda: ModelParams(
                 n=m["n"], d=m["d"], sigma2=m["sigma2"], beta=m.get("beta", 1.0 / m["sigma2"]),
-                gamma_step=m["gamma"], horizon=m["horizon"], delta=m.get("delta"),
+                gamma_step=m["gamma"], horizon=m["horizon"],
             ))
         if values["prior"] is None:
             errors.append("prior: required section")

@@ -14,7 +14,8 @@ c_eta_tti(0) = delta/sigma2 - omega and c_eta_inf = omega^2 / omega_star:
     ymse      = (sigma2^2 / delta) c_eta_tti(0)
     ymse_star = (sigma2^2 / delta) (c_eta_inf + 2 c_eta_tti(0)) - sigma2.
 
-Gaussian-mixture families use conjugate closed forms; discrete priors and
+Gaussian-mixture families use conjugate closed forms, read from the prior's
+component columns (`GaussianMixture.channel_columns`); discrete priors and
 exp-family densities (on their quadrature grid) use exact weighted-atom sums,
 32 channel outputs at a time. When an exp-family truth and an exp-family
 posterior share one uniform grid, the averages over the true channel use a
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .priors import ExpFamily, PriorFamily, SmoothHinge, logsumexp, softmax
+from .priors import ExpFamily, PriorFamily, SmoothHinge
 
 
 class DiscretePrior:
@@ -112,27 +113,6 @@ def _atom_sums(y, nodes, masses, omega, stats=()):
     return top, z, sums
 
 
-def _mixture_log_marginals(y, components, omega):
-    """log of w_k N(y; m_k, 1/omega + 1/p_k), the channel marginal of each
-    mixture component, for an array y; shape y.shape + (K,)."""
-    pw, pm, pp = components
-    var_k = 1.0 / omega + 1.0 / pp
-    return np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y[..., None] - pm) ** 2 / var_k
-
-
-def _posterior_mixture(y, components, omega):
-    """Conjugate posterior of a Gaussian-mixture prior given the array Y = y.
-
-    Returns (component weights, component means, component variances), each
-    of shape y.shape + (K,). Responsibilities are formed in log space.
-    """
-    _, pm, pp = components
-    w = softmax(_mixture_log_marginals(y, components, omega))
-    post_var = 1.0 / (omega + pp)
-    post_mean = (omega * y[..., None] + pp * pm) * post_var
-    return w, post_mean, np.broadcast_to(post_var, post_mean.shape)
-
-
 def posterior_moments(y, g, omega: float, alpha=None):
     """(posterior mean, posterior second moment) of the scalar channel.
 
@@ -142,11 +122,11 @@ def posterior_moments(y, g, omega: float, alpha=None):
     if omega <= 0:
         raise ValueError("omega must be positive")
     y_arr = np.asarray(y, dtype=float)
-    components, atoms = _prior_law(g, alpha)
+    _, atoms = _prior_law(g, alpha)
     if atoms is None:
-        w, pm, pv = _posterior_mixture(y_arr, components, omega)
-        m1 = np.sum(w * pm, axis=-1)
-        m2 = np.sum(w * (pv + pm**2), axis=-1)
+        _, _, r, mu, v = g.channel_columns(y_arr, omega, alpha)
+        m1 = sum([r_k * mu_k for r_k, mu_k in zip(r, mu)], 0.0)
+        m2 = sum([r_k * (v_k + np.square(mu_k)) for r_k, v_k, mu_k in zip(r, v, mu)], 0.0)
     else:
         nodes, masses = atoms
         _, z, (s1, s2) = _atom_sums(y_arr, nodes, masses, omega, (nodes, nodes * nodes))
@@ -162,9 +142,10 @@ def _match_shape(value, template):
 def log_marginal(y, g, omega: float, alpha=None):
     """log P_{g, omega}(y): marginal density of the scalar channel."""
     y_arr = np.asarray(y, dtype=float)
-    components, atoms = _prior_law(g, alpha)
+    _, atoms = _prior_law(g, alpha)
     if atoms is None:
-        out = logsumexp(_mixture_log_marginals(y_arr, components, omega))
+        top, total, *_ = g.channel_columns(y_arr, omega, alpha)
+        out = top + np.log(total)
     else:
         nodes, masses = atoms
         top, z, _ = _atom_sums(y_arr, nodes, masses / masses.sum(), omega)
@@ -419,8 +400,9 @@ def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
     y_arr = np.asarray(y, dtype=float)
     components, atoms = _prior_law(family, alpha)
     if atoms is None:
-        w, pm, _ = _posterior_mixture(y_arr, components, omega)
-        return family.alpha_score(w, pm, alpha)
+        _, _, r, mu, _ = family.channel_columns(y_arr, omega, alpha)
+        cols = family._alpha_score_columns([mu_k - m_k for mu_k, m_k in zip(mu, components[1].tolist())], r, alpha)
+        return np.stack(cols, axis=-1) if cols else np.zeros(y_arr.shape + (0,))
     nodes, masses = atoms
     _, z, (s,) = _atom_sums(y_arr, nodes, masses, omega, (family.grad_alpha_log_g(nodes, alpha),))
     return (s / z[:, None]).reshape(y_arr.shape + (family.dim_alpha,))

@@ -32,7 +32,6 @@ class ModelParams:
     beta: float
     gamma_step: float
     horizon: float
-    delta: float | None = None  # defaults to n/d
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -46,11 +45,11 @@ class ModelParams:
         steps = self.horizon / self.gamma_step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integral multiple of gamma_step")
-        ratio = self.n / self.d
-        if self.delta is None:
-            self.delta = ratio
-        elif abs(self.delta - ratio) > 1e-12:
-            raise ValueError(f"delta={self.delta} inconsistent with n/d={ratio}")
+
+    @property
+    def delta(self) -> float:
+        """The aspect ratio n/d."""
+        return self.n / self.d
 
     @property
     def n_steps(self) -> int:

@@ -75,16 +75,18 @@ class MPLaw:
 
 
 def mp_quadrature(delta: float, n_nodes: int = 400) -> MPLaw:
-    """Gauss-Legendre rule under x = c + r sin(phi), which absorbs the
-    square-root edge singularities of the bulk density."""
+    """Gauss-Legendre rule under x = (lo + hi)/2 + r sin(phi), r = (hi - lo)/2,
+    which absorbs the square-root edge singularities of the bulk density. The
+    nodes are computed as lo + 2 r sin^2(phi/2 + pi/4), the same x without the
+    cancellation at the lower edge, where lo = 0 at delta = 1."""
     if n_nodes < MIN_QUAD_NODES:
         raise ValueError(f"n_nodes must be >= {MIN_QUAD_NODES}")
     inv_sqrt = delta ** (-0.5)
     lo, hi = (1.0 - inv_sqrt) ** 2, (1.0 + inv_sqrt) ** 2
-    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    r = 0.5 * (hi - lo)
     u, gw = np.polynomial.legendre.leggauss(n_nodes)
     phi = 0.5 * np.pi * u
-    x = c + r * np.sin(phi)
+    x = lo + 2.0 * r * np.sin(0.5 * phi + 0.25 * np.pi) ** 2
     w = gw * (0.5 * np.pi) * delta * (r * np.cos(phi)) ** 2 / (2.0 * np.pi * x)
     atom = max(0.0, 1.0 - delta)
     return MPLaw(delta=delta, nodes=x, weights=w, atom=atom, edge_hi=hi)

@@ -4,8 +4,9 @@ Each family exposes the scalar score s(theta, alpha) = d/dtheta log g(theta, alp
 its theta-derivative, the alpha-gradient of log g, sampling, and second moments.
 All evaluators are pure and vectorized over theta.
 
-The Gaussian-mixture evaluators work in component columns: for each component
-k one array shaped like theta holds theta - m_k, one its log-weight, one its
+The Gaussian-mixture evaluators and the mixture's scalar-channel update work
+in component columns: for each component k one array shaped like theta (or
+the channel output) holds theta - m_k, one its log-weight, one its
 responsibility. The maximum over components is `np.maximum` of the K columns,
 and each sum over components adds the columns elementwise, so no (n, K) array
 is built and reduced over its short last axis; numpy's per-call cost there
@@ -16,9 +17,9 @@ formulas (tests/closed_forms.py), because they keep numpy's reduction orders:
 - `np.mean` over the samples axis of an (n, K) alpha-gradient adds down the
   rows for K >= 2, which is `np.cumsum` of each column from +0.0, and adds
   pairwise for K = 1, whose (n, 1) column is contiguous, which is `np.mean` of
-  the column.
-Only `softmax`, `logsumexp` and `alpha_score` keep the (..., K) layout: the
-scalar channel in equilibrium reads them.
+  the column;
+- a square is `np.square`, as numpy's array power takes it: a scalar theta
+  makes numpy scalars, whose `** 2` is libm's pow and can round differently.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-
-def logsumexp(lw):
-    """log sum exp over the last axis, shifted by the maximum."""
-    m = lw.max(axis=-1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
-
-
-def softmax(lw):
-    """exp(lw) normalized over the last axis, shifted by the maximum."""
-    w = np.exp(lw - lw.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 class InputDomainError(ValueError):
@@ -94,9 +83,8 @@ class GaussianMixture(PriorFamily):
     """Gaussian mixture g = sum_k w_k N(m_k, 1/p_k) whose components depend on alpha.
 
     Subclasses set up `components(alpha) -> (weights, means, precisions)` and
-    the alpha score twice: `alpha_score(r, centers, alpha)` in the (..., K)
-    layout, for the posterior component means of the scalar channel, and
-    `_alpha_score_columns` in component columns, for centers at theta itself.
+    the alpha score `_alpha_score_columns`, whose centers are theta for the
+    score evaluators and the component posterior means for `channel_columns`.
     Precisions `omega` never depend on alpha. Responsibilities are computed in
     log space with max-subtraction.
     """
@@ -106,13 +94,29 @@ class GaussianMixture(PriorFamily):
     def components(self, alpha):
         raise NotImplementedError
 
-    def alpha_score(self, r, centers, alpha):
+    def _alpha_score_columns(self, diff, r, alpha):
+        """grad_alpha log g averaged over the components with responsibilities
+        r_k, at centers c with diff_k = c - m_k: a list of K arrays."""
         raise NotImplementedError
 
-    def _alpha_score_columns(self, diff, r, alpha):
-        """`alpha_score` at centers theta, from the columns diff_k = theta - m_k
-        and r_k of `_responsibilities`: a list of K arrays shaped like theta."""
-        raise NotImplementedError
+    def channel_columns(self, y, omega: float, alpha):
+        """Conjugate update of the scalar channel Y = theta + N(0, 1/omega) at y.
+
+        Component k has channel marginal w_k N(y; m_k, 1/omega + 1/p_k),
+        posterior mean mu_k = (omega y + p_k m_k) / (omega + p_k) and posterior
+        variance v_k = 1/(omega + p_k). Returns (top, total, r, mu, v): the log
+        marginal is top + log(total), and r, mu and v are K columns shaped
+        like y (v of floats).
+        """
+        w, m, p = self.components(alpha)
+        y = np.asarray(y, dtype=float)
+        var = 1.0 / omega + 1.0 / p
+        log_c = np.log(w) - 0.5 * np.log(2 * np.pi * var)
+        lw = [c_k - 0.5 * np.square(y - m_k) / v_k for c_k, m_k, v_k in zip(log_c.tolist(), m.tolist(), var.tolist())]
+        top, e, total = self._shifted_exp(lw)
+        v = (1.0 / (omega + p)).tolist()
+        mu = [(omega * y + pm_k) * v_k for pm_k, v_k in zip((p * m).tolist(), v)]
+        return top, total, [e_k / total for e_k in e], mu, v
 
     def _log_weights(self, theta, alpha):
         """Columns diff_k = theta - m_k and log(w_k N(theta; m_k, 1/p_k))."""
@@ -120,7 +124,7 @@ class GaussianMixture(PriorFamily):
         theta = np.asarray(theta, dtype=float)
         diff = [theta - m_k for m_k in m.tolist()]
         log_c = (np.log(w) + 0.5 * np.log(p / (2 * np.pi))).tolist()
-        return diff, [c_k - h_k * d_k**2 for c_k, h_k, d_k in zip(log_c, (0.5 * p).tolist(), diff)]
+        return diff, [c_k - h_k * np.square(d_k) for c_k, h_k, d_k in zip(log_c, (0.5 * p).tolist(), diff)]
 
     @staticmethod
     def _shifted_exp(lw):
@@ -160,7 +164,7 @@ class GaussianMixture(PriorFamily):
         second = [rv_k * v_k for rv_k, v_k in zip(rv, v)]
         rw = [r_k * w_k for r_k, w_k in zip(r, omega)]
         mean_v = sum(rv, 0.0)
-        return sum(second, 0.0) - mean_v**2 - sum(rw, 0.0)
+        return sum(second, 0.0) - np.square(mean_v) - sum(rw, 0.0)
 
     def _grad_alpha_columns(self, theta, alpha=None):
         return self._alpha_score_columns(*self._responsibilities(theta, alpha), alpha)
@@ -195,10 +199,7 @@ class GaussianFixed(GaussianMixture):
     def components(self, alpha=None):
         return np.ones(1), np.zeros(1), self.omega
 
-    def alpha_score(self, r, centers, alpha=None):
-        return np.zeros(r.shape[:-1] + (0,))
-
-    def _grad_alpha_columns(self, theta, alpha=None):
+    def _alpha_score_columns(self, diff, r, alpha=None):
         return []
 
 
@@ -217,9 +218,6 @@ class GaussianMeanMixture(GaussianMixture):
 
     def components(self, alpha):
         return self.p, np.asarray(alpha, dtype=float).reshape(self.dim_alpha), self.omega
-
-    def alpha_score(self, r, centers, alpha):
-        return self.omega * (centers - self.components(alpha)[1]) * r
 
     def _alpha_score_columns(self, diff, r, alpha):
         return [w_k * d_k * r_k for w_k, d_k, r_k in zip(self.omega.tolist(), diff, r)]
@@ -244,7 +242,7 @@ class GaussianLocation(GaussianMeanMixture):
 
 
 class GaussianWeightMixture(GaussianMixture):
-    """Mixture with fixed means/precisions and adaptive softmax weights alpha.
+    """Mixture with fixed means/precisions and adaptive weight logits alpha.
 
     Component weights are pi_k = exp(alpha_k) / sum_j exp(alpha_j); the
     alpha-gradient `resp - pi` sums to zero across coordinates exactly.
@@ -260,10 +258,9 @@ class GaussianWeightMixture(GaussianMixture):
         self.dim_alpha = len(self.mu)
 
     def components(self, alpha):
-        return softmax(np.asarray(alpha, dtype=float).reshape(self.dim_alpha)), self.mu, self.omega
-
-    def alpha_score(self, r, centers, alpha):
-        return r - self.components(alpha)[0]
+        logits = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
+        pi = np.exp(logits - logits.max())
+        return pi / pi.sum(), self.mu, self.omega
 
     def _alpha_score_columns(self, diff, r, alpha):
         return [r_k - pi_k for r_k, pi_k in zip(r, self.components(alpha)[0].tolist())]

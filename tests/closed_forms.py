@@ -15,10 +15,10 @@ each can fail.
 
 import numpy as np
 
-from dmft_lab import dmft, mp_oracle, simulator
+from dmft_lab import dmft, equilibrium, mp_oracle, simulator
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import MPLaw, OracleParams, UnsupportedOracleError
-from dmft_lab.priors import GaussianMeanMixture, PriorSpec, softmax
+from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, GaussianWeightMixture, PriorSpec
 
 
 def failed(checks) -> list:
@@ -26,17 +26,59 @@ def failed(checks) -> list:
     return [name for name, (margin, budget) in checks.items() if not margin <= budget]
 
 
+def same_bits(a, b) -> bool:
+    """Same type, shape, dtype and bytes: signed zeros and NaN payloads included."""
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    same_array = a_arr.shape == b_arr.shape and a_arr.dtype == b_arr.dtype and a_arr.tobytes() == b_arr.tobytes()
+    return type(a) is type(b) and same_array
+
+
 # ------------------------------------------------- mixture score references
+#
+# The (..., K) layout of the Gaussian-mixture formulas: a last axis of size K
+# holds the components, each maximum and sum over components is numpy's
+# last-axis reduction. `priors` works on per-component columns and must give
+# these bits.
+
+
+def logsumexp(lw):
+    """log sum exp over the last axis, shifted by the maximum."""
+    m = lw.max(axis=-1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(lw - m), axis=-1, keepdims=True)))[..., 0]
+
+
+def softmax(lw):
+    """exp(lw) normalized over the last axis, shifted by the maximum."""
+    w = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def mixture_components(family, alpha):
+    """(weights, means, precisions) of a `GaussianMixture`; a weight mixture's
+    weights are the softmax of its logits alpha."""
+    if isinstance(family, GaussianWeightMixture):
+        return softmax(np.asarray(alpha, dtype=float).reshape(family.dim_alpha)), family.mu, family.omega
+    return family.components(alpha)
+
+
+def alpha_score(family, r, centers, alpha):
+    """grad_alpha log g averaged over the components with responsibilities r
+    (last axis K) at `centers` (broadcast against r); shape r.shape[:-1] + (dim_alpha,)."""
+    w, m, _ = mixture_components(family, alpha)
+    if isinstance(family, GaussianWeightMixture):
+        return r - w
+    if isinstance(family, GaussianMeanMixture):
+        return family.omega * (centers - m) * r
+    return np.zeros(r.shape[:-1] + (0,))
 
 
 def mixture_scores(family, theta, alpha):
     """A `GaussianMixture`'s drift_s, dtheta_drift_s and grad_alpha_log_g in
     the (..., K) layout: theta - m_k on a last axis of size K, responsibilities
     by `softmax` over it, and each K-sum by numpy's last-axis sum. A single
-    component has r = 1. The evaluators work on per-component columns and
-    must give these bits."""
+    component has r = 1."""
     theta = np.asarray(theta, dtype=float)
-    w, m, p = family.components(alpha)
+    w, m, p = mixture_components(family, alpha)
     diff = theta[..., None] - m
     if family.omega.size == 1:
         r = np.ones_like(diff)
@@ -45,8 +87,42 @@ def mixture_scores(family, theta, alpha):
     v = family.omega * (-diff)
     mean_v = np.sum(r * v, axis=-1)
     drift = np.sum(r * family.omega * (-diff), axis=-1)
-    curvature = np.sum(r * v * v, axis=-1) - mean_v**2 - np.sum(r * family.omega, axis=-1)
-    return drift, curvature, family.alpha_score(r, theta[..., None], alpha)
+    curvature = np.sum(r * v * v, axis=-1) - np.square(mean_v) - np.sum(r * family.omega, axis=-1)
+    return drift, curvature, alpha_score(family, r, theta[..., None], alpha)
+
+
+def channel_log_marginals(y, components, omega):
+    """log of w_k N(y; m_k, 1/omega + 1/p_k), the channel marginal of each
+    mixture component, for an array y; shape y.shape + (K,)."""
+    pw, pm, pp = components
+    var_k = 1.0 / omega + 1.0 / pp
+    return np.log(pw) - 0.5 * np.log(2 * np.pi * var_k) - 0.5 * (y[..., None] - pm) ** 2 / var_k
+
+
+def channel_posterior(y, components, omega):
+    """Conjugate posterior of a Gaussian-mixture prior given the array Y = y:
+    (component weights, component means, component variances), each of shape
+    y.shape + (K,)."""
+    _, pm, pp = components
+    w = softmax(channel_log_marginals(y, components, omega))
+    post_var = 1.0 / (omega + pp)
+    post_mean = (omega * y[..., None] + pp * pm) * post_var
+    return w, post_mean, np.broadcast_to(post_var, post_mean.shape)
+
+
+def channel_references(family, y, omega, alpha):
+    """`equilibrium.posterior_moments`, `log_marginal` and
+    `posterior_grad_alpha_mean` of a `GaussianMixture` in the (..., K) layout:
+    ((m1, m2), log P(y), the posterior mean of grad_alpha log g)."""
+    y_arr = np.asarray(y, dtype=float)
+    components = mixture_components(family, alpha)
+    w, pm, pv = channel_posterior(y_arr, components, omega)
+    m1 = np.sum(w * pm, axis=-1)
+    m2 = np.sum(w * (pv + pm**2), axis=-1)
+    log_p = logsumexp(channel_log_marginals(y_arr, components, omega))
+    if np.ndim(y) == 0:
+        m1, m2, log_p = float(m1), float(m2), float(log_p)
+    return (m1, m2), log_p, alpha_score(family, w, pm, alpha)
 
 
 def mixture_gradient_map(alpha, samples, family):
@@ -297,6 +373,53 @@ def criterion_05(table, sim_traces) -> dict:
         "field identity": (eta_response_identity_residual(table), 1e-12),
         "simulator base": (sim, 1e-14),
     }
+
+
+def criterion_07() -> dict:
+    """Equilibrium against its closed forms at delta = 2, sigma2 = 1 and a
+    N(0, 1) truth: the matched fixed point omega = sqrt(2), mse = sqrt(2) - 1,
+    and the mismatched mse* under the nominal N(0, 2) prior, whose 1/omega
+    solves 2 xi^2 + xi - 2 = 0."""
+    delta, sigma2, tau2 = 2.0, 1.0, 1.0
+    gs = GaussianFixed(1.0)
+    sol = equilibrium.solve_fixed_point(delta, sigma2, gs, gs, tol=1e-13)
+    dev_matched = max(abs(sol.omega - np.sqrt(2.0)), abs(sol.mse - (np.sqrt(2.0) - 1.0)))
+    mis = equilibrium.solve_fixed_point(delta, sigma2, gs, GaussianFixed(0.5), tol=1e-13)
+    xi_inv = (-1.0 + np.sqrt(17.0)) / 4.0
+    mse_star_cf = (sigma2 * 4.0 + delta * xi_inv**2 * tau2) / (delta * (xi_inv + 2.0) ** 2 - 4.0)
+    dev_mis = abs(mis.mse_star - mse_star_cf)
+    return {"matched": (dev_matched, 1e-10), "mismatched mse*": (dev_mis, 1e-8)}
+
+
+def criterion_08() -> dict:
+    """The free energy at the matched Gaussian fixed point (delta = 2): its
+    central differences in omega and omega_star vanish (stationarity), and its
+    slope in s = 1/sigma2 is (delta/2) ymse* at s = 0.5, 1 and 2 (I-MMSE)."""
+    delta, sigma2 = 2.0, 1.0
+    gs = GaussianFixed(1.0)
+    sol = equilibrium.solve_fixed_point(delta, sigma2, gs, gs, tol=1e-13)
+    h = 1e-5
+    d_om = (
+        equilibrium.free_energy(sol.omega + h, sol.omega_star, gs, gs, delta, sigma2)
+        - equilibrium.free_energy(sol.omega - h, sol.omega_star, gs, gs, delta, sigma2)
+    ) / (2 * h)
+    d_os = (
+        equilibrium.free_energy(sol.omega, sol.omega_star + h, gs, gs, delta, sigma2)
+        - equilibrium.free_energy(sol.omega, sol.omega_star - h, gs, gs, delta, sigma2)
+    ) / (2 * h)
+    grad_dev = max(abs(d_om), abs(d_os))
+
+    def f_and_y(s):
+        so = equilibrium.solve_fixed_point(delta, 1.0 / s, gs, gs, tol=1e-13)
+        return so.free_energy, so.ymse_star
+
+    immse_dev = 0.0
+    for s in (0.5, 1.0, 2.0):
+        hs = 1e-2
+        st = [f_and_y(s + k * hs)[0] for k in (-2, -1, 0, 1, 2)]
+        dfds = (st[0] - 8 * st[1] + 8 * st[3] - st[4]) / (12 * hs)
+        immse_dev = max(immse_dev, abs(dfds - delta / 2 * f_and_y(s)[1]))
+    return {"stationarity": (grad_dev, 1e-6), "immse": (immse_dev, 1e-4)}
 
 
 def criterion_09(table, oracle: OracleParams, law: MPLaw) -> dict:

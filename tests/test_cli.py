@@ -539,6 +539,8 @@ def _equilibrium(**values):
             None,
             "compare.tolerances.w2: W2 needs two Monte Carlo sources, got ['dmft', 'dmft-linear']",
         ),
+        # the model's delta is n/d, so a config cannot state it
+        (small_config("simulate", model=dict(SMALL_MODEL, delta=2.0)), None, "model.delta: unknown key"),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):

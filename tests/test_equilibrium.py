@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from closed_forms import channel_references, same_bits
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmft_lab import equilibrium
 from dmft_lab.equilibrium import (
@@ -222,6 +225,52 @@ def test_log_marginal_gaussian():
 def test_solver_failure_reports_trace():
     with pytest.raises(ValueError):
         solve_fixed_point(delta=-1.0, sigma2=1.0, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
+
+
+# Scalars whose square numpy's float64 scalar power (libm's pow) rounds away
+# from x * x: a 0-d channel output must still take the array's square.
+POW_ROUNDED = [-37.17582267360757, -0.11822531949290749, 38.72368377813987, -16.648040414241414]
+
+
+@st.composite
+def channel_cases(draw):
+    """A Gaussian family with its alpha (means may sit at -0.0), omega in
+    [1e-2, 1e2], and y: a scalar or an array, with +-0.0 and +-40 among them."""
+    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3), ("weight", 3)]))
+    positive = st.floats(0.1, 10.0)
+    line = st.one_of(st.floats(-3.0, 3.0), st.just(-0.0))
+    if kind == "fixed":
+        family, alpha = GaussianFixed(draw(positive)), None
+    elif kind == "location":
+        family, alpha = GaussianLocation(draw(positive)), np.array([draw(line)])
+    elif kind == "weight":
+        family = GaussianWeightMixture([draw(line) for _ in range(k)], [draw(positive) for _ in range(k)])
+        alpha = np.array([draw(line) for _ in range(k)])
+    else:
+        family = GaussianMeanMixture([draw(positive) for _ in range(k)], [draw(positive) for _ in range(k)])
+        alpha = np.array([draw(line) for _ in range(k)])
+    omega = 10.0 ** draw(st.floats(-2.0, 2.0))
+    shape = draw(st.sampled_from([(), (1,), (7,), (5, 101)]))
+    if shape == ():
+        y = draw(st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0, 40.0, -40.0] + POW_ROUNDED)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        y = draw(st.floats(0.1, 10.0)) * rng.normal(size=shape)
+        y.flat[rng.integers(0, y.size, size=4)] = [0.0, -0.0, 40.0, -40.0]
+    return family, alpha, omega, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=channel_cases())
+def test_channel_columns_have_the_component_axis_bits(case):
+    # The scalar channel reads the prior's component columns; the (..., K)
+    # formulas of closed_forms are the reference, signed zeros included.
+    family, alpha, omega, y = case
+    (m1, m2), log_p, grad = channel_references(family, y, omega, alpha)
+    got_m1, got_m2 = posterior_moments(y, family, omega, alpha)
+    assert same_bits(got_m1, m1) and same_bits(got_m2, m2)
+    assert same_bits(log_marginal(y, family, omega, alpha), log_p)
+    assert same_bits(posterior_grad_alpha_mean(family, alpha, y, omega), grad)
 
 
 def test_exp_family_atom_path_matches_gaussian_closed_forms():

@@ -12,10 +12,11 @@ def test_params_validation():
         ModelParams(n=2, d=1, sigma2=-1.0, beta=1.0, gamma_step=0.1, horizon=1.0)
     with pytest.raises(ValueError):
         ModelParams(n=2, d=1, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=0.05)
-    with pytest.raises(ValueError):
-        ModelParams(n=3, d=2, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=1.0, delta=2.0)
+    with pytest.raises(TypeError):  # delta is n/d, not a parameter
+        ModelParams(n=4, d=2, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=1.0, delta=2.0)
     p = ModelParams(n=4, d=2, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=1.0)
     assert p.delta == 2.0 and p.n_steps == 10
+    assert ModelParams(n=3, d=7, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=1.0).delta == 3 / 7
 
 
 def test_same_seed_bit_identical():

@@ -53,6 +53,13 @@ def test_quadrature_mass_and_mean(delta):
     assert abs(integrate(law, lambda x: x) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("n_nodes", [100, 400, 1600])
+def test_quadrature_mass_at_delta_one(n_nodes):
+    # At delta = 1 the bulk starts at x = 0, where (lo + hi)/2 + r sin(phi) cancels.
+    law = mp_quadrature(1.0, n_nodes)
+    assert abs(integrate(law, np.ones_like) - 1.0) <= 1e-13
+
+
 def test_quadrature_atom_below_one():
     assert mp_quadrature(0.5, 100).atom == pytest.approx(0.5)
     assert mp_quadrature(2.0, 100).atom == 0.0

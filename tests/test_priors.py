@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from closed_forms import mixture_gradient_map, mixture_scores
+from closed_forms import mixture_gradient_map, mixture_scores, same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,11 +258,6 @@ def mixture_cases(draw):
     return family, alpha, theta
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=mixture_cases())
 def test_score_columns_have_the_component_axis_bits(case):
@@ -270,10 +265,26 @@ def test_score_columns_have_the_component_axis_bits(case):
     # of closed_forms are the reference, signed zeros included.
     family, alpha, theta = case
     drift, curvature, grad_alpha = mixture_scores(family, theta, alpha)
-    assert _same_bits(family.drift_s(theta, alpha), drift)
-    assert _same_bits(family.dtheta_drift_s(theta, alpha), curvature)
-    assert _same_bits(family.grad_alpha_log_g(theta, alpha), grad_alpha)
-    assert _same_bits(gradient_map_G(alpha, theta, family), mixture_gradient_map(alpha, theta, family))
+    assert same_bits(family.drift_s(theta, alpha), drift)
+    assert same_bits(family.dtheta_drift_s(theta, alpha), curvature)
+    assert same_bits(family.grad_alpha_log_g(theta, alpha), grad_alpha)
+    assert same_bits(gradient_map_G(alpha, theta, family), mixture_gradient_map(alpha, theta, family))
+
+
+@pytest.mark.parametrize(
+    "theta", [2.885738285235279, 6.9444656162231855, -3.775789025835823, 3.647272905583609, 2.499215213083609]
+)
+def test_scalar_theta_keeps_the_component_axis_bits(theta):
+    # A scalar theta makes numpy scalars, whose ** 2 is libm's pow; it rounds
+    # the squares of theta - m_k (the first three) and of the mean score in
+    # the curvature (the last two) away from the array's x * x.
+    family, alpha = GaussianMeanMixture([0.4, 0.6], [1.0, 2.0]), np.array([-0.5, 1.0])
+    drift, curvature, grad_alpha = mixture_scores(family, theta, alpha)
+    assert same_bits(family.drift_s(theta, alpha), drift)
+    assert same_bits(family.dtheta_drift_s(theta, alpha), curvature)
+    assert same_bits(family.grad_alpha_log_g(theta, alpha), grad_alpha)
+    for score in (family.drift_s, family.dtheta_drift_s):
+        assert same_bits(score(theta, alpha), score(np.array([theta]), alpha)[0])
 
 
 def test_theta0_spec_sample_kinds(rng):

@@ -7,6 +7,8 @@ it passes without the fault. This is mutation testing (DeMillo, Lipton and
 Sayward 1978), done by hand.
 """
 
+import inspect
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,17 @@ import pytest
 import closed_forms
 from dmft_lab import dmft, mp_oracle, simulator
 from dmft_lab.model import ModelParams, sample_instance
-from dmft_lab.priors import GaussianFixed, PriorSpec
+from dmft_lab.priors import GaussianFixed, GaussianMixture, PriorSpec
+
+
+def rewrite_line(monkeypatch, cls, name, old, new):
+    """Replace `cls.name` by a copy of its source in which the text `old`,
+    which must occur exactly once, reads `new`."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
+    assert source.count(old) == 1, f"{old!r} is not one line of {cls.__name__}.{name}"
+    namespace = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(cls)), namespace)
+    monkeypatch.setattr(cls, name, namespace[name])
 
 
 def time_scale_error(monkeypatch):
@@ -89,6 +101,18 @@ def correlation_stderr_halved(monkeypatch):
     monkeypatch.setattr(dmft, "_corr_stderr", lambda *args: 0.5 * corr_stderr(*args))
 
 
+def posterior_variance_without_the_channel(monkeypatch):
+    """Each mixture component's channel posterior variance 1/p_k, without the
+    channel precision omega of 1/(omega + p_k)."""
+    rewrite_line(monkeypatch, GaussianMixture, "channel_columns", "1.0 / (omega + p)", "1.0 / p")
+
+
+def marginal_normalizer_without_the_channel(monkeypatch):
+    """The channel marginal of each mixture component normalized with the
+    prior variance 1/p_k alone, without the 1/omega term of its variance."""
+    rewrite_line(monkeypatch, GaussianMixture, "channel_columns", "np.log(2 * np.pi * var)", "np.log(2 * np.pi / p)")
+
+
 @pytest.fixture(scope="module")
 def oracle_pack():
     oracle = mp_oracle.OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
@@ -147,6 +171,22 @@ def test_criterion_05_catches_a_signal_response_without_its_unit(monkeypatch, mu
     table = dmft.solve_dmft(params, prior, n_paths=200, seed=1).table
     failed = closed_forms.failed(closed_forms.criterion_05(table, traces))
     assert failed == (["field identity"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_07_catches_a_posterior_variance_without_the_channel(monkeypatch, mutate):
+    if mutate:
+        posterior_variance_without_the_channel(monkeypatch)
+    failed = closed_forms.failed(closed_forms.criterion_07())
+    assert failed == (["matched", "mismatched mse*"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_08_catches_a_marginal_normalizer_without_the_channel(monkeypatch, mutate):
+    if mutate:
+        marginal_normalizer_without_the_channel(monkeypatch)
+    failed = closed_forms.failed(closed_forms.criterion_08())
+    assert failed == (["stationarity", "immse"] if mutate else [])
 
 
 @pytest.mark.parametrize("mutate", [False, True])
