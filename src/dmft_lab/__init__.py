@@ -10,7 +10,6 @@ from .priors import (
     GaussianFixed,
     GaussianLocation,
     GaussianMeanMixture,
-    GaussianWeightMixture,
     PriorSpec,
     SmoothHinge,
     Theta0Spec,
@@ -26,7 +25,6 @@ __all__ = [
     "GaussianFixed",
     "GaussianLocation",
     "GaussianMeanMixture",
-    "GaussianWeightMixture",
     "ExpFamily",
     "SmoothHinge",
     "gradient_map_G",

@@ -44,7 +44,6 @@ from .priors import (
     GaussianLocation,
     GaussianMeanMixture,
     GaussianMixture,
-    GaussianWeightMixture,
     PriorSpec,
     SmoothHinge,
     Theta0Spec,
@@ -73,7 +72,6 @@ _FAMILIES = {
     "gaussian_fixed": (("lam",), GaussianFixed),
     "gaussian_location": (("scale",), GaussianLocation),
     "gaussian_mean_mixture": (("weights", "precisions"), GaussianMeanMixture),
-    "gaussian_weight_mixture": (("means", "precisions"), GaussianWeightMixture),
     "exp_family": (("powers",), ExpFamily),
 }
 # The keys of each prior section besides its family's; only `prior` draws theta_star.
@@ -127,7 +125,6 @@ _TABLE = {
     },
     "theta0": {
         "kind": (f"one of {_THETA0_KINDS}", lambda v: v in _THETA0_KINDS, None),
-        "var": ("a number >= 0", lambda v: _is_number(v) and v >= 0, None),
     },
     "compare": {
         "sources": (

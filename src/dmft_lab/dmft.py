@@ -447,5 +447,4 @@ def linear_gaussian_dmft(
         r_theta=r_theta_raw / gamma,
         r_eta=eta.r_eta_raw / gamma,
         r_eta_star=eta.r_eta_star(),
-        alpha=np.zeros((T + 1, 0)),
     )

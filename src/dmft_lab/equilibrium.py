@@ -401,7 +401,7 @@ def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
     components, atoms = _prior_law(family, alpha)
     if atoms is None:
         _, _, r, mu, _ = family.channel_columns(y_arr, omega, alpha)
-        cols = family._alpha_score_columns([mu_k - m_k for mu_k, m_k in zip(mu, components[1].tolist())], r, alpha)
+        cols = family._alpha_score_columns([mu_k - m_k for mu_k, m_k in zip(mu, components[1].tolist())], r)
         return np.stack(cols, axis=-1) if cols else np.zeros(y_arr.shape + (0,))
     nodes, masses = atoms
     _, z, (s,) = _atom_sums(y_arr, nodes, masses, omega, (family.grad_alpha_log_g(nodes, alpha),))

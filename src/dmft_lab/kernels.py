@@ -6,9 +6,12 @@ which is the gamma-independent object that all sources can be compared on;
 raw per-step responses of a discretized source are recovered by multiplying
 by its step. Entries that a source did not compute are NaN.
 
-CSV layout (one file per table): a single `t,s,value,stderr` header followed
-by `# kernel: <name>` section markers. Vector kernels use s = -1, and the
-scalar c_star_star uses t = s = -1.
+CSV layout (one file per table), the only one `read_table_csv` reads: the
+`t,s,value,stderr` header, the `# gamma:`, `# source:` and `# times:` lines,
+then a `# kernel: <name>` section per kernel in `_AXES` order and one per
+alpha column, alpha_0, alpha_1, ... Every entry of a section has a stderr, or
+none has. Vector kernels use s = -1, and the scalar c_star_star, at most one
+entry, uses t = s = -1. The file ends with a newline.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -46,7 +49,7 @@ class KernelTable:
     r_theta: np.ndarray  # density units, strictly lower triangle valid
     r_eta: np.ndarray  # density units, strictly lower triangle valid
     r_eta_star: np.ndarray
-    alpha: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    alpha: Optional[np.ndarray] = None  # one row per time; None = no alpha, shape (n_times, 0)
     stderr: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -55,6 +58,9 @@ class KernelTable:
             shape = (self.times.size,) * axes
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+        self.alpha = np.zeros((self.times.size, 0)) if self.alpha is None else np.asarray(self.alpha)
+        if self.alpha.ndim != 2 or len(self.alpha) != self.times.size:
+            raise ValueError(f"alpha must have shape ({self.times.size}, K)")
 
     @property
     def n_times(self) -> int:
@@ -66,7 +72,7 @@ class KernelTable:
         return replace(
             self,
             times=self.times[idx],
-            alpha=self.alpha[idx] if self.alpha.size else self.alpha,
+            alpha=self.alpha[idx],
             stderr={k: sub(v) for k, v in self.stderr.items()},
             **{name: sub(getattr(self, name)) for name in _AXES},
         )
@@ -124,70 +130,73 @@ def write_table_csv(table: KernelTable, path) -> None:
 
 
 def read_table_csv(path) -> KernelTable:
-    """Read a table written by `write_table_csv`. Each line is tested once,
-    for a leading '#'; the entries of each `# kernel:` section are parsed by
-    numpy's C reader `_BLOCK` lines at a time. An entry whose label is not a
-    grid time raises."""
-    meta = {"gamma": "0", "source": "unknown"}
-    sections: dict[str, list] = {}  # name -> its parsed blocks of entries
+    """Read a table in the CSV layout (module docstring) and refuse any
+    other; a missing final newline marks a truncated write. Each line is
+    tested once, for a leading '#'; the entries between markers are parsed by
+    numpy's C reader `_BLOCK` lines at a time and put into their grid at once.
+    An entry whose label is not a grid time raises."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != _HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        blocks = None  # of the current section
+        meta = {}
+        for key in ("gamma", "source", "times"):
+            line = fh.readline()
+            if not line.startswith(f"# {key}:"):
+                raise ValueError(f"expected the '# {key}:' line, got {line.strip()!r}")
+            meta[key] = line.partition(":")[2].strip()
+        times = np.array([float(v) for v in meta["times"].split(",")])
+        grids = {name: np.full((times.size,) * axes, np.nan) for name, axes in _AXES.items()}
+        stderr = {}
+        names = chain(_AXES, map("alpha_{}".format, count()))  # the sections, in order
+        name = None  # of the current section
         while lines := list(islice(fh, _BLOCK)):
             if not lines[-1].endswith("\n"):
-                lines[-1] += "\n"  # the last line of a file without a final newline
-            # markers and metadata start with '#'; blank lines only split runs of entries
+                raise ValueError("the CSV has no final newline: a truncated write")
+            # markers start with '#'; the marker check refuses a blank line
             breaks = [i for i, line in enumerate(lines) if line[0] in "#\n"]
             start = 0
             for stop in breaks + [len(lines)]:
                 if stop > start:
-                    if blocks is None:
+                    if name is None:
                         raise ValueError(f"entry before any '# kernel:' line: {lines[start].strip()!r}")
-                    blocks.append(_parse_block(lines[start:stop]))
-                if stop < len(lines) and lines[stop][0] == "#":
-                    key, _, val = lines[stop][1:].partition(":")
-                    if key.strip() == "kernel":
-                        blocks = sections[val.strip()] = []
-                    else:
-                        meta[key.strip()] = val.strip()
+                    rows = _parse_block(lines[start:stop], name)
+                    if not entries and rows.shape[1] == 4:
+                        stderr[name] = np.full(grid.shape, np.nan)
+                    if (name in stderr) != (rows.shape[1] == 4):
+                        raise ValueError(f"kernel {name}: entries with and without a stderr")
+                    entries += len(rows)
+                    if not grid.ndim and entries > 1:
+                        raise ValueError(f"kernel {name}: more than one entry")
+                    at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
+                    rows = rows if grid.ndim else rows[0]
+                    grid[at] = rows[..., 2]
+                    if name in stderr:
+                        stderr[name][at] = rows[..., 3]
+                if stop < len(lines):
+                    name = next(names)
+                    if lines[stop] != f"# kernel: {name}\n":
+                        raise ValueError(f"expected '# kernel: {name}', got {lines[stop].strip()!r}")
+                    if name not in grids:  # an alpha column
+                        grids[name] = np.full(times.size, np.nan)
+                    grid, entries = grids[name], 0
                 start = stop + 1
-    if "times" not in meta:
-        raise ValueError("CSV is missing the '# times:' line")
-    times = np.array([float(v) for v in meta["times"].split(",")])
-    m, n_alpha = times.size, sum(1 for k in sections if k.startswith("alpha_"))
-    grids = {name: np.full((m,) * axes, np.nan) for name, axes in _AXES.items()}
-    grids["alpha"] = np.full((m, n_alpha), np.nan)
-    stderr = {}
-    for name, blocks in sections.items():
-        if name.startswith("alpha_"):
-            grid = grids["alpha"][:, int(name.removeprefix("alpha_"))]
-        elif name in _AXES:
-            grid = grids[name]
-        else:
-            raise ValueError(f"unknown kernel section {name!r}")
-        if any(rows.shape[1] == 4 for rows in blocks):  # entries of the other blocks read as NaN
-            stderr[name] = np.full(grid.shape, np.nan)
-        for rows in blocks:
-            at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
-            rows = rows if grid.ndim else rows[-1]  # the scalar c_star_star takes its last entry
-            grid[at] = rows[..., 2]
-            if rows.shape[-1] == 4:
-                stderr[name][at] = rows[..., 3]
+    if (missing := next(names)) in grids:
+        raise ValueError(f"the CSV ends before the '# kernel: {missing}' section")
+    alpha = [grids.pop(f"alpha_{k}") for k in range(len(grids) - len(_AXES))]
     grids["c_star_star"] = float(grids["c_star_star"])
+    grids["alpha"] = np.stack(alpha, axis=1) if alpha else None
     return KernelTable(times, float(meta["gamma"]), meta["source"], stderr=stderr, **grids)
 
 
-def _parse_block(lines: list) -> np.ndarray:
-    """(entries, 3) rows t, s, value of a block of entry lines, or (entries,
-    4) when any of them has a stderr; an empty stderr field beside others
-    reads as NaN."""
+def _parse_block(lines: list, name: str) -> np.ndarray:
+    """(entries, 3) rows t, s, value of a block of entry lines without a
+    stderr, or (entries, 4) rows of one in which every line has one."""
     no_stderr = sum(map(str.endswith, lines, repeat(",\n")))
     if no_stderr == len(lines):
         return np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
     if no_stderr:
-        lines = [line[:-1] + "nan\n" if line.endswith(",\n") else line for line in lines]
+        raise ValueError(f"kernel {name}: entries with and without a stderr")
     return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 

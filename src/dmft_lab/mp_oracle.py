@@ -256,5 +256,4 @@ def oracle_table(times, oracle: OracleParams, law: MPLaw):
         r_theta=r_theta,
         r_eta=r_eta,
         r_eta_star=scale * gamma_mp[at[rows.size :]],
-        alpha=np.zeros((m, 0)),
     )

@@ -80,13 +80,11 @@ class PriorFamily:
 
 
 class GaussianMixture(PriorFamily):
-    """Gaussian mixture g = sum_k w_k N(m_k, 1/p_k) whose components depend on alpha.
+    """Gaussian mixture g = sum_k w_k N(m_k, 1/p_k) with fixed weights and precisions.
 
-    Subclasses set up `components(alpha) -> (weights, means, precisions)` and
-    the alpha score `_alpha_score_columns`, whose centers are theta for the
-    score evaluators and the component posterior means for `channel_columns`.
-    Precisions `omega` never depend on alpha. Responsibilities are computed in
-    log space with max-subtraction.
+    Subclasses set up `components(alpha) -> (weights, means, precisions)`;
+    alpha, if any, holds the means. Responsibilities are computed in log space
+    with max-subtraction.
     """
 
     omega: np.ndarray
@@ -94,10 +92,12 @@ class GaussianMixture(PriorFamily):
     def components(self, alpha):
         raise NotImplementedError
 
-    def _alpha_score_columns(self, diff, r, alpha):
+    def _alpha_score_columns(self, diff, r):
         """grad_alpha log g averaged over the components with responsibilities
-        r_k, at centers c with diff_k = c - m_k: a list of K arrays."""
-        raise NotImplementedError
+        r_k at centers c, diff_k = c - m_k (theta, or the channel's component
+        posterior means): omega_k (c - m_k) r_k per adaptive mean m_k = alpha_k,
+        none for a fixed prior (dim_alpha 0)."""
+        return [w_k * d_k * r_k for w_k, d_k, r_k in zip(self.omega.tolist()[: self.dim_alpha], diff, r)]
 
     def channel_columns(self, y, omega: float, alpha):
         """Conjugate update of the scalar channel Y = theta + N(0, 1/omega) at y.
@@ -167,7 +167,7 @@ class GaussianMixture(PriorFamily):
         return sum(second, 0.0) - np.square(mean_v) - sum(rw, 0.0)
 
     def _grad_alpha_columns(self, theta, alpha=None):
-        return self._alpha_score_columns(*self._responsibilities(theta, alpha), alpha)
+        return self._alpha_score_columns(*self._responsibilities(theta, alpha))
 
     def sample(self, alpha, rng, size):
         w, m, p = self.components(alpha)
@@ -199,9 +199,6 @@ class GaussianFixed(GaussianMixture):
     def components(self, alpha=None):
         return np.ones(1), np.zeros(1), self.omega
 
-    def _alpha_score_columns(self, diff, r, alpha=None):
-        return []
-
 
 class GaussianMeanMixture(GaussianMixture):
     """Mixture sum_k p_k N(alpha_k, 1/omega_k) with adaptive means alpha in R^K."""
@@ -218,9 +215,6 @@ class GaussianMeanMixture(GaussianMixture):
 
     def components(self, alpha):
         return self.p, np.asarray(alpha, dtype=float).reshape(self.dim_alpha), self.omega
-
-    def _alpha_score_columns(self, diff, r, alpha):
-        return [w_k * d_k * r_k for w_k, d_k, r_k in zip(self.omega.tolist(), diff, r)]
 
     def _grad_alpha_columns(self, theta, alpha=None):
         if self.omega.size == 1:  # omega (theta - m), without the responsibility column r = 1
@@ -239,31 +233,6 @@ class GaussianLocation(GaussianMeanMixture):
             raise ValueError("scale must be positive")
         super().__init__([1.0], [1.0 / (scale * scale)])
         self.scale = float(scale)
-
-
-class GaussianWeightMixture(GaussianMixture):
-    """Mixture with fixed means/precisions and adaptive weight logits alpha.
-
-    Component weights are pi_k = exp(alpha_k) / sum_j exp(alpha_j); the
-    alpha-gradient `resp - pi` sums to zero across coordinates exactly.
-    """
-
-    def __init__(self, means: Sequence[float], precisions: Sequence[float]):
-        self.mu = np.asarray(means, dtype=float)
-        self.omega = np.asarray(precisions, dtype=float)
-        if self.mu.shape != self.omega.shape or self.mu.ndim != 1:
-            raise ValueError("means and precisions must be 1-d of equal length")
-        if np.any(self.omega <= 0):
-            raise ValueError("precisions must be positive")
-        self.dim_alpha = len(self.mu)
-
-    def components(self, alpha):
-        logits = np.asarray(alpha, dtype=float).reshape(self.dim_alpha)
-        pi = np.exp(logits - logits.max())
-        return pi / pi.sum(), self.mu, self.omega
-
-    def _alpha_score_columns(self, diff, r, alpha):
-        return [r_k - pi_k for r_k, pi_k in zip(r, self.components(alpha)[0].tolist())]
 
 
 class ExpFamily(PriorFamily):
@@ -372,16 +341,15 @@ class SmoothHinge:
         return dr * alpha / r
 
 
-_THETA0_KINDS = ("zero", "gaussian", "prior", "star")
+_THETA0_KINDS = ("zero", "prior", "star")
 
 
 @dataclass
 class Theta0Spec:
-    """Initial law of theta^0: point mass at 0 (default), N(0, var),
-    i.i.d. from the true prior, or a copy of theta_star."""
+    """Initial law of theta^0: point mass at 0 (default), i.i.d. from the
+    true prior, or a copy of theta_star."""
 
     kind: str = "zero"
-    var: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _THETA0_KINDS:
@@ -391,8 +359,6 @@ class Theta0Spec:
         """Draw theta^0 for `size` coordinates; "star" copies theta_star."""
         if self.kind == "zero":
             return np.zeros(size)
-        if self.kind == "gaussian":
-            return rng.normal(0.0, np.sqrt(self.var), size=size)
         if self.kind == "prior":
             return prior.family.sample(prior.alpha_star, rng, size)
         return theta_star.copy()

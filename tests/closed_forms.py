@@ -15,10 +15,10 @@ each can fail.
 
 import numpy as np
 
-from dmft_lab import dmft, equilibrium, mp_oracle, simulator
+from dmft_lab import dmft, equilibrium, model, mp_oracle, simulator
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import MPLaw, OracleParams, UnsupportedOracleError
-from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, GaussianWeightMixture, PriorSpec
+from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec
 
 
 def failed(checks) -> list:
@@ -53,22 +53,12 @@ def softmax(lw):
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def mixture_components(family, alpha):
-    """(weights, means, precisions) of a `GaussianMixture`; a weight mixture's
-    weights are the softmax of its logits alpha."""
-    if isinstance(family, GaussianWeightMixture):
-        return softmax(np.asarray(alpha, dtype=float).reshape(family.dim_alpha)), family.mu, family.omega
-    return family.components(alpha)
-
-
 def alpha_score(family, r, centers, alpha):
     """grad_alpha log g averaged over the components with responsibilities r
-    (last axis K) at `centers` (broadcast against r); shape r.shape[:-1] + (dim_alpha,)."""
-    w, m, _ = mixture_components(family, alpha)
-    if isinstance(family, GaussianWeightMixture):
-        return r - w
+    (last axis K) at `centers` (broadcast against r): omega_k (c - m_k) r_k for
+    adaptive means, nothing for a fixed prior; shape r.shape[:-1] + (dim_alpha,)."""
     if isinstance(family, GaussianMeanMixture):
-        return family.omega * (centers - m) * r
+        return family.omega * (centers - family.components(alpha)[1]) * r
     return np.zeros(r.shape[:-1] + (0,))
 
 
@@ -78,7 +68,7 @@ def mixture_scores(family, theta, alpha):
     by `softmax` over it, and each K-sum by numpy's last-axis sum. A single
     component has r = 1."""
     theta = np.asarray(theta, dtype=float)
-    w, m, p = mixture_components(family, alpha)
+    w, m, p = family.components(alpha)
     diff = theta[..., None] - m
     if family.omega.size == 1:
         r = np.ones_like(diff)
@@ -115,7 +105,7 @@ def channel_references(family, y, omega, alpha):
     `posterior_grad_alpha_mean` of a `GaussianMixture` in the (..., K) layout:
     ((m1, m2), log P(y), the posterior mean of grad_alpha log g)."""
     y_arr = np.asarray(y, dtype=float)
-    components = mixture_components(family, alpha)
+    components = family.components(alpha)
     w, pm, pv = channel_posterior(y_arr, components, omega)
     m1 = np.sum(w * pm, axis=-1)
     m2 = np.sum(w * (pv + pm**2), axis=-1)
@@ -373,6 +363,23 @@ def criterion_05(table, sim_traces) -> dict:
         "field identity": (eta_response_identity_residual(table), 1e-12),
         "simulator base": (sim, 1e-14),
     }
+
+
+def finite_d_bridge(oracle: OracleParams) -> np.ndarray:
+    """Criterion 06's input: (C_theta(1, 0.5 | X), C_theta(1, * | X)) of
+    `finite_d_oracle`, averaged over five designs at n = 4000, d = 2000 drawn
+    by `model.sample_instance` at seeds 600-604 (about 4 s)."""
+    params = ModelParams(n=4000, d=2000, sigma2=oracle.sigma2, beta=1.0, gamma_step=0.01, horizon=2.0)
+    prior = PriorSpec(GaussianFixed(oracle.lam))
+    vals = [finite_d_oracle(model.sample_instance(params, prior, seed=600 + r), oracle, 1.0, 0.5) for r in range(5)]
+    return np.mean(vals, axis=0)
+
+
+def criterion_06(finite_d, oracle: OracleParams, law: MPLaw) -> dict:
+    """Finite-d bridge: the d = 2000 eigenmode kernels of `finite_d_bridge`
+    against the asymptotic closed forms at (t, s) = (1, 0.5)."""
+    cts, ctstar, _ = mp_oracle.corr_kernels(1.0, 0.5, oracle, law)
+    return {"c_theta": (abs(finite_d[0] - cts), 0.02), "c_theta_star": (abs(finite_d[1] - ctstar), 0.02)}
 
 
 def criterion_07() -> dict:

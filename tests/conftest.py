@@ -1,6 +1,7 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
+import closed_forms
 import numpy as np
 import pytest
 
@@ -30,6 +31,13 @@ def default_oracle():
 @pytest.fixture(scope="session")
 def default_law():
     return mp_quadrature(2.0, 400)
+
+
+@pytest.fixture(scope="session")
+def finite_d_bridge(default_oracle):
+    """Criterion 06's input, five finite-d designs (about 4 s), shared by the
+    criterion and its mutation test."""
+    return closed_forms.finite_d_bridge(default_oracle)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ import closed_forms
 from dmft_lab import cli, dmft, equilibrium, mp_oracle, simulator
 from dmft_lab.kernels import time_index
 from dmft_lab.model import ModelParams, sample_instance
-from dmft_lab.priors import GaussianFixed, GaussianLocation, PriorSpec
+from dmft_lab.priors import GaussianLocation, PriorSpec
 
 DELTA, SIGMA2, BETA, LAM, TAU2 = 2.0, 1.0, 1.0, 1.0, 1.0
 GAMMA, HORIZON = 0.01, 2.0
@@ -183,19 +183,13 @@ def test_criterion_05_response_identities(mc_result, sim_pack):
 # --------------------------------------------------------------- criterion 6
 
 
-def test_criterion_06_finite_d_bridge(oracle_pack):
-    oracle, law = oracle_pack
-    params = params_at(n=4000, d=2000)
-    prior = PriorSpec(GaussianFixed(LAM))
-    vals = []
-    for r in range(5):
-        inst = sample_instance(params, prior, seed=600 + r)
-        vals.append(closed_forms.finite_d_oracle(inst, oracle, 1.0, 0.5))
-    mean = np.mean(vals, axis=0)
-    cts, ctstar, _ = mp_oracle.corr_kernels(1.0, 0.5, oracle, law)
-    dev = max(abs(mean[0] - cts), abs(mean[1] - ctstar))
-    _line(6, dev <= 0.02, f"d=2000 eigenmode oracle vs asymptotic at (1, 0.5): dev {dev:.5f}")
-    assert dev <= 0.02
+def test_criterion_06_finite_d_bridge(oracle_pack, finite_d_bridge):
+    checks = closed_forms.criterion_06(finite_d_bridge, *oracle_pack)
+    failed = closed_forms.failed(checks)
+    (dev_theta, _), (dev_star, _) = checks["c_theta"], checks["c_theta_star"]
+    _line(6, not failed, f"d=2000 eigenmode oracle vs asymptotic at (1, 0.5): C_theta dev {dev_theta:.5f}, "
+          f"C_theta* dev {dev_star:.5f}")
+    assert not failed
 
 
 # --------------------------------------------------------------- criterion 7

@@ -332,7 +332,7 @@ def test_misspelled_tolerance_and_stray_keys_exit_2(tmp_path):
         ((), "n_path", "n_paths"),
         (("model",), "sigma_2", "sigma2"),
         (("prior",), "lamb", "lam"),
-        (("theta0",), "vars", "var"),
+        (("theta0",), "kinds", "kind"),
         (("compare",), "marginal_time", "marginal_times"),
         (("equilibrium",), "n_ghh", "n_gh"),
         (("equilibrium", "g_star"), "alpha_str", "alpha0"),
@@ -465,8 +465,9 @@ def _equilibrium(**values):
         (small_config("simulate", regularizer={"D": "x"}), None, "regularizer.D: must be a number, got 'x'"),
         (small_config("dmft", regularizer={"eps": "x"}), None, "regularizer.eps: must be a number, got 'x'"),
         (small_config("oracle", tau_star2=-1), None, "tau_star2: must be a number > 0, got -1"),
-        (small_config("simulate", theta0={"kind": "gaussian", "var": "x"}), None, "theta0.var: must be a number >= 0"),
-        (small_config("simulate", theta0={"kind": "gaussian", "var": -1}), None, "theta0.var: must be a number >= 0"),
+        (small_config("simulate", theta0={"kind": "zero", "var": 1.0}), None, "theta0.var: unknown key"),
+        (small_config("simulate", theta0={"kind": "gaussian"}), None,
+         "theta0.kind: must be one of ('zero', 'prior', 'star'), got 'gaussian'"),
         (_shipped("gaussian_default.json", tolerances={"c_eta": "x"}), None,
          "compare.tolerances.c_eta: must be a number >= 0 or null, got 'x'"),
         (small_config("compare", compare=dict(ORACLE_COMPARE, marginal_times="x")), None,
@@ -492,8 +493,8 @@ def _equilibrium(**values):
         (small_config("dmft", tau_star2=0.5), None, "tau_star2: only dmft-linear and oracle read it, not dmft"),
         (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["simulate", "oracle"]), tau_star2=0.5), None,
          "tau_star2: only dmft-linear and oracle read it, not simulate"),
-        (small_config("dmft-linear", theta0={"kind": "gaussian", "var": 1.0}), None,
-         "theta0.kind: dmft-linear assumes theta0 = 0, got 'gaussian'"),
+        (small_config("dmft-linear", theta0={"kind": "prior"}), None,
+         "theta0.kind: dmft-linear assumes theta0 = 0, got 'prior'"),
         (_equilibrium(g_star={"family": "gaussian_location", "alpha0": [0.0], "alpha_star": [3.0]}), None,
          "equilibrium.g_star.alpha_star: unknown key"),
         (_equilibrium(g_star={"family": "exp_family", "powers": [2.5], "alpha0": [-0.5]}), None,
@@ -541,6 +542,10 @@ def _equilibrium(**values):
         ),
         # the model's delta is n/d, so a config cannot state it
         (small_config("simulate", model=dict(SMALL_MODEL, delta=2.0)), None, "model.delta: unknown key"),
+        # options no config reached, since removed
+        (small_config("simulate", prior={"family": "gaussian_weight_mixture", "means": [0.0], "precisions": [1.0]}),
+         None, "prior.family: unknown family 'gaussian_weight_mixture'"),
+        (small_config("simulate", prior=dict(MIXTURE, means=[0.0, 1.0])), None, "prior.means: unknown key"),
     ],
 )
 def test_off_grid_compare_times_exit_2_before_any_source(tmp_path, config, times, message):

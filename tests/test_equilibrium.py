@@ -22,7 +22,6 @@ from dmft_lab.priors import (
     GaussianFixed,
     GaussianLocation,
     GaussianMeanMixture,
-    GaussianWeightMixture,
 )
 
 MATCHED = dict(delta=2.0, sigma2=1.0)
@@ -75,7 +74,7 @@ def test_mse_pair_matched_gaussian_conjugacy():
     [
         (GaussianMeanMixture([0.4, 0.6], [1.0, 2.0]), np.array([-0.5, 1.0]), 64, 2e-6),
         (GaussianLocation(0.8), np.array([0.3]), 64, 1e-9),
-        (GaussianWeightMixture([-1.0, 1.0], [1.0, 2.0]), np.array([0.2, -0.2]), 64, 2e-6),
+        (GaussianMeanMixture([0.2, 0.3, 0.5], [1.0, 2.0, 0.5]), np.array([-1.0, 0.0, 2.0]), 64, 2e-6),
         (DiscretePrior([-1.0, 0.5], [0.5, 0.5]), None, 64, 1e-9),
         (ExpFamily([1, 2]), np.array([0.4, -0.6]), 16, 1e-4),
     ],
@@ -206,14 +205,6 @@ def test_grad_f_matches_free_energy_derivative():
     assert abs(fd - gf[0]) <= 1e-5
 
 
-def test_grad_f_weight_mixture_runs():
-    fam = GaussianWeightMixture([-1.0, 1.0], [1.0, 1.0])
-    val = grad_F(
-        np.array([0.0, 0.0]), 2.0, 1.0, fam, fam, alpha_star=np.array([0.0, 0.0])
-    )
-    assert np.linalg.norm(val) <= 1e-8  # matched symmetric weights
-
-
 def test_log_marginal_gaussian():
     # channel marginal is N(0, 1/omega + tau2).
     var = 1.0 / 2.0 + 1.0
@@ -236,16 +227,13 @@ POW_ROUNDED = [-37.17582267360757, -0.11822531949290749, 38.72368377813987, -16.
 def channel_cases(draw):
     """A Gaussian family with its alpha (means may sit at -0.0), omega in
     [1e-2, 1e2], and y: a scalar or an array, with +-0.0 and +-40 among them."""
-    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3), ("weight", 3)]))
+    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3)]))
     positive = st.floats(0.1, 10.0)
     line = st.one_of(st.floats(-3.0, 3.0), st.just(-0.0))
     if kind == "fixed":
         family, alpha = GaussianFixed(draw(positive)), None
     elif kind == "location":
         family, alpha = GaussianLocation(draw(positive)), np.array([draw(line)])
-    elif kind == "weight":
-        family = GaussianWeightMixture([draw(line) for _ in range(k)], [draw(positive) for _ in range(k)])
-        alpha = np.array([draw(line) for _ in range(k)])
     else:
         family = GaussianMeanMixture([draw(positive) for _ in range(k)], [draw(positive) for _ in range(k)])
         alpha = np.array([draw(line) for _ in range(k)])

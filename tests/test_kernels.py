@@ -1,6 +1,7 @@
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -260,60 +261,78 @@ def test_csv_reader_matches_line_by_line_parser(tmp_path, make):
     _assert_reads_as_reference(path)
 
 
-def test_csv_reader_reads_a_stderr_first_seen_after_a_block(tmp_path):
-    # the c_theta section's first blocks have no stderr column, its last entry has one
-    path = tmp_path / "k.csv"
-    table = block_table(1)
-    table.stderr.clear()
-    write_table_csv(table, path)
-    lines = path.read_text().splitlines()
-    at = lines.index("# kernel: c_eta") - 1
-    lines[at] += "0.25"
-    path.write_text("\n".join(lines) + "\n")
-    _assert_reads_as_reference(path)
-    back = read_table_csv(path).stderr["c_theta"]
-    assert back[-1, -1] == 0.25 and np.isnan(back[-1, -2])
-
-
-@pytest.mark.parametrize("ending", ["no_final_newline", "crlf"])
+@pytest.mark.parametrize("ending", [b"\r\n"], ids=["crlf"])
 def test_csv_reader_reads_other_line_endings(tmp_path, ending):
+    # text mode reads a copy of the file with other line endings as the file itself
     path = tmp_path / "k.csv"
     write_table_csv(block_table(1), path)
-    text = path.read_bytes()
-    assert text.endswith(b"\n")
-    path.write_bytes(text[:-1] if ending == "no_final_newline" else text.replace(b"\n", b"\r\n"))
+    path.write_bytes(path.read_bytes().replace(b"\n", ending))
     _assert_reads_as_reference(path)
     assert read_table_csv(path).c_star_star == block_table(1).c_star_star
 
 
-def test_csv_reader_reads_an_empty_stderr_beside_others_as_nan(tmp_path):
-    path = tmp_path / "k.csv"
-    write_table_csv(feature_table(), path)
-    lines = path.read_text().splitlines()
-    at = lines.index("# kernel: c_theta") + 3  # an entry with a stderr
-    lines[at] = lines[at].rpartition(",")[0] + ","
-    path.write_text("\n".join(lines) + "\n")
-    _assert_reads_as_reference(path)
-    assert np.isnan(read_table_csv(path).stderr["c_theta"][0, 2])
+def block_table_without_stderr():
+    # exactly _BLOCK c_theta entries: the first block holds the marker and all but the last
+    table = block_table(0)
+    table.stderr.clear()
+    return table
+
+
+def _with_a_stderr_on_the_last_c_theta_entry(lines):
+    at = lines.index("# kernel: c_eta\n") - 1
+    return lines[:at] + [lines[at][:-1] + "0.25\n"] + lines[at + 1 :]
+
+
+def _with_an_empty_stderr(lines):
+    at = lines.index("# kernel: c_theta\n") + 3  # an entry with a stderr
+    return lines[:at] + [lines[at].rpartition(",")[0] + ",\n"] + lines[at + 1 :]
+
+
+def _swapped(lines, a, b):
+    out = list(lines)
+    i, j = out.index(a), out.index(b)
+    out[i], out[j] = b, a
+    return out
+
+
+def _with_a_second_c_star_star_entry(lines):
+    at = lines.index("# kernel: c_star_star\n") + 1
+    return lines[: at + 1] + [lines[at]] + lines[at + 1 :]
 
 
 @pytest.mark.parametrize(
-    "edit,match",
+    "make,edit,match",
     [
-        (lambda lines: ["t,s,value"] + lines[1:], "header"),
-        (lambda lines: [x for x in lines if not x.startswith("# times:")], "times"),
-        (lambda lines: [x.replace("0.15000000000000002,0,", "0.15,0,") for x in lines], "not a grid time"),
-        (lambda lines: [x.replace("0.40000000000000002,-1,", "0.41,-1,") for x in lines], "not a grid time"),
+        (feature_table, lambda lines: ["t,s,value\n"] + lines[1:], "header"),
+        (feature_table, lambda lines: [x for x in lines if not x.startswith("# gamma:")], "gamma"),
+        (feature_table, lambda lines: [x for x in lines if not x.startswith("# source:")], "source"),
+        (feature_table, lambda lines: [x for x in lines if not x.startswith("# times:")], "times"),
+        (feature_table, lambda lines: _swapped(lines, lines[1], lines[2]), "gamma"),
+        (feature_table, lambda lines: [x.replace("0.15000000000000002,0,", "0.15,0,") for x in lines], "not a grid time"),
+        (feature_table, lambda lines: [x.replace("0.40000000000000002,-1,", "0.41,-1,") for x in lines], "not a grid time"),
+        (block_table_without_stderr, _with_a_stderr_on_the_last_c_theta_entry, "with and without a stderr"),
+        (feature_table, _with_an_empty_stderr, "with and without a stderr"),
+        (feature_table, lambda lines: _swapped(lines, "# kernel: alpha_0\n", "# kernel: alpha_1\n"), "alpha_0"),
+        (feature_table, lambda lines: _swapped(lines, "# kernel: c_theta\n", "# kernel: c_eta\n"), "c_theta"),
+        (feature_table, lambda lines: lines[: lines.index("# kernel: r_eta_star\n")], "r_eta_star"),
+        (feature_table, _with_a_second_c_star_star_entry, "more than one entry"),
+        (feature_table, lambda lines: lines[:5] + ["\n"] + lines[5:], "c_eta"),
+        (feature_table, lambda lines: lines[:-1] + [lines[-1][:-1]], "final newline"),
     ],
-    ids=["header", "no_times", "off_grid_label", "off_grid_vector_label"],
+    ids=[
+        "header", "no_gamma", "no_source", "no_times", "metadata_out_of_order", "off_grid_label",
+        "off_grid_vector_label", "stderr_first_seen_after_a_block", "empty_stderr_beside_others",
+        "alpha_sections_out_of_order", "kernel_sections_out_of_order", "missing_section",
+        "two_c_star_star_entries", "blank_line", "no_final_newline",
+    ],
 )
-def test_csv_reader_refuses_malformed_files(tmp_path, edit, match):
+def test_csv_reader_refuses_malformed_files(tmp_path, make, edit, match):
     path = tmp_path / "k.csv"
-    write_table_csv(feature_table(), path)
-    lines = path.read_text().splitlines()
+    write_table_csv(make(), path)
+    lines = path.read_text().splitlines(keepends=True)
     edited = edit(lines)
     assert edited != lines
-    path.write_text("\n".join(edited) + "\n")
+    path.write_text("".join(edited))
     with pytest.raises(ValueError, match=match):
         read_table_csv(path)
 
@@ -425,3 +444,12 @@ def test_compared_kernels_lists_every_report_entry():
     table.alpha = np.zeros((table.n_times, 1))
     report = compare_tables(table, table)
     assert tuple(d.kernel for d in report.discrepancies) == COMPARED_KERNELS
+
+
+def test_a_table_has_one_alpha_row_per_time():
+    table = table_for(0.1)  # no alpha given: no column, one row per time
+    assert table.alpha.shape == (table.n_times, 0)
+    assert table.restrict([0, 2]).alpha.shape == (2, 0)
+    for alpha in (np.zeros((table.n_times - 1, 1)), np.zeros(table.n_times)):
+        with pytest.raises(ValueError, match="alpha"):
+            replace(table, alpha=alpha)

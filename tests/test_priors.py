@@ -11,7 +11,6 @@ from dmft_lab.priors import (
     GaussianFixed,
     GaussianLocation,
     GaussianMeanMixture,
-    GaussianWeightMixture,
     InputDomainError,
     PriorSpec,
     SmoothHinge,
@@ -25,10 +24,6 @@ FAMILIES = {
     "mean_mixture": (
         GaussianMeanMixture([0.3, 0.7], [1.0, 2.5]),
         np.array([-1.0, 0.5]),
-    ),
-    "weight_mixture": (
-        GaussianWeightMixture([-1.0, 0.0, 2.0], [1.0, 2.0, 0.5]),
-        np.array([0.2, -0.3, 0.1]),
     ),
     "exp_family": (ExpFamily([1, 2]), np.array([0.5, -0.7])),
 }
@@ -101,14 +96,6 @@ def test_alpha_gradient_matches_log_density(name, theta, bump):
         assert abs(fd - grad[k]) <= 1e-6 * (1.0 + abs(grad[k]))
 
 
-@settings(max_examples=50, deadline=None)
-@given(theta=st.floats(-20.0, 20.0), a0=shift_box, a1=shift_box, a2=shift_box)
-def test_weight_mixture_gradient_row_sum_vanishes(theta, a0, a1, a2):
-    family, _ = FAMILIES["weight_mixture"]
-    g = family.grad_alpha_log_g(theta, np.array([a0, a1, a2]))
-    assert abs(float(np.sum(g))) <= 1e-12
-
-
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @settings(max_examples=30, deadline=None)
 @given(theta=st.floats(-50.0, 50.0), bump=shift_box)
@@ -129,11 +116,6 @@ def test_gradient_map_location_mean():
 def test_gradient_map_stationary_at_sample():
     out = gradient_map_G(np.array([0.7]), [0.7], GaussianLocation(1.0))
     assert out == pytest.approx([0.0], abs=1e-14)
-
-
-def test_gradient_map_trivial_simplex_is_zero():
-    out = gradient_map_G(np.array([0.3]), [0.1, -0.5, 2.0], GaussianWeightMixture([0.0], [1.0]))
-    assert out == pytest.approx([0.0], abs=1e-15)
 
 
 def test_gradient_map_rejects_empty_samples():
@@ -177,8 +159,9 @@ def test_smooth_hinge_is_c1():
 
 
 def test_theta0_spec_kinds():
-    with pytest.raises(ValueError):
-        Theta0Spec("bogus")
+    for kind in ("bogus", "gaussian"):
+        with pytest.raises(ValueError):
+            Theta0Spec(kind)
 
 
 def test_prior_spec_dimension_check():
@@ -197,7 +180,6 @@ def test_curvature_constant_only_for_one_component():
     assert GaussianLocation(0.5).theta_curvature_constant(np.array([0.3])) == -4.0
     assert GaussianMeanMixture([1.0], [3.0]).theta_curvature_constant(np.array([0.0])) == -3.0
     assert GaussianMeanMixture([0.5, 0.5], [3.0, 3.0]).theta_curvature_constant(np.zeros(2)) is None
-    assert GaussianWeightMixture([0.0, 1.0], [1.0, 1.0]).theta_curvature_constant(np.zeros(2)) is None
 
 
 def test_location_scores_equal_closed_forms(rng):
@@ -234,16 +216,13 @@ def test_one_component_drift_has_the_mixture_bits_and_one_temporary(rng, family,
 def mixture_cases(draw):
     """A Gaussian family with its alpha, and theta: a scalar or n coordinates,
     some of them exactly at a component mean."""
-    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3), ("weight", 3)]))
+    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3)]))
     positive = st.floats(0.1, 10.0)
     line = st.floats(-3.0, 3.0)
     if kind == "fixed":
         family, alpha = GaussianFixed(draw(positive)), np.zeros(0)
     elif kind == "location":
         family, alpha = GaussianLocation(draw(positive)), np.array([draw(line)])
-    elif kind == "weight":
-        family = GaussianWeightMixture([draw(line) for _ in range(k)], [draw(positive) for _ in range(k)])
-        alpha = np.array([draw(line) for _ in range(k)])
     else:
         family = GaussianMeanMixture([draw(positive) for _ in range(k)], [draw(positive) for _ in range(k)])
         alpha = np.array([draw(line) for _ in range(k)])
@@ -293,7 +272,5 @@ def test_theta0_spec_sample_kinds(rng):
     assert np.array_equal(Theta0Spec("zero").sample(prior, rng, 5, star), np.zeros(5))
     copy = Theta0Spec("star").sample(prior, rng, 5, star)
     assert np.array_equal(copy, star) and copy is not star
-    draws = Theta0Spec("gaussian", var=2.5).sample(prior, rng, 100000, star)
-    assert np.mean(draws**2) == pytest.approx(2.5, rel=0.03)
     draws = Theta0Spec("prior").sample(prior, rng, 100000, star)
     assert np.mean(draws**2) == pytest.approx(0.25, rel=0.03)

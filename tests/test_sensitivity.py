@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 import closed_forms
-from dmft_lab import dmft, mp_oracle, simulator
+from dmft_lab import dmft, model, mp_oracle, simulator
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.priors import GaussianFixed, GaussianMixture, PriorSpec
 
 
 def rewrite_line(monkeypatch, cls, name, old, new):
-    """Replace `cls.name` by a copy of its source in which the text `old`,
-    which must occur exactly once, reads `new`."""
+    """Replace `cls.name` (a class or module attribute) by a copy of its
+    source in which the text `old`, which must occur exactly once, reads `new`."""
     source = textwrap.dedent(inspect.getsource(getattr(cls, name)))
     assert source.count(old) == 1, f"{old!r} is not one line of {cls.__name__}.{name}"
     namespace = {}
@@ -34,6 +34,11 @@ def time_scale_error(monkeypatch):
     """Every mode decays on a 1 % faster clock."""
     propagator = mp_oracle._propagator
     monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, gamma: propagator(h, 1.01 * np.asarray(t), gamma))
+
+
+def design_scaled_by_n(monkeypatch):
+    """The design's entries drawn at variance 1/n instead of 1/d."""
+    rewrite_line(monkeypatch, model, "sample_instance", "1.0 / np.sqrt(d)", "1.0 / np.sqrt(n)")
 
 
 def conditional_draw_without_its_past(monkeypatch):
@@ -171,6 +176,16 @@ def test_criterion_05_catches_a_signal_response_without_its_unit(monkeypatch, mu
     table = dmft.solve_dmft(params, prior, n_paths=200, seed=1).table
     failed = closed_forms.failed(closed_forms.criterion_05(table, traces))
     assert failed == (["field identity"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_06_catches_a_design_scaled_by_n(monkeypatch, oracle_pack, finite_d_bridge, mutate):
+    finite_d = finite_d_bridge  # criterion 06's own input
+    if mutate:
+        design_scaled_by_n(monkeypatch)
+        finite_d = closed_forms.finite_d_bridge(oracle_pack[0])
+    failed = closed_forms.failed(closed_forms.criterion_06(finite_d, *oracle_pack))
+    assert failed == (["c_theta", "c_theta_star"] if mutate else [])
 
 
 @pytest.mark.parametrize("mutate", [False, True])

@@ -127,7 +127,7 @@ def test_retain_grid_must_divide():
 
 def test_initial_second_moment_lln():
     params = ModelParams(n=100, d=10000, sigma2=1.0, beta=1.0, gamma_step=0.1, horizon=0.1)
-    prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("gaussian", var=1.0))
+    prior = PriorSpec(GaussianFixed(1.0), theta0=Theta0Spec("prior"))  # second moment 1/lam = 1
     table, _ = simulate(params, prior, [17], retain_every=1)
     assert abs(table.c_theta[0, 0] - 1.0) < 3 * np.sqrt(2.0) / np.sqrt(params.d)
     assert all(np.isnan(se).all() for se in table.stderr.values())  # one replica has no spread
