@@ -19,7 +19,8 @@ component columns (`GaussianMixture.channel_columns`); discrete priors and
 exp-family densities (on their quadrature grid) use exact weighted-atom sums,
 32 channel outputs at a time. When an exp-family truth and an exp-family
 posterior share one uniform grid, the averages over the true channel use a
-kernel that depends only on the lag between grid points (`_shifted_sums`).
+kernel that depends only on the lag between grid points (`_shifted_sums`):
+one BLAS GEMM per truth row and chunk of Gauss-Hermite noise nodes.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int, grid=None):
     return tn[:, None], y, tw[:, None] * (w / w.sum())[None, :]
 
 
+_NODES = 8  # noise nodes per lag-kernel GEMM; a fixed shape, since it sets the sums' last bits
+
+
 def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     """z and the statistic sums of the posterior at y[i, k] = x[stride i] + c[k].
 
@@ -190,18 +194,28 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     kernel depends only on the lag stride i - j, so each noise node takes one
     exp per lag. The weights of output (i, k) are the window of that kernel
     starting at lag index stride i, read against the reversed masses. The
-    einsum keeps the sums off BLAS, so their bits do not depend on its
-    threads. Returns z and the sums of each statistic, each (rows, c.size).
+    kernels of _NODES noise nodes are built in place in one (_NODES, 2n - 1) array,
+    and each truth row's windows are a (_NODES, n) view of it with leading
+    dimension 2n - 1, which one BLAS GEMM takes without a copy against the
+    (n, q) statistic columns (a transposed (q, n) array: OpenBLAS packs that
+    layout faster). Every sum is one dot over the n atoms; at these sizes
+    OpenBLAS keeps the product on the calling thread, so the bits do not
+    depend on the BLAS thread count. Returns z, (rows, c.size), and the sums
+    of the statistics, (rows, c.size, len(stats)).
     """
     n = x.size
     weights = masses / masses.max()
-    cols = np.ascontiguousarray(np.stack([weights] + [weights * s for s in stats])[:, ::-1])
+    cols = np.ascontiguousarray(np.stack([weights] + [weights * s for s in stats])[:, ::-1]).T
     lags = np.arange(1 - n, n) * (x[1] - x[0])
-    out = np.empty((len(cols), len(range(0, n, stride)), c.size))
-    for k, ck in enumerate(c):
-        kern = np.exp(-0.5 * omega * (lags + ck) ** 2)
-        out[:, :, k] = np.einsum("ij,qj->qi", sliding_window_view(kern, n)[::stride], cols)
-    return out[0], out[1:]
+    out = np.empty((len(range(0, n, stride)), c.size, len(stats) + 1))
+    for k in range(0, c.size, _NODES):
+        kern = lags + c[k : k + _NODES, None]
+        np.square(kern, out=kern)
+        kern *= -0.5 * omega
+        np.exp(kern, out=kern)
+        windows = sliding_window_view(kern, n, axis=1)[:, ::stride].swapaxes(0, 1)
+        np.matmul(windows, cols, out=out[:, k : k + _NODES])
+    return out[..., 0], out[..., 1:]
 
 
 _Z_FLOOR = np.exp(-600.0)  # a scaled z below this goes back to the log-space _atom_sums
@@ -246,7 +260,7 @@ def _channel_posterior(kind: str, g_star, alpha_star, g, alpha, omega: float, om
     if kind == "log_marginal":
         out = np.log(z) + np.log(masses.max() / masses.sum()) + 0.5 * np.log(omega / (2 * np.pi))
     else:
-        out = np.moveaxis(sums / z, 0, -1)
+        out = sums / z[..., None]
     if low.any():
         out[low] = per_y(y[low])
     return tn, w2d, out
@@ -288,6 +302,7 @@ class EquilibriumSolution:
             "free_energy": self.free_energy,
             "converged": self.converged,
             "sweeps": len(self.residual_trace),
+            "residual_trace": self.residual_trace,
         }
 
 

@@ -71,6 +71,20 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[2]
 
 
+def test_equilibrium_file_keeps_the_residual_trace(tmp_path):
+    # The matched exp family reaches the shift-invariant channel sums in every sweep.
+    g_star = {"family": "exp_family", "powers": [2, 4], "alpha0": [-0.5, -0.1]}
+    cfg = _equilibrium(g_star=g_star, n_gh=8, tol=1e-10)
+    files = []
+    for threads in (1, 3):
+        assert run(cfg, out=str(tmp_path / str(threads)), threads=threads) == 0
+        files.append((tmp_path / str(threads) / "equilibrium.json").read_bytes())
+    assert files[0] == files[1]
+    sol = json.loads(files[0])
+    assert len(sol["residual_trace"]) == sol["sweeps"] > 1
+    assert sol["residual_trace"][-1] <= cfg["equilibrium"]["tol"] < sol["residual_trace"][-2]
+
+
 def test_simulate_applies_the_regularizer(tmp_path):
     # The hinge at D = 0.01 binds long before alpha nears alpha_star = 1.
     location = {"family": "gaussian_location", "alpha0": [0.0], "alpha_star": [1.0]}

@@ -464,6 +464,21 @@ np.savez(
 )
 """
 
+# The matched exp-family channel at n_gh 64: eight GEMMs of eight noise nodes
+# each per truth row, for each statistic count (q = 3, 1, 3).
+_CHANNEL_AND_SAVE = """
+import sys
+import numpy as np
+from dmft_lab import equilibrium
+from dmft_lab.priors import ExpFamily
+
+fam, alpha = ExpFamily([2, 4]), np.array([-0.5, -0.1])
+mse, mse_star = equilibrium.mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=64)
+fe = equilibrium.free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=64)
+_, _, grad = equilibrium._channel_posterior("grad_alpha", fam, alpha, fam, alpha, 1.3, 1.1, 64)
+np.savez(sys.argv[2], mse_pair=np.array([mse, mse_star]), free_energy=fe, grad_alpha=grad)
+"""
+
 # The Euler chain and its exact response traces at the shipped n and d, a
 # size at which threaded LAPACK does change bits: an eigh of X^T X in the
 # step or in the traces' spectrum would show here. The two-component mixture
@@ -505,13 +520,15 @@ _SCRIPTS = {
     "oracle_table": _ORACLE_TABLE_AND_SAVE,
     "equilibrium": _EQUILIBRIUM_AND_SAVE,
     "exp_family_fixed_point": _FIXED_POINT_AND_SAVE,
+    "exp_family_channel_n_gh64": _CHANNEL_AND_SAVE,
 }
 
 
 @pytest.mark.parametrize(
     "case",
     [
-        "per_path", "constant", "oracle_table", "equilibrium", "exp_family_fixed_point", "simulate",
+        "per_path", "constant", "oracle_table", "equilibrium", "exp_family_fixed_point",
+        "exp_family_channel_n_gh64", "simulate",
         pytest.param(
             "simulate_mixture",
             # not strict: where OpenBLAS runs one thread whatever it is asked for, both runs agree

@@ -433,12 +433,15 @@ def test_matched_exp_family_takes_the_shifted_path(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_atom_sums", refuse)
     fam, alpha = EXP_FAMILY
-    tracemalloc.start()
-    try:
-        mse, mse_star = mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=8)
-        fe = free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=8)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert np.isfinite([mse, mse_star, fe]).all()
-    assert peak < 8 * 2**20  # windows of one kernel: no (outputs, atoms) matrix
+    # Kernels of one chunk of noise nodes: no (outputs, atoms) matrix, and at
+    # n_gh 64 not the 64 node kernels at once (64 x 8193 float64, 4.2 MB).
+    for n_gh, peak_mb in ((8, 8), (64, 4)):
+        tracemalloc.start()
+        try:
+            mse, mse_star = mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=n_gh)
+            fe = free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=n_gh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite([mse, mse_star, fe]).all()
+        assert peak < peak_mb * 2**20, n_gh
