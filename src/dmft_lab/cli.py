@@ -327,8 +327,8 @@ def _step_rate(model: ModelParams, prior: PriorSpec) -> Optional[float]:
     has a curvature unbounded in theta, so no step is stable everywhere
     (Euler-Maruyama can diverge at any gamma; Hutzenthaler, Jentzen & Kloeden
     2011, Proc. R. Soc. A 467:1563). Such a config is not refused: a simulate
-    run that blows up is stopped by the simulator's divergence guard, and dmft
-    has no such guard.
+    or dmft run that blows up is stopped by the divergence guard both share
+    (`model.NORM_GUARD` on the RMS of theta).
     """
     if not isinstance(prior.family, GaussianMixture):
         return None

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import KernelTable
-from .model import ModelParams, component_rng
+from .model import NORM_GUARD, DivergenceError, ModelParams, component_rng
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
 _STREAM_THETA_STAR = 101
@@ -309,6 +309,8 @@ def solve_dmft(
         c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
         c_theta[t, : t + 1] = c_row
         c_theta[: t + 1, t] = c_row
+        if not np.isfinite(c_row[t]) or c_row[t] > NORM_GUARD**2:  # c_row[t] is the RMS squared
+            raise DivergenceError(f"paths diverged at step {t} (gamma too large for this prior)")
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
         c_theta_star_se[t] = star_prod.std() / sqP

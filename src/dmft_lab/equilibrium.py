@@ -14,19 +14,21 @@ c_eta_tti(0) = delta/sigma2 - omega and c_eta_inf = omega^2 / omega_star:
     ymse      = (sigma2^2 / delta) c_eta_tti(0)
     ymse_star = (sigma2^2 / delta) (c_eta_inf + 2 c_eta_tti(0)) - sigma2.
 
-Gaussian-mixture families use conjugate closed forms, read from the prior's
+One posterior pass (`_posterior`) gives log P(y), the posterior moments and,
+on request, the posterior alpha-score of each channel output. Gaussian-mixture families use conjugate closed forms, read from the prior's
 component columns (`GaussianMixture.channel_columns`); discrete priors and
 exp-family densities (on their quadrature grid) use exact weighted-atom sums,
 32 channel outputs at a time. When an exp-family truth and an exp-family
 posterior share one uniform grid, the averages over the true channel use a
 kernel that depends only on the lag between grid points (`_shifted_sums`):
-one BLAS GEMM per truth row and chunk of Gauss-Hermite noise nodes.
+one BLAS GEMM per truth row and chunk of Gauss-Hermite noise nodes. Each
+fixed-point sweep is one such pass, and the free energy comes from the last.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -114,26 +116,44 @@ def _atom_sums(y, nodes, masses, omega, stats=()):
     return top, z, sums
 
 
+def _posterior(y, g, omega: float, alpha=None, grad: bool = False):
+    """The posterior of the scalar channel at each y, on a last axis:
+    log P_{g, omega}(y), E[theta | y], E[theta^2 | y] and, with `grad`, the
+    K columns of E[grad_alpha log g(theta, alpha) | y].
+
+    Gaussian mixtures read one `channel_columns` update; discrete and
+    exp-family priors take one `_atom_sums` pass over their atoms.
+    """
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    y = np.asarray(y, dtype=float)
+    components, atoms = _prior_law(g, alpha)
+    if atoms is None:
+        top, total, r, mu, v = g.channel_columns(y, omega, alpha)
+        cols = [
+            top + np.log(total),
+            sum([r_k * mu_k for r_k, mu_k in zip(r, mu)], 0.0),
+            sum([r_k * (v_k + np.square(mu_k)) for r_k, v_k, mu_k in zip(r, v, mu)], 0.0),
+        ]
+        if grad:
+            cols += g._alpha_score_columns([mu_k - m_k for mu_k, m_k in zip(mu, components[1].tolist())], r)
+        return np.stack(cols, axis=-1)
+    nodes, masses = atoms
+    stats = (nodes, nodes * nodes) + ((g.grad_alpha_log_g(nodes, alpha),) if grad else ())
+    top, z, sums = _atom_sums(y, nodes, masses, omega, stats)
+    log_p = top + np.log(z) - np.log(masses.sum()) + 0.5 * np.log(omega / (2 * np.pi))
+    out = np.column_stack([log_p] + [(s.T / z).T for s in sums])
+    return out.reshape(y.shape + out.shape[1:])
+
+
 def posterior_moments(y, g, omega: float, alpha=None):
     """(posterior mean, posterior second moment) of the scalar channel.
 
     `g` is a PriorFamily or DiscretePrior with parameter `alpha`; Gaussian
     mixtures use conjugate closed forms, discrete and exp-family priors atom sums.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    y_arr = np.asarray(y, dtype=float)
-    _, atoms = _prior_law(g, alpha)
-    if atoms is None:
-        _, _, r, mu, v = g.channel_columns(y_arr, omega, alpha)
-        m1 = sum([r_k * mu_k for r_k, mu_k in zip(r, mu)], 0.0)
-        m2 = sum([r_k * (v_k + np.square(mu_k)) for r_k, v_k, mu_k in zip(r, v, mu)], 0.0)
-    else:
-        nodes, masses = atoms
-        _, z, (s1, s2) = _atom_sums(y_arr, nodes, masses, omega, (nodes, nodes * nodes))
-        m1 = (s1 / z).reshape(y_arr.shape)
-        m2 = (s2 / z).reshape(y_arr.shape)
-    return _match_shape(m1, y), _match_shape(m2, y)
+    post = _posterior(y, g, omega, alpha)
+    return _match_shape(post[..., 1], y), _match_shape(post[..., 2], y)
 
 
 def _match_shape(value, template):
@@ -142,16 +162,14 @@ def _match_shape(value, template):
 
 def log_marginal(y, g, omega: float, alpha=None):
     """log P_{g, omega}(y): marginal density of the scalar channel."""
-    y_arr = np.asarray(y, dtype=float)
-    _, atoms = _prior_law(g, alpha)
-    if atoms is None:
-        top, total, *_ = g.channel_columns(y_arr, omega, alpha)
-        out = top + np.log(total)
-    else:
-        nodes, masses = atoms
-        top, z, _ = _atom_sums(y_arr, nodes, masses / masses.sum(), omega)
-        out = (top + np.log(z) + 0.5 * np.log(omega / (2 * np.pi))).reshape(y_arr.shape)
-    return _match_shape(out, y)
+    return _match_shape(_posterior(y, g, omega, alpha)[..., 0], y)
+
+
+def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
+    """Posterior average of grad_alpha log g(theta, alpha) given Y = y.
+
+    Shape y.shape + (K,)."""
+    return _posterior(y, family, omega, alpha, grad=True)[..., 3:]
 
 
 @functools.lru_cache(maxsize=16)
@@ -184,10 +202,11 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int, grid=None):
 
 
 _NODES = 8  # noise nodes per lag-kernel GEMM; a fixed shape, since it sets the sums' last bits
+_Z_FLOOR = np.exp(-600.0)  # a scaled z below this goes back to the log-space _atom_sums
 
 
 def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
-    """z and the statistic sums of the posterior at y[i, k] = x[stride i] + c[k].
+    """The posterior at y[i, k] = x[stride i] + c[k], in `_posterior`'s layout.
 
     On the exactly uniform grid x, with spacing h, atom j weighs
     (masses_j / max masses) exp(-omega ((stride i - j) h + c_k)^2 / 2): the
@@ -197,11 +216,14 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     kernels of _NODES noise nodes are built in place in one (_NODES, 2n - 1) array,
     and each truth row's windows are a (_NODES, n) view of it with leading
     dimension 2n - 1, which one BLAS GEMM takes without a copy against the
-    (n, q) statistic columns (a transposed (q, n) array: OpenBLAS packs that
-    layout faster). Every sum is one dot over the n atoms; at these sizes
-    OpenBLAS keeps the product on the calling thread, so the bits do not
-    depend on the BLAS thread count. Returns z, (rows, c.size), and the sums
-    of the statistics, (rows, c.size, len(stats)).
+    (n, q) columns of the weights and the weighted statistics (a transposed
+    (q, n) array: OpenBLAS packs that layout faster). Every sum is one dot
+    over the n atoms; at these sizes OpenBLAS keeps the product on the calling
+    thread, so the bits do not depend on the BLAS thread count.
+
+    The (rows, c.size, q) sums become log P (from z, the weights' sum) and
+    the posterior means of the statistics in place. Returns them and the mask
+    of outputs whose z fell below `_Z_FLOOR`, which hold no values.
     """
     n = x.size
     weights = masses / masses.max()
@@ -215,36 +237,28 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
         np.exp(kern, out=kern)
         windows = sliding_window_view(kern, n, axis=1)[:, ::stride].swapaxes(0, 1)
         np.matmul(windows, cols, out=out[:, k : k + _NODES])
-    return out[..., 0], out[..., 1:]
+    z = out[..., 0]
+    low = z < _Z_FLOOR
+    z[low] = 1.0  # no log(0) or 0/0 in outputs that hold no values
+    out[..., 1:] /= out[..., :1]
+    np.log(z, out=z)
+    z += np.log(masses.max() / masses.sum())
+    z += 0.5 * np.log(omega / (2 * np.pi))
+    return out, low
 
 
-_Z_FLOOR = np.exp(-600.0)  # a scaled z below this goes back to the log-space _atom_sums
-
-
-def _channel_posterior(kind: str, g_star, alpha_star, g, alpha, omega: float, omega_star: float, n_gh: int):
-    """The posterior under (g; omega) at each output of the true channel
-    (g_star; 1/omega_star).
-
-    Returns the theta_star column and the joint weights of `_true_channel`,
-    and per output: for `kind` "moments" the posterior mean and second moment
-    (last axis), for "log_marginal" log P_{g, omega}(y), for "grad_alpha" the
-    posterior mean of grad_alpha log g (last axis). These are the public
-    per-y functions at the outputs, unless g_star and g are exp families on
-    one exactly uniform grid; then `_shifted_sums` gives them, and only the
-    outputs whose scaled z falls below `_Z_FLOOR` take the per-y functions.
+def _channel_posterior(
+    g_star, alpha_star, g, alpha, omega: float, omega_star: float, n_gh: int, grad: bool = False
+):
+    """The theta_star column and the joint weights of `_true_channel`, and
+    `_posterior` under (g; omega) at each output of that true channel
+    (g_star; 1/omega_star). When g_star and g are exp families on one exactly
+    uniform grid, `_shifted_sums` gives it, and only the outputs whose scaled
+    z falls below `_Z_FLOOR` take `_posterior`.
     """
-    if kind == "moments":
-        per_y = lambda y: np.stack(posterior_moments(y, g, omega, alpha), axis=-1)
-        stats = lambda x: [x, x * x]
-    elif kind == "log_marginal":
-        per_y = lambda y: log_marginal(y, g, omega, alpha)
-        stats = lambda x: []
-    else:
-        per_y = lambda y: posterior_grad_alpha_mean(g, alpha, y, omega)
-        stats = lambda x: list(g.grad_alpha_log_g(x, alpha).T)
     if not (isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily)):
         tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
-        return tn, w2d, per_y(y)
+        return tn, w2d, _posterior(y, g, omega, alpha, grad)
     # one grid per (family, alpha): the truth's, and the posterior's unless it is the same
     star_grid = g_star._grid(alpha_star)
     grid = star_grid if g is g_star and np.array_equal(alpha, alpha_star) else g._grid(alpha)
@@ -252,127 +266,32 @@ def _channel_posterior(kind: str, g_star, alpha_star, g, alpha, omega: float, om
     _, (x, masses) = _prior_law(g, alpha, grid=grid)
     uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
     if not (np.array_equal(star_grid[0], x) and np.array_equal(x, uniform)):
-        return tn, w2d, per_y(y)
+        return tn, w2d, _posterior(y, g, omega, alpha, grad)
     c = _hermite_rule(n_gh)[0] / np.sqrt(omega_star)
-    z, sums = _shifted_sums(x, masses, _truth_stride(x.size), c, omega, stats(x))
-    low = z < _Z_FLOOR
-    z[low] = 1.0  # no log(0) or 0/0: these outputs are replaced below
-    if kind == "log_marginal":
-        out = np.log(z) + np.log(masses.max() / masses.sum()) + 0.5 * np.log(omega / (2 * np.pi))
-    else:
-        out = sums / z[..., None]
+    stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])
+    post, low = _shifted_sums(x, masses, _truth_stride(x.size), c, omega, stats)
     if low.any():
-        out[low] = per_y(y[low])
-    return tn, w2d, out
+        post[low] = _posterior(y[low], g, omega, alpha, grad)
+    return tn, w2d, post
+
+
+def _channel_averages(g_star, alpha_star, g, alpha, omega: float, omega_star: float, n_gh: int):
+    """mse, mse_star and E log P_{g, omega}(Y) over the true channel, from one
+    posterior pass."""
+    if omega <= 0 or omega_star <= 0:
+        raise ValueError("channel precisions must be positive")
+    tn, w2d, post = _channel_posterior(g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
+    log_p, m1, m2 = post[..., 0], post[..., 1], post[..., 2]
+    mse = float(np.sum(w2d * (m2 - m1**2)))
+    mse_star = float(np.sum(w2d * (tn - m1) ** 2))
+    return mse, mse_star, float(np.sum(w2d * log_p))
 
 
 def mse_pair(g_star, g, omega: float, omega_star: float, alpha_star=None, alpha=None, n_gh: int = 64):
     """(mse, mse_star) of the two-prior scalar channel: truth (g_star; 1/omega_star),
     posterior under (g; omega). The posterior variance and the truth error are
     averaged over the true channel by tensorized quadrature (Gauss-Hermite in the noise)."""
-    if omega <= 0 or omega_star <= 0:
-        raise ValueError("channel precisions must be positive")
-    tn, w2d, post = _channel_posterior("moments", g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
-    m1, m2 = post[..., 0], post[..., 1]
-    mse = float(np.sum(w2d * (m2 - m1**2)))
-    mse_star = float(np.sum(w2d * (tn - m1) ** 2))
-    return mse, mse_star
-
-
-@dataclass
-class EquilibriumSolution:
-    omega: float
-    omega_star: float
-    mse: float
-    mse_star: float
-    ymse: float
-    ymse_star: float
-    free_energy: float
-    residual_trace: list = field(default_factory=list)
-    converged: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "omega_star": self.omega_star,
-            "mse": self.mse,
-            "mse_star": self.mse_star,
-            "ymse": self.ymse,
-            "ymse_star": self.ymse_star,
-            "free_energy": self.free_energy,
-            "converged": self.converged,
-            "sweeps": len(self.residual_trace),
-            "residual_trace": self.residual_trace,
-        }
-
-
-_DAMPING = 0.5  # the first step of the damped fixed-point iteration; halved on oscillation
-_MAX_SWEEPS = 10000
-
-
-def solve_fixed_point(
-    delta: float,
-    sigma2: float,
-    g_star,
-    g,
-    alpha_star=None,
-    alpha=None,
-    tol: float = 1e-10,
-    n_gh: int = 64,
-    with_free_energy: bool = True,
-) -> EquilibriumSolution:
-    """Damped iteration of omega <- delta/(sigma2 + mse(omega, omega_star)).
-
-    The truth prior is g_star at alpha_star, the posterior prior g at alpha;
-    each is a PriorFamily or a DiscretePrior. Starts from omega = omega_star =
-    delta/sigma2; on oscillation the step is halved. Raises on non-convergence
-    with the residual trace attached.
-    """
-    if delta <= 0 or sigma2 <= 0:
-        raise ValueError("delta and sigma2 must be positive")
-    omega = omega_star = delta / sigma2
-    rho = _DAMPING
-    trace = []
-    prev_res = np.inf
-    mse = mse_star = np.nan
-    for _ in range(_MAX_SWEEPS):
-        mse, mse_star = mse_pair(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
-        target_o = delta / (sigma2 + mse)
-        target_s = delta / (sigma2 + mse_star)
-        res = max(abs(omega - target_o), abs(omega_star - target_s))
-        trace.append(res)
-        if res <= tol:
-            break
-        if res > prev_res:  # oscillation: damp harder
-            rho = max(rho * 0.5, 1e-3)
-        prev_res = res
-        omega = (1 - rho) * omega + rho * target_o
-        omega_star = (1 - rho) * omega_star + rho * target_s
-    converged = trace[-1] <= tol
-    if not converged:
-        raise RuntimeError(
-            f"fixed point did not converge: last residual {trace[-1]:.3e} after {len(trace)} sweeps"
-        )
-    c_tti0 = delta / sigma2 - omega
-    c_inf = omega**2 / omega_star
-    ymse = sigma2**2 / delta * c_tti0
-    ymse_star = sigma2**2 / delta * (c_inf + 2 * c_tti0) - sigma2
-    fe = (
-        free_energy(omega, omega_star, g_star, g, delta, sigma2, alpha_star, alpha, n_gh)
-        if with_free_energy
-        else np.nan
-    )
-    return EquilibriumSolution(
-        omega=omega,
-        omega_star=omega_star,
-        mse=mse,
-        mse_star=mse_star,
-        ymse=ymse,
-        ymse_star=ymse_star,
-        free_energy=fe,
-        residual_trace=trace,
-        converged=converged,
-    )
+    return _channel_averages(g_star, alpha_star, g, alpha, omega, omega_star, n_gh)[:2]
 
 
 def free_energy(
@@ -393,10 +312,11 @@ def free_energy(
                  + (1 - delta) omega/omega_star
                  + (omega/s)(omega/omega_star - 2)).
     """
-    if omega <= 0 or omega_star <= 0:
-        raise ValueError("precisions must be positive")
-    _, w2d, logp = _channel_posterior("log_marginal", g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
-    e_logp = float(np.sum(w2d * logp))
+    e_logp = _channel_averages(g_star, alpha_star, g, alpha, omega, omega_star, n_gh)[2]
+    return _free_energy(e_logp, omega, omega_star, delta, sigma2)
+
+
+def _free_energy(e_logp: float, omega: float, omega_star: float, delta: float, sigma2: float) -> float:
     s = 1.0 / sigma2
     bracket = (
         2 * delta
@@ -408,19 +328,80 @@ def free_energy(
     return -e_logp - 0.5 * bracket
 
 
-def posterior_grad_alpha_mean(family: PriorFamily, alpha, y, omega: float):
-    """Posterior average of grad_alpha log g(theta, alpha) given Y = y.
+@dataclass
+class EquilibriumSolution:
+    omega: float
+    omega_star: float
+    mse: float
+    mse_star: float
+    ymse: float
+    ymse_star: float
+    free_energy: float
+    residual_trace: list = field(default_factory=list)
 
-    Shape y.shape + (K,)."""
-    y_arr = np.asarray(y, dtype=float)
-    components, atoms = _prior_law(family, alpha)
-    if atoms is None:
-        _, _, r, mu, _ = family.channel_columns(y_arr, omega, alpha)
-        cols = family._alpha_score_columns([mu_k - m_k for mu_k, m_k in zip(mu, components[1].tolist())], r)
-        return np.stack(cols, axis=-1) if cols else np.zeros(y_arr.shape + (0,))
-    nodes, masses = atoms
-    _, z, (s,) = _atom_sums(y_arr, nodes, masses, omega, (family.grad_alpha_log_g(nodes, alpha),))
-    return (s / z[:, None]).reshape(y_arr.shape + (family.dim_alpha,))
+    def to_dict(self) -> dict:
+        return {**asdict(self), "sweeps": len(self.residual_trace)}
+
+
+_DAMPING = 0.5  # the first step of the damped fixed-point iteration; halved on oscillation
+_MAX_SWEEPS = 10000
+
+
+def solve_fixed_point(
+    delta: float,
+    sigma2: float,
+    g_star,
+    g,
+    alpha_star=None,
+    alpha=None,
+    tol: float = 1e-10,
+    n_gh: int = 64,
+) -> EquilibriumSolution:
+    """Damped iteration of omega <- delta/(sigma2 + mse(omega, omega_star)).
+
+    The truth prior is g_star at alpha_star, the posterior prior g at alpha;
+    each is a PriorFamily or a DiscretePrior. Starts from omega = omega_star =
+    delta/sigma2; on oscillation the step is halved. Each sweep is one pass
+    over the channel posterior, and the free energy is read from the last.
+    Raises on non-convergence with the residual trace attached.
+    """
+    if delta <= 0 or sigma2 <= 0:
+        raise ValueError("delta and sigma2 must be positive")
+    omega = omega_star = delta / sigma2
+    rho = _DAMPING
+    trace = []
+    prev_res = np.inf
+    for _ in range(_MAX_SWEEPS):
+        mse, mse_star, e_logp = _channel_averages(g_star, alpha_star, g, alpha, omega, omega_star, n_gh)
+        target_o = delta / (sigma2 + mse)
+        target_s = delta / (sigma2 + mse_star)
+        res = max(abs(omega - target_o), abs(omega_star - target_s))
+        trace.append(res)
+        if res <= tol:
+            break
+        if res > prev_res:  # oscillation: damp harder
+            rho = max(rho * 0.5, 1e-3)
+        prev_res = res
+        omega = (1 - rho) * omega + rho * target_o
+        omega_star = (1 - rho) * omega_star + rho * target_s
+    else:
+        raise RuntimeError(
+            f"fixed point did not converge: last residual {trace[-1]:.3e} after {len(trace)} sweeps"
+        )
+    c_tti0 = delta / sigma2 - omega
+    c_inf = omega**2 / omega_star
+    ymse = sigma2**2 / delta * c_tti0
+    ymse_star = sigma2**2 / delta * (c_inf + 2 * c_tti0) - sigma2
+    return EquilibriumSolution(
+        omega=omega,
+        omega_star=omega_star,
+        mse=mse,
+        mse_star=mse_star,
+        ymse=ymse,
+        ymse_star=ymse_star,
+        free_energy=_free_energy(e_logp, omega, omega_star, delta, sigma2),
+        residual_trace=trace,
+    )
 
 
 def grad_F(
@@ -437,13 +418,11 @@ def grad_F(
     grad F(alpha) = -E[grad_alpha log g(theta, alpha)] under the joint
     scalar-channel law at the alpha-dependent fixed point."""
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    sol = solve_fixed_point(
-        delta, sigma2, g_star, prior_family, alpha_star, alpha, n_gh=n_gh, with_free_energy=False
+    sol = solve_fixed_point(delta, sigma2, g_star, prior_family, alpha_star, alpha, n_gh=n_gh)
+    _, w2d, post = _channel_posterior(
+        g_star, alpha_star, prior_family, alpha, sol.omega, sol.omega_star, n_gh, grad=True
     )
-    _, w2d, gmean = _channel_posterior(
-        "grad_alpha", g_star, alpha_star, prior_family, alpha, sol.omega, sol.omega_star, n_gh
-    )
-    out = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
+    out = -np.sum(w2d[..., None] * post[..., 3:], axis=(0, 1))
     if regularizer is not None:
         out = out + regularizer.grad(alpha)
     return out

@@ -21,6 +21,12 @@ _STREAM_THETA0 = 3
 
 DESIGNS = ("gaussian", "rademacher")
 
+NORM_GUARD = 1e6  # the largest RMS of theta that a chain or an MC-DMFT path ensemble may reach
+
+
+class DivergenceError(RuntimeError):
+    """State blew up (NaN/Inf or norm guard); reports the offending step."""
+
 
 @dataclass
 class ModelParams:

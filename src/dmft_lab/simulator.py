@@ -21,23 +21,18 @@ from typing import Optional
 import numpy as np
 
 from .kernels import KernelTable, time_index
-from .model import ModelInstance, ModelParams, component_rng, sample_instance
+from .model import NORM_GUARD, DivergenceError, ModelInstance, ModelParams, component_rng, sample_instance
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
 _STREAM_BROWNIAN = 201
 _STREAM_PROBES = 202
 
-_NORM_GUARD = 1e6
 # Brownian increments are drawn this many steps at a time: the stream's order,
 # so the bits of one draw per step. One (steps, d) draw raised the benchmark's
 # peak RSS by its size.
 _INCR_BLOCK = 8
 
 RESPONSE_METHODS = ("exact-product", "probe")
-
-
-class DivergenceError(RuntimeError):
-    """State blew up (NaN/Inf or norm guard); reports the offending step."""
 
 
 @dataclass
@@ -85,7 +80,7 @@ def evolve(
     # X^T (X theta - y) = gram theta - xty: one d x d product per step, not two n x d.
     gram, xty = X.T @ X, X.T @ y
     for t in range(T + 1):
-        if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > _NORM_GUARD:
+        if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > NORM_GUARD:
             raise DivergenceError(f"state diverged at step {t} (gamma too large for this instance)")
         if t in keep_pos:
             i = keep_pos[t]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from dmft_lab.dmft import (
     solve_dmft,
 )
 from dmft_lab.kernels import time_index
-from dmft_lab.model import ModelParams
+from dmft_lab.model import DivergenceError, ModelParams
 from dmft_lab.mp_oracle import corr_kernels, resp_kernels
 from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec, Theta0Spec
 
@@ -246,6 +247,24 @@ def test_min_paths_enforced():
         solve_dmft(params, PriorSpec(GaussianFixed(1.0)), n_paths=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "prior,gamma,last_step",
+    [
+        (PriorSpec(GaussianFixed(1.0)), 0.5, 20),
+        (PriorSpec(GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0]), 0.35, 21),
+    ],
+    ids=["gaussian_fixed", "mean_mixture"],
+)
+def test_diverging_paths_raise_at_their_step(prior, gamma, last_step):
+    # Past RMS 1e6 the paths only grow; without the guard the run went on to a
+    # misleading IllConditionedKernelError (the mixture to step 104, with
+    # c_theta(t, t) near 6e74 and float32 overflow in its responses).
+    params = small_params(gamma=gamma, horizon=400 * gamma)
+    with pytest.raises(DivergenceError, match=r"at step (\d+)") as err:
+        solve_dmft(params, prior, n_paths=400, seed=1)
+    assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) <= last_step
+
+
 def test_memory_budget_refusal():
     params = small_params()
     prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
@@ -394,7 +413,7 @@ _SOLVE_AND_SAVE = """
 import sys
 import numpy as np
 from dmft_lab.dmft import solve_dmft
-from dmft_lab.model import ModelParams
+from dmft_lab.model import DivergenceError, ModelParams
 from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec, Theta0Spec
 
 # case -> (prior, paths, horizon); P * T is above OpenBLAS's GEMV threading
@@ -465,7 +484,7 @@ np.savez(
 """
 
 # The matched exp-family channel at n_gh 64: eight GEMMs of eight noise nodes
-# each per truth row, for each statistic count (q = 3, 1, 3).
+# each per truth row, for each statistic count (q = 3, 3, 5).
 _CHANNEL_AND_SAVE = """
 import sys
 import numpy as np
@@ -475,7 +494,7 @@ from dmft_lab.priors import ExpFamily
 fam, alpha = ExpFamily([2, 4]), np.array([-0.5, -0.1])
 mse, mse_star = equilibrium.mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=64)
 fe = equilibrium.free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=64)
-_, _, grad = equilibrium._channel_posterior("grad_alpha", fam, alpha, fam, alpha, 1.3, 1.1, 64)
+_, _, grad = equilibrium._channel_posterior(fam, alpha, fam, alpha, 1.3, 1.1, 64, grad=True)
 np.savez(sys.argv[2], mse_pair=np.array([mse, mse_star]), free_energy=fe, grad_alpha=grad)
 """
 
@@ -487,7 +506,7 @@ np.savez(sys.argv[2], mse_pair=np.array([mse, mse_star]), free_energy=fe, grad_a
 _SIMULATE_AND_SAVE = """
 import sys
 import numpy as np
-from dmft_lab.model import ModelParams
+from dmft_lab.model import DivergenceError, ModelParams
 from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec
 from dmft_lab.simulator import simulate
 

@@ -62,6 +62,33 @@ def test_posterior_moments_numeric_matches_closed_form():
         posterior_moments(0.0, GaussianFixed(1.0), -1.0)
 
 
+OMEGA_CASES = {
+    # case -> (prior, alpha)
+    "gaussian": (GaussianFixed(1.0), None),
+    "exp_family": (ExpFamily([2]), np.array([-0.5])),
+    "discrete": (DiscretePrior([-1.0, 1.0], [0.5, 0.5]), None),
+    "gaussian_location": (GaussianLocation(1.0), np.array([0.0])),
+}
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+@pytest.mark.parametrize("case", ["gaussian", "exp_family", "discrete"])
+def test_per_y_functions_refuse_a_nonpositive_omega(case, omega):
+    prior, alpha = OMEGA_CASES[case]
+    with pytest.raises(ValueError, match="omega must be positive"):
+        posterior_moments(0.7, prior, omega, alpha)
+    with pytest.raises(ValueError, match="omega must be positive"):
+        log_marginal(0.7, prior, omega, alpha)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+@pytest.mark.parametrize("case", ["gaussian_location", "exp_family"])
+def test_grad_alpha_mean_refuses_a_nonpositive_omega(case, omega):
+    family, alpha = OMEGA_CASES[case]
+    with pytest.raises(ValueError, match="omega must be positive"):
+        posterior_grad_alpha_mean(family, alpha, 0.7, omega)
+
+
 def test_mse_pair_matched_gaussian_conjugacy():
     omega = 1.7
     mse, mse_star = mse_pair(GaussianFixed(1.0), GaussianFixed(1.0), omega, omega)
@@ -115,10 +142,7 @@ def test_fixed_point_mismatched_gaussian_closed_form():
 
 def test_uninformative_channel_limit():
     # sigma2 -> infinity: omega -> 0 and mse -> Var_g(theta).
-    sol = solve_fixed_point(
-        delta=2.0, sigma2=1e6, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0),
-        with_free_energy=False,
-    )
+    sol = solve_fixed_point(delta=2.0, sigma2=1e6, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
     assert sol.omega < 3e-6
     assert sol.mse == pytest.approx(1.0, abs=1e-3)
 
@@ -309,8 +333,8 @@ def test_blocked_atom_sums_match_the_dense_matrix_bitwise(prior, alpha, n):
     m1, m2 = posterior_moments(y, prior, omega, alpha)
     assert np.array_equal(m1, (post @ nodes) / z)
     assert np.array_equal(m2, (post @ (nodes * nodes)) / z)
-    post, top = _dense_atom_posterior(y, nodes, masses / masses.sum(), omega)
-    want = top + np.log(post.sum(axis=1)) + 0.5 * np.log(omega / (2 * np.pi))
+    post, top = _dense_atom_posterior(y, nodes, masses, omega)
+    want = top + np.log(post.sum(axis=1)) - np.log(masses.sum()) + 0.5 * np.log(omega / (2 * np.pi))
     assert np.array_equal(log_marginal(y, prior, omega, alpha), want)
 
 
@@ -352,14 +376,14 @@ def test_hermite_rule_is_cached_read_only():
 # ------------------------------------------------- shift-invariant channel sums
 
 
-def _per_y_channel(kind, g_star, alpha_star, g, alpha, omega, omega_star, n_gh):
+def _per_y_channel(g_star, alpha_star, g, alpha, omega, omega_star, n_gh, grad=False):
     """`_channel_posterior` from `_true_channel` and the public per-y functions only."""
     tn, y, w2d = equilibrium._true_channel(g_star, alpha_star, omega_star, n_gh)
-    if kind == "moments":
-        return tn, w2d, np.stack(posterior_moments(y, g, omega, alpha), axis=-1)
-    if kind == "log_marginal":
-        return tn, w2d, log_marginal(y, g, omega, alpha)
-    return tn, w2d, posterior_grad_alpha_mean(g, alpha, y, omega)
+    cols = [log_marginal(y, g, omega, alpha), *posterior_moments(y, g, omega, alpha)]
+    post = np.stack(cols, axis=-1)
+    if grad:
+        post = np.concatenate([post, posterior_grad_alpha_mean(g, alpha, y, omega)], axis=-1)
+    return tn, w2d, post
 
 
 def _channel_values(g_star, alpha_star, g, alpha, omega, omega_star, n_gh):
@@ -367,9 +391,8 @@ def _channel_values(g_star, alpha_star, g, alpha, omega, omega_star, n_gh):
     channel with the scale of its summands, at fixed precisions."""
     mse, mse_star = mse_pair(g_star, g, omega, omega_star, alpha_star, alpha, n_gh)
     fe = free_energy(omega, omega_star, g_star, g, 2.0, 1.0, alpha_star, alpha, n_gh)
-    _, w2d, gmean = equilibrium._channel_posterior(
-        "grad_alpha", g_star, alpha_star, g, alpha, omega, omega_star, n_gh
-    )
+    _, w2d, post = equilibrium._channel_posterior(g_star, alpha_star, g, alpha, omega, omega_star, n_gh, grad=True)
+    gmean = post[..., 3:]
     grad = -np.sum(w2d[..., None] * gmean, axis=(0, 1))
     scale = np.sum(w2d[..., None] * np.abs(gmean), axis=(0, 1))
     return np.array([mse, mse_star, fe]), grad, scale
@@ -445,3 +468,39 @@ def test_matched_exp_family_takes_the_shifted_path(monkeypatch):
             tracemalloc.stop()
         assert np.isfinite([mse, mse_star, fe]).all()
         assert peak < peak_mb * 2**20, n_gh
+
+
+# ------------------------------------------------- one channel pass per sweep
+
+
+@pytest.mark.parametrize("g_star,n_gh,sweeps", [(GaussianFixed(1.0), 64, 43), (EXP_FAMILY[0], 8, 40)])
+def test_fixed_point_takes_one_channel_pass_per_sweep(monkeypatch, g_star, n_gh, sweeps):
+    calls = []
+    channel_posterior = equilibrium._channel_posterior
+    monkeypatch.setattr(equilibrium, "_channel_posterior", lambda *a: calls.append(1) or channel_posterior(*a))
+    alpha = EXP_FAMILY[1] if isinstance(g_star, ExpFamily) else None
+    sol = solve_fixed_point(2.0, 1.0, g_star, g_star, alpha, alpha, n_gh=n_gh)
+    assert len(calls) == len(sol.residual_trace) == sweeps
+
+
+FREE_ENERGY_CASES = {
+    # case -> (g_star, alpha_star, g, alpha, n_gh)
+    "gaussian_matched": (GaussianFixed(1.0), None, GaussianFixed(1.0), None, 64),
+    "gaussian_mismatched": (GaussianFixed(1.0), None, GaussianFixed(0.5), None, 64),
+    "mean_mixture": (
+        GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), np.array([-1.0, 1.0]),
+        GaussianMeanMixture([0.5, 0.5], [4.0, 4.0]), np.array([-0.5, 0.5]), 64,
+    ),
+    "quartic_matched": (*EXP_FAMILY, *EXP_FAMILY, 8),
+    "grids_differ": (*EXP_FAMILY, ExpFamily([2]), np.array([-0.02]), 2),  # per-y atom sums: 0.16 s a sweep at n_gh 8
+    "discrete_truth": (DiscretePrior([-1.0, 1.0], [0.5, 0.5]), None, GaussianFixed(1.0), None, 32),
+}
+
+
+@pytest.mark.parametrize("case", FREE_ENERGY_CASES)
+def test_fixed_point_free_energy_is_its_last_sweeps(case):
+    # tol 1e-6 halves the sweeps of the differing grids' per-y atom sums.
+    g_star, alpha_star, g, alpha, n_gh = FREE_ENERGY_CASES[case]
+    sol = solve_fixed_point(2.0, 1.0, g_star, g, alpha_star, alpha, tol=1e-6, n_gh=n_gh)
+    fe = free_energy(sol.omega, sol.omega_star, g_star, g, 2.0, 1.0, alpha_star, alpha, n_gh)
+    assert np.float64(sol.free_energy).tobytes() == np.float64(fe).tobytes()
