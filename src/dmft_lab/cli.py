@@ -489,7 +489,9 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     return cfg
 
 
+@functools.lru_cache(maxsize=1)
 def _git_describe() -> str:
+    """The checkout's `git describe`, asked once per process: each run's manifest records it."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

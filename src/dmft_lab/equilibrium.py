@@ -21,8 +21,9 @@ exp-family densities (on their quadrature grid) use exact weighted-atom sums,
 32 channel outputs at a time. When an exp-family truth and an exp-family
 posterior share one uniform grid, the averages over the true channel use a
 kernel that depends only on the lag between grid points (`_shifted_sums`):
-one BLAS GEMM per truth row and chunk of Gauss-Hermite noise nodes. Each
-fixed-point sweep is one such pass, and the free energy comes from the last.
+one BLAS GEMM per `_TRUTH_ROWS` (4) truth rows and chunk of Gauss-Hermite
+noise nodes. Each fixed-point sweep is one such pass, and the free energy
+comes from the last.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class DiscretePrior:
         self.weights = w / w.sum()
 
 
-def _prior_law(family, alpha, truth: bool = False, grid=None):
+def _prior_law(family, alpha, truth: bool = False):
     """The prior as Gaussian-mixture components or as weighted atoms.
 
     Returns (None, (nodes, masses)) for a discrete or exp-family prior, with
@@ -60,13 +61,12 @@ def _prior_law(family, alpha, truth: bool = False, grid=None):
     exp-family density becomes the atoms of its quadrature grid (density times
     cell width). For `truth` nodes that grid is thinned by `_truth_stride`
     (4097 points give 513 nodes), because every truth node adds n_gh channel
-    outputs at which the posterior is summed over all atoms. `grid` is the
-    exp family's `_grid(alpha)`, when the caller has built it already.
+    outputs at which the posterior is summed over all atoms.
     """
     if isinstance(family, DiscretePrior):
         return None, (family.atoms, family.weights)
     if isinstance(family, ExpFamily):
-        x, dens, _ = family._grid(alpha) if grid is None else grid
+        x, dens, _ = family._grid(alpha)
         if truth:
             stride = _truth_stride(x.size)
             x, dens = x[::stride], dens[::stride]
@@ -182,13 +182,13 @@ def _hermite_rule(n_gh: int):
     return x, w
 
 
-def _true_channel(family, alpha, omega_star: float, n_gh: int, grid=None):
+def _true_channel(family, alpha, omega_star: float, n_gh: int):
     """Tensorized quadrature of the true channel (g_star; 1/omega_star).
 
     Returns the theta_star nodes as a column, the outputs y = theta_star + z
     (nodes by Gauss-Hermite noise nodes) and their joint weights. theta_star
     takes Gauss-Hermite nodes per mixture component or the prior's atoms."""
-    components, atoms = _prior_law(family, alpha, truth=True, grid=grid)
+    components, atoms = _prior_law(family, alpha, truth=True)
     x, w = _hermite_rule(n_gh)
     if atoms is None:
         pw, pm, pp = components
@@ -202,6 +202,7 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int, grid=None):
 
 
 _NODES = 8  # noise nodes per lag-kernel GEMM; a fixed shape, since it sets the sums' last bits
+_TRUTH_ROWS = 4  # truth rows per lag-kernel GEMM; 2 or 4 keep the bits of one row per GEMM, 8 does not at q = 5
 _Z_FLOOR = np.exp(-600.0)  # a scaled z below this goes back to the log-space _atom_sums
 
 
@@ -213,30 +214,43 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     kernel depends only on the lag stride i - j, so each noise node takes one
     exp per lag. The weights of output (i, k) are the window of that kernel
     starting at lag index stride i, read against the reversed masses. The
-    kernels of _NODES noise nodes are built in place in one (_NODES, 2n - 1) array,
-    and each truth row's windows are a (_NODES, n) view of it with leading
-    dimension 2n - 1, which one BLAS GEMM takes without a copy against the
-    (n, q) columns of the weights and the weighted statistics (a transposed
-    (q, n) array: OpenBLAS packs that layout faster). Every sum is one dot
-    over the n atoms; at these sizes OpenBLAS keeps the product on the calling
-    thread, so the bits do not depend on the BLAS thread count.
+    kernels of _NODES noise nodes are built in place in one array, one row per
+    node, and the truth rows i = J b + j (j < J = _TRUTH_ROWS) share the
+    window of length n + stride (J - 1) starting at lag index stride J b. In
+    the statistic blocks, a zero-padded (J q, n + stride (J - 1)) array, block
+    j holds the (q, n) columns of the weights and the weighted statistics,
+    shifted right by stride j. One BLAS GEMM of each (_NODES, n + stride (J - 1))
+    window, a view with the kernel's leading dimension, against the transposed
+    blocks gives J truth rows (OpenBLAS packs that layout faster, and there it
+    keeps the bits of one GEMM per truth row). Every sum is one dot over the n
+    atoms plus exact zeros; at these sizes OpenBLAS keeps the product on the
+    calling thread, so the bits do not depend on the BLAS thread count.
 
     The (rows, c.size, q) sums become log P (from z, the weights' sum) and
     the posterior means of the statistics in place. Returns them and the mask
     of outputs whose z fell below `_Z_FLOOR`, which hold no values.
     """
-    n = x.size
+    n, q, J = x.size, len(stats) + 1, _TRUTH_ROWS
+    rows = len(range(0, n, stride))
+    nb = -(-rows // J)
+    span = n + stride * (J - 1)
     weights = masses / masses.max()
-    cols = np.ascontiguousarray(np.stack([weights] + [weights * s for s in stats])[:, ::-1]).T
-    lags = np.arange(1 - n, n) * (x[1] - x[0])
-    out = np.empty((len(range(0, n, stride)), c.size, len(stats) + 1))
+    reversed_cols = np.stack([weights] + [weights * s for s in stats])[:, ::-1]
+    blocks = np.zeros((J, q, span))
+    for j in range(J):
+        blocks[j, :, stride * j : stride * j + n] = reversed_cols
+    cols = blocks.reshape(J * q, span).T
+    # the lags of every window, past 2n - 1 for the truth rows of a ragged last block
+    lags = np.arange(1 - n, 1 - n + stride * J * (nb - 1) + span) * (x[1] - x[0])
+    out = np.empty((nb, c.size, J * q))
     for k in range(0, c.size, _NODES):
         kern = lags + c[k : k + _NODES, None]
         np.square(kern, out=kern)
         kern *= -0.5 * omega
         np.exp(kern, out=kern)
-        windows = sliding_window_view(kern, n, axis=1)[:, ::stride].swapaxes(0, 1)
+        windows = sliding_window_view(kern, span, axis=1)[:, :: stride * J].swapaxes(0, 1)
         np.matmul(windows, cols, out=out[:, k : k + _NODES])
+    out = out.reshape(nb, c.size, J, q).swapaxes(1, 2).reshape(nb * J, c.size, q)[:rows]
     z = out[..., 0]
     low = z < _Z_FLOOR
     z[low] = 1.0  # no log(0) or 0/0 in outputs that hold no values
@@ -256,16 +270,12 @@ def _channel_posterior(
     uniform grid, `_shifted_sums` gives it, and only the outputs whose scaled
     z falls below `_Z_FLOOR` take `_posterior`.
     """
+    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
     if not (isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily)):
-        tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
         return tn, w2d, _posterior(y, g, omega, alpha, grad)
-    # one grid per (family, alpha): the truth's, and the posterior's unless it is the same
-    star_grid = g_star._grid(alpha_star)
-    grid = star_grid if g is g_star and np.array_equal(alpha, alpha_star) else g._grid(alpha)
-    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh, star_grid)
-    _, (x, masses) = _prior_law(g, alpha, grid=grid)
+    _, (x, masses) = _prior_law(g, alpha)
     uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
-    if not (np.array_equal(star_grid[0], x) and np.array_equal(x, uniform)):
+    if not (np.array_equal(g_star._grid(alpha_star)[0], x) and np.array_equal(x, uniform)):
         return tn, w2d, _posterior(y, g, omega, alpha, grad)
     c = _hermite_rule(n_gh)[0] / np.sqrt(omega_star)
     stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])

@@ -235,6 +235,9 @@ class GaussianLocation(GaussianMeanMixture):
         self.scale = float(scale)
 
 
+_GRID_MEMO = 8  # exp-family grids kept: a fixed point reads one or two
+
+
 class ExpFamily(PriorFamily):
     """Exponential family g = exp(sum_k alpha_k theta^k - A(alpha)) on the line.
 
@@ -272,6 +275,17 @@ class ExpFamily(PriorFamily):
         return out
 
     def _grid(self, alpha):
+        """(x, w, m): the grid x of [-L, L], w = exp(sum_k alpha_k x^k - m) on
+        it and its maximum m. Built once per alpha and shared, so x and w are
+        read-only; the memo keeps the last _GRID_MEMO grids of all families,
+        so an alpha that changes every call (a gradient flow) holds no more.
+        """
+        alpha = np.asarray(alpha, dtype=float).reshape(self.dim_alpha) + 0.0  # -0.0 and 0.0: one key
+        return self._built_grid(alpha.tobytes())
+
+    @functools.lru_cache(maxsize=_GRID_MEMO)
+    def _built_grid(self, key: bytes):
+        alpha = np.frombuffer(key)
         # Expand the support until both tails carry < 1e-12 of the mass.
         half = self.l_init
         for _ in range(40):
@@ -282,9 +296,11 @@ class ExpFamily(PriorFamily):
             total = np.trapezoid(w, x)
             edge = max(w[0], w[-1]) * half
             if edge < 1e-12 * total:
+                x.setflags(write=False)
+                w.setflags(write=False)
                 return x, w, m
             half *= 1.5
-        raise ValueError(f"exp(sum_k alpha_k theta^k) does not normalize for alpha = {np.asarray(alpha).tolist()}")
+        raise ValueError(f"exp(sum_k alpha_k theta^k) does not normalize for alpha = {alpha.tolist()}")
 
     def log_partition(self, alpha) -> float:
         x, w, m = self._grid(alpha)

@@ -218,6 +218,20 @@ def test_manifest_carries_config_hash(tmp_path):
     assert manifest["files"] == ["kernels_dmft-linear.csv"]
 
 
+def test_manifest_build_asks_git_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    spawn = subprocess.run
+    monkeypatch.setattr(cli.subprocess, "run", lambda args, **kw: calls.append(args) or spawn(args, **kw))
+    cli._git_describe.cache_clear()
+    builds = []
+    for name in ("a", "b"):
+        cfg = small_config("dmft-linear", out=str(tmp_path / name))
+        assert run(cfg) == 0
+        builds.append(json.loads((tmp_path / name / "manifest.json").read_text())["build"])
+    assert calls == [["git", "describe", "--always", "--dirty"]]
+    assert builds[0] == builds[1]
+
+
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("DMFT_LAB_OUT", str(target))

@@ -426,6 +426,45 @@ def test_shifted_channel_sums_match_the_per_y_functions(monkeypatch, case):
     assert np.all(np.abs(grad - want_grad) <= 1e-13 * scale)
 
 
+def _shifted_sums_by_row(x, masses, stride, c, omega, stats):
+    """`_shifted_sums` with one GEMM per truth row: its (_NODES, n) windows
+    against the (n, q) columns of the weights and weighted statistics."""
+    n = x.size
+    weights = masses / masses.max()
+    cols = np.ascontiguousarray(np.stack([weights] + [weights * s for s in stats])[:, ::-1]).T
+    lags = np.arange(1 - n, n) * (x[1] - x[0])
+    out = np.empty((len(range(0, n, stride)), c.size, len(stats) + 1))
+    for k in range(0, c.size, equilibrium._NODES):
+        kern = np.exp(-0.5 * omega * np.square(lags + c[k : k + equilibrium._NODES, None]))
+        windows = np.lib.stride_tricks.sliding_window_view(kern, n, axis=1)[:, ::stride].swapaxes(0, 1)
+        np.matmul(windows, cols, out=out[:, k : k + equilibrium._NODES])
+    z = out[..., 0]
+    low = z < equilibrium._Z_FLOOR
+    z[low] = 1.0
+    out[..., 1:] /= out[..., :1]
+    np.log(z, out=z)
+    z += np.log(masses.max() / masses.sum())
+    z += 0.5 * np.log(omega / (2 * np.pi))
+    return out, low
+
+
+@pytest.mark.parametrize("grad", [False, True], ids=["moments", "alpha_score"])
+@pytest.mark.parametrize("n_gh", [8, 64])
+@pytest.mark.parametrize("case", ["matched_8", "other_alpha"])
+def test_batched_shifted_sums_match_one_gemm_per_row_bitwise(case, n_gh, grad):
+    # 513 truth rows are not a multiple of _TRUTH_ROWS: the last GEMM's block is ragged.
+    _, _, g, alpha, omega, omega_star, _ = SHIFTED_CASES[case]
+    _, (x, masses) = equilibrium._prior_law(g, alpha)
+    stride = equilibrium._truth_stride(x.size)
+    assert len(range(0, x.size, stride)) % equilibrium._TRUTH_ROWS != 0
+    c = equilibrium._hermite_rule(n_gh)[0] / np.sqrt(omega_star)
+    stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])
+    got, got_low = equilibrium._shifted_sums(x, masses, stride, c, omega, stats)
+    want, want_low = _shifted_sums_by_row(x, masses, stride, c, omega, stats)
+    assert got.shape == want.shape == (513, n_gh, len(stats) + 1)
+    assert np.array_equal(got, want) and np.array_equal(got_low, want_low)
+
+
 def test_grad_f_shifted_matches_the_per_y_functions(monkeypatch):
     # Truth and posterior on one grid with different alpha: grad_F is O(1).
     g_star, alpha_star, g, alpha, *_ = SHIFTED_CASES["other_alpha"]

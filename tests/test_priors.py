@@ -6,6 +6,9 @@ from closed_forms import mixture_gradient_map, mixture_scores, same_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmft_lab import priors
+from dmft_lab.dmft import solve_dmft
+from dmft_lab.model import ModelParams
 from dmft_lab.priors import (
     ExpFamily,
     GaussianFixed,
@@ -143,6 +146,37 @@ def test_exp_family_normalizer_matches_gaussian():
     assert grad[0] == pytest.approx(mu, abs=1e-9)  # E[theta]
     assert grad[1] == pytest.approx(mu**2 + s2, abs=1e-8)  # E[theta^2]
     assert fam.second_moment(alpha) == pytest.approx(mu**2 + s2, abs=1e-8)
+
+
+def test_exp_family_grid_is_built_once_per_alpha_and_read_only():
+    fam = ExpFamily([2, 4])
+    x, w, m = fam._grid(np.array([-0.5, -0.1]))
+    again = fam._grid([-0.5, -0.1])
+    assert again[0] is x and again[1] is w and again[2] == m
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_exp_family_grid_ignores_the_sign_of_zero():
+    fam = ExpFamily([1, 2])
+    plus = fam._grid(np.array([0.0, -0.5]))
+    minus = fam._grid(np.array([-0.0, -0.5]))
+    unkeyed = ExpFamily._built_grid.__wrapped__(fam, np.array([-0.0, -0.5]).tobytes())
+    assert all(same_bits(a, b) and same_bits(a, c) for a, b, c in zip(plus, minus, unkeyed))
+
+
+def test_exp_family_grid_memo_stays_bounded_in_a_gradient_flow():
+    # MC-DMFT moves alpha every step, and each step's gradient map reads grad_log_partition.
+    memo = ExpFamily._built_grid
+    memo.cache_clear()
+    params = ModelParams(n=60, d=30, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=1.0)
+    prior = PriorSpec(ExpFamily([1, 2]), alpha=np.array([0.5, -0.7]), alpha_star=np.array([0.2, -0.5]))
+    res = solve_dmft(params, prior, n_paths=200, seed=1)
+    assert len(np.unique(res.table.alpha, axis=0)) == params.n_steps + 1
+    info = memo.cache_info()
+    assert info.misses >= params.n_steps
+    assert info.currsize == priors._GRID_MEMO
 
 
 def test_smooth_hinge_is_c1():
