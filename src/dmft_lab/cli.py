@@ -328,7 +328,8 @@ def _step_rate(model: ModelParams, prior: PriorSpec) -> Optional[float]:
     (Euler-Maruyama can diverge at any gamma; Hutzenthaler, Jentzen & Kloeden
     2011, Proc. R. Soc. A 467:1563). Such a config is not refused: a simulate
     or dmft run that blows up is stopped by the divergence guard both share
-    (`model.NORM_GUARD` on the RMS of theta).
+    (`model.check_divergence`: the mean square of theta above NORM_GUARD^2
+    times the run's own scale^2, the mean squares of theta_star and theta^0).
     """
     if not isinstance(prior.family, GaussianMixture):
         return None

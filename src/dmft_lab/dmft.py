@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import KernelTable
-from .model import NORM_GUARD, DivergenceError, ModelParams, component_rng
+from .model import ModelParams, check_divergence, component_rng
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
 _STREAM_THETA_STAR = 101
@@ -299,6 +299,7 @@ def solve_dmft(
     r_theta_raw = np.zeros((T + 1, T + 1))
     r_theta_se = np.zeros((T + 1, T + 1))
     c_star_star = float(np.mean(theta_star**2))
+    scale2 = c_star_star + float(np.mean(theta**2))
 
     eta = EtaSide(T, sigma2, delta, beta)
     chol = CholeskyExtender(T + 1)
@@ -309,8 +310,7 @@ def solve_dmft(
         c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
         c_theta[t, : t + 1] = c_row
         c_theta[: t + 1, t] = c_row
-        if not np.isfinite(c_row[t]) or c_row[t] > NORM_GUARD**2:  # c_row[t] is the RMS squared
-            raise DivergenceError(f"paths diverged at step {t} (gamma too large for this prior)")
+        check_divergence(c_row[t], scale2, t)  # c_row[t] is the paths' mean square
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
         c_theta_star_se[t] = star_prod.std() / sqP

@@ -58,26 +58,22 @@ def _prior_law(family, alpha, truth: bool = False):
     Returns (None, (nodes, masses)) for a discrete or exp-family prior, with
     masses proportional to the prior mass of each node; any other family is a
     Gaussian mixture and gives ((weights, means, precisions), None). An
-    exp-family density becomes the atoms of its quadrature grid (density times
-    cell width). For `truth` nodes that grid is thinned by `_truth_stride`
-    (4097 points give 513 nodes), because every truth node adds n_gh channel
-    outputs at which the posterior is summed over all atoms.
+    exp-family density becomes the atoms of its uniform grid (density times
+    spacing). For `truth` nodes the grid is thinned to every `_TRUTH_STRIDE`-th
+    point (4097 points give 513 nodes), because every truth node adds n_gh
+    channel outputs at which the posterior is summed over all atoms.
     """
     if isinstance(family, DiscretePrior):
         return None, (family.atoms, family.weights)
     if isinstance(family, ExpFamily):
         x, dens, _ = family._grid(alpha)
         if truth:
-            stride = _truth_stride(x.size)
-            x, dens = x[::stride], dens[::stride]
-        return None, (x, dens * np.gradient(x))
+            x, dens = x[::_TRUTH_STRIDE], dens[::_TRUTH_STRIDE]
+        return None, (x, dens * (x[1] - x[0]))
     return family.components(alpha), None
 
 
-def _truth_stride(n_grid: int) -> int:
-    return max(1, n_grid // 512)
-
-
+_TRUTH_STRIDE = 8  # exp-family truth nodes: every 8th point of the posterior's grid
 _ROWS = 32  # rows of the posterior held at once; a multiple of 4 (see _atom_sums)
 
 
@@ -185,8 +181,8 @@ def _hermite_rule(n_gh: int):
 def _true_channel(family, alpha, omega_star: float, n_gh: int):
     """Tensorized quadrature of the true channel (g_star; 1/omega_star).
 
-    Returns the theta_star nodes as a column, the outputs y = theta_star + z
-    (nodes by Gauss-Hermite noise nodes) and their joint weights. theta_star
+    Returns the theta_star nodes as a column, the Gauss-Hermite noise offsets
+    c (the outputs are y = theta_star + c) and their joint weights. theta_star
     takes Gauss-Hermite nodes per mixture component or the prior's atoms."""
     components, atoms = _prior_law(family, alpha, truth=True)
     x, w = _hermite_rule(n_gh)
@@ -197,8 +193,7 @@ def _true_channel(family, alpha, omega_star: float, n_gh: int):
     else:
         tn, masses = atoms
         tw = masses / masses.sum()
-    y = tn[:, None] + x[None, :] / np.sqrt(omega_star)
-    return tn[:, None], y, tw[:, None] * (w / w.sum())[None, :]
+    return tn[:, None], x / np.sqrt(omega_star), tw[:, None] * (w / w.sum())[None, :]
 
 
 _NODES = 8  # noise nodes per lag-kernel GEMM; a fixed shape, since it sets the sums' last bits
@@ -222,7 +217,8 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     shifted right by stride j. One BLAS GEMM of each (_NODES, n + stride (J - 1))
     window, a view with the kernel's leading dimension, against the transposed
     blocks gives J truth rows (OpenBLAS packs that layout faster, and there it
-    keeps the bits of one GEMM per truth row). Every sum is one dot over the n
+    keeps the bits of one GEMM per truth row), through one (nb, _NODES, J q)
+    buffer into their place in the output. Every sum is one dot over the n
     atoms plus exact zeros; at these sizes OpenBLAS keeps the product on the
     calling thread, so the bits do not depend on the BLAS thread count.
 
@@ -242,15 +238,17 @@ def _shifted_sums(x, masses, stride: int, c, omega: float, stats):
     cols = blocks.reshape(J * q, span).T
     # the lags of every window, past 2n - 1 for the truth rows of a ragged last block
     lags = np.arange(1 - n, 1 - n + stride * J * (nb - 1) + span) * (x[1] - x[0])
-    out = np.empty((nb, c.size, J * q))
+    buf = np.empty((nb, _NODES, J * q))
+    out = np.empty((nb * J, c.size, q))
     for k in range(0, c.size, _NODES):
         kern = lags + c[k : k + _NODES, None]
         np.square(kern, out=kern)
         kern *= -0.5 * omega
         np.exp(kern, out=kern)
         windows = sliding_window_view(kern, span, axis=1)[:, :: stride * J].swapaxes(0, 1)
-        np.matmul(windows, cols, out=out[:, k : k + _NODES])
-    out = out.reshape(nb, c.size, J, q).swapaxes(1, 2).reshape(nb * J, c.size, q)[:rows]
+        prod = np.matmul(windows, cols, out=buf[:, : len(kern)])
+        out.reshape(nb, J, c.size, q)[:, :, k : k + _NODES] = prod.reshape(nb, -1, J, q).swapaxes(1, 2)
+    out = out[:rows]
     z = out[..., 0]
     low = z < _Z_FLOOR
     z[low] = 1.0  # no log(0) or 0/0 in outputs that hold no values
@@ -270,19 +268,17 @@ def _channel_posterior(
     uniform grid, `_shifted_sums` gives it, and only the outputs whose scaled
     z falls below `_Z_FLOOR` take `_posterior`.
     """
-    tn, y, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
-    if not (isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily)):
-        return tn, w2d, _posterior(y, g, omega, alpha, grad)
-    _, (x, masses) = _prior_law(g, alpha)
-    uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
-    if not (np.array_equal(g_star._grid(alpha_star)[0], x) and np.array_equal(x, uniform)):
-        return tn, w2d, _posterior(y, g, omega, alpha, grad)
-    c = _hermite_rule(n_gh)[0] / np.sqrt(omega_star)
-    stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])
-    post, low = _shifted_sums(x, masses, _truth_stride(x.size), c, omega, stats)
-    if low.any():
-        post[low] = _posterior(y[low], g, omega, alpha, grad)
-    return tn, w2d, post
+    tn, c, w2d = _true_channel(g_star, alpha_star, omega_star, n_gh)
+    if isinstance(g_star, ExpFamily) and isinstance(g, ExpFamily):
+        _, (x, masses) = _prior_law(g, alpha)
+        uniform = x[0] + (x[1] - x[0]) * np.arange(x.size)
+        if np.array_equal(g_star._grid(alpha_star)[0], x) and np.array_equal(x, uniform):
+            stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])
+            post, low = _shifted_sums(x, masses, _TRUTH_STRIDE, c, omega, stats)
+            if low.any():
+                post[low] = _posterior((tn + c)[low], g, omega, alpha, grad)
+            return tn, w2d, post
+    return tn, w2d, _posterior(tn + c, g, omega, alpha, grad)
 
 
 def _channel_averages(g_star, alpha_star, g, alpha, omega: float, omega_star: float, n_gh: int):
@@ -373,7 +369,7 @@ def solve_fixed_point(
     each is a PriorFamily or a DiscretePrior. Starts from omega = omega_star =
     delta/sigma2; on oscillation the step is halved. Each sweep is one pass
     over the channel posterior, and the free energy is read from the last.
-    Raises on non-convergence with the residual trace attached.
+    Raises RuntimeError on non-convergence; its `residual_trace` holds the trace.
     """
     if delta <= 0 or sigma2 <= 0:
         raise ValueError("delta and sigma2 must be positive")
@@ -395,9 +391,9 @@ def solve_fixed_point(
         omega = (1 - rho) * omega + rho * target_o
         omega_star = (1 - rho) * omega_star + rho * target_s
     else:
-        raise RuntimeError(
-            f"fixed point did not converge: last residual {trace[-1]:.3e} after {len(trace)} sweeps"
-        )
+        error = RuntimeError(f"fixed point did not converge: last residual {trace[-1]:.3e} after {len(trace)} sweeps")
+        error.residual_trace = trace
+        raise error
     c_tti0 = delta / sigma2 - omega
     c_inf = omega**2 / omega_star
     ymse = sigma2**2 / delta * c_tti0

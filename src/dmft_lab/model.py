@@ -21,11 +21,18 @@ _STREAM_THETA0 = 3
 
 DESIGNS = ("gaussian", "rademacher")
 
-NORM_GUARD = 1e6  # the largest RMS of theta that a chain or an MC-DMFT path ensemble may reach
+NORM_GUARD = 1e6  # the largest RMS of theta, in units of the run's scale, that a chain or path ensemble may reach
 
 
 class DivergenceError(RuntimeError):
     """State blew up (NaN/Inf or norm guard); reports the offending step."""
+
+
+def check_divergence(mean_square: float, scale2: float, step: int) -> None:
+    """The guard of `simulate` and `dmft`: raise at `step` when theta's mean square is non-finite
+    or above NORM_GUARD^2 scale2, scale2 the mean square of theta_star plus that of theta^0."""
+    if not np.isfinite(mean_square) or mean_square > NORM_GUARD**2 * scale2:
+        raise DivergenceError(f"theta diverged at step {step}: mean square {mean_square:.3e} (gamma too large?)")
 
 
 @dataclass

@@ -43,36 +43,19 @@ def _check_finite(theta, alpha) -> None:
 
 
 class PriorFamily:
-    """Base class: a parametric family g(theta, alpha), alpha in R^K."""
+    """Base class: a parametric family g(theta, alpha), alpha in R^K.
+
+    A family defines log_g, drift_s = d/dtheta log g, dtheta_drift_s, the K
+    columns of grad_alpha log g (_grad_alpha_columns, which grad_alpha_log_g
+    stacks), sample(alpha, rng, size) and second_moment(alpha) = E[theta^2].
+    """
 
     dim_alpha: int = 0
-
-    def log_g(self, theta, alpha):
-        raise NotImplementedError
-
-    def drift_s(self, theta, alpha):
-        """s(theta, alpha) = d/dtheta log g."""
-        raise NotImplementedError
-
-    def dtheta_drift_s(self, theta, alpha):
-        """d/dtheta s(theta, alpha) = d^2/dtheta^2 log g."""
-        raise NotImplementedError
 
     def grad_alpha_log_g(self, theta, alpha):
         """Gradient of log g in alpha; shape (..., K) for array theta."""
         cols = self._grad_alpha_columns(theta, alpha)
         return np.stack(cols, axis=-1) if cols else np.zeros(np.shape(theta) + (0,))
-
-    def _grad_alpha_columns(self, theta, alpha):
-        """The K entries of grad_alpha log g, as a list of arrays shaped like theta."""
-        raise NotImplementedError
-
-    def sample(self, alpha, rng: np.random.Generator, size: int):
-        raise NotImplementedError
-
-    def second_moment(self, alpha) -> float:
-        """E[theta^2] under g(., alpha)."""
-        raise NotImplementedError
 
     def theta_curvature_constant(self, alpha) -> Optional[float]:
         """Return d/dtheta s when it does not depend on theta, else None."""
@@ -88,9 +71,6 @@ class GaussianMixture(PriorFamily):
     """
 
     omega: np.ndarray
-
-    def components(self, alpha):
-        raise NotImplementedError
 
     def _alpha_score_columns(self, diff, r):
         """grad_alpha log g averaged over the components with responsibilities

@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .kernels import KernelTable, time_index
-from .model import NORM_GUARD, DivergenceError, ModelInstance, ModelParams, component_rng, sample_instance
+from .model import DivergenceError  # noqa: F401  (evolve raises it, through check_divergence)
+from .model import ModelInstance, ModelParams, check_divergence, component_rng, sample_instance
 from .priors import PriorSpec, SmoothHinge, gradient_map_G
 
 _STREAM_BROWNIAN = 201
@@ -65,9 +66,9 @@ def evolve(
         raise ValueError("retain_every must divide the step count")
     gamma, beta = params.gamma_step, params.beta
     K = prior.dim_alpha
-    sqrt_d = np.sqrt(params.d)
 
     theta = instance.theta0.astype(float).copy()
+    scale2 = (instance.theta_star @ instance.theta_star + theta @ theta) / params.d
     alpha = prior.alpha.copy()
     rng_b = component_rng(seed, _STREAM_BROWNIAN)
 
@@ -80,8 +81,7 @@ def evolve(
     # X^T (X theta - y) = gram theta - xty: one d x d product per step, not two n x d.
     gram, xty = X.T @ X, X.T @ y
     for t in range(T + 1):
-        if not np.isfinite(theta).all() or np.linalg.norm(theta) / sqrt_d > NORM_GUARD:
-            raise DivergenceError(f"state diverged at step {t} (gamma too large for this instance)")
+        check_divergence(theta @ theta / params.d, scale2, t)
         if t in keep_pos:
             i = keep_pos[t]
             theta_path[i] = theta

@@ -175,6 +175,15 @@ def test_compare_simulate_vs_dmft_with_w2(tmp_path):
     assert report["w2_marginals"]["0.5"] < 1.0
 
 
+def test_compare_whose_w2_exceeds_its_tolerance_fails(tmp_path):
+    compare = {"sources": ["simulate", "dmft"], "tolerances": {"default": 1.0, "w2": 1e-9}, "marginal_times": [0.5]}
+    assert run(small_config("compare", out=str(tmp_path), compare=compare)) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert all(k["passed"] for k in report["kernels"])  # only the W2 check fails
+    assert report["w2_marginals"]["0.5"] > 1e-9 and report["passed"] is False
+    assert json.loads((tmp_path / "manifest.json").read_text())["report_passed"] is False
+
+
 def test_equilibrium_pipeline_json_and_sweep(tmp_path):
     out = tmp_path / "eq"
     cfg = {
@@ -247,6 +256,14 @@ def test_main_entry_point(tmp_path):
     code = cli.main(["dmft-linear", "--config", str(cfg_path), "--out", str(tmp_path / "m")])
     assert code == 0
     assert (tmp_path / "m" / "kernels_dmft-linear.csv").exists()
+
+
+def test_main_overrides_the_config_pipeline(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config("dmft-linear")))
+    assert cli.main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 0
+    assert "config pipeline 'dmft-linear' overridden by CLI 'oracle'" in capsys.readouterr().err
+    assert json.loads((tmp_path / "m" / "manifest.json").read_text())["files"] == ["kernels_oracle.csv"]
 
 
 # ------------------------------------------------------------ pipeline table

@@ -93,6 +93,20 @@ def test_extender_rejects_badly_indefinite():
         ext.extend(np.array([2.0]), 1.0)  # conditional variance 1 - 4 < 0
 
 
+def test_small_negative_conditional_variance_is_clamped():
+    # Within CLAMP_TOL of zero a conditional variance is round-off: sd 0, no jitter.
+    ext = CholeskyExtender(2)
+    ext.extend(np.zeros(0), 1.0)
+    a, sd = ext.extend(np.array([1.0]), 1.0 - 5e-11)
+    assert -1e-10 < 1.0 - 5e-11 - a @ a < 0
+    assert sd == 0.0 and ext.clamped_steps == [1] and ext.jitter_log == []
+    # Past the largest jitter (1e-8) it is refused.
+    ext = CholeskyExtender(2)
+    ext.extend(np.zeros(0), 1.0)
+    with pytest.raises(IllConditionedKernelError, match="at step 1"):
+        ext.extend(np.array([1.0]), 1.0 - 1e-7)
+
+
 def test_generated_paths_match_target_covariance(rng):
     # 1e5 sequentially extended paths of length 5 reproduce the target grid.
     params = small_params(gamma=0.1, horizon=0.4)
@@ -263,6 +277,17 @@ def test_diverging_paths_raise_at_their_step(prior, gamma, last_step):
     with pytest.raises(DivergenceError, match=r"at step (\d+)") as err:
         solve_dmft(params, prior, n_paths=400, seed=1)
     assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) <= last_step
+
+
+def test_wide_prior_is_not_mistaken_for_divergence():
+    # theta_star RMS 1e7 with a stable step (gamma h_max = 0.29 < 2): the
+    # guard is relative to the run's scale, so the paths run to the horizon.
+    # 15 steps: past them CholeskyExtender's absolute clamp (1e-10) refuses
+    # conditional variances whose round-off is of the paths' scale.
+    params = small_params(gamma=0.05, horizon=0.75)
+    res = solve_dmft(params, PriorSpec(GaussianFixed(1e-14)), n_paths=400, seed=1)
+    diag = np.diag(res.table.c_theta)
+    assert np.all(np.isfinite(diag[1:])) and 1e13 < diag[-1] < 1e15
 
 
 def test_memory_budget_refusal():

@@ -22,6 +22,7 @@ from dmft_lab.priors import (
     GaussianFixed,
     GaussianLocation,
     GaussianMeanMixture,
+    SmoothHinge,
 )
 
 MATCHED = dict(delta=2.0, sigma2=1.0)
@@ -237,9 +238,31 @@ def test_log_marginal_gaussian():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_solver_failure_reports_trace():
+def test_solver_refuses_a_negative_delta():
     with pytest.raises(ValueError):
         solve_fixed_point(delta=-1.0, sigma2=1.0, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
+
+
+def test_solver_failure_carries_the_residual_trace(monkeypatch):
+    monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 3)
+    with pytest.raises(RuntimeError, match="after 3 sweeps") as err:
+        solve_fixed_point(delta=2.0, sigma2=1.0, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
+    trace = err.value.residual_trace
+    assert len(trace) == 3 and min(trace) > 1e-10
+    assert f"last residual {trace[-1]:.3e}" in str(err.value)
+    # The same sweeps, with room to converge, give the same residuals.
+    monkeypatch.setattr(equilibrium, "_MAX_SWEEPS", 10000)
+    sol = solve_fixed_point(delta=2.0, sigma2=1.0, g_star=GaussianFixed(1.0), g=GaussianFixed(1.0))
+    assert sol.residual_trace[:3] == trace
+
+
+def test_grad_f_adds_the_regularizer_gradient():
+    # |alpha| = 0.5 lies outside D = 0.2, inside the cubic ramp.
+    g, alpha, reg = GaussianLocation(1.0), np.array([0.5]), SmoothHinge(D=0.2, eps=1.0)
+    assert np.all(reg.grad(alpha) != 0)
+    args = (2.0, 1.0, GaussianLocation(1.0), g, np.array([0.0]))
+    got = grad_F(alpha, *args, regularizer=reg, n_gh=16)
+    assert got.tobytes() == (grad_F(alpha, *args, n_gh=16) + reg.grad(alpha)).tobytes()
 
 
 # Scalars whose square numpy's float64 scalar power (libm's pow) rounds away
@@ -378,7 +401,8 @@ def test_hermite_rule_is_cached_read_only():
 
 def _per_y_channel(g_star, alpha_star, g, alpha, omega, omega_star, n_gh, grad=False):
     """`_channel_posterior` from `_true_channel` and the public per-y functions only."""
-    tn, y, w2d = equilibrium._true_channel(g_star, alpha_star, omega_star, n_gh)
+    tn, c, w2d = equilibrium._true_channel(g_star, alpha_star, omega_star, n_gh)
+    y = tn + c
     cols = [log_marginal(y, g, omega, alpha), *posterior_moments(y, g, omega, alpha)]
     post = np.stack(cols, axis=-1)
     if grad:
@@ -455,7 +479,7 @@ def test_batched_shifted_sums_match_one_gemm_per_row_bitwise(case, n_gh, grad):
     # 513 truth rows are not a multiple of _TRUTH_ROWS: the last GEMM's block is ragged.
     _, _, g, alpha, omega, omega_star, _ = SHIFTED_CASES[case]
     _, (x, masses) = equilibrium._prior_law(g, alpha)
-    stride = equilibrium._truth_stride(x.size)
+    stride = equilibrium._TRUTH_STRIDE
     assert len(range(0, x.size, stride)) % equilibrium._TRUTH_ROWS != 0
     c = equilibrium._hermite_rule(n_gh)[0] / np.sqrt(omega_star)
     stats = [x, x * x] + (list(g.grad_alpha_log_g(x, alpha).T) if grad else [])
@@ -507,6 +531,21 @@ def test_matched_exp_family_takes_the_shifted_path(monkeypatch):
             tracemalloc.stop()
         assert np.isfinite([mse, mse_star, fe]).all()
         assert peak < peak_mb * 2**20, n_gh
+
+
+def test_lattice_pass_holds_one_output_array():
+    # At n_gh 64 the (513, 64, 3) sums are 0.79 MB; a second copy of them
+    # (a reordered GEMM output) put the peak at 3.18 MB.
+    fam, alpha = EXP_FAMILY
+    mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=64)  # grid, Hermite rule and lazy imports
+    tracemalloc.start()
+    try:
+        mse_pair(fam, fam, 1.3, 1.1, alpha, alpha, n_gh=64)
+        free_energy(1.3, 1.1, fam, fam, 2.0, 1.0, alpha, alpha, n_gh=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20
 
 
 # ------------------------------------------------- one channel pass per sweep

@@ -95,6 +95,14 @@ def test_divergence_guard_reports_step():
         evolve(inst, PriorSpec(GaussianFixed(1.0)), params, seed=0)
 
 
+def test_wide_prior_is_not_mistaken_for_divergence():
+    # theta_star RMS 1e7 with a stable step: the guard is relative to the run's scale.
+    params = ModelParams(n=200, d=100, sigma2=1.0, beta=1.0, gamma_step=0.05, horizon=0.75)
+    table, _ = simulate(params, PriorSpec(GaussianFixed(1e-14)), seeds=[1], retain_every=1)
+    diag = np.diag(table.c_theta)
+    assert np.all(np.isfinite(diag[1:])) and 1e13 < diag[-1] < 1e15
+
+
 def test_alpha_update_single_step():
     # alpha^1 = alpha^0 + gamma * mean((theta^0 - alpha^0)/scale^2).
     params = ModelParams(n=2, d=3, sigma2=1.0, beta=0.0, gamma_step=0.2, horizon=0.2)
