@@ -16,8 +16,8 @@ c_eta_tti(0) = delta/sigma2 - omega and c_eta_inf = omega^2 / omega_star:
 
 One posterior pass (`_posterior`) gives log P(y), the posterior moments and,
 on request, the posterior alpha-score of each channel output. Gaussian-mixture families use conjugate closed forms, read from the prior's
-component columns (`GaussianMixture.channel_columns`); discrete priors and
-exp-family densities (on their quadrature grid) use exact weighted-atom sums,
+component columns (`GaussianMixture.channel_columns`); exp-family densities
+(on their quadrature grid) use exact weighted-atom sums,
 32 channel outputs at a time. When an exp-family truth and an exp-family
 posterior share one uniform grid, the averages over the true channel use a
 kernel that depends only on the lag between grid points (`_shifted_sums`):
@@ -38,33 +38,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .priors import ExpFamily, PriorFamily, SmoothHinge
 
 
-class DiscretePrior:
-    """Finite-support prior for scalar-channel computations only.
-
-    Not a drift-capable family (no smooth score); posterior averages are exact
-    atom sums. Covers e.g. the symmetric two-point prior."""
-
-    def __init__(self, atoms, weights):
-        self.atoms = np.asarray(atoms, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        self.weights = w / w.sum()
-
-
 def _prior_law(family, alpha, truth: bool = False):
     """The prior as Gaussian-mixture components or as weighted atoms.
 
-    Returns (None, (nodes, masses)) for a discrete or exp-family prior, with
-    masses proportional to the prior mass of each node; any other family is a
+    Returns (None, (nodes, masses)) for an exp-family prior, with masses
+    proportional to the prior mass of each node; any other family is a
     Gaussian mixture and gives ((weights, means, precisions), None). An
     exp-family density becomes the atoms of its uniform grid (density times
     spacing). For `truth` nodes the grid is thinned to every `_TRUTH_STRIDE`-th
     point (4097 points give 513 nodes), because every truth node adds n_gh
     channel outputs at which the posterior is summed over all atoms.
     """
-    if isinstance(family, DiscretePrior):
-        return None, (family.atoms, family.weights)
     if isinstance(family, ExpFamily):
         x, dens, _ = family._grid(alpha)
         if truth:
@@ -117,8 +101,8 @@ def _posterior(y, g, omega: float, alpha=None, grad: bool = False):
     log P_{g, omega}(y), E[theta | y], E[theta^2 | y] and, with `grad`, the
     K columns of E[grad_alpha log g(theta, alpha) | y].
 
-    Gaussian mixtures read one `channel_columns` update; discrete and
-    exp-family priors take one `_atom_sums` pass over their atoms.
+    Gaussian mixtures read one `channel_columns` update; exp-family priors
+    take one `_atom_sums` pass over their grid atoms.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -145,8 +129,8 @@ def _posterior(y, g, omega: float, alpha=None, grad: bool = False):
 def posterior_moments(y, g, omega: float, alpha=None):
     """(posterior mean, posterior second moment) of the scalar channel.
 
-    `g` is a PriorFamily or DiscretePrior with parameter `alpha`; Gaussian
-    mixtures use conjugate closed forms, discrete and exp-family priors atom sums.
+    `g` is a PriorFamily with parameter `alpha`; Gaussian mixtures use
+    conjugate closed forms, exp-family priors atom sums.
     """
     post = _posterior(y, g, omega, alpha)
     return _match_shape(post[..., 1], y), _match_shape(post[..., 2], y)
@@ -366,7 +350,7 @@ def solve_fixed_point(
     """Damped iteration of omega <- delta/(sigma2 + mse(omega, omega_star)).
 
     The truth prior is g_star at alpha_star, the posterior prior g at alpha;
-    each is a PriorFamily or a DiscretePrior. Starts from omega = omega_star =
+    each is a PriorFamily. Starts from omega = omega_star =
     delta/sigma2; on oscillation the step is halved. Each sweep is one pass
     over the channel posterior, and the free energy is read from the last.
     Raises RuntimeError on non-convergence; its `residual_trace` holds the trace.

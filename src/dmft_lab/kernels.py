@@ -7,11 +7,13 @@ raw per-step responses of a discretized source are recovered by multiplying
 by its step. Entries that a source did not compute are NaN.
 
 CSV layout (one file per table), the only one `read_table_csv` reads: the
-`t,s,value,stderr` header, the `# gamma:`, `# source:` and `# times:` lines,
-then a `# kernel: <name>` section per kernel in `_AXES` order and one per
-alpha column, alpha_0, alpha_1, ... Every entry of a section has a stderr, or
-none has. Vector kernels use s = -1, and the scalar c_star_star, at most one
-entry, uses t = s = -1. The file ends with a newline.
+`t_index,s_index,value,stderr` header, the `# gamma:`, `# source:` and
+`# times:` lines, then a `# kernel: <name>` section per kernel in `_AXES`
+order and one per alpha column, alpha_0, alpha_1, ... An entry line is
+`t,s,value[,stderr]`, t and s indices of the `# times:` grid and floats in
+`%.17g`; every entry of a section has a stderr, or none has. Vector kernels
+use s = -1, and c_star_star, at most one entry, t = s = -1. The file ends
+with a newline.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice
 from typing import Optional
 
 import numpy as np
@@ -80,53 +82,60 @@ class KernelTable:
 
 # ---------------------------------------------------------------- CSV I/O
 
-_HEADER = "t,s,value,stderr"
+_HEADER = "t_index,s_index,value,stderr"
 # Lines of a section written, or read and parsed, at a time.
 _BLOCK = 4096
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def _distinct_texts(values: np.ndarray):
-    """`%.17g` of each distinct bit pattern among the float64 values, and the
-    index of each value's text. Bits, not float equality, tell values apart:
-    -0.0 and 0.0 print differently."""
+def _distinct_texts(values: np.ndarray, end: str):
+    """`%.17g` and `end` of each distinct bit pattern among the float64
+    values (bits, not float equality: -0.0 and 0.0 print differently), in a
+    fixed-width bytes array made `_BLOCK` texts at a time, so no Python object
+    is held per distinct value; and the index of each value's text."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return np.array(list(map(_fmt, bits.view(np.float64).tolist())), dtype=object), inverse
+    texts = np.empty(bits.size, dtype="S25")  # 24 characters at most (-2.2250738585072014e-308), and `end`
+    fmt = ("%.17g" + end).__mod__
+    for start in range(0, bits.size, _BLOCK):
+        texts[start : start + _BLOCK] = list(map(fmt, bits[start : start + _BLOCK].view(np.float64).tolist()))
+    return texts, inverse.astype(np.int32)
 
 
 def write_table_csv(table: KernelTable, path) -> None:
-    """Write the table. Each section formats every distinct value (and
-    stderr) once, then joins and writes its lines `_BLOCK` entries at a time,
-    so no Python object is made per entry of a whole section."""
-    labels = np.array([_fmt(t) for t in table.times.tolist()], dtype=object)
+    """Write the table in the CSV layout (module docstring), one section at a time."""
+    # "i," for each grid index i, and last the -1 of an absent axis
+    labels = np.array([b"%d," % i for i in range(table.n_times)] + [b"-1,"])
     sections = [(name, getattr(table, name), table.stderr.get(name)) for name in _AXES]
     sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
-    with open(path, "w") as fh:
-        fh.write(f"{_HEADER}\n# gamma: {_fmt(table.gamma)}\n# source: {table.source}\n")
-        fh.write(f"# times: {','.join(labels)}\n")
+    with open(path, "wb") as fh:
+        times = ",".join(map("%.17g".__mod__, table.times.tolist()))
+        fh.write(f"{_HEADER}\n# gamma: {table.gamma:.17g}\n# source: {table.source}\n# times: {times}\n".encode())
         for name, grid, se in sections:
-            fh.write(f"# kernel: {name}\n")
-            grid = np.asarray(grid, dtype=np.float64)
-            at = np.flatnonzero(~np.isnan(grid))  # entries in row-major order
-            # the fields t, s, value, stderr of a block of lines and their separators;
-            # s (and t) is -1 where the kernel has no such axis, the stderr empty without one
-            fields = np.empty((min(at.size, _BLOCK), 8), dtype=object)
-            fields[:] = np.array(["-1", ",", "-1", ",", "", ",", "", "\n"], dtype=object)
-            columns = [(4, _distinct_texts(grid.ravel()[at]))]
-            if se is not None and grid.ndim > 0:
-                columns.append((6, _distinct_texts(np.asarray(se, dtype=np.float64).ravel()[at])))
-            for start in range(0, at.size, _BLOCK):
-                flat = at[start : start + _BLOCK]
-                rows = fields[: flat.size]
-                # (row, column) of each flat index, of which the kernel's axes are the last ndim
-                for k, axis in enumerate(np.divmod(flat, table.n_times)[2 - grid.ndim :]):
-                    rows[:, 2 * k] = labels[axis]
-                for k, (texts, inverse) in columns:
-                    rows[:, k] = texts[inverse[start : start + _BLOCK]]
-                fh.write("".join(rows.ravel().tolist()))
+            fh.write(b"# kernel: %s\n" % name.encode())
+            _write_section(fh, np.asarray(grid, dtype=np.float64), se, labels)
+
+
+def _write_section(fh, grid: np.ndarray, se, labels: np.ndarray) -> None:
+    """Format every distinct value (and stderr) of one kernel once, then write
+    its lines `_BLOCK` at a time from fixed-width records, with no Python
+    object per entry. Its texts are freed on return."""
+    at = np.flatnonzero(~np.isnan(grid))  # entries in row-major order
+    columns = [grid] + ([np.asarray(se, dtype=np.float64)] if se is not None and grid.ndim > 0 else [])
+    texts = [_distinct_texts(c.ravel()[at], "\n" if k == len(columns) - 1 else ",") for k, c in enumerate(columns)]
+    # a line as one record of the NUL-padded fields t, s, value (and stderr), each with the
+    # separator that follows it; t and s are -1 where the kernel has no such axis
+    fields = [("t", labels.dtype), ("s", labels.dtype)] + [(f"v{k}", c.dtype) for k, (c, _) in enumerate(texts)]
+    lines = np.empty(min(at.size, _BLOCK), dtype=fields)
+    lines["t"] = lines["s"] = labels[-1]
+    for start in range(0, at.size, _BLOCK):
+        flat = at[start : start + _BLOCK]
+        block = lines[: flat.size]
+        # (row, column) of each flat index, of which the kernel's axes are the last ndim
+        for key, axis in zip("ts", np.divmod(flat, labels.size - 1)[2 - grid.ndim :]):
+            block[key] = labels[axis]
+        for k, (column, inverse) in enumerate(texts):
+            block[f"v{k}"] = column[inverse[start : start + _BLOCK]]
+        chars = block.view(np.uint8)
+        fh.write(chars[chars != 0])  # the lines without their padding
 
 
 def read_table_csv(path) -> KernelTable:
@@ -134,7 +143,7 @@ def read_table_csv(path) -> KernelTable:
     other; a missing final newline marks a truncated write. Each line is
     tested once, for a leading '#'; the entries between markers are parsed by
     numpy's C reader `_BLOCK` lines at a time and put into their grid at once.
-    An entry whose label is not a grid time raises."""
+    A label that is not a grid index, or -1 on an absent axis, raises."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != _HEADER:
@@ -168,8 +177,8 @@ def read_table_csv(path) -> KernelTable:
                     entries += len(rows)
                     if not grid.ndim and entries > 1:
                         raise ValueError(f"kernel {name}: more than one entry")
-                    at = tuple(_grid_index(times, rows[:, k], name) for k in range(grid.ndim))
-                    rows = rows if grid.ndim else rows[0]
+                    at = tuple(_grid_index(rows[:, k], times.size if k < grid.ndim else 0, name) for k in (0, 1))
+                    at, rows = at[: grid.ndim], rows if grid.ndim else rows[0]
                     grid[at] = rows[..., 2]
                     if name in stderr:
                         stderr[name][at] = rows[..., 3]
@@ -191,22 +200,28 @@ def read_table_csv(path) -> KernelTable:
 
 def _parse_block(lines: list, name: str) -> np.ndarray:
     """(entries, 3) rows t, s, value of a block of entry lines without a
-    stderr, or (entries, 4) rows of one in which every line has one."""
-    no_stderr = sum(map(str.endswith, lines, repeat(",\n")))
-    if no_stderr == len(lines):
-        return np.loadtxt(lines, delimiter=",", usecols=(0, 1, 2), ndmin=2)
-    if no_stderr:
-        raise ValueError(f"kernel {name}: entries with and without a stderr")
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
+    stderr, or (entries, 4) rows of one in which every line has one; numpy's
+    reader refuses a block whose lines differ in their number of fields."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        if len({line.count(",") for line in lines}) > 1:
+            raise ValueError(f"kernel {name}: entries with and without a stderr") from err
+        raise
+    if rows.shape[1] not in (3, 4):
+        raise ValueError(f"kernel {name}: an entry has {rows.shape[1]} fields, not 3 or 4")
+    return rows
 
 
-def _grid_index(times: np.ndarray, labels: np.ndarray, kernel: str) -> np.ndarray:
-    """Index of each label among the grid times, which it must equal exactly."""
-    order = np.argsort(times, kind="stable")
-    at = order[np.minimum(np.searchsorted(times, labels, sorter=order), times.size - 1)]
-    off = times[at] != labels
-    if np.any(off):
-        raise ValueError(f"kernel {kernel}: label {labels[off][0]!r} is not a grid time")
+def _grid_index(labels: np.ndarray, size: int, kernel: str) -> np.ndarray:
+    """The labels of one axis as indices of its `size` grid times. An axis
+    the kernel does not have, `size` 0, takes only the label -1."""
+    low, high = (0, size) if size else (-1, 0)
+    inside = (labels >= low) & (labels < high)  # NaN is outside
+    at = np.where(inside, labels, low).astype(np.intp)
+    if np.any(bad := ~inside | (at != labels)):
+        want = "a grid time's index" if size else "-1, on an axis the kernel does not have"
+        raise ValueError(f"kernel {kernel}: label {float(labels[bad][0])!r} is not {want}")
     return at
 
 

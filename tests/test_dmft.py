@@ -587,8 +587,8 @@ _SCRIPTS = {
                 case,
                 # not strict, as above; at n 800, d 400 the same chain agrees
                 marks=pytest.mark.xfail(
-                    reason="the Euler step's gram @ theta GEMV and its X.T @ X product take threaded "
-                    "OpenBLAS paths at this shape, whose bits change with the thread count (theta path, c_theta)",
+                    reason="the X.T @ X product that builds the Euler step's gram takes a threaded OpenBLAS "
+                    "GEMM path at this shape, whose bits change with the thread count (theta path, c_theta)",
                 ),
             )
             for case in ("simulate_fixed_n200", "simulate_fixed_n600")

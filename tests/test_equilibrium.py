@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dmft_lab import equilibrium
 from dmft_lab.equilibrium import (
-    DiscretePrior,
     free_energy,
     grad_F,
     log_marginal,
@@ -39,16 +38,9 @@ def test_posterior_mean_symmetric_prior_at_zero():
     for g, alpha in (
         (GaussianFixed(2.0), None),
         (GaussianMeanMixture([0.5, 0.5], [1.0, 1.0]), np.array([-1.0, 1.0])),
-        (DiscretePrior([-1.0, 1.0], [0.5, 0.5]), None),
     ):
         m1, _ = posterior_moments(0.0, g, 1.3, alpha)
         assert m1 == pytest.approx(0.0, abs=1e-14)
-
-
-def test_posterior_mean_two_point_tanh():
-    m1, m2 = posterior_moments(0.5, DiscretePrior([-1.0, 1.0], [0.5, 0.5]), 1.0)
-    assert m1 == pytest.approx(np.tanh(0.5), abs=1e-12)
-    assert m2 == 1.0
 
 
 def test_posterior_moments_numeric_matches_closed_form():
@@ -67,13 +59,12 @@ OMEGA_CASES = {
     # case -> (prior, alpha)
     "gaussian": (GaussianFixed(1.0), None),
     "exp_family": (ExpFamily([2]), np.array([-0.5])),
-    "discrete": (DiscretePrior([-1.0, 1.0], [0.5, 0.5]), None),
     "gaussian_location": (GaussianLocation(1.0), np.array([0.0])),
 }
 
 
 @pytest.mark.parametrize("omega", [0.0, -1.0])
-@pytest.mark.parametrize("case", ["gaussian", "exp_family", "discrete"])
+@pytest.mark.parametrize("case", ["gaussian", "exp_family"])
 def test_per_y_functions_refuse_a_nonpositive_omega(case, omega):
     prior, alpha = OMEGA_CASES[case]
     with pytest.raises(ValueError, match="omega must be positive"):
@@ -103,7 +94,6 @@ def test_mse_pair_matched_gaussian_conjugacy():
         (GaussianMeanMixture([0.4, 0.6], [1.0, 2.0]), np.array([-0.5, 1.0]), 64, 2e-6),
         (GaussianLocation(0.8), np.array([0.3]), 64, 1e-9),
         (GaussianMeanMixture([0.2, 0.3, 0.5], [1.0, 2.0, 0.5]), np.array([-1.0, 0.0, 2.0]), 64, 2e-6),
-        (DiscretePrior([-1.0, 0.5], [0.5, 0.5]), None, 64, 1e-9),
         (ExpFamily([1, 2]), np.array([0.4, -0.6]), 16, 1e-4),
     ],
 )
@@ -342,11 +332,10 @@ def _dense_atom_posterior(y, nodes, masses, omega):
 
 
 EXP_FAMILY = (ExpFamily([2, 4]), np.array([-0.5, -0.1]))
-ATOM_PRIORS = [EXP_FAMILY, (DiscretePrior([-1.0, 0.3, 2.0], [0.2, 0.5, 0.3]), None)]
 
 
 @pytest.mark.parametrize("n", [1, 3, 91, 4104, 77])  # 77: three blocks, the last partial
-@pytest.mark.parametrize("prior,alpha", ATOM_PRIORS, ids=["exp_family", "discrete"])
+@pytest.mark.parametrize("prior,alpha", [EXP_FAMILY], ids=["exp_family"])
 def test_blocked_atom_sums_match_the_dense_matrix_bitwise(prior, alpha, n):
     omega = 1.3
     y = np.random.default_rng(n).normal(scale=2.0, size=n)
@@ -571,7 +560,8 @@ FREE_ENERGY_CASES = {
     ),
     "quartic_matched": (*EXP_FAMILY, *EXP_FAMILY, 8),
     "grids_differ": (*EXP_FAMILY, ExpFamily([2]), np.array([-0.02]), 2),  # per-y atom sums: 0.16 s a sweep at n_gh 8
-    "discrete_truth": (DiscretePrior([-1.0, 1.0], [0.5, 0.5]), None, GaussianFixed(1.0), None, 32),
+    # the truth as the atoms of its grid, under a Gaussian posterior
+    "discrete_truth": (*EXP_FAMILY, GaussianFixed(1.0), None, 8),
 }
 
 

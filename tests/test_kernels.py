@@ -131,23 +131,22 @@ def _write_by_entries(table, path):
     """Reference writer: every entry goes through `%.17g` on its own, in one
     object array per section and one %-format call."""
     fmt17 = "%.17g".__mod__
-    labels = np.array([fmt17(t) for t in table.times.tolist()], dtype=object)
     sections = [(name, np.asarray(getattr(table, name)), table.stderr.get(name)) for name in kernels._AXES]
     sections += [(f"alpha_{k}", table.alpha[:, k], None) for k in range(table.alpha.shape[1])]
     with open(path, "w") as fh:
-        fh.write(f"t,s,value,stderr\n# gamma: {fmt17(table.gamma)}\n# source: {table.source}\n")
-        fh.write(f"# times: {','.join(labels)}\n")
+        fh.write(f"t_index,s_index,value,stderr\n# gamma: {fmt17(table.gamma)}\n# source: {table.source}\n")
+        fh.write(f"# times: {','.join(map(fmt17, table.times.tolist()))}\n")
         for name, grid, se in sections:
             fh.write(f"# kernel: {name}\n")
             keep = ~np.isnan(grid)
             with_se = se is not None and grid.ndim > 0
             at = np.argwhere(keep)
-            rows = np.full((at.shape[0], 4 if with_se else 3), "-1", dtype=object)
-            rows[:, : grid.ndim] = labels[at]
+            rows = np.full((at.shape[0], 4 if with_se else 3), -1, dtype=object)
+            rows[:, : grid.ndim] = at
             rows[:, 2] = grid[keep]
             if with_se:
                 rows[:, 3] = se[keep]
-            fmt = "%s,%s,%.17g," + ("%.17g\n" if with_se else "\n")
+            fmt = "%d,%d,%.17g" + (",%.17g\n" if with_se else "\n")
             fh.write(fmt * at.shape[0] % tuple(rows.ravel().tolist()))
 
 
@@ -223,24 +222,23 @@ def test_writer_traced_peak_stays_below_the_file_size(tmp_path):
 
 def _read_by_lines(path):
     """Reference parser: each section of a table CSV read line by line with
-    float(), as {name: (grid, stderr or None)}. An empty stderr field is NaN
-    once another entry of its section has one."""
+    int() and float(), as {name: (grid, stderr or None)}. A line without a
+    stderr field leaves its entry's stderr NaN."""
     lines = path.read_text().splitlines()
-    times = [float(v) for v in next(x for x in lines if x.startswith("# times:")).partition(":")[2].split(",")]
-    index = {t: i for i, t in enumerate(times)}
+    n_times = len(next(x for x in lines if x.startswith("# times:")).split(","))
     out = {}
     for line in lines[1:]:
         if line.startswith("# kernel:"):
             name = line.partition(":")[2].strip()
             axes = 2 if name in ("c_theta", "c_eta", "r_theta", "r_eta") else 0 if name == "c_star_star" else 1
-            grid, se = out[name] = [np.full((len(times),) * axes, np.nan), None]
+            grid, se = out[name] = [np.full((n_times,) * axes, np.nan), None]
         elif line and not line.startswith("#"):
-            t, s, v, e = line.split(",")
-            at = tuple(index[float(label)] for label in (t, s)[: grid.ndim])
+            t, s, v, *e = line.split(",")
+            at = tuple(int(label) for label in (t, s)[: grid.ndim])
             grid[at] = float(v)
             if e:
                 se = out[name][1] = np.full(grid.shape, np.nan) if se is None else se
-                se[at] = float(e)
+                se[at] = float(e[0])
     return out
 
 
@@ -280,12 +278,37 @@ def block_table_without_stderr():
 
 def _with_a_stderr_on_the_last_c_theta_entry(lines):
     at = lines.index("# kernel: c_eta\n") - 1
-    return lines[:at] + [lines[at][:-1] + "0.25\n"] + lines[at + 1 :]
+    return lines[:at] + [lines[at][:-1] + ",0.25\n"] + lines[at + 1 :]
 
 
 def _with_an_empty_stderr(lines):
     at = lines.index("# kernel: c_theta\n") + 3  # an entry with a stderr
-    return lines[:at] + [lines[at].rpartition(",")[0] + ",\n"] + lines[at + 1 :]
+    return lines[:at] + [lines[at].rpartition(",")[0] + "\n"] + lines[at + 1 :]
+
+
+def _relabelled(kernel, field, text):
+    """An edit that sets field `field` of the first entry of `kernel` to `text`."""
+
+    def edit(lines):
+        at = lines.index(f"# kernel: {kernel}\n") + 1
+        fields = lines[at].split(",")
+        fields[field] = text
+        return lines[:at] + [",".join(fields)] + lines[at + 1 :]
+
+    return edit
+
+
+def _in_the_former_layout(lines):
+    """The file as the former layout wrote it: the `t,s,value,stderr` header,
+    time texts as labels and an empty field where an entry has no stderr."""
+    times = lines[3].partition(":")[2].strip().split(",")
+    out = ["t,s,value,stderr\n"]
+    for line in lines[1:]:
+        if not line.startswith("#"):
+            t, s, *rest = line[:-1].split(",")
+            line = ",".join([x if x == "-1" else times[int(x)] for x in (t, s)] + rest + [""] * (2 - len(rest))) + "\n"
+        out.append(line)
+    return out
 
 
 def _swapped(lines, a, b):
@@ -308,8 +331,8 @@ def _with_a_second_c_star_star_entry(lines):
         (feature_table, lambda lines: [x for x in lines if not x.startswith("# source:")], "source"),
         (feature_table, lambda lines: [x for x in lines if not x.startswith("# times:")], "times"),
         (feature_table, lambda lines: _swapped(lines, lines[1], lines[2]), "gamma"),
-        (feature_table, lambda lines: [x.replace("0.15000000000000002,0,", "0.15,0,") for x in lines], "not a grid time"),
-        (feature_table, lambda lines: [x.replace("0.40000000000000002,-1,", "0.41,-1,") for x in lines], "not a grid time"),
+        (feature_table, _relabelled("c_theta", 0, "7"), "not a grid time"),
+        (feature_table, _relabelled("c_theta_star", 0, "7"), "not a grid time"),
         (block_table_without_stderr, _with_a_stderr_on_the_last_c_theta_entry, "with and without a stderr"),
         (feature_table, _with_an_empty_stderr, "with and without a stderr"),
         (feature_table, lambda lines: _swapped(lines, "# kernel: alpha_0\n", "# kernel: alpha_1\n"), "alpha_0"),
@@ -318,12 +341,22 @@ def _with_a_second_c_star_star_entry(lines):
         (feature_table, _with_a_second_c_star_star_entry, "more than one entry"),
         (feature_table, lambda lines: lines[:5] + ["\n"] + lines[5:], "c_eta"),
         (feature_table, lambda lines: lines[:-1] + [lines[-1][:-1]], "final newline"),
+        (feature_table, _relabelled("c_eta", 1, "1.5"), "not a grid time"),
+        (feature_table, _relabelled("r_theta", 0, "5"), "not a grid time"),
+        (feature_table, _relabelled("c_theta", 1, "-1"), "not a grid time"),
+        (feature_table, _relabelled("c_theta_star", 1, "0"), "is not -1"),
+        (feature_table, _relabelled("c_star_star", 0, "0"), "is not -1"),
+        (feature_table, _relabelled("c_star_star", 1, "-1,0.5,0.5"), "5 fields"),
+        (feature_table, _in_the_former_layout, "header: 't,s,value,stderr'"),
+        (feature_table, _relabelled("c_eta", 1, "0#1"), "0#1"),
     ],
     ids=[
         "header", "no_gamma", "no_source", "no_times", "metadata_out_of_order", "off_grid_label",
         "off_grid_vector_label", "stderr_first_seen_after_a_block", "empty_stderr_beside_others",
         "alpha_sections_out_of_order", "kernel_sections_out_of_order", "missing_section",
-        "two_c_star_star_entries", "blank_line", "no_final_newline",
+        "two_c_star_star_entries", "blank_line", "no_final_newline", "non_integer_label",
+        "label_equal_to_the_number_of_times", "negative_label_on_a_present_axis", "label_on_the_absent_s_axis",
+        "label_on_the_absent_axes_of_c_star_star", "five_fields", "former_layout", "comment_character_in_an_entry",
     ],
 )
 def test_csv_reader_refuses_malformed_files(tmp_path, make, edit, match):
