@@ -53,12 +53,10 @@ from .simulator import RESPONSE_METHODS
 # The kernel routes, each a pipeline and a compare source of the same name.
 ROUTES = ("simulate", "dmft", "dmft-linear", "oracle")
 PIPELINES = ROUTES + ("equilibrium", "compare")
-# The closed-form sources: theta0 = 0 and a Gaussian theta_star of second moment tau_star2.
-_CLOSED = ("dmft-linear", "oracle")
-# The Monte Carlo sources: they draw from the seed and carry marginal samples.
+# The Monte Carlo sources: they draw from the seed and carry marginal samples. The
+# others are closed forms of theta0 = 0 and a Gaussian theta_star; all but the
+# oracle run the Euler step gamma.
 _MONTE_CARLO = ("simulate", "dmft")
-# The sources that run the Euler step gamma.
-_STEPPING = ("simulate", "dmft", "dmft-linear")
 # Replica r of seed s runs at seed s * _REPLICAS + r: more replicas would reuse seed s + 1's.
 _REPLICAS = 1000
 
@@ -110,14 +108,12 @@ _TABLE = {
         "threads": ("an integer", _is_int, 1),
         "replicas": ("an integer", _is_int, 0),
         "n_paths": ("an integer", _is_int, 0),
-        "quad_nodes": ("an integer", _is_int, 400),
         "retain_every": ("an integer", _is_int, 10),
         "design": (f"one of {DESIGNS}", lambda v: v in DESIGNS, "gaussian"),
         "response_steps": ("an array of integers", _array_of(_is_int), ()),
         "response_method": (f"one of {RESPONSE_METHODS}", lambda v: v in RESPONSE_METHODS, "exact-product"),
         "n_probes": ("an integer", _is_int, 32),
         "response_budget_bytes": ("an integer", _is_int, dmft._DEFAULT_RESPONSE_BUDGET),
-        "tau_star2": ("a number > 0", _is_positive, None),
     },
     "model": {
         **{key: ("an integer", _is_int, None) for key in ("n", "d")},
@@ -128,8 +124,8 @@ _TABLE = {
     },
     "compare": {
         "sources": (
-            f"exactly two of {'|'.join(ROUTES)}",
-            lambda v: isinstance(v, list) and len(v) == 2 and all(s in ROUTES for s in v),
+            f"two different routes of {'|'.join(ROUTES)}",
+            lambda v: isinstance(v, list) and len(v) == 2 and all(s in ROUTES for s in v) and v[0] != v[1],
             None,
         ),
         "times": (
@@ -146,7 +142,6 @@ _TABLE = {
     "equilibrium": {
         "delta": ("a number > 0", _is_positive, None),
         "sigma2": ("a number > 0", _is_positive, None),
-        "tol": ("a number >= 0", lambda v: _is_number(v) and v >= 0, 1e-10),
         "n_gh": ("an integer >= 1", lambda v: _is_int(v) and v >= 1, 64),
         "sweep_sigma2": ("an array of numbers > 0", _array_of(_is_positive), None),
     },
@@ -340,24 +335,19 @@ def _step_rate(model: ModelParams, prior: PriorSpec) -> Optional[float]:
 def _value_errors(values: dict, sources, model: Optional[ModelParams], prior: Optional[PriorSpec]) -> list[str]:
     """Values that the run would otherwise refuse only deep inside a source."""
     opts, errors = values[""], []
-    closed = [s for s in sources if s in _CLOSED]
+    drawn = [s for s in sources if s in _MONTE_CARLO]
+    closed = [s for s in sources if s not in drawn]
     if closed and prior is not None and not isinstance(prior.family, GaussianFixed):
         errors.append(f"prior.family: {closed[0]} requires gaussian_fixed, got {values['prior']['family']!r}")
     if closed and values["theta0"].get("kind", "zero") != "zero":
         errors.append(f"theta0.kind: {closed[0]} assumes theta0 = 0, got {values['theta0']['kind']!r}")
-    drawn = [s for s in sources if s not in _CLOSED]
-    if "tau_star2" in opts and drawn:
-        errors.append(f"tau_star2: only dmft-linear and oracle read it, not {drawn[0]}")
-    seeded = [s for s in sources if s in _MONTE_CARLO]
-    if seeded and opts.get("seed") is None:
-        errors.append(f"seed: required for a {seeded[0]} source (explicit seeds only; no wall-clock seeding)")
+    if drawn and opts.get("seed") is None:
+        errors.append(f"seed: required for a {drawn[0]} source (explicit seeds only; no wall-clock seeding)")
     if opts.get("seed") is not None and opts["seed"] * _REPLICAS + opts["replicas"] > 2**64:
         errors.append(f"seed: seed * {_REPLICAS} + replicas - 1 must fit in 64 bits, got seed {opts['seed']}")
     if "oracle" in sources and model is not None and abs(model.beta * model.sigma2 - 1.0) > 1e-12:
         errors.append(f"model.beta: the oracle closed forms require beta = 1/sigma2, got {model.beta:g}")
-    if "oracle" in sources and opts["quad_nodes"] < mp_oracle.MIN_QUAD_NODES:
-        errors.append(f"quad_nodes: must be >= {mp_oracle.MIN_QUAD_NODES} for an oracle source")
-    stepping = [s for s in sources if s in _STEPPING]
+    stepping = [s for s in sources if s != "oracle"]
     rate = _step_rate(model, prior) if stepping and model is not None and prior is not None else None
     if rate is not None and model.gamma_step * rate >= 2.0:
         errors.append(
@@ -468,10 +458,6 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     errors += _value_errors(values, sources, model, prior)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    if any(s in _CLOSED for s in sources):
-        # The closed forms allow a misspecified prior: the second moment of
-        # theta_star may be set apart from the nominal precision lam.
-        opts.setdefault("tau_star2", prior.family.second_moment())
 
     cfg = RunConfig(
         pipeline=pipeline,
@@ -552,23 +538,21 @@ def _run_dmft(cfg: RunConfig):
         cfg.model, cfg.prior, n_paths=opts["n_paths"], seed=opts["seed"], regularizer=cfg.regularizer,
         response_budget_bytes=opts["response_budget_bytes"],
     )
-    draws = res.paths[:, : min(opts["n_paths"], 20000)]
-    return res.table, _marginals(res.table, [draws], cfg.compare["marginal_times"])
+    return res.table, _marginals(res.table, [res.paths], cfg.compare["marginal_times"])
 
 
+# The closed forms model the config's own prior: theta_star of second moment 1 / lam.
 def _run_linear(cfg: RunConfig):
-    return dmft.linear_gaussian_dmft(cfg.model, cfg.prior.family.lam, cfg.opts["tau_star2"]), {}
+    family = cfg.prior.family
+    return dmft.linear_gaussian_dmft(cfg.model, family.lam, family.second_moment()), {}
 
 
 def _run_oracle(cfg: RunConfig):
-    params, prior = cfg.model, cfg.prior
+    params, family = cfg.model, cfg.prior.family
     oracle = mp_oracle.OracleParams(
-        lam=prior.family.lam,
-        sigma2=params.sigma2,
-        delta=params.delta,
-        tau_star2=cfg.opts["tau_star2"],
+        lam=family.lam, sigma2=params.sigma2, delta=params.delta, tau_star2=family.second_moment()
     )
-    law = mp_oracle.mp_quadrature(params.delta, cfg.opts["quad_nodes"])
+    law = mp_oracle.mp_quadrature(params.delta)
     times = cfg.compare.get("times")
     if times is None:
         times = params.gamma_step * np.arange(0, params.n_steps + 1, cfg.opts["retain_every"])
@@ -588,7 +572,7 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
     ec = cfg.equilibrium
     solve = functools.partial(
         equilibrium.solve_fixed_point, ec["delta"],
-        **{key: ec[key] for key in ("g_star", "g", "alpha_star", "alpha", "tol", "n_gh")},
+        **{key: ec[key] for key in ("g_star", "g", "alpha_star", "alpha", "n_gh")},
     )
     out = solve(ec["sigma2"]).to_dict()
     sweep = ec.get("sweep_sigma2")
@@ -607,14 +591,8 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
     return out
 
 
-def _run_compare(cfg: RunConfig) -> dict:
-    tables = []
-    marginal_sets = []
-    for source in cfg.sources:
-        table, marg = _SOURCES[source](cfg)
-        tables.append(table)
-        marginal_sets.append(marg)
-        write_table_csv(table, cfg.out_dir / f"kernels_{table.source}.csv")
+def _report(cfg: RunConfig, tables: list, marginal_sets: list) -> dict:
+    """The compare report of the two sources' tables and marginal draws."""
     report = compare_tables(tables[0], tables[1], cfg.compare["tolerances"], cfg.compare.get("times"))
     w2_tol = cfg.compare["tolerances"].get("w2")
     for t in cfg.compare["marginal_times"]:
@@ -633,29 +611,33 @@ def _run_compare(cfg: RunConfig) -> dict:
 
 def run(config_path, out=None, seed=None, threads=None) -> int:
     """Execute the configured pipeline; returns the process exit status."""
-    extra: dict = {}
-    status = 0
     try:
         cfg = load_config(config_path, out, seed, threads)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.pipeline == "equilibrium":
-            source, name = "equilibrium", "equilibrium.json"
-            _write_json(cfg.out_dir / name, _run_equilibrium(cfg))
-        elif cfg.pipeline == "compare":
-            source, name = "compare", "report.json"
-            report = _run_compare(cfg)
-            _write_json(cfg.out_dir / name, report)
-            extra["report_passed"] = report["passed"]
-            status = 0 if report["passed"] else 1
-        else:
-            table, _ = _SOURCES[cfg.sources[0]](cfg)
-            source, name = table.source, f"kernels_{table.source}.csv"
-            write_table_csv(table, cfg.out_dir / name)
-            if source == "simulate":
-                extra["replica_seed_rule"] = f"seed*{_REPLICAS} + replica"
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    extra: dict = {}
+    status = 0
+    if cfg.pipeline == "equilibrium":
+        source, name = "equilibrium", "equilibrium.json"
+        _write_json(cfg.out_dir / name, _run_equilibrium(cfg))
+    else:
+        tables, marginal_sets = [], []
+        for route in cfg.sources:  # each table is written before the next source runs
+            table, marginals = _SOURCES[route](cfg)
+            source, name = table.source, f"kernels_{table.source}.csv"
+            write_table_csv(table, cfg.out_dir / name)
+            tables.append(table)
+            marginal_sets.append(marginals)
+        if cfg.pipeline == "compare":
+            source, name = "compare", "report.json"
+            report = _report(cfg, tables, marginal_sets)
+            _write_json(cfg.out_dir / name, report)
+            extra["report_passed"] = report["passed"]
+            status = 0 if report["passed"] else 1
+        elif source == "simulate":
+            extra["replica_seed_rule"] = f"seed*{_REPLICAS} + replica"
     _write_manifest(cfg, source, [name], extra)
     return status
 

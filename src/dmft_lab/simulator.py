@@ -28,11 +28,6 @@ from .priors import PriorSpec, SmoothHinge, gradient_map_G
 _STREAM_BROWNIAN = 201
 _STREAM_PROBES = 202
 
-# Brownian increments are drawn this many steps at a time: the stream's order,
-# so the bits of one draw per step. One (steps, d) draw raised the benchmark's
-# peak RSS by its size.
-_INCR_BLOCK = 8
-
 RESPONSE_METHODS = ("exact-product", "probe")
 
 
@@ -72,33 +67,31 @@ def evolve(
     alpha = prior.alpha.copy()
     rng_b = component_rng(seed, _STREAM_BROWNIAN)
 
-    kept = list(range(0, T + 1, retain_every))
-    theta_path = np.empty((len(kept), params.d))
-    alpha_path = np.empty((len(kept), K))
-    residual_path = np.empty((len(kept), params.n))
-    keep_pos = {t: i for i, t in enumerate(kept)}
+    kept = T // retain_every + 1
+    theta_path = np.empty((kept, params.d))
+    alpha_path = np.empty((kept, K))
+    residual_path = np.empty((kept, params.n))
 
     # X^T (X theta - y) = gram theta - xty: one d x d product per step, not two n x d.
     gram, xty = X.T @ X, X.T @ y
     for t in range(T + 1):
         check_divergence(theta @ theta / params.d, scale2, t)
-        if t in keep_pos:
-            i = keep_pos[t]
+        if t % retain_every == 0:
+            i = t // retain_every
             theta_path[i] = theta
             alpha_path[i] = alpha
             residual_path[i] = X @ theta - y
         if t == T:
             break
         drift = -beta * (gram @ theta - xty) + prior.family.drift_s(theta, alpha)
-        if t % _INCR_BLOCK == 0:
-            incr = rng_b.normal(0.0, np.sqrt(gamma), size=(min(_INCR_BLOCK, T - t), params.d))
-        new_theta = theta + gamma * drift + np.sqrt(2.0) * incr[t % _INCR_BLOCK]
+        incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
+        new_theta = theta + gamma * drift + np.sqrt(2.0) * incr
         if K:
             alpha = alpha + gamma * gradient_map_G(alpha, theta, prior.family, regularizer)
         theta = new_theta
 
     return Trajectory(
-        times=gamma * np.asarray(kept, dtype=float),
+        times=gamma * np.arange(0, T + 1, retain_every, dtype=float),
         theta_path=theta_path,
         alpha_path=alpha_path,
         residual_path=residual_path,

@@ -281,7 +281,6 @@ def test_criterion_12_reproducibility(tmp_path):
         "prior": {"family": "gaussian_fixed", "lam": 1.0},
         "replicas": 3,
         "n_paths": 400,
-        "quad_nodes": 128,
         "retain_every": 2,
     }
     blobs = {}

@@ -38,6 +38,41 @@ def test_every_workload_run_config_loads(name):
         assert cli.load_config(raw).pipeline == raw["pipeline"], label
 
 
+_TOLERANCE = "an input of a compare, which names what it checks"
+# Every `cli._TABLE` key that no shipped run sets to a value other than its
+# default, with the reason it stays. A key with neither goes from the table.
+NO_TRAFFIC = {
+    "out": "set for each invocation; the benchmark passes it as an override",
+    "threads": "set for each invocation; the benchmark passes it as an override",
+    "response_budget_bytes": "a memory cap that depends on the machine, refused before allocation",
+    "design": "the Rademacher design stays until its universality check against the oracle",
+    "response_method": "probe mode stays: closed_forms.probe_se_calibration checks its standard errors",
+    "n_probes": "probe mode stays: closed_forms.probe_se_calibration checks its standard errors",
+    "regularizer.D": "the adaptive mixture's hinge on alpha, kept for a config that sets it",
+    "regularizer.eps": "the adaptive mixture's hinge on alpha, kept for a config that sets it",
+    "compare.marginal_times": _TOLERANCE,
+    **{f"compare.tolerances.{k}": _TOLERANCE for k in ("c_theta", "c_theta_star", "c_star_star", "r_theta", "r_eta_star")},
+}
+
+
+def test_every_table_key_has_traffic_or_a_reason():
+    # A key has traffic when a config of configs/ or a workload run sets it to
+    # a value other than its default (compared as JSON, so a tuple default
+    # equals the array that gives it).
+    raws = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
+    raws += [raw for workload in WORKLOADS.values() for _, raw in workload.runs(ROOT)]
+    idle = set()
+    for section, keys in cli._TABLE.items():
+        for key, (_, _, default) in keys.items():
+            default = json.loads(json.dumps(default))
+            given = [cli._sections(raw).get(section, {}) for raw in raws]
+            if not any(key in values and values[key] != default for values in given):
+                idle.add(f"{section}.{key}".lstrip("."))
+    unreasoned, stale = sorted(idle - NO_TRAFFIC.keys()), sorted(NO_TRAFFIC.keys() - idle)
+    assert not unreasoned, f"keys that no shipped run sets, without a reason: {unreasoned}"
+    assert not stale, f"reasons for keys that runs set or the table no longer has: {stale}"
+
+
 def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_path):
     tracing = _benchmark_module("tracing")
     tracer = tracing.Tracer("test")
@@ -52,7 +87,7 @@ def test_tracer_hooks_count_a_mixture_compare_and_an_exp_family_equilibrium(tmp_
         "pipeline": "equilibrium",
         "equilibrium": {
             "g_star": {"family": "exp_family", "powers": [2, 4], "alpha0": [-0.5, -0.1]},
-            "delta": 2.0, "sigma2": 1.0, "n_gh": 2, "tol": 1e-6,
+            "delta": 2.0, "sigma2": 1.0, "n_gh": 2,
         },
     }
     # the oracle-grid workload's path: two written tables, then cli.compare_artifacts

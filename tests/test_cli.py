@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmft_lab import cli, simulator
+from dmft_lab import cli, dmft, mp_oracle, simulator
 from dmft_lab.cli import ConfigError, compare_artifacts, load_artifact, load_config, run
+from dmft_lab.kernels import compare_tables
 from dmft_lab.model import sample_instance
 
 SMALL_MODEL = {"n": 60, "d": 30, "sigma2": 1.0, "beta": 1.0, "gamma": 0.05, "horizon": 0.5}
@@ -23,7 +24,6 @@ def small_config(pipeline, **extra):
         "prior": {"family": "gaussian_fixed", "lam": 1.0},
         "replicas": 3,
         "n_paths": 400,
-        "quad_nodes": 200,
         "retain_every": 2,
     }
     cfg.update(extra)
@@ -74,7 +74,7 @@ def test_rerun_is_byte_identical_across_threads(tmp_path):
 def test_equilibrium_file_keeps_the_residual_trace(tmp_path):
     # The matched exp family reaches the shift-invariant channel sums in every sweep.
     g_star = {"family": "exp_family", "powers": [2, 4], "alpha0": [-0.5, -0.1]}
-    cfg = _equilibrium(g_star=g_star, n_gh=8, tol=1e-10)
+    cfg = _equilibrium(g_star=g_star, n_gh=8)
     files = []
     for threads in (1, 3):
         assert run(cfg, out=str(tmp_path / str(threads)), threads=threads) == 0
@@ -82,7 +82,7 @@ def test_equilibrium_file_keeps_the_residual_trace(tmp_path):
     assert files[0] == files[1]
     sol = json.loads(files[0])
     assert len(sol["residual_trace"]) == sol["sweeps"] > 1
-    assert sol["residual_trace"][-1] <= cfg["equilibrium"]["tol"] < sol["residual_trace"][-2]
+    assert sol["residual_trace"][-1] <= 1e-10 < sol["residual_trace"][-2]  # solve_fixed_point's default tol
 
 
 def test_simulate_applies_the_regularizer(tmp_path):
@@ -363,11 +363,11 @@ def _config_error(cfg) -> str:
 
 def test_misspelled_tolerance_and_stray_keys_exit_2(tmp_path):
     cfg = _gaussian_default(tmp_path, tolerances={"c_etaa": 1e-12})
-    cfg.update(quad_node=400, retain_evry=10)
+    cfg.update(replica=20, retain_evry=10)
     assert run(cfg) == 2
     msg = _config_error(cfg)
     assert "compare.tolerances.c_etaa: unknown key (did you mean 'c_eta'?)" in msg
-    assert "quad_node: unknown key (did you mean 'quad_nodes'?)" in msg
+    assert "replica: unknown key (did you mean 'replicas'?)" in msg
     assert "retain_evry: unknown key (did you mean 'retain_every'?)" in msg
 
 
@@ -465,8 +465,11 @@ def _equilibrium(**values):
         # a dict is a whole config, whose compare times stay as they are
         (small_config("simulate", design="sobol"), None, "design: must be one of ('gaussian', 'rademacher')"),
         (small_config("simulate", response_steps=[0, 4], response_method="hutch"), None, "response_method: must be one of"),
-        (small_config("oracle", quad_nodes=4), None, "quad_nodes: must be >= 8 for an oracle source"),
-        (small_config("compare", compare=dict(ORACLE_COMPARE), quad_nodes=4), None, "quad_nodes: must be >= 8"),
+        # a key that no shipped run set, since removed: the oracle takes 400 nodes
+        (small_config("oracle", quad_nodes=400), None, "quad_nodes: unknown key"),
+        # a compare needs two routes
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["oracle"])), None,
+         "compare.sources: must be two different routes of simulate|dmft|dmft-linear|oracle, got ['oracle']"),
         (small_config("simulate", response_steps=[0, 4], response_method="probe", n_probes=1), None, "n_probes: must be >= 2"),
         (small_config("simulate", response_steps=[0, 11]), None, "response_steps: [11] outside 0..10"),
         (small_config("simulate", response_steps=[0, 4], prior=MIXTURE), None, "theta-dependent prior needs retain_every = 1"),
@@ -496,7 +499,9 @@ def _equilibrium(**values):
         (small_config("simulate", replicas="3"), None, "replicas: must be an integer, got '3'"),
         (small_config("simulate", replicas=True), None, "replicas: must be an integer, got True"),
         (small_config("simulate", retain_every="2"), None, "retain_every: must be an integer, got '2'"),
-        (small_config("oracle", quad_nodes="x"), None, "quad_nodes: must be an integer, got 'x'"),
+        # a route that does not exist
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["oracle", "dmft_linear"])), None,
+         "compare.sources: must be two different routes of"),
         (small_config("simulate", threads="x"), None, "threads: must be an integer, got 'x'"),
         # equilibrium values that solve_fixed_point would refuse or truncate
         (_equilibrium(n_gh="x"), None, "equilibrium.n_gh: must be an integer >= 1, got 'x'"),
@@ -504,12 +509,14 @@ def _equilibrium(**values):
         (_equilibrium(n_gh=2.5), None, "equilibrium.n_gh: must be an integer >= 1, got 2.5"),
         (_equilibrium(delta="two"), None, "equilibrium.delta: must be a number > 0, got 'two'"),
         (_equilibrium(delta=-1), None, "equilibrium.delta: must be a number > 0, got -1"),
-        (_equilibrium(tol="x"), None, "equilibrium.tol: must be a number >= 0, got 'x'"),
+        # a key that no shipped run set, since removed: the fixed point stops at tol 1e-10
+        (_equilibrium(tol=1e-6), None, "equilibrium.tol: unknown key"),
         (_equilibrium(sweep_sigma2=["a"]), None, "equilibrium.sweep_sigma2: must be an array of numbers > 0"),
         # values and objects that used to be checked or built only once the run started
         (small_config("simulate", regularizer={"D": "x"}), None, "regularizer.D: must be a number, got 'x'"),
         (small_config("dmft", regularizer={"eps": "x"}), None, "regularizer.eps: must be a number, got 'x'"),
-        (small_config("oracle", tau_star2=-1), None, "tau_star2: must be a number > 0, got -1"),
+        # a key that no shipped run set, since removed: the closed forms model the prior's own theta_star
+        (small_config("oracle", tau_star2=0.5), None, "tau_star2: unknown key"),
         (small_config("simulate", theta0={"kind": "zero", "var": 1.0}), None, "theta0.var: unknown key"),
         (small_config("simulate", theta0={"kind": "gaussian"}), None,
          "theta0.kind: must be one of ('zero', 'prior', 'star'), got 'gaussian'"),
@@ -534,10 +541,12 @@ def _equilibrium(**values):
         (small_config("simulate", regularizer={"D": float("nan")}), None, "config: non-finite number NaN"),
         (json.dumps(small_config("simulate", regularizer={"D": 1.5})).replace("1.5", "1e999").encode(), None,
          "non-finite number 1e999"),
+        # a compare of a route with itself checks nothing: both runs write the same table
+        (small_config("compare", prior=LOCATION, compare=dict(W2_COMPARE, sources=["dmft", "dmft"])), None,
+         "compare.sources: must be two different routes of simulate|dmft|dmft-linear|oracle, got ['dmft', 'dmft']"),
+        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["oracle", "oracle"])), None,
+         "compare.sources: must be two different routes of simulate|dmft|dmft-linear|oracle, got ['oracle', 'oracle']"),
         # sources that would ignore a value of the config
-        (small_config("dmft", tau_star2=0.5), None, "tau_star2: only dmft-linear and oracle read it, not dmft"),
-        (small_config("compare", compare=dict(ORACLE_COMPARE, sources=["simulate", "oracle"]), tau_star2=0.5), None,
-         "tau_star2: only dmft-linear and oracle read it, not simulate"),
         (small_config("dmft-linear", theta0={"kind": "prior"}), None,
          "theta0.kind: dmft-linear assumes theta0 = 0, got 'prior'"),
         (_equilibrium(g_star={"family": "gaussian_location", "alpha0": [0.0], "alpha_star": [3.0]}), None,
@@ -568,13 +577,9 @@ def _equilibrium(**values):
         # under a w2 tolerance every marginal time is checked, also beside a kernel tolerance
         (small_config("compare", prior=LOCATION, compare=dict(W2_COMPARE, marginal_times=[0.55])), None,
          "compare.marginal_times: [0.55] not on the grid 0, 0.1, ..., 0.5 that simulate retains (retain_every = 2)"),
-        (
-            small_config(
-                "compare", prior=LOCATION, compare=dict(W2_COMPARE, sources=["dmft", "dmft"], marginal_times=[0.5, 0.33])
-            ),
-            None,
-            "compare.marginal_times: [0.33] not on the grid 0, 0.05, ..., 0.5",
-        ),
+        # on the step grid of dmft, but not on the grid simulate retains
+        (small_config("compare", prior=LOCATION, compare=dict(W2_COMPARE, marginal_times=[0.5, 0.05])), None,
+         "compare.marginal_times: [0.05] not on the grid 0, 0.1, ..., 0.5 that simulate retains (retain_every = 2)"),
         # a closed-form source draws no marginals, so a w2 tolerance beside it would check nothing
         (
             small_config(
@@ -738,19 +743,22 @@ def test_budget_one_byte_below_the_packed_triangle_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_closed_forms_honor_tau_star2(tmp_path):
-    # Both closed-form sources solve the misspecified system theta_star ~ N(0, 0.5), lam = 1.
-    cfg = dict(_gaussian_default(tmp_path), tau_star2=0.5)
-    assert run(cfg) == 0
-    for name in ("kernels_oracle.csv", "kernels_dmft-linear.csv"):
-        assert cli.read_table_csv(tmp_path / "out" / name).c_star_star == 0.5
+def test_closed_forms_honor_tau_star2():
+    # Both closed forms solve the misspecified system theta_star ~ N(0, 0.5), lam = 1,
+    # and agree within gaussian_default's tolerances at its nine times.
+    cfg = load_config(_shipped("gaussian_default.json"))
+    model, compare = cfg.model, cfg.compare
+    oracle = mp_oracle.OracleParams(lam=1.0, sigma2=model.sigma2, delta=model.delta, tau_star2=0.5)
+    closed = mp_oracle.oracle_table(np.asarray(compare["times"]), oracle, mp_oracle.mp_quadrature(model.delta))
+    linear = dmft.linear_gaussian_dmft(model, 1.0, 0.5)
+    assert closed.c_star_star == linear.c_star_star == 0.5
+    assert compare_tables(closed, linear, compare["tolerances"], compare["times"]).passed
 
 
-def test_sigma2_sweep_uses_the_configured_tol(tmp_path):
-    # A loose tol stops the iteration early; the sweep row at the config's own
-    # sigma2 is the same solve, so it matches equilibrium.json bit for bit.
+def test_sigma2_sweep_row_matches_equilibrium_json_bit_for_bit(tmp_path):
+    # The sweep row at the config's own sigma2 is the same solve.
     g = {"family": "gaussian_fixed", "lam": 0.5}
-    assert run(_equilibrium(g=g, tol=1e-3, sweep_sigma2=[0.5, 1.0]), out=str(tmp_path)) == 0
+    assert run(_equilibrium(g=g, sweep_sigma2=[0.5, 1.0]), out=str(tmp_path)) == 0
     sol = json.loads((tmp_path / "equilibrium.json").read_text())
     header, *rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()]
     row = dict(zip(header, map(float, next(r for r in rows if float(r[0]) == 1.0))))
@@ -770,7 +778,7 @@ COMPARE_CASES = [
     ({"sources": ["oracle", "dmft-linear"], "tolerances": {"r_eta": 0.1}, "times": [0.5]}, {}, False),
     ({"sources": ["oracle", "dmft-linear"], "tolerances": {"default": None, "c_eta": None}}, {}, False),
     ({"sources": ["simulate", "dmft"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, False),
-    ({"sources": ["dmft", "dmft"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, True),
+    ({"sources": ["simulate", "dmft"], "tolerances": {"w2": 1.0}, "marginal_times": [0.2]}, {}, True),
     ({"sources": ["dmft", "dmft-linear"], "tolerances": {"w2": 1.0}, "marginal_times": [0.25]}, {}, False),
 ]
 
@@ -784,9 +792,8 @@ def test_load_config_knows_whether_a_compare_checks_anything(tmp_path, monkeypat
         assert not (tmp_path / "out").exists()
     # The refusal must agree with the report the compare would have written.
     monkeypatch.setattr(cli, "_compare_checks_something", lambda cfg: None)
-    loaded = load_config(cfg)
-    loaded.out_dir.mkdir()
-    report = cli._run_compare(loaded)
+    assert run(cfg) in (0, 1)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
     kernel_checked = any(k["tolerance"] is not None for k in report["kernels"])
     w2_checked = report["w2_tolerance"] is not None and bool(report["w2_marginals"])
     assert (kernel_checked or w2_checked) == checks
