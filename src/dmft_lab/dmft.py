@@ -29,7 +29,7 @@ _STREAM_U = 103
 _STREAM_BROWNIAN = 104
 
 _DEFAULT_RESPONSE_BUDGET = 2 * 1024**3  # bytes for the per-path response array
-_ROW_BLOCK = 8  # per-path response rows widened to float64 at a time
+_ROW_BLOCK = 32  # per-path response rows widened to float64 at a time
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -158,29 +158,39 @@ def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
     v[t + 1, t] = 1.0
 
 
-def _packed_row(r: int) -> int:
-    """Offset of row r of a packed strict lower triangle, which holds s < r."""
-    return r * (r - 1) // 2
+def _column_starts(steps: int) -> np.ndarray:
+    """Offsets of the columns s = 0..steps of the column-packed strict lower
+    triangle of a (steps+1)-square, in which column s holds rows s+1..steps:
+    entry (r, s) sits at starts[s] + r - s - 1, and starts[steps] is the
+    number of entries, steps(steps+1)/2."""
+    s = np.arange(steps + 1)
+    return s * steps - s * (s - 1) // 2
 
 
-def _response_rows_paths(t, v, coeff, gamma, r_eta_raw_row, scratch):
-    """Per-path variant on the packed strict lower triangle: v has shape
-    (steps*(steps+1)/2, paths) and holds row r (s < r) at _packed_row(r);
-    coeff (paths,); scratch a (steps, paths) float32 buffer.
+def _row_index(starts: np.ndarray, r: int) -> np.ndarray:
+    """Where the entries (r, 0..r-1) of row r sit in the column-packed triangle."""
+    return starts[:r] + (r - 1 - np.arange(r))
 
-    The memory sum over r = 1..t-1 accumulates in float32 into row t+1, row r
-    at a time and only over the columns s < r it carries. The zero upper
-    triangle adds nothing, so the bits are those of einsum("r,rsp->sp") over
-    the full (r, s, path) slab."""
-    new = v[_packed_row(t + 1) : _packed_row(t + 2)]
-    if t > 0:
-        w = r_eta_raw_row.astype(np.float32)
-        for r in range(1, t):
-            np.multiply(v[_packed_row(r) : _packed_row(r + 1)], w[r], out=scratch[:r])
-            new[:r] += scratch[:r]
-        new[:t] *= np.float32(gamma)
-        new[:t] += np.multiply(v[_packed_row(t) : _packed_row(t + 1)], coeff, out=scratch[:t])
+
+def _response_rows_paths(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch):
+    """Per-path variant on the column-packed strict lower triangle: v has
+    shape (steps(steps+1)/2, paths) with column s from starts[s]
+    (_column_starts); row (t, paths) holds row t of v, gathered, and is
+    overwritten; coeff (paths,); scratch a (steps, paths) float32 buffer.
+    Row t+1 is formed in scratch and scattered into its columns.
+
+    The memory sum for entry (t+1, s) over r = s+1..t-1 is one float32
+    einsum along the contiguous stretch of column s, added in r order and
+    kept off BLAS. The zero upper triangle adds nothing, so the bits are
+    those of einsum("r,rsp->sp") over the full (r, s, path) slab."""
+    new = scratch[: t + 1]
+    w = r_eta_raw_row.astype(np.float32)
+    for s in range(t):
+        np.einsum("r,rp->p", w[s + 1 : t], v[starts[s] : starts[s] + t - 1 - s], out=new[s])
+    new[:t] *= np.float32(gamma)
+    new[:t] += np.multiply(row, coeff, out=row)
     new[t] = 1.0
+    v[_row_index(starts, t + 1)] = new
 
 
 @dataclass
@@ -194,9 +204,10 @@ class DmftResult:
 
 def _row_blocks(n: int):
     """(start, stop) ranges of _ROW_BLOCK rows covering range(n): the blocks
-    in which a per-path float32 response row is widened to float64 for its
-    mean and std. Both reduce each row on its own, so a block's height does
-    not change a bit."""
+    in which a per-path float32 response row, gathered from its columns into
+    a (steps, paths) buffer, is widened to float64 for its mean and std. Both
+    reduce each entry's paths on their own, so a block's height does not
+    change a bit."""
     return [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
 
 
@@ -218,8 +229,9 @@ def _corr_stderr(paths: np.ndarray, c_theta: np.ndarray, sq: np.ndarray) -> np.n
 def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
     """Why a per-path response array of n_steps(n_steps+1)/2 float32 entries
     per path (the packed strict lower triangle) would exceed the budget, or
-    None when it fits."""
-    per_path = _packed_row(n_steps + 1) * 4
+    None when it fits. The two (n_steps, paths) float32 buffers of the
+    recursion are not counted."""
+    per_path = n_steps * (n_steps + 1) // 2 * 4
     if n_paths * per_path <= budget_bytes:
         return None
     return (
@@ -250,16 +262,19 @@ def solve_dmft(
     thread count. Row t of c_theta is one einsum over the (t+1, paths) slab.
     The loop never reads the c_theta standard errors, so they are formed after
     it, from squares of the paths written into the innovation buffer, which is
-    dead by then: no third (steps+1, paths) array exists. Per-path response
-    rows are widened to float64 a few rows at a time.
+    dead by then: no third (steps+1, paths) array exists.
 
     A prior with theta-dependent curvature carries one response recursion per
-    path. It is stored as the packed strict lower triangle, one float32
-    (steps(steps+1)/2, paths) array with row r (entries s < r) at offset
-    r(r-1)/2, and `response_budget_bytes` bounds that array: 2 GiB fits
-    20000 paths at 200 steps. The memory term adds only the stored entries,
-    in the order and precision of one float32 einsum over the full square, so
-    the packing does not change a bit.
+    path. It is stored column-packed as the strict lower triangle, one float32
+    (steps(steps+1)/2, paths) array in which column s (rows r > s) is
+    contiguous (_column_starts), and `response_budget_bytes` bounds that
+    array: 2 GiB fits 20000 paths at 200 steps. Each step gathers row t once
+    into a (steps, paths) float32 buffer, which feeds both the r_theta means
+    and SEs, widened to float64 _ROW_BLOCK rows at a time, and the new row's
+    coefficient term. The memory term adds only the stored entries, in the
+    order and precision of one float32 einsum over the full square, so the
+    packing does not change a bit. A mixture prior's drift, curvature and
+    alpha-gradient of a step share one responsibilities pass (family.at).
     """
     if n_paths < 100:
         raise ValueError("n_paths must be >= 100")
@@ -274,7 +289,9 @@ def solve_dmft(
         error = _response_budget_error(P, T, response_budget_bytes)
         if error:
             raise MemoryBudgetError(error)
-        v_resp = np.zeros((_packed_row(T + 1), P), dtype=np.float32)
+        starts = _column_starts(T)
+        v_resp = np.zeros((starts[T], P), dtype=np.float32)
+        resp_row = np.empty((T, P), dtype=np.float32)  # row t, gathered from its columns
         resp_scratch = np.empty((T, P), dtype=np.float32)
     else:
         v_resp = np.zeros((T + 1, T + 1))
@@ -316,7 +333,7 @@ def solve_dmft(
         c_theta_star_se[t] = star_prod.std() / sqP
         if t > 0:
             if per_path:
-                row_t = v_resp[_packed_row(t) : _packed_row(t + 1)]
+                row_t = np.take(v_resp, _row_index(starts, t), axis=0, out=resp_row[:t], mode="clip")
                 for lo, hi in _row_blocks(t):
                     rows = row_t[lo:hi].astype(np.float64)
                     r_theta_raw[t, lo:hi] = gamma * rows.mean(axis=1)
@@ -337,23 +354,24 @@ def solve_dmft(
         u_t = (a @ z_innov[:t] if t else 0.0) + sd * z_innov[t]
 
         # Response rows t+1 (chain rule through the theta recursion).
+        family = prior.family.at(th_t, alpha[t])
         if per_path:
-            ds = prior.family.dtheta_drift_s(th_t, alpha[t]).astype(np.float32)
+            ds = family.dtheta_drift_s(th_t, alpha[t]).astype(np.float32)
             coeff = np.float32(1.0) + np.float32(gamma) * (np.float32(-delta * beta) + ds)
-            _response_rows_paths(t, v_resp, coeff, gamma, r_eta_row, resp_scratch)
+            _response_rows_paths(t, v_resp, starts, resp_row[:t], coeff, gamma, r_eta_row, resp_scratch)
         else:
             coeff = 1.0 + gamma * (-delta * beta + curvature)
             _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)
 
         # theta step: drift + memory + field + Brownian increment.
-        drift = -delta * beta * (th_t - theta_star) + prior.family.drift_s(th_t, alpha[t])
+        drift = -delta * beta * (th_t - theta_star) + family.drift_s(th_t, alpha[t])
         if t > 0:
             drift = drift + (r_eta_row @ paths[:t] - theta_star * r_eta_row.sum())
         paths[t + 1] = (
             th_t + gamma * (drift + u_t) + np.sqrt(2.0) * rng_b.normal(0.0, np.sqrt(gamma), size=P)
         )
         if K:
-            alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, prior.family, regularizer)
+            alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, family, regularizer)
 
     c_theta_se = _corr_stderr(paths, c_theta, z_innov)
     times = gamma * np.arange(T + 1)

@@ -140,10 +140,11 @@ def _write_section(fh, grid: np.ndarray, se, labels: np.ndarray) -> None:
 
 def read_table_csv(path) -> KernelTable:
     """Read a table in the CSV layout (module docstring) and refuse any
-    other; a missing final newline marks a truncated write. Each line is
-    tested once, for a leading '#'; the entries between markers are parsed by
+    other; a missing final newline marks a truncated write. The next section's
+    marker line is found by `list.index`; the entries before it are parsed by
     numpy's C reader `_BLOCK` lines at a time and put into their grid at once.
-    A label that is not a grid index, or -1 on an absent axis, raises."""
+    No line is looked at on its own unless the reader refuses or skips one. A
+    label that is not a grid index, or -1 on an absent axis, raises."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != _HEADER:
@@ -158,18 +159,23 @@ def read_table_csv(path) -> KernelTable:
         grids = {name: np.full((times.size,) * axes, np.nan) for name, axes in _AXES.items()}
         stderr = {}
         names = chain(_AXES, map("alpha_{}".format, count()))  # the sections, in order
-        name = None  # of the current section
+        name, following = None, next(names)  # the current section and the next
         while lines := list(islice(fh, _BLOCK)):
             if not lines[-1].endswith("\n"):
                 raise ValueError("the CSV has no final newline: a truncated write")
-            # markers start with '#'; the marker check refuses a blank line
-            breaks = [i for i, line in enumerate(lines) if line[0] in "#\n"]
             start = 0
-            for stop in breaks + [len(lines)]:
+            while start < len(lines):
+                marker = f"# kernel: {following}\n"
+                try:
+                    stop = lines.index(marker, start)
+                except ValueError:
+                    stop = len(lines)
                 if stop > start:
+                    block = lines[start:stop]
                     if name is None:
-                        raise ValueError(f"entry before any '# kernel:' line: {lines[start].strip()!r}")
-                    rows = _parse_block(lines[start:stop], name)
+                        _refuse_misplaced(block, marker)
+                        raise ValueError(f"entry before any '# kernel:' line: {block[0].strip()!r}")
+                    rows = _parse_block(block, name, marker)
                     if not entries and rows.shape[1] == 4:
                         stderr[name] = np.full(grid.shape, np.nan)
                     if (name in stderr) != (rows.shape[1] == 4):
@@ -183,34 +189,49 @@ def read_table_csv(path) -> KernelTable:
                     if name in stderr:
                         stderr[name][at] = rows[..., 3]
                 if stop < len(lines):
-                    name = next(names)
-                    if lines[stop] != f"# kernel: {name}\n":
-                        raise ValueError(f"expected '# kernel: {name}', got {lines[stop].strip()!r}")
+                    name, following = following, next(names)
                     if name not in grids:  # an alpha column
                         grids[name] = np.full(times.size, np.nan)
                     grid, entries = grids[name], 0
                 start = stop + 1
-    if (missing := next(names)) in grids:
-        raise ValueError(f"the CSV ends before the '# kernel: {missing}' section")
+    if following in grids:
+        raise ValueError(f"the CSV ends before the '# kernel: {following}' section")
     alpha = [grids.pop(f"alpha_{k}") for k in range(len(grids) - len(_AXES))]
     grids["c_star_star"] = float(grids["c_star_star"])
     grids["alpha"] = np.stack(alpha, axis=1) if alpha else None
     return KernelTable(times, float(meta["gamma"]), meta["source"], stderr=stderr, **grids)
 
 
-def _parse_block(lines: list, name: str) -> np.ndarray:
+def _parse_block(lines: list, name: str, marker: str) -> np.ndarray:
     """(entries, 3) rows t, s, value of a block of entry lines without a
     stderr, or (entries, 4) rows of one in which every line has one; numpy's
-    reader refuses a block whose lines differ in their number of fields."""
+    reader refuses a block whose lines differ in their number of fields. It
+    also refuses a line that starts with '#' and skips a blank one; either
+    stands where `marker`, the next section's line, was expected. A block
+    that starts with a blank line is refused before the reader, which would
+    warn of one that holds nothing else."""
+    if lines[0] == "\n":
+        _refuse_misplaced(lines, marker)
     try:
         rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
+        _refuse_misplaced(lines, marker)
         if len({line.count(",") for line in lines}) > 1:
             raise ValueError(f"kernel {name}: entries with and without a stderr") from err
         raise
+    if len(rows) < len(lines):
+        _refuse_misplaced(lines, marker)
     if rows.shape[1] not in (3, 4):
         raise ValueError(f"kernel {name}: an entry has {rows.shape[1]} fields, not 3 or 4")
     return rows
+
+
+def _refuse_misplaced(lines: list, marker: str) -> None:
+    """Raise at the first line that starts with '#' or is blank: a marker
+    line, but not `marker`, the one expected next."""
+    for line in lines:
+        if line[0] in "#\n":
+            raise ValueError(f"expected {marker.strip()!r}, got {line.strip()!r}")
 
 
 def _grid_index(labels: np.ndarray, size: int, kernel: str) -> np.ndarray:

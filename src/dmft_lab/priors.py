@@ -48,6 +48,7 @@ class PriorFamily:
     A family defines log_g, drift_s = d/dtheta log g, dtheta_drift_s, the K
     columns of grad_alpha log g (_grad_alpha_columns, which grad_alpha_log_g
     stacks), sample(alpha, rng, size) and second_moment(alpha) = E[theta^2].
+    A Monte Carlo step calls the first three through at(theta, alpha).
     """
 
     dim_alpha: int = 0
@@ -60,6 +61,12 @@ class PriorFamily:
     def theta_curvature_constant(self, alpha) -> Optional[float]:
         """Return d/dtheta s when it does not depend on theta, else None."""
         return None
+
+    def at(self, theta, alpha):
+        """The family's evaluators for one step at (theta, alpha): drift_s,
+        dtheta_drift_s and the alpha-gradient columns that gradient_map_G
+        averages. The family itself, unless they share work there."""
+        return self
 
 
 class GaussianMixture(PriorFamily):
@@ -126,18 +133,27 @@ class GaussianMixture(PriorFamily):
         top, _, total = self._shifted_exp(self._log_weights(theta, alpha)[1])
         return top + np.log(total)
 
+    def at(self, theta, alpha=None):
+        """Several components share one responsibilities pass (_MixtureStep);
+        a single component has none to share."""
+        return self if self.omega.size == 1 else _MixtureStep(self, theta, alpha)
+
     def drift_s(self, theta, alpha=None):
         if self.omega.size == 1:  # -omega (theta - m), without the responsibility column
             # + 0.0 reads m = -0.0 as +0.0: the mixture formula's sum never ends at -0.0
             s = np.subtract(self.components(alpha)[1].item(0) + 0.0, theta, dtype=float)
             s *= self.omega.item(0)
             return s
-        diff, r = self._responsibilities(theta, alpha)
+        return self._drift_columns(*self._responsibilities(theta, alpha))
+
+    def _drift_columns(self, diff, r):
         terms = [r_k * w_k * -d_k for r_k, w_k, d_k in zip(r, self.omega.tolist(), diff)]
         return sum(terms, 0.0)
 
     def dtheta_drift_s(self, theta, alpha=None):
-        diff, r = self._responsibilities(theta, alpha)
+        return self._curvature_columns(*self._responsibilities(theta, alpha))
+
+    def _curvature_columns(self, diff, r):
         omega = self.omega.tolist()
         v = [w_k * -d_k for w_k, d_k in zip(omega, diff)]
         rv = [r_k * v_k for r_k, v_k in zip(r, v)]
@@ -163,6 +179,26 @@ class GaussianMixture(PriorFamily):
     def theta_curvature_constant(self, alpha=None):
         """-p for a single component, whose score is linear in theta."""
         return -float(self.omega[0]) if self.omega.size == 1 else None
+
+
+class _MixtureStep(PriorFamily):
+    """A mixture of several components at one (theta, alpha): drift_s,
+    dtheta_drift_s and the alpha-gradient columns all read the (diff, r)
+    columns of one responsibilities pass, made here. They must be called at
+    that theta and alpha, which they do not read again."""
+
+    def __init__(self, mixture: GaussianMixture, theta, alpha):
+        self.mixture, self.dim_alpha = mixture, mixture.dim_alpha
+        self.columns = mixture._responsibilities(theta, alpha)
+
+    def drift_s(self, theta, alpha=None):
+        return self.mixture._drift_columns(*self.columns)
+
+    def dtheta_drift_s(self, theta, alpha=None):
+        return self.mixture._curvature_columns(*self.columns)
+
+    def _grad_alpha_columns(self, theta, alpha=None):
+        return self.mixture._alpha_score_columns(*self.columns)
 
 
 class GaussianFixed(GaussianMixture):

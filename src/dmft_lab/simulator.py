@@ -83,11 +83,12 @@ def evolve(
             residual_path[i] = X @ theta - y
         if t == T:
             break
-        drift = -beta * (gram @ theta - xty) + prior.family.drift_s(theta, alpha)
+        family = prior.family.at(theta, alpha)
+        drift = -beta * (gram @ theta - xty) + family.drift_s(theta, alpha)
         incr = rng_b.normal(0.0, np.sqrt(gamma), size=params.d)
         new_theta = theta + gamma * drift + np.sqrt(2.0) * incr
         if K:
-            alpha = alpha + gamma * gradient_map_G(alpha, theta, prior.family, regularizer)
+            alpha = alpha + gamma * gradient_map_G(alpha, theta, family, regularizer)
         theta = new_theta
 
     return Trajectory(

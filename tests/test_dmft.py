@@ -310,11 +310,12 @@ def test_memory_budget_is_the_packed_triangle():
 def test_packed_response_has_the_full_tensor_bits(monkeypatch):
     # Replay the full (T+1, T+1, P) recursion, memory term one float32 einsum
     # over the square slab, from the coefficients and r_eta rows each step was
-    # given. Every packed row, and the r_theta means and SEs widened from it,
-    # must carry the bits of the full tensor. T = 20 reaches the rows of 9 and
-    # 17 entries, widened in blocks of 8 and a one-row tail; P is above
-    # numpy's 8192-element iterator buffer.
-    params = small_params(horizon=1.0)
+    # given. Every column of the column-packed triangle, and the r_theta means
+    # and SEs widened from the rows gathered out of it, must carry the bits of
+    # the full tensor. T = 34 reaches the row of 33 entries, widened in one
+    # block of 32 and a one-row tail; P is above numpy's 8192-element
+    # iterator buffer.
+    params = small_params(horizon=1.7)
     prior = PriorSpec(
         GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0],
         theta0=Theta0Spec("prior"),
@@ -322,14 +323,15 @@ def test_packed_response_has_the_full_tensor_bits(monkeypatch):
     steps, arrays = [], []
     step = dmft._response_rows_paths
 
-    def spy(t, v, coeff, gamma, r_eta_raw_row, scratch):
+    def spy(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch):
         steps.append((t, coeff.copy(), r_eta_raw_row.copy()))
         arrays.append(v)
-        step(t, v, coeff, gamma, r_eta_raw_row, scratch)
+        step(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch)
 
     monkeypatch.setattr(dmft, "_response_rows_paths", spy)
     res = solve_dmft(params, prior, n_paths=9000, seed=3)
     T, P, gamma = params.n_steps, 9000, params.gamma_step
+    assert T == 34 and dmft._ROW_BLOCK == 32
     assert [t for t, _, _ in steps] == list(range(T))
 
     full = np.zeros((T + 1, T + 1, P), dtype=np.float32)
@@ -341,8 +343,10 @@ def test_packed_response_has_the_full_tensor_bits(monkeypatch):
     v = arrays[-1]
     assert all(a is v for a in arrays)
     assert v.shape == (T * (T + 1) // 2, P)
-    for r in range(1, T + 1):
-        assert v[r * (r - 1) // 2 : r * (r + 1) // 2].tobytes() == full[r, :r].tobytes(), r
+    start = 0
+    for s in range(T):  # column s holds rows s+1..T
+        assert v[start : start + T - s].tobytes() == full[s + 1 :, s].tobytes(), s
+        start += T - s
 
     r_theta, se = np.zeros((T + 1, T + 1)), np.zeros((T + 1, T + 1))
     for t in range(1, T + 1):

@@ -318,11 +318,17 @@ def _swapped(lines, a, b):
     return out
 
 
+def _with_a_blank_c_star_star_entry(lines):
+    at = lines.index("# kernel: c_star_star\n") + 1
+    return lines[:at] + ["\n"] + lines[at + 1 :]
+
+
 def _with_a_second_c_star_star_entry(lines):
     at = lines.index("# kernel: c_star_star\n") + 1
     return lines[: at + 1] + [lines[at]] + lines[at + 1 :]
 
 
+@pytest.mark.filterwarnings("error")  # a refusal, not a warning of numpy's reader
 @pytest.mark.parametrize(
     "make,edit,match",
     [
@@ -340,6 +346,7 @@ def _with_a_second_c_star_star_entry(lines):
         (feature_table, lambda lines: lines[: lines.index("# kernel: r_eta_star\n")], "r_eta_star"),
         (feature_table, _with_a_second_c_star_star_entry, "more than one entry"),
         (feature_table, lambda lines: lines[:5] + ["\n"] + lines[5:], "c_eta"),
+        (feature_table, lambda lines: _with_a_blank_c_star_star_entry(lines), "got ''"),
         (feature_table, lambda lines: lines[:-1] + [lines[-1][:-1]], "final newline"),
         (feature_table, _relabelled("c_eta", 1, "1.5"), "not a grid time"),
         (feature_table, _relabelled("r_theta", 0, "5"), "not a grid time"),
@@ -354,7 +361,7 @@ def _with_a_second_c_star_star_entry(lines):
         "header", "no_gamma", "no_source", "no_times", "metadata_out_of_order", "off_grid_label",
         "off_grid_vector_label", "stderr_first_seen_after_a_block", "empty_stderr_beside_others",
         "alpha_sections_out_of_order", "kernel_sections_out_of_order", "missing_section",
-        "two_c_star_star_entries", "blank_line", "no_final_newline", "non_integer_label",
+        "two_c_star_star_entries", "blank_line", "blank_line_alone_in_a_section", "no_final_newline", "non_integer_label",
         "label_equal_to_the_number_of_times", "negative_label_on_a_present_axis", "label_on_the_absent_s_axis",
         "label_on_the_absent_axes_of_c_star_star", "five_fields", "former_layout", "comment_character_in_an_entry",
     ],

@@ -249,18 +249,21 @@ def test_one_component_drift_has_the_mixture_bits_and_one_temporary(rng, family,
 @st.composite
 def mixture_cases(draw):
     """A Gaussian family with its alpha, and theta: a scalar or n coordinates,
-    some of them exactly at a component mean."""
-    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3)]))
+    some of them exactly at a component mean; or an exp family, whose
+    "means" are the points 0 and 1."""
+    kind, k = draw(st.sampled_from([("fixed", 1), ("location", 1), ("mean", 2), ("mean", 3), ("exp", 2)]))
     positive = st.floats(0.1, 10.0)
     line = st.floats(-3.0, 3.0)
-    if kind == "fixed":
+    if kind == "exp":
+        family, alpha = ExpFamily([1, 2]), np.array([draw(line), -draw(positive)])
+    elif kind == "fixed":
         family, alpha = GaussianFixed(draw(positive)), np.zeros(0)
     elif kind == "location":
         family, alpha = GaussianLocation(draw(positive)), np.array([draw(line)])
     else:
         family = GaussianMeanMixture([draw(positive) for _ in range(k)], [draw(positive) for _ in range(k)])
         alpha = np.array([draw(line) for _ in range(k)])
-    means = family.components(alpha)[1]
+    means = np.array([0.0, 1.0]) if kind == "exp" else family.components(alpha)[1]
     n = draw(st.sampled_from([None, 1, 2, 7, 400, 2000]))
     if n is None:
         theta = draw(st.one_of(st.floats(-30.0, 30.0), st.sampled_from(means.tolist())))
@@ -272,11 +275,21 @@ def mixture_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=mixture_cases())
-def test_score_columns_have_the_component_axis_bits(case):
+@given(case=mixture_cases(), hinge=st.sampled_from([None, SmoothHinge(D=1.0, eps=0.5)]))
+def test_score_columns_have_the_component_axis_bits(case, hinge):
+    # A step's evaluators (family.at: one responsibilities pass shared by a
+    # mixture of several components, the family itself otherwise) give the
+    # bits of the family's own, the alpha-gradient with or without a hinge.
+    family, alpha, theta = case
+    step = family.at(theta, alpha)
+    assert (step is family) == (isinstance(family, ExpFamily) or family.omega.size == 1)
+    assert same_bits(step.drift_s(theta, alpha), family.drift_s(theta, alpha))
+    assert same_bits(step.dtheta_drift_s(theta, alpha), family.dtheta_drift_s(theta, alpha))
+    assert same_bits(gradient_map_G(alpha, theta, step, hinge), gradient_map_G(alpha, theta, family, hinge))
+    if isinstance(family, ExpFamily):
+        return
     # The evaluators work on per-component columns; the (..., K) formulas
     # of closed_forms are the reference, signed zeros included.
-    family, alpha, theta = case
     drift, curvature, grad_alpha = mixture_scores(family, theta, alpha)
     assert same_bits(family.drift_s(theta, alpha), drift)
     assert same_bits(family.dtheta_drift_s(theta, alpha), curvature)
