@@ -185,8 +185,8 @@ def _response_rows_paths(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch
     those of einsum("r,rsp->sp") over the full (r, s, path) slab."""
     new = scratch[: t + 1]
     w = r_eta_raw_row.astype(np.float32)
-    for s in range(t):
-        np.einsum("r,rp->p", w[s + 1 : t], v[starts[s] : starts[s] + t - 1 - s], out=new[s])
+    for s, lo in enumerate(starts[:t].tolist()):
+        np.einsum("r,rp->p", w[s + 1 : t], v[lo : lo + t - 1 - s], out=new[s])
     new[:t] *= np.float32(gamma)
     new[:t] += np.multiply(row, coeff, out=row)
     new[t] = 1.0
