@@ -6,7 +6,7 @@ and oracle, then equilibrium and compare. A route has one name: its pipeline,
 its compare source, the source line of its table and its file
 kernels_<route>.csv. Every run writes that file (where applicable),
 manifest.json, and (for compare) report.json into the output directory; the
-env var DMFT_LAB_OUT overrides the output directory.
+manifest lists every other file the run wrote, in write order.
 """
 
 from __future__ import annotations
@@ -462,7 +462,7 @@ def load_config(config, out_override=None, seed_override=None, threads_override=
     cfg = RunConfig(
         pipeline=pipeline,
         raw=raw,
-        out_dir=Path(out_override or os.environ.get("DMFT_LAB_OUT") or opts["out"]),
+        out_dir=Path(out_override or opts["out"]),
         opts=opts,
         compare=dict(values["compare"], tolerances=values["compare.tolerances"]),
         sources=sources,
@@ -568,7 +568,10 @@ _SOURCES = {
 }
 
 
-def _run_equilibrium(cfg: RunConfig) -> dict:
+def _run_equilibrium(cfg: RunConfig) -> list[str]:
+    """Solve the fixed point, and each sweep point when sweep_sigma2 is set;
+    writes sweep.csv (for a sweep), then equilibrium.json. Returns the names
+    written, in order."""
     ec = cfg.equilibrium
     solve = functools.partial(
         equilibrium.solve_fixed_point, ec["delta"],
@@ -588,7 +591,8 @@ def _run_equilibrium(cfg: RunConfig) -> dict:
             )
         with open(cfg.out_dir / "sweep.csv", "w") as fh:
             fh.write("\n".join(rows) + "\n")
-    return out
+    _write_json(cfg.out_dir / "equilibrium.json", out)
+    return ["sweep.csv", "equilibrium.json"] if sweep else ["equilibrium.json"]
 
 
 def _report(cfg: RunConfig, tables: list, marginal_sets: list) -> dict:
@@ -620,36 +624,40 @@ def run(config_path, out=None, seed=None, threads=None) -> int:
     extra: dict = {}
     status = 0
     if cfg.pipeline == "equilibrium":
-        source, name = "equilibrium", "equilibrium.json"
-        _write_json(cfg.out_dir / name, _run_equilibrium(cfg))
+        source, files = "equilibrium", _run_equilibrium(cfg)
     else:
-        tables, marginal_sets = [], []
+        tables, marginal_sets, files = [], [], []
         for route in cfg.sources:  # each table is written before the next source runs
             table, marginals = _SOURCES[route](cfg)
             source, name = table.source, f"kernels_{table.source}.csv"
             write_table_csv(table, cfg.out_dir / name)
+            files.append(name)
             tables.append(table)
             marginal_sets.append(marginals)
         if cfg.pipeline == "compare":
-            source, name = "compare", "report.json"
+            source = "compare"
             report = _report(cfg, tables, marginal_sets)
-            _write_json(cfg.out_dir / name, report)
+            _write_json(cfg.out_dir / "report.json", report)
+            files.append("report.json")
             extra["report_passed"] = report["passed"]
             status = 0 if report["passed"] else 1
         elif source == "simulate":
             extra["replica_seed_rule"] = f"seed*{_REPLICAS} + replica"
-    _write_manifest(cfg, source, [name], extra)
+    _write_manifest(cfg, source, files, extra)
     return status
 
 
 def load_artifact(out_dir) -> tuple[KernelTable, dict]:
-    """Read back a written kernel table and its manifest."""
+    """Read back the one kernel table of a written run and its manifest; a
+    directory with none or several (a compare's two) is refused."""
     out_dir = Path(out_dir)
     with open(out_dir / "manifest.json") as fh:
         manifest = json.load(fh)
     csvs = [f for f in manifest["files"] if f.startswith("kernels_")]
     if not csvs:
         raise FileNotFoundError("artifact contains no kernel CSV")
+    if len(csvs) > 1:
+        raise ValueError(f"artifact contains {len(csvs)} kernel CSVs, not one: {', '.join(csvs)}")
     return read_table_csv(out_dir / csvs[0]), manifest
 
 

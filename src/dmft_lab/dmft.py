@@ -29,7 +29,7 @@ _STREAM_U = 103
 _STREAM_BROWNIAN = 104
 
 _DEFAULT_RESPONSE_BUDGET = 2 * 1024**3  # bytes for the per-path response array
-_ROW_BLOCK = 32  # per-path response rows widened to float64 at a time
+_ROW_BLOCK = 32  # per-path response rows whose float64 deviations std holds at a time
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -167,17 +167,13 @@ def _column_starts(steps: int) -> np.ndarray:
     return s * steps - s * (s - 1) // 2
 
 
-def _row_index(starts: np.ndarray, r: int) -> np.ndarray:
-    """Where the entries (r, 0..r-1) of row r sit in the column-packed triangle."""
-    return starts[:r] + (r - 1 - np.arange(r))
-
-
 def _response_rows_paths(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch):
     """Per-path variant on the column-packed strict lower triangle: v has
     shape (steps(steps+1)/2, paths) with column s from starts[s]
-    (_column_starts); row (t, paths) holds row t of v, gathered, and is
-    overwritten; coeff (paths,); scratch a (steps, paths) float32 buffer.
-    Row t+1 is formed in scratch and scattered into its columns.
+    (_column_starts); row (t, paths) holds row t, as the step before formed
+    it, and is overwritten; coeff (paths,); scratch a (steps, paths) float32
+    buffer other than row's. Row t+1 is formed in scratch, where the next
+    step reads it, and scattered into its columns.
 
     The memory sum for entry (t+1, s) over r = s+1..t-1 is one float32
     einsum along the contiguous stretch of column s, added in r order and
@@ -190,7 +186,7 @@ def _response_rows_paths(t, v, starts, row, coeff, gamma, r_eta_raw_row, scratch
     new[:t] *= np.float32(gamma)
     new[:t] += np.multiply(row, coeff, out=row)
     new[t] = 1.0
-    v[_row_index(starts, t + 1)] = new
+    v[starts[: t + 1] + (t - np.arange(t + 1))] = new
 
 
 @dataclass
@@ -200,15 +196,6 @@ class DmftResult:
     theta_star: np.ndarray
     chol_clamped_steps: list = field(default_factory=list)
     chol_jitter_log: list = field(default_factory=list)
-
-
-def _row_blocks(n: int):
-    """(start, stop) ranges of _ROW_BLOCK rows covering range(n): the blocks
-    in which a per-path float32 response row, gathered from its columns into
-    a (steps, paths) buffer, is widened to float64 for its mean and std. Both
-    reduce each entry's paths on their own, so a block's height does not
-    change a bit."""
-    return [(lo, min(lo + _ROW_BLOCK, n)) for lo in range(0, n, _ROW_BLOCK)]
 
 
 def _corr_stderr(paths: np.ndarray, c_theta: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -229,8 +216,8 @@ def _corr_stderr(paths: np.ndarray, c_theta: np.ndarray, sq: np.ndarray) -> np.n
 def _response_budget_error(n_paths: int, n_steps: int, budget_bytes: int) -> Optional[str]:
     """Why a per-path response array of n_steps(n_steps+1)/2 float32 entries
     per path (the packed strict lower triangle) would exceed the budget, or
-    None when it fits. The two (n_steps, paths) float32 buffers of the
-    recursion are not counted."""
+    None when it fits. The (2, n_steps, paths) float32 row pair of the
+    recursion is not counted."""
     per_path = n_steps * (n_steps + 1) // 2 * 4
     if n_paths * per_path <= budget_bytes:
         return None
@@ -268,12 +255,15 @@ def solve_dmft(
     path. It is stored column-packed as the strict lower triangle, one float32
     (steps(steps+1)/2, paths) array in which column s (rows r > s) is
     contiguous (_column_starts), and `response_budget_bytes` bounds that
-    array: 2 GiB fits 20000 paths at 200 steps. Each step gathers row t once
-    into a (steps, paths) float32 buffer, which feeds both the r_theta means
-    and SEs, widened to float64 _ROW_BLOCK rows at a time, and the new row's
-    coefficient term. The memory term adds only the stored entries, in the
-    order and precision of one float32 einsum over the full square, so the
-    packing does not change a bit. A mixture prior's drift, curvature and
+    array: 2 GiB fits 20000 paths at 200 steps. Row t stays where the step
+    before formed it, one half of a (2, steps, paths) float32 pair, and feeds
+    both the r_theta means and SEs and the new row's coefficient term. The
+    means and SEs reduce the float32 rows in float64, each SE from its
+    entry's mean, _ROW_BLOCK rows at a time to bound std's float64
+    deviations; each entry reduces its own paths, so the block height changes
+    no bit. The memory term adds only the stored entries, in the order
+    and precision of one float32 einsum over the full square, so the packing
+    does not change a bit. A mixture prior's drift, curvature and
     alpha-gradient of a step share one responsibilities pass (family.at).
     """
     if n_paths < 100:
@@ -291,8 +281,7 @@ def solve_dmft(
             raise MemoryBudgetError(error)
         starts = _column_starts(T)
         v_resp = np.zeros((starts[T], P), dtype=np.float32)
-        resp_row = np.empty((T, P), dtype=np.float32)  # row t, gathered from its columns
-        resp_scratch = np.empty((T, P), dtype=np.float32)
+        resp_rows = np.empty((2, T, P), dtype=np.float32)  # row t in resp_rows[t % 2]
     else:
         v_resp = np.zeros((T + 1, T + 1))
 
@@ -330,14 +319,16 @@ def solve_dmft(
         check_divergence(c_row[t], scale2, t)  # c_row[t] is the paths' mean square
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
-        c_theta_star_se[t] = star_prod.std() / sqP
+        c_theta_star_se[t] = star_prod.std(mean=c_theta_star[t]) / sqP
         if t > 0:
             if per_path:
-                row_t = np.take(v_resp, _row_index(starts, t), axis=0, out=resp_row[:t], mode="clip")
-                for lo, hi in _row_blocks(t):
-                    rows = row_t[lo:hi].astype(np.float64)
-                    r_theta_raw[t, lo:hi] = gamma * rows.mean(axis=1)
-                    r_theta_se[t, lo:hi] = gamma * rows.std(axis=1) / sqP
+                row_t = resp_rows[t % 2, :t]  # formed by the step before
+                for lo in range(0, t, _ROW_BLOCK):
+                    rows = row_t[lo : lo + _ROW_BLOCK]
+                    hi = lo + len(rows)
+                    mean = rows.mean(axis=1, dtype=np.float64, keepdims=True)
+                    r_theta_raw[t, lo:hi] = gamma * mean[:, 0]
+                    r_theta_se[t, lo:hi] = gamma * rows.std(axis=1, dtype=np.float64, mean=mean) / sqP
             else:
                 r_theta_raw[t, :t] = gamma * v_resp[t, :t]
 
@@ -358,7 +349,9 @@ def solve_dmft(
         if per_path:
             ds = family.dtheta_drift_s(th_t, alpha[t]).astype(np.float32)
             coeff = np.float32(1.0) + np.float32(gamma) * (np.float32(-delta * beta) + ds)
-            _response_rows_paths(t, v_resp, starts, resp_row[:t], coeff, gamma, r_eta_row, resp_scratch)
+            _response_rows_paths(
+                t, v_resp, starts, resp_rows[t % 2, :t], coeff, gamma, r_eta_row, resp_rows[(t + 1) % 2]
+            )
         else:
             coeff = 1.0 + gamma * (-delta * beta + curvature)
             _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)

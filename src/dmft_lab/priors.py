@@ -232,13 +232,6 @@ class GaussianMeanMixture(GaussianMixture):
     def components(self, alpha):
         return self.p, np.asarray(alpha, dtype=float).reshape(self.dim_alpha), self.omega
 
-    def _grad_alpha_columns(self, theta, alpha=None):
-        if self.omega.size == 1:  # omega (theta - m), without the responsibility column r = 1
-            s = np.subtract(theta, self.components(alpha)[1].item(0), dtype=float)
-            s *= self.omega.item(0)
-            return [s]
-        return super()._grad_alpha_columns(theta, alpha)
-
 
 class GaussianLocation(GaussianMeanMixture):
     """g = N(alpha, scale^2) with adaptive location alpha in R (K = 1): a

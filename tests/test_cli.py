@@ -203,6 +203,7 @@ def test_equilibrium_pipeline_json_and_sweep(tmp_path):
     sweep = (out / "sweep.csv").read_text().splitlines()
     assert sweep[0] == "param,omega,omega_star,mse,mse_star,ymse,free_energy"
     assert len(sweep) == 3
+    assert json.loads((out / "manifest.json").read_text())["files"] == ["sweep.csv", "equilibrium.json"]
 
 
 def test_compare_artifacts_refuses_model_mismatch(tmp_path):
@@ -241,15 +242,6 @@ def test_manifest_build_asks_git_once_per_process(tmp_path, monkeypatch):
     assert builds[0] == builds[1]
 
 
-def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("DMFT_LAB_OUT", str(target))
-    cfg = small_config("dmft-linear")
-    cfg.pop("out", None)
-    assert run(cfg) == 0
-    assert (target / "manifest.json").exists()
-
-
 def test_main_entry_point(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config("dmft-linear")))
@@ -270,33 +262,39 @@ def test_main_overrides_the_config_pipeline(tmp_path, capsys):
 
 ORACLE_COMPARE = {"sources": ["oracle", "dmft-linear"], "times": [0.0, 0.25, 0.5], "tolerances": {"default": 0.08}}
 
-# pipeline -> (extra config, manifest source, manifest files, other files on disk)
+# pipeline -> (extra config, manifest source, manifest files in write order)
 PIPELINE_RUNS = {
-    "simulate": ({}, "simulate", ["kernels_simulate.csv"], []),
-    "dmft": ({}, "dmft", ["kernels_dmft.csv"], []),
-    "dmft-linear": ({}, "dmft-linear", ["kernels_dmft-linear.csv"], []),
-    "oracle": ({}, "oracle", ["kernels_oracle.csv"], []),
+    "simulate": ({}, "simulate", ["kernels_simulate.csv"]),
+    "dmft": ({}, "dmft", ["kernels_dmft.csv"]),
+    "dmft-linear": ({}, "dmft-linear", ["kernels_dmft-linear.csv"]),
+    "oracle": ({}, "oracle", ["kernels_oracle.csv"]),
     "equilibrium": (
         {"equilibrium": {"g_star": {"family": "gaussian_fixed", "lam": 1.0}, "delta": 2.0, "sigma2": 1.0}},
-        "equilibrium", ["equilibrium.json"], [],
+        "equilibrium", ["equilibrium.json"],
     ),
     "compare": (
-        {"compare": ORACLE_COMPARE}, "compare", ["report.json"],
-        ["kernels_dmft-linear.csv", "kernels_oracle.csv"],
+        {"compare": ORACLE_COMPARE}, "compare", ["kernels_oracle.csv", "kernels_dmft-linear.csv", "report.json"],
     ),
 }
 
 
 @pytest.mark.parametrize("pipeline", cli.PIPELINES)
 def test_every_pipeline_writes_its_artifacts(tmp_path, pipeline):
-    extra, source, files, others = PIPELINE_RUNS[pipeline]
+    # the manifest lists every file the run wrote, and nothing else is on disk
+    extra, source, files = PIPELINE_RUNS[pipeline]
     out = tmp_path / pipeline
     assert run(small_config(pipeline, out=str(out), **extra)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["pipeline"] == pipeline
     assert manifest["source"] == source
     assert manifest["files"] == files
-    assert sorted(p.name for p in out.iterdir()) == sorted(files + others + ["manifest.json"])
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + ["manifest.json"])
+
+
+def test_load_artifact_refuses_a_directory_of_two_tables(tmp_path):
+    assert run(small_config("compare", out=str(tmp_path), compare=ORACLE_COMPARE)) == 0
+    with pytest.raises(ValueError, match="2 kernel CSVs, not one: kernels_oracle.csv, kernels_dmft-linear.csv"):
+        load_artifact(tmp_path)
 
 
 def _response_run(tmp_path, method, steps):

@@ -311,9 +311,9 @@ def test_packed_response_has_the_full_tensor_bits(monkeypatch):
     # Replay the full (T+1, T+1, P) recursion, memory term one float32 einsum
     # over the square slab, from the coefficients and r_eta rows each step was
     # given. Every column of the column-packed triangle, and the r_theta means
-    # and SEs widened from the rows gathered out of it, must carry the bits of
-    # the full tensor. T = 34 reaches the row of 33 entries, widened in one
-    # block of 32 and a one-row tail; P is above numpy's 8192-element
+    # and SEs of the rows each step formed, must carry the bits of the full
+    # tensor widened to float64. T = 34 reaches the row of 33 entries, reduced
+    # in one block of 32 and a one-row tail; P is above numpy's 8192-element
     # iterator buffer.
     params = small_params(horizon=1.7)
     prior = PriorSpec(
@@ -421,6 +421,26 @@ def test_solver_keeps_two_path_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * (T + 1) * P * 8 + 16 * P * 8
+
+
+def test_mixture_solver_keeps_one_row_block():
+    # The packed triangle, the float32 row pair, paths and the innovations,
+    # one float64 block of _ROW_BLOCK deviation rows for the r_theta SEs, and
+    # step temporaries: no float64 copy of the rows beside that block. T = 40
+    # fills whole blocks.
+    params = small_params(horizon=2.0)
+    prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
+    solve_dmft(small_params(horizon=0.1), prior, n_paths=100, seed=1)  # lazy imports of a first solve
+    P, T = 5000, params.n_steps
+    tracemalloc.start()
+    try:
+        solve_dmft(params, prior, n_paths=P, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T == 40 and dmft._ROW_BLOCK == 32
+    packed, pair = T * (T + 1) // 2 * P * 4, 2 * T * P * 4
+    assert peak < packed + pair + 2 * (T + 1) * P * 8 + dmft._ROW_BLOCK * P * 8 + 24 * P * 8
 
 
 def test_identical_components_match_the_constant_route():
