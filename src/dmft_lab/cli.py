@@ -662,11 +662,12 @@ def load_artifact(out_dir) -> tuple[KernelTable, dict]:
 
 
 def compare_artifacts(dir_a, dir_b, tolerances=None):
-    """Compare two on-disk artifacts; refuses mixed model parameters."""
+    """Compare two on-disk artifacts; refuses mixed model parameters or priors."""
     ta, ma = load_artifact(dir_a)
     tb, mb = load_artifact(dir_b)
-    if ma.get("model") != mb.get("model"):
-        raise ConfigError("refusing to compare artifacts with different model parameters")
+    for key, what in (("model", "model parameters"), ("prior", "priors")):
+        if ma.get(key) != mb.get(key):
+            raise ConfigError(f"refusing to compare artifacts with different {what}")
     return compare_tables(ta, tb, tolerances)
 
 

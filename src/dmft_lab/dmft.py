@@ -4,7 +4,8 @@ The system is built iteratively in time: the scalar theta-side is advanced by
 Monte Carlo over an ensemble of effective paths driven by a conditionally
 sampled Gaussian memory field u, while the eta-side is linear in its Gaussian
 inputs and is propagated deterministically on covariances (zero Monte Carlo
-error). Response kernels follow their own closed recursions.
+error). The theta response follows its own closed recursion; the eta
+responses are read off the eta side's coefficient vectors.
 
 Internal state uses the raw per-step response units (theta-response base case
 equals the step gamma); exported KernelTable grids are in density units
@@ -99,7 +100,10 @@ class EtaSide:
 
     xi^t = eta^t + w* - eps is linear in (w*, eps, w^0..w^T); the recursion is
     applied to its coefficient vectors, and C_eta follows from the joint input
-    covariance assembled out of the theta-side correlation grids.
+    covariance assembled out of the theta-side correlation grids. The eta
+    responses are read off the same vectors: deta^t/dw^s is the w^s
+    coefficient of xi^t (s < t), and deta^t/dw* its w* coefficient less the
+    direct 1.
     """
 
     def __init__(self, n_steps: int, sigma2: float, delta: float, beta: float):
@@ -110,8 +114,6 @@ class EtaSide:
         self.sig[1, 1] = sigma2
         self.c_eta = np.full((T + 1, T + 1), np.nan)
         self.r_eta_raw = np.zeros((T + 1, T + 1))  # delta*beta * deta^t/dw^s, s < t
-        self.deta_dwstar = np.zeros(T + 1)
-        self._deta_dw = np.zeros((T + 1, T + 1))  # deta^t/dw^s before delta*beta scaling
 
     def add_step(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row):
         """Ingest theta-side grids at time t and emit the eta-side row t.
@@ -135,17 +137,10 @@ class EtaSide:
         sv = self.sig[:k, :k] @ self.xi[t, :k]
         self.c_eta[t, : t + 1] = delta * beta**2 * (self.xi[: t + 1, :k] @ sv)
         self.c_eta[: t + 1, t] = self.c_eta[t, : t + 1]
-
-        if t > 0:
-            # deta^t/dw^s = beta (R_theta(t,s) - sum_{r>s} R_theta(t,r) deta^r/dw^s)
-            conv = r_theta_raw_row[1:t] @ self._deta_dw[1:t, :t] if t > 1 else 0.0
-            self._deta_dw[t, :t] = beta * (r_theta_raw_row - conv)
-            self.r_eta_raw[t, :t] = delta * beta * self._deta_dw[t, :t]
-            # deta^t/dw* = -beta sum_s R_theta(t,s) (deta^s/dw* + 1)
-            self.deta_dwstar[t] = -beta * float(r_theta_raw_row @ (self.deta_dwstar[:t] + 1.0))
+        self.r_eta_raw[t, :t] = delta * beta * row[2 : 2 + t]
 
     def r_eta_star(self) -> np.ndarray:
-        return self.delta * self.beta * self.deta_dwstar
+        return self.delta * self.beta * (self.xi[:, 0] - 1.0)
 
 
 def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
@@ -399,54 +394,39 @@ def linear_gaussian_dmft(
     """Monte-Carlo-free DMFT solution for the fixed Gaussian prior, theta^0 = 0.
 
     With a linear score the theta recursion is linear in (theta*, u-field,
-    Brownian increments), so the correlation grids propagate deterministically
-    on coefficient vectors and the response recursion closes on itself.
+    Brownian increments g, each of variance gamma), and the response recursion
+    closes on itself: theta^t = a(t) theta* + sum_s v(t, s) (gamma u^s +
+    sqrt(2) g^s), v(t, s) = R_theta(t, s) in density units, the rows of the
+    response recursion. So the correlation rows follow from v, the theta*
+    coefficient a and the eta-side C_eta, with no further coefficient vectors.
     """
     T = params.n_steps
     gamma, delta, beta, sigma2 = params.gamma_step, params.delta, params.beta, params.sigma2
     if lam <= 0 or tau_star2 <= 0:
         raise ValueError("lam and tau_star2 must be positive")
 
-    # Coefficient basis: (theta*, u^0..u^{T-1}, g^0..g^{T-1}).
-    tc = np.zeros((T + 1, 1 + 2 * T))
     v_resp = np.zeros((T + 1, T + 1))
+    a = np.zeros(T + 1)  # the theta* coefficient of theta^t
     c_theta = np.full((T + 1, T + 1), np.nan)
-    c_theta_star = np.zeros(T + 1)
     r_theta_raw = np.zeros((T + 1, T + 1))
     eta = EtaSide(T, sigma2, delta, beta)
     coeff = 1.0 + gamma * (-delta * beta - lam)
 
     for t in range(T + 1):
-        u_part = tc[: t + 1, 1 : 1 + T]
-        g_part = tc[: t + 1, 1 + T :]
-        sv_u = eta.c_eta[:t, :t] @ tc[t, 1 : 1 + t] if t else np.zeros(0)
-        c_row = (
-            tau_star2 * tc[: t + 1, 0] * tc[t, 0]
-            + (u_part[:, :t] @ sv_u if t else 0.0)
-            + gamma * (g_part @ tc[t, 1 + T :])
-        )
+        v_t = v_resp[t, :t]
+        noise = gamma**2 * (eta.c_eta[:t, :t] @ v_t) + 2.0 * gamma * v_t
+        c_row = tau_star2 * a[: t + 1] * a[t] + v_resp[: t + 1, :t] @ noise
         c_theta[t, : t + 1] = c_row
         c_theta[: t + 1, t] = c_row
-        c_theta_star[t] = tau_star2 * tc[t, 0]
-        if t > 0:
-            r_theta_raw[t, :t] = gamma * v_resp[t, :t]
+        r_theta_raw[t, :t] = gamma * v_t
 
-        eta.add_step(t, c_theta[t, : t + 1], c_theta_star[t], tau_star2, r_theta_raw[t, :t])
+        eta.add_step(t, c_theta[t, : t + 1], tau_star2 * a[t], tau_star2, r_theta_raw[t, :t])
         if t == T:
             break
 
         r_eta_row = eta.r_eta_raw[t, :t]
         _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)
-
-        drift = -(delta * beta + lam) * tc[t]
-        drift[0] += delta * beta
-        if t > 0:
-            drift = drift + r_eta_row @ tc[:t]
-            drift[0] -= r_eta_row.sum()
-        new = tc[t] + gamma * drift
-        new[1 + t] += gamma  # u^t enters the drift with unit coefficient
-        new[1 + T + t] += np.sqrt(2.0)  # sqrt(2) * (b^{t+1} - b^t)
-        tc[t + 1] = new
+        a[t + 1] = coeff * a[t] + gamma * (delta * beta + r_eta_row @ (a[:t] - 1.0))
 
     times = gamma * np.arange(T + 1)
     return KernelTable(
@@ -454,7 +434,7 @@ def linear_gaussian_dmft(
         gamma=gamma,
         source="dmft-linear",
         c_theta=c_theta,
-        c_theta_star=c_theta_star,
+        c_theta_star=tau_star2 * a,
         c_star_star=tau_star2,
         c_eta=eta.c_eta,
         r_theta=r_theta_raw / gamma,

@@ -229,6 +229,22 @@ def propagate_eta(c_theta, c_theta_star, c_star_star, r_theta_raw, sigma2, delta
     return side.c_eta, side.r_eta_raw, side.r_eta_star()
 
 
+def eta_responses_by_recursion(r_theta_raw, delta, beta):
+    """The eta responses by their own chain-rule recursions over R_theta in
+    per-step units, apart from the xi coefficient vectors `dmft.EtaSide`
+    reads them from:
+    deta^t/dw^s = beta (R(t, s) - sum_{s<r<t} R(t, r) deta^r/dw^s) and
+    deta^t/dw* = -beta sum_{s<t} R(t, s) (deta^s/dw* + 1). Returns
+    (r_eta_raw in per-step units, r_eta_star), both delta beta times them."""
+    T = r_theta_raw.shape[0] - 1
+    deta_dw, deta_dwstar = np.zeros((T + 1, T + 1)), np.zeros(T + 1)
+    for t in range(1, T + 1):
+        row = r_theta_raw[t, :t]
+        deta_dw[t, :t] = beta * (row - row[1:] @ deta_dw[1:t, :t])
+        deta_dwstar[t] = -beta * float(row @ (deta_dwstar[:t] + 1.0))
+    return delta * beta * deta_dw, delta * beta * deta_dwstar
+
+
 def eta_response_identity_residual(table) -> float:
     """Max over grid times of |r_eta_star(t) + sum_{s<t} r_eta_raw(t, s)|: the
     signal-field response is minus the row sum of the field responses (a
@@ -305,6 +321,70 @@ def criterion_01(oracle: OracleParams, law: MPLaw) -> dict:
         worst = max(worst, abs(stieltjes_m(z, oracle.delta) - integrate(law, lambda x: 1.0 / (x - z))))
     fdt = fdt_check(np.linspace(0.0, 2.0, 41), oracle, law)
     return {"identities": (worst, 1e-10), "fdt": (fdt, 1e-10)}
+
+
+def chain_forms(oracle: OracleParams, law: MPLaw, times, gamma=0.0) -> dict:
+    """Closed-form kernels on `times`, keyed by kernel, then by time t or by
+    pair (t, s), s <= t (s < t for the lag responses alpha_mp and beta_mp):
+    the Euler chain's at step gamma > 0, the continuous ones at gamma = 0."""
+    times = np.asarray(times, dtype=float)
+    vals = {k: {} for k in ("c_theta", "c_theta_star", "c_eta", "alpha_mp", "beta_mp", "gamma_mp")}
+    for t in times:
+        vals["c_theta_star"][t] = mp_oracle.corr_kernels(t, t, oracle, law, gamma)[1]
+        vals["gamma_mp"][t] = mp_oracle.resp_kernels(t, oracle, law, gamma)[2]
+        for s in times[times <= t]:
+            vals["c_theta"][t, s], _, vals["c_eta"][t, s] = mp_oracle.corr_kernels(t, s, oracle, law, gamma)
+            if s < t:
+                vals["alpha_mp"][t, s], vals["beta_mp"][t, s], _ = mp_oracle.resp_kernels(
+                    t - s, oracle, law, gamma
+                )
+    return vals
+
+
+def max_gaps(a: dict, b: dict) -> dict:
+    """Per kernel, the worst absolute gap between two `chain_forms` dicts."""
+    return {k: max(abs(a[k][p] - b[k][p]) for p in a[k]) for k in a}
+
+
+def linear_vs_oracle_errors(table, oracle: OracleParams, law: MPLaw, times, gamma=0.0) -> dict:
+    """Per kernel, the worst gap of a table's entries nearest `times` from
+    `chain_forms` at step gamma, in the closed forms' own units: the eta
+    responses are carried back by -sigma2/delta."""
+    closed = chain_forms(oracle, law, times, gamma)
+    at = {t: int(np.argmin(np.abs(table.times - t))) for t in closed["c_theta_star"]}
+    scale = oracle.sigma2 / oracle.delta
+    engine = {k: {} for k in closed}
+    for t in at:
+        engine["c_theta_star"][t] = table.c_theta_star[at[t]]
+        engine["gamma_mp"][t] = -scale * table.r_eta_star[at[t]]
+    for t, s in closed["c_theta"]:
+        engine["c_theta"][t, s] = table.c_theta[at[t], at[s]]
+        engine["c_eta"][t, s] = table.c_eta[at[t], at[s]]
+    for t, s in closed["alpha_mp"]:
+        engine["alpha_mp"][t, s] = table.r_theta[at[t], at[s]]
+        engine["beta_mp"][t, s] = -scale * table.r_eta[at[t], at[s]]
+    return max_gaps(engine, closed)
+
+
+def criterion_02(table, oracle: OracleParams, law: MPLaw, times) -> dict:
+    """The linear engine against the Euler chain's closed forms at the
+    table's own step on `times`. Both describe the same chain, so each
+    kernel's worst gap is round-off; the step bias, that chain against its
+    gamma -> 0 limit, is criterion 02b's."""
+    errs = linear_vs_oracle_errors(table, oracle, law, times, table.gamma)
+    return {kernel: (err, 1e-10) for kernel, err in errs.items()}
+
+
+def criterion_02b(coarse, fine, oracle: OracleParams, law: MPLaw, times) -> dict:
+    """The continuous limit: against the gamma = 0 closed forms on `times`,
+    the engine at half the step (`fine`) errs strictly less than at the full
+    step (`coarse`), kernel by kernel ("<kernel> refined", the ratio of the
+    errors, below 1), and by at most 0.01 ("fine")."""
+    coarse_errs = linear_vs_oracle_errors(coarse, oracle, law, times)
+    fine_errs = linear_vs_oracle_errors(fine, oracle, law, times)
+    below_one = np.nextafter(1.0, 0.0)
+    checks = {f"{k} refined": (fine_errs[k] / coarse_errs[k], below_one) for k in coarse_errs}
+    return checks | {"fine": (max(fine_errs.values()), 0.01)}
 
 
 def criterion_03(table, linear_table, times) -> dict:

@@ -56,8 +56,16 @@ def long_time_table(long_time_params):
 @pytest.fixture(scope="session")
 def linear_table(gaussian_default_params):
     """The linear engine's kernels for gaussian_default: criterion 03's
-    reference, shared by criteria 02 and 02b."""
+    reference, shared by criteria 02 and 02b and criterion 02's mutation
+    test."""
     return linear_gaussian_dmft(gaussian_default_params, 1.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def refined_linear_table(gaussian_default_params):
+    """The linear engine at half gaussian_default's step (gamma 0.005):
+    criterion 02b's fine input, shared with its mutation test."""
+    return linear_gaussian_dmft(replace(gaussian_default_params, gamma_step=0.005), 1.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -75,72 +75,24 @@ def test_criterion_01_oracle_self_consistency(oracle_pack):
 # --------------------------------------------------------------- criterion 2
 
 
-def _closed_forms(oracle, law, gamma=0.0):
-    """Closed-form kernels on the coarse grid, keyed by kernel then by point."""
-    vals = {k: {} for k in ("c_theta", "c_theta_star", "c_eta", "alpha_mp", "beta_mp", "gamma_mp")}
-    for t in COARSE:
-        vals["c_theta_star"][t] = mp_oracle.corr_kernels(t, t, oracle, law, gamma)[1]
-        vals["gamma_mp"][t] = mp_oracle.resp_kernels(t, oracle, law, gamma)[2]
-        for s in COARSE[COARSE <= t]:
-            vals["c_theta"][t, s], _, vals["c_eta"][t, s] = mp_oracle.corr_kernels(t, s, oracle, law, gamma)
-            if s < t:
-                vals["alpha_mp"][t, s], vals["beta_mp"][t, s], _ = mp_oracle.resp_kernels(
-                    t - s, oracle, law, gamma
-                )
-    return vals
-
-
-def _max_gaps(a, b):
-    return {k: max(abs(a[k][p] - b[k][p]) for p in a[k]) for k in a}
-
-
-def _linear_vs_oracle_errors(table, oracle, law, gamma=0.0):
-    """Max-abs error per kernel family, in the closed forms' own units."""
-    closed = _closed_forms(oracle, law, gamma)
-    at = dict(zip(COARSE, _coarse_idx(table.times, COARSE)))
-    scale = oracle.sigma2 / oracle.delta
-    engine = {k: {} for k in closed}
-    for t in COARSE:
-        engine["c_theta_star"][t] = table.c_theta_star[at[t]]
-        engine["gamma_mp"][t] = -scale * table.r_eta_star[at[t]]
-    for t, s in closed["c_theta"]:
-        engine["c_theta"][t, s] = table.c_theta[at[t], at[s]]
-        engine["c_eta"][t, s] = table.c_eta[at[t], at[s]]
-    for t, s in closed["alpha_mp"]:
-        engine["alpha_mp"][t, s] = table.r_theta[at[t], at[s]]
-        engine["beta_mp"][t, s] = -scale * table.r_eta[at[t], at[s]]
-    return _max_gaps(engine, closed)
-
-
 def test_criterion_02_linear_dmft_vs_oracle(oracle_pack, linear_table):
     oracle, law = oracle_pack
-    errs = _linear_vs_oracle_errors(linear_table, oracle, law, GAMMA)
-    bias = _max_gaps(_closed_forms(oracle, law, GAMMA), _closed_forms(oracle, law))
-    worst = max(errs.values())
-    detail = "  ".join(f"{k}={errs[k]:.1e} (step bias {bias[k]:.4f})" for k in errs)
-    _line(2, worst <= 1e-10, f"gamma=0.01 vs Euler-chain closed forms: {detail}")
-    # The engine and the gamma > 0 closed forms describe the same Euler chain,
-    # so they agree to round-off; the step bias is the separate gap between
-    # that chain and its gamma -> 0 limit, which criterion 2b checks.
-    assert worst <= 0.01
-    assert worst <= 1e-10
-
-
-def test_criterion_02b_refinement_strictly_smaller(oracle_pack, linear_table):
-    oracle, law = oracle_pack
-    coarse_errs = _linear_vs_oracle_errors(linear_table, oracle, law)
-    fine = dmft.linear_gaussian_dmft(params_at(gamma=0.005), LAM, TAU2)
-    fine_errs = _linear_vs_oracle_errors(fine, oracle, law)
-    ok = max(fine_errs.values()) < max(coarse_errs.values())
-    strict_each = all(fine_errs[k] < coarse_errs[k] for k in coarse_errs)
-    _line(
-        2,
-        ok,
-        f"halved step shrinks the worst error {max(coarse_errs.values()):.4f} -> "
-        f"{max(fine_errs.values()):.4f} (entrywise {strict_each})",
+    checks = closed_forms.criterion_02(linear_table, oracle, law, COARSE)
+    failed = closed_forms.failed(checks)
+    bias = closed_forms.max_gaps(
+        closed_forms.chain_forms(oracle, law, COARSE, GAMMA), closed_forms.chain_forms(oracle, law, COARSE)
     )
-    assert ok and strict_each
-    assert max(fine_errs.values()) <= 0.01
+    detail = "  ".join(f"{k}={err:.1e} (step bias {bias[k]:.4f})" for k, (err, _) in checks.items())
+    _line(2, not failed, f"gamma=0.01 vs Euler-chain closed forms: {detail}")
+    assert not failed
+
+
+def test_criterion_02b_refinement_strictly_smaller(oracle_pack, linear_table, refined_linear_table):
+    checks = closed_forms.criterion_02b(linear_table, refined_linear_table, *oracle_pack, COARSE)
+    failed = closed_forms.failed(checks)
+    ratios = "  ".join(f"{name.split()[0]}={ratio:.3f}" for name, (ratio, _) in checks.items() if name != "fine")
+    _line(2, not failed, f"halved step, error ratios fine/coarse: {ratios}; worst fine {checks['fine'][0]:.4f}")
+    assert not failed
 
 
 # --------------------------------------------------------------- criterion 3

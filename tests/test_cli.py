@@ -213,8 +213,12 @@ def test_compare_artifacts_refuses_model_mismatch(tmp_path):
     other["model"]["sigma2"] = 2.0
     other["model"]["beta"] = 0.5
     assert run(other) == 0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="different model parameters"):
         compare_artifacts(out_a, out_b)
+    out_c = tmp_path / "c"
+    assert run(small_config("dmft-linear", out=str(out_c), prior={"family": "gaussian_fixed", "lam": 3.0})) == 0
+    with pytest.raises(ConfigError, match="different priors"):
+        compare_artifacts(out_a, out_c)
     report = compare_artifacts(out_a, out_a.parent / "a")
     assert report.passed
 

@@ -7,9 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmft_lab
-from closed_forms import eta_response_identity_residual, failed, propagate_eta, se_calibration
+from closed_forms import (
+    eta_response_identity_residual,
+    eta_responses_by_recursion,
+    failed,
+    propagate_eta,
+    se_calibration,
+)
 from dmft_lab import cli, dmft
 from dmft_lab.dmft import (
     CholeskyExtender,
@@ -20,7 +28,7 @@ from dmft_lab.dmft import (
 )
 from dmft_lab.kernels import time_index
 from dmft_lab.model import DivergenceError, ModelParams
-from dmft_lab.mp_oracle import corr_kernels, resp_kernels
+from dmft_lab.mp_oracle import OracleParams, corr_kernels, mp_quadrature, resp_kernels
 from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec, Theta0Spec
 
 
@@ -177,6 +185,24 @@ def test_propagate_eta_sigma2_shift_closed_form():
     assert double - base == pytest.approx(2.0 * 1.0**2 * 1.0, rel=1e-14)
 
 
+def test_eta_responses_match_their_recursion(gaussian_default_params, linear_table):
+    # EtaSide's responses, read off the xi coefficients, are those of the
+    # chain-rule recursions to round-off: on the linear engine's R_theta
+    # (T = 200) and on the random per-path R_theta of a mixture solve (both
+    # below 6e-16 relative).
+    prior = PriorSpec(GaussianMeanMixture([0.5, 0.5], [1.0, 4.0]), alpha=[-1.0, 1.0], alpha_star=[-1.0, 1.0])
+    params = small_params()
+    mixture = solve_dmft(params, prior, n_paths=2000, seed=11).table
+    assert np.max(mixture.stderr["r_theta"]) > 0  # the responses are Monte Carlo means
+    for table, p in ((linear_table, gaussian_default_params), (mixture, params)):
+        r_theta = np.nan_to_num(table.r_theta) * table.gamma
+        grids = (table.c_theta, table.c_theta_star, table.c_star_star, r_theta)
+        _, r_eta, r_star = propagate_eta(*grids, p.sigma2, p.delta, p.beta)
+        ref, ref_star = eta_responses_by_recursion(r_theta, p.delta, p.beta)
+        assert np.max(np.abs(r_eta - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(r_star - ref_star)) <= 1e-14 * np.max(np.abs(ref_star))
+
+
 # --------------------------------------------------------------- the solver
 
 
@@ -243,7 +269,7 @@ def test_fixed_point_replay(monkeypatch, small_solution):
     def frozen(self, t, *theta_side):
         self.c_eta[t] = given.c_eta[t]
         self.r_eta_raw[t] = given.r_eta[t] * given.gamma
-        self.deta_dwstar[t] = given.r_eta_star[t] / (self.delta * self.beta)
+        self.xi[t, 0] = given.r_eta_star[t] / (self.delta * self.beta) + 1.0
 
     monkeypatch.setattr(dmft.EtaSide, "add_step", frozen)
     replay = solve_dmft(params, prior, n_paths=2000, seed=77)
@@ -667,6 +693,52 @@ def test_gamma_refinement_monotone(default_oracle, default_law):
                 worst = max(worst, abs(tab.c_theta[i, j] - cts), abs(tab.c_eta[i, j] - ce))
         errs.append(worst)
     assert errs[0] > errs[1] > errs[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(0.1, 10.0),
+    delta=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+    sigma2=st.floats(0.2, 5.0),
+    tau_star2=st.floats(0.2, 5.0),
+    stability=st.floats(0.01, 0.99),
+    steps=st.integers(20, 300),
+)
+def test_linear_engine_is_the_euler_chain_closed_forms(lam, delta, sigma2, tau_star2, stability, steps):
+    # Across the stable domain (gamma h_max = 2 stability, beta = 1/sigma2) the
+    # engine and the Euler chain's closed forms agree on all six kernels, on
+    # nine rows and columns of the grid, to round-off. Its bound, relative to
+    # each kernel's scale, is eps (T + 1/(gamma h_min)) times 4: the engine
+    # adds a few roundings per step, and the closed forms' 1 - rho^k and
+    # Brownian differences cancel to about eps/(gamma h_min) on the slowest
+    # mode (the zero atom at delta < 1). 300 random and edge draws read at
+    # most 0.62 of eps (T + 1/(gamma h_min)).
+    law = mp_quadrature(delta, 400)
+    oracle = OracleParams(lam=lam, sigma2=sigma2, delta=delta, tau_star2=tau_star2)
+    gamma = 2.0 * stability / (lam + delta * law.edge_hi / sigma2)
+    h_min = lam + delta * (0.0 if law.atom > 0 else law.nodes.min()) / sigma2
+    params = ModelParams(
+        n=round(100 * delta), d=100, sigma2=sigma2, beta=1.0 / sigma2, gamma_step=gamma, horizon=steps * gamma
+    )
+    table = linear_gaussian_dmft(params, lam, tau_star2)
+    idx = np.unique(np.linspace(0, steps, 9).round().astype(int))
+    t, s = np.meshgrid(idx, idx, indexing="ij")
+    below = t > s
+    c_theta, c_theta_star, c_eta = corr_kernels(gamma * t, gamma * s, oracle, law, gamma)
+    alpha_mp, beta_mp, _ = resp_kernels(gamma * (t - s)[below], oracle, law, gamma)
+    gamma_mp = resp_kernels(gamma * idx, oracle, law, gamma)[2]
+    scale = -delta / sigma2  # the lab sign convention of the eta responses
+    pairs = {
+        "c_theta": (table.c_theta[t, s], c_theta),
+        "c_theta_star": (table.c_theta_star[idx], c_theta_star[:, 0]),
+        "c_eta": (table.c_eta[t, s], c_eta),
+        "r_theta": (table.r_theta[t, s][below], alpha_mp),
+        "r_eta": (table.r_eta[t, s][below], scale * beta_mp),
+        "r_eta_star": (table.r_eta_star[idx], scale * gamma_mp),
+    }
+    bound = 4 * np.finfo(float).eps * (steps + 1.0 / (gamma * h_min))
+    for name, (got, closed) in pairs.items():
+        assert np.max(np.abs(got - closed)) <= bound * np.max(np.abs(closed)), name
 
 
 def test_psd_of_mc_correlation(small_solution):

@@ -36,6 +36,21 @@ def time_scale_error(monkeypatch):
     monkeypatch.setattr(mp_oracle, "_propagator", lambda h, t, gamma: propagator(h, 1.01 * np.asarray(t), gamma))
 
 
+def continuous_forms_on_a_faster_clock(monkeypatch):
+    """The continuous (gamma = 0) closed forms decay on a 5 % faster clock;
+    the Euler chain's forms are left as they are."""
+    rewrite_line(
+        monkeypatch, mp_oracle, "_propagator", "np.exp(-np.minimum(h * t, _EXP_CAP))",
+        "np.exp(-np.minimum(1.05 * h * t, _EXP_CAP))",
+    )
+
+
+def brownian_weight_halved(monkeypatch):
+    """The linear engine's correlation rows with the Brownian increments at
+    weight gamma, not 2 gamma (variance gamma, times sqrt(2) squared)."""
+    rewrite_line(monkeypatch, dmft, "linear_gaussian_dmft", "2.0 * gamma * v_t", "gamma * v_t")
+
+
 def design_scaled_by_n(monkeypatch):
     """The design's entries drawn at variance 1/n instead of 1/d."""
     rewrite_line(monkeypatch, model, "sample_instance", "1.0 / np.sqrt(d)", "1.0 / np.sqrt(n)")
@@ -78,15 +93,9 @@ def probe_stderr_halved(monkeypatch):
 
 
 def signal_response_without_unit(monkeypatch):
-    """deta^t/dw* recursed without the `+ 1.0` of the direct w* term."""
-    add_step = dmft.EtaSide.add_step
-
-    def mutant(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row):
-        add_step(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row)
-        if t > 0:
-            self.deta_dwstar[t] = -self.beta * float(r_theta_raw_row @ self.deta_dwstar[:t])
-
-    monkeypatch.setattr(dmft.EtaSide, "add_step", mutant)
+    """xi^t built without the direct w* term `+ 1.0`, whose w* coefficient
+    less 1 is deta^t/dw*."""
+    rewrite_line(monkeypatch, dmft.EtaSide, "add_step", "row[0] += 1.0", "row[0] += 0.0")
 
 
 def noise_variance_dropped(monkeypatch):
@@ -130,6 +139,34 @@ def test_criterion_01_catches_a_time_scale_error_in_the_propagator(monkeypatch, 
         time_scale_error(monkeypatch)
     failed = closed_forms.failed(closed_forms.criterion_01(*oracle_pack))
     assert failed == (["fdt"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_02_catches_a_halved_brownian_weight(
+    monkeypatch, oracle_pack, gaussian_default_params, linear_table, mutate
+):
+    table = linear_table  # criterion 02's own input
+    if mutate:
+        brownian_weight_halved(monkeypatch)
+        table = dmft.linear_gaussian_dmft(gaussian_default_params, 1.0, 1.0)
+    times = 0.25 * np.arange(9)
+    failed = closed_forms.failed(closed_forms.criterion_02(table, *oracle_pack, times))
+    assert failed == (["c_theta", "c_eta"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_02b_catches_continuous_forms_on_a_faster_clock(
+    monkeypatch, oracle_pack, linear_table, refined_linear_table, mutate
+):
+    # The Euler chain's forms are untouched, so criterion 02 still passes:
+    # only the refinement shows the wrong limit.
+    if mutate:
+        continuous_forms_on_a_faster_clock(monkeypatch)
+    times = 0.25 * np.arange(9)
+    assert not closed_forms.failed(closed_forms.criterion_02(linear_table, *oracle_pack, times))
+    failed = closed_forms.failed(closed_forms.criterion_02b(linear_table, refined_linear_table, *oracle_pack, times))
+    expected = ["c_theta refined", "c_theta_star refined", "c_eta refined", "gamma_mp refined", "fine"]
+    assert failed == (expected if mutate else [])
 
 
 @pytest.mark.parametrize("mutate", [False, True])
