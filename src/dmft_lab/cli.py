@@ -503,6 +503,7 @@ def _write_manifest(cfg: RunConfig, source: str, files: list[str], extra: dict):
         **{key: cfg.opts.get(key) for key in ("seed", "threads", "replicas", "n_paths")},
         "model": cfg.raw.get("model"),
         "prior": cfg.raw.get("prior"),
+        "theta0": cfg.prior.theta0.kind if cfg.prior else None,
         "build": _git_describe(),
         "files": files,
     }
@@ -662,10 +663,10 @@ def load_artifact(out_dir) -> tuple[KernelTable, dict]:
 
 
 def compare_artifacts(dir_a, dir_b, tolerances=None):
-    """Compare two on-disk artifacts; refuses mixed model parameters or priors."""
+    """Compare two on-disk artifacts; refuses mixed model parameters, priors or theta0 laws."""
     ta, ma = load_artifact(dir_a)
     tb, mb = load_artifact(dir_b)
-    for key, what in (("model", "model parameters"), ("prior", "priors")):
+    for key, what in (("model", "model parameters"), ("prior", "priors"), ("theta0", "theta0 laws")):
         if ma.get(key) != mb.get(key):
             raise ConfigError(f"refusing to compare artifacts with different {what}")
     return compare_tables(ta, tb, tolerances)

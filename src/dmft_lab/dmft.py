@@ -100,10 +100,10 @@ class EtaSide:
 
     xi^t = eta^t + w* - eps is linear in (w*, eps, w^0..w^T); the recursion is
     applied to its coefficient vectors, and C_eta follows from the joint input
-    covariance assembled out of the theta-side correlation grids. The eta
-    responses are read off the same vectors: deta^t/dw^s is the w^s
-    coefficient of xi^t (s < t), and deta^t/dw* its w* coefficient less the
-    direct 1.
+    covariance assembled out of the theta-side correlation grids, whose C_theta
+    block is the engines' only C_theta grid. The eta responses exist only as the
+    same vectors: deta^t/dw^s is the w^s coefficient of xi^t (s < t), and
+    deta^t/dw* its w* coefficient less the direct 1.
     """
 
     def __init__(self, n_steps: int, sigma2: float, delta: float, beta: float):
@@ -112,11 +112,11 @@ class EtaSide:
         self.xi = np.zeros((T + 1, T + 3))  # basis: (w*, eps, w^0..w^T)
         self.sig = np.zeros((T + 3, T + 3))  # input covariance, grown with C_theta
         self.sig[1, 1] = sigma2
+        self.c_theta = self.sig[2:, 2:]  # C_theta(t, s), as add_step received it
         self.c_eta = np.full((T + 1, T + 1), np.nan)
-        self.r_eta_raw = np.zeros((T + 1, T + 1))  # delta*beta * deta^t/dw^s, s < t
 
     def add_step(self, t, c_theta_row, c_theta_star_t, c_star_star, r_theta_raw_row):
-        """Ingest theta-side grids at time t and emit the eta-side row t.
+        """Ingest theta-side rows at time t, emit C_eta's row t and return r_eta_raw()'s.
 
         c_theta_row: C_theta(t, 0..t); r_theta_raw_row: R_theta^step(t, 0..t-1).
         """
@@ -137,7 +137,12 @@ class EtaSide:
         sv = self.sig[:k, :k] @ self.xi[t, :k]
         self.c_eta[t, : t + 1] = delta * beta**2 * (self.xi[: t + 1, :k] @ sv)
         self.c_eta[: t + 1, t] = self.c_eta[t, : t + 1]
-        self.r_eta_raw[t, :t] = delta * beta * row[2 : 2 + t]
+        return delta * beta * row[2 : 2 + t]
+
+    def r_eta_raw(self) -> np.ndarray:
+        r = np.tril(self.xi[:, 2:], -1)  # a new grid: delta*beta * deta^t/dw^s, s < t
+        r *= self.delta * self.beta
+        return r
 
     def r_eta_star(self) -> np.ndarray:
         return self.delta * self.beta * (self.xi[:, 0] - 1.0)
@@ -294,7 +299,6 @@ def solve_dmft(
     alpha = np.zeros((T + 1, K))
     alpha[0] = prior.alpha
 
-    c_theta = np.full((T + 1, T + 1), np.nan)
     c_theta_star = np.zeros(T + 1)
     c_theta_star_se = np.zeros(T + 1)
     r_theta_raw = np.zeros((T + 1, T + 1))
@@ -309,8 +313,6 @@ def solve_dmft(
     for t in range(T + 1):
         th_t = paths[t]
         c_row = np.einsum("sp,p->s", paths[: t + 1], th_t) / P
-        c_theta[t, : t + 1] = c_row
-        c_theta[: t + 1, t] = c_row
         check_divergence(c_row[t], scale2, t)  # c_row[t] is the paths' mean square
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
@@ -327,9 +329,8 @@ def solve_dmft(
             else:
                 r_theta_raw[t, :t] = gamma * v_resp[t, :t]
 
-        eta.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
+        r_eta_row = eta.add_step(t, c_row, c_theta_star[t], c_star_star, r_theta_raw[t, :t])
         c_eta_row = eta.c_eta[t, : t + 1]
-        r_eta_row = eta.r_eta_raw[t, :t]
 
         if t == T:
             break
@@ -361,18 +362,18 @@ def solve_dmft(
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, family, regularizer)
 
-    c_theta_se = _corr_stderr(paths, c_theta, z_innov)
+    c_theta_se = _corr_stderr(paths, eta.c_theta, z_innov)
     times = gamma * np.arange(T + 1)
     table = KernelTable(
         times=times,
         gamma=gamma,
         source="dmft",
-        c_theta=c_theta,
+        c_theta=eta.c_theta,
         c_theta_star=c_theta_star,
         c_star_star=c_star_star,
         c_eta=eta.c_eta,
         r_theta=r_theta_raw / gamma,
-        r_eta=eta.r_eta_raw / gamma,
+        r_eta=eta.r_eta_raw() / gamma,
         r_eta_star=eta.r_eta_star(),
         alpha=alpha,
         stderr={"c_theta": c_theta_se, "c_theta_star": c_theta_star_se, "r_theta": r_theta_se / gamma},
@@ -407,8 +408,6 @@ def linear_gaussian_dmft(
 
     v_resp = np.zeros((T + 1, T + 1))
     a = np.zeros(T + 1)  # the theta* coefficient of theta^t
-    c_theta = np.full((T + 1, T + 1), np.nan)
-    r_theta_raw = np.zeros((T + 1, T + 1))
     eta = EtaSide(T, sigma2, delta, beta)
     coeff = 1.0 + gamma * (-delta * beta - lam)
 
@@ -416,15 +415,10 @@ def linear_gaussian_dmft(
         v_t = v_resp[t, :t]
         noise = gamma**2 * (eta.c_eta[:t, :t] @ v_t) + 2.0 * gamma * v_t
         c_row = tau_star2 * a[: t + 1] * a[t] + v_resp[: t + 1, :t] @ noise
-        c_theta[t, : t + 1] = c_row
-        c_theta[: t + 1, t] = c_row
-        r_theta_raw[t, :t] = gamma * v_t
-
-        eta.add_step(t, c_theta[t, : t + 1], tau_star2 * a[t], tau_star2, r_theta_raw[t, :t])
+        r_eta_row = eta.add_step(t, c_row, tau_star2 * a[t], tau_star2, gamma * v_t)
         if t == T:
             break
 
-        r_eta_row = eta.r_eta_raw[t, :t]
         _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)
         a[t + 1] = coeff * a[t] + gamma * (delta * beta + r_eta_row @ (a[:t] - 1.0))
 
@@ -433,11 +427,11 @@ def linear_gaussian_dmft(
         times=times,
         gamma=gamma,
         source="dmft-linear",
-        c_theta=c_theta,
+        c_theta=eta.c_theta,
         c_theta_star=tau_star2 * a,
         c_star_star=tau_star2,
         c_eta=eta.c_eta,
-        r_theta=r_theta_raw / gamma,
-        r_eta=eta.r_eta_raw / gamma,
+        r_theta=gamma * v_resp / gamma,  # the roundings of the rows the eta side read
+        r_eta=eta.r_eta_raw() / gamma,
         r_eta_star=eta.r_eta_star(),
     )

@@ -222,11 +222,13 @@ def finite_d_oracle(instance, oracle: OracleParams, t: float, s: float):
 
 def propagate_eta(c_theta, c_theta_star, c_star_star, r_theta_raw, sigma2, delta, beta):
     """`dmft.EtaSide` run over complete theta-side grids: (c_eta, r_eta_raw in
-    per-step units, r_eta_star in natural units)."""
+    per-step units from the rows `add_step` returns, r_eta_star in natural
+    units)."""
     side = dmft.EtaSide(c_theta.shape[0] - 1, sigma2, delta, beta)
+    r_eta_raw = np.zeros_like(c_theta)
     for t in range(side.T + 1):
-        side.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
-    return side.c_eta, side.r_eta_raw, side.r_eta_star()
+        r_eta_raw[t, :t] = side.add_step(t, c_theta[t, : t + 1], c_theta_star[t], c_star_star, r_theta_raw[t, :t])
+    return side.c_eta, r_eta_raw, side.r_eta_star()
 
 
 def eta_responses_by_recursion(r_theta_raw, delta, beta):

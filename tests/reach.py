@@ -1,11 +1,14 @@
 """What the shipped runs reach: the `dmft_lab` functions that no run enters,
-and the config values that no run names.
+the lines of the entered ones that no run executes, and the config values
+that no run names.
 
 The runs are the five configs of `configs/` and the runs of the four
 benchmark workloads (`benchmark/workloads.py`, read as it is), each made by
 `cli.run` (and `cli.compare_artifacts`, where a workload compares two runs)
-under `sys.setprofile` and `threading.setprofile`, for replica threads. The
-command line (`cli.main`) is not run. A function counts as entered when one of its calls starts; a
+under `sys.settrace` and `threading.settrace`, for replica threads. The
+command line (`cli.main`) is not run. A function counts as entered when one of
+its calls starts, and a line as executed when the tracer sees it start in a
+`dmft_lab` frame; module and class bodies run at import and are left out. A
 config value counts as named when the run's checked config uses it: the prior
 families of `prior` and of `equilibrium.g_star`/`g`, the theta0 kind of a
 run with a prior, the design of a run with a simulate source and the response
@@ -46,7 +49,8 @@ def _runs() -> list[tuple[str, list, tuple]]:
 
 
 def _functions() -> dict:
-    """(file, first line, name) -> module:qualname of every named function of the package."""
+    """(file, first line, name) -> (module:qualname, its own executable lines)
+    of every named function of the package; a nested function's lines are its own."""
     out = {}
     for info in pkgutil.iter_modules(dmft_lab.__path__, "dmft_lab."):
         module = importlib.import_module(info.name)
@@ -55,8 +59,21 @@ def _functions() -> dict:
             code = stack.pop()
             stack += [c for c in code.co_consts if isinstance(c, types.CodeType)]
             if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):  # no class body
-                out[(code.co_filename, code.co_firstlineno, code.co_name)] = f"{info.name}:{code.co_qualname}"
+                lines = {line for *_, line in code.co_lines() if line and line != code.co_firstlineno}
+                key = (code.co_filename, code.co_firstlineno, code.co_name)
+                out[key] = (f"{info.name}:{code.co_qualname}", lines)
     return out
+
+
+def _spans(lines) -> str:
+    """Sorted line numbers as runs: 3-5, 9."""
+    runs = []
+    for line in sorted(lines):
+        if runs and line == runs[-1][1] + 1:
+            runs[-1][1] = line
+        else:
+            runs.append([line, line])
+    return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def _named(cfg: cli.RunConfig) -> dict:
@@ -76,12 +93,18 @@ def _named(cfg: cli.RunConfig) -> dict:
 
 def main() -> int:
     functions = _functions()
-    entered = set()
+    package = str(Path(dmft_lab.__file__).parent)
+    entered, executed = set(), set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            executed.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno, code.co_name))
+        return trace_lines if code.co_filename.startswith(package) else None
 
     named = {kind: set() for kind in ("families", "theta0 kinds", "designs", "response methods")}
     with tempfile.TemporaryDirectory() as out:
@@ -91,19 +114,24 @@ def main() -> int:
             for raw in raws:
                 for kind, values in _named(cli.load_config(raw)).items():
                     named[kind] |= values
-            sys.setprofile(profile)
-            threading.setprofile(profile)
+            threading.settrace(trace)
+            sys.settrace(trace)
             try:
                 status = [cli.run(raw) for raw in raws]
                 if compared:  # as the workload does, with the first run's tolerances
                     cli.compare_artifacts(*(where / run for run in compared), raws[0]["compare"]["tolerances"])
             finally:
-                sys.setprofile(None)
-                threading.setprofile(None)
+                sys.settrace(None)
+                threading.settrace(None)
             print(f"ran {label}: exit {status}", file=sys.stderr)
     print("dmft_lab functions no run enters:")
-    for name in sorted(name for key, name in functions.items() if key not in entered):
+    for name in sorted(name for key, (name, _) in functions.items() if key not in entered):
         print(f"  {name}")
+    print("lines of entered dmft_lab functions no run executes:")
+    for key, (name, lines) in sorted(functions.items(), key=lambda item: item[1][0]):
+        missed = {line for line in lines if (key[0], line) not in executed}
+        if key in entered and missed:
+            print(f"  {name}: {_spans(missed)}")
     known = {
         "families": set(cli._FAMILIES),
         "theta0 kinds": set(priors._THETA0_KINDS),

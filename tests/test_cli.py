@@ -223,6 +223,16 @@ def test_compare_artifacts_refuses_model_mismatch(tmp_path):
     assert report.passed
 
 
+def test_compare_artifacts_refuses_theta0_mismatch(tmp_path):
+    # Same model and prior, theta0 at 0 and at theta_star: different laws of
+    # the same process, never to be compared as one.
+    for kind in ("zero", "star"):
+        assert run(small_config("dmft", out=str(tmp_path / kind), theta0={"kind": kind})) == 0
+        assert json.loads((tmp_path / kind / "manifest.json").read_text())["theta0"] == kind
+    with pytest.raises(ConfigError, match="different theta0 laws"):
+        compare_artifacts(tmp_path / "zero", tmp_path / "star")
+
+
 def test_manifest_carries_config_hash(tmp_path):
     out = tmp_path / "h"
     cfg = small_config("dmft-linear", out=str(out))
