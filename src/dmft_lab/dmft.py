@@ -7,10 +7,11 @@ inputs and is propagated deterministically on covariances (zero Monte Carlo
 error). The theta response follows its own closed recursion; the eta
 responses are read off the eta side's coefficient vectors.
 
-Internal state uses the raw per-step response units (theta-response base case
-equals the step gamma); exported KernelTable grids are in density units
-(raw / gamma), with the signal-field response r_eta_star kept in its natural
-O(1) units.
+Both engines hold R_theta as one grid v in density units and hand the eta
+side its per-step rows gamma * v_t, whose base case R(t+1, t) is the step
+gamma. The eta side works in per-step units and assembles the KernelTable,
+whose grids are in density units (per-step / gamma), with the signal-field
+response r_eta_star kept in its natural O(1) units.
 """
 
 from __future__ import annotations
@@ -104,6 +105,9 @@ class EtaSide:
     block is the engines' only C_theta grid. The eta responses exist only as the
     same vectors: deta^t/dw^s is the w^s coefficient of xi^t (s < t), and
     deta^t/dw* its w* coefficient less the direct 1.
+
+    The engines hold R_theta as one density-unit grid v and hand add_step its
+    per-step row gamma * v_t; `table` assembles both engines' KernelTable.
     """
 
     def __init__(self, n_steps: int, sigma2: float, delta: float, beta: float):
@@ -146,6 +150,22 @@ class EtaSide:
 
     def r_eta_star(self) -> np.ndarray:
         return self.delta * self.beta * (self.xi[:, 0] - 1.0)
+
+    def table(self, gamma, source, v, **theta_side) -> KernelTable:
+        """The KernelTable of an engine whose R_theta grid v this side read as
+        gamma * v_t: r_theta is (gamma * v) / gamma, the roundings of those
+        rows; theta_side holds the engine's own fields (c_theta_star, ...)."""
+        return KernelTable(
+            times=gamma * np.arange(self.T + 1),
+            gamma=gamma,
+            source=source,
+            c_theta=self.c_theta,
+            c_eta=self.c_eta,
+            r_theta=gamma * v / gamma,
+            r_eta=self.r_eta_raw() / gamma,
+            r_eta_star=self.r_eta_star(),
+            **theta_side,
+        )
 
 
 def _response_rows_constant(t, v, coeff, gamma, r_eta_raw_row):
@@ -243,6 +263,13 @@ def solve_dmft(
     theta-side kernels and the parameter flow, and propagate the eta-side
     deterministically.
 
+    R_theta is one density-unit grid v: the response recursion's rows for a
+    constant curvature, the means of the per-path rows for a theta-dependent
+    one. Each step hands the eta side gamma * v_t, and `EtaSide.table` forms
+    the table, r_theta = (gamma * v) / gamma. Only the per-path branch keeps
+    an r_theta standard-error grid; a constant curvature's, all zeros, is made
+    at assembly, after the Cholesky factor is released.
+
     The ensemble is stored time-major, (steps+1, paths), and every reduction
     over paths is a contiguous numpy pass (einsum rows, mean, std). None goes
     through BLAS, whose threaded reductions would make the bits depend on the
@@ -275,15 +302,15 @@ def solve_dmft(
 
     curvature = prior.family.theta_curvature_constant(prior.alpha)
     per_path = curvature is None
+    v = np.zeros((T + 1, T + 1))  # R_theta: the response rows, or their path means
     if per_path:
         error = _response_budget_error(P, T, response_budget_bytes)
         if error:
             raise MemoryBudgetError(error)
         starts = _column_starts(T)
-        v_resp = np.zeros((starts[T], P), dtype=np.float32)
+        v_paths = np.zeros((starts[T], P), dtype=np.float32)
         resp_rows = np.empty((2, T, P), dtype=np.float32)  # row t in resp_rows[t % 2]
-    else:
-        v_resp = np.zeros((T + 1, T + 1))
+        r_theta_se = np.zeros((T + 1, T + 1))  # per-step units
 
     rng_star = component_rng(seed, _STREAM_THETA_STAR)
     rng_t0 = component_rng(seed, _STREAM_THETA0)
@@ -301,8 +328,6 @@ def solve_dmft(
 
     c_theta_star = np.zeros(T + 1)
     c_theta_star_se = np.zeros(T + 1)
-    r_theta_raw = np.zeros((T + 1, T + 1))
-    r_theta_se = np.zeros((T + 1, T + 1))
     c_star_star = float(np.mean(theta_star**2))
     scale2 = c_star_star + float(np.mean(theta**2))
 
@@ -317,19 +342,16 @@ def solve_dmft(
         star_prod = th_t * theta_star
         c_theta_star[t] = star_prod.mean()
         c_theta_star_se[t] = star_prod.std(mean=c_theta_star[t]) / sqP
-        if t > 0:
-            if per_path:
-                row_t = resp_rows[t % 2, :t]  # formed by the step before
-                for lo in range(0, t, _ROW_BLOCK):
-                    rows = row_t[lo : lo + _ROW_BLOCK]
-                    hi = lo + len(rows)
-                    mean = rows.mean(axis=1, dtype=np.float64, keepdims=True)
-                    r_theta_raw[t, lo:hi] = gamma * mean[:, 0]
-                    r_theta_se[t, lo:hi] = gamma * rows.std(axis=1, dtype=np.float64, mean=mean) / sqP
-            else:
-                r_theta_raw[t, :t] = gamma * v_resp[t, :t]
+        if per_path and t > 0:
+            row_t = resp_rows[t % 2, :t]  # formed by the step before
+            for lo in range(0, t, _ROW_BLOCK):
+                rows = row_t[lo : lo + _ROW_BLOCK]
+                hi = lo + len(rows)
+                mean = rows.mean(axis=1, dtype=np.float64, keepdims=True)
+                v[t, lo:hi] = mean[:, 0]
+                r_theta_se[t, lo:hi] = gamma * rows.std(axis=1, dtype=np.float64, mean=mean) / sqP
 
-        r_eta_row = eta.add_step(t, c_row, c_theta_star[t], c_star_star, r_theta_raw[t, :t])
+        r_eta_row = eta.add_step(t, c_row, c_theta_star[t], c_star_star, gamma * v[t, :t])
         c_eta_row = eta.c_eta[t, : t + 1]
 
         if t == T:
@@ -346,11 +368,11 @@ def solve_dmft(
             ds = family.dtheta_drift_s(th_t, alpha[t]).astype(np.float32)
             coeff = np.float32(1.0) + np.float32(gamma) * (np.float32(-delta * beta) + ds)
             _response_rows_paths(
-                t, v_resp, starts, resp_rows[t % 2, :t], coeff, gamma, r_eta_row, resp_rows[(t + 1) % 2]
+                t, v_paths, starts, resp_rows[t % 2, :t], coeff, gamma, r_eta_row, resp_rows[(t + 1) % 2]
             )
         else:
             coeff = 1.0 + gamma * (-delta * beta + curvature)
-            _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)
+            _response_rows_constant(t, v, coeff, gamma, r_eta_row)
 
         # theta step: drift + memory + field + Brownian increment.
         drift = -delta * beta * (th_t - theta_star) + family.drift_s(th_t, alpha[t])
@@ -362,29 +384,12 @@ def solve_dmft(
         if K:
             alpha[t + 1] = alpha[t] + gamma * gradient_map_G(alpha[t], th_t, family, regularizer)
 
-    c_theta_se = _corr_stderr(paths, eta.c_theta, z_innov)
-    times = gamma * np.arange(T + 1)
-    table = KernelTable(
-        times=times,
-        gamma=gamma,
-        source="dmft",
-        c_theta=eta.c_theta,
-        c_theta_star=c_theta_star,
-        c_star_star=c_star_star,
-        c_eta=eta.c_eta,
-        r_theta=r_theta_raw / gamma,
-        r_eta=eta.r_eta_raw() / gamma,
-        r_eta_star=eta.r_eta_star(),
-        alpha=alpha,
-        stderr={"c_theta": c_theta_se, "c_theta_star": c_theta_star_se, "r_theta": r_theta_se / gamma},
-    )
-    return DmftResult(
-        table=table,
-        paths=paths,
-        theta_star=theta_star,
-        chol_clamped_steps=chol.clamped_steps,
-        chol_jitter_log=chol.jitter_log,
-    )
+    clamped, jitters = chol.clamped_steps, chol.jitter_log
+    del chol  # its (T+1)^2 factor is dead before the standard errors and the table
+    stderr = {"c_theta": _corr_stderr(paths, eta.c_theta, z_innov), "c_theta_star": c_theta_star_se}
+    stderr["r_theta"] = r_theta_se / gamma if per_path else np.zeros_like(v)  # exact rows: zero SEs
+    table = eta.table(gamma, "dmft", v, c_theta_star=c_theta_star, c_star_star=c_star_star, alpha=alpha, stderr=stderr)
+    return DmftResult(table, paths, theta_star, clamped, jitters)
 
 
 def linear_gaussian_dmft(
@@ -406,32 +411,20 @@ def linear_gaussian_dmft(
     if lam <= 0 or tau_star2 <= 0:
         raise ValueError("lam and tau_star2 must be positive")
 
-    v_resp = np.zeros((T + 1, T + 1))
+    v = np.zeros((T + 1, T + 1))
     a = np.zeros(T + 1)  # the theta* coefficient of theta^t
     eta = EtaSide(T, sigma2, delta, beta)
     coeff = 1.0 + gamma * (-delta * beta - lam)
 
     for t in range(T + 1):
-        v_t = v_resp[t, :t]
+        v_t = v[t, :t]
         noise = gamma**2 * (eta.c_eta[:t, :t] @ v_t) + 2.0 * gamma * v_t
-        c_row = tau_star2 * a[: t + 1] * a[t] + v_resp[: t + 1, :t] @ noise
+        c_row = tau_star2 * a[: t + 1] * a[t] + v[: t + 1, :t] @ noise
         r_eta_row = eta.add_step(t, c_row, tau_star2 * a[t], tau_star2, gamma * v_t)
         if t == T:
             break
 
-        _response_rows_constant(t, v_resp, coeff, gamma, r_eta_row)
+        _response_rows_constant(t, v, coeff, gamma, r_eta_row)
         a[t + 1] = coeff * a[t] + gamma * (delta * beta + r_eta_row @ (a[:t] - 1.0))
 
-    times = gamma * np.arange(T + 1)
-    return KernelTable(
-        times=times,
-        gamma=gamma,
-        source="dmft-linear",
-        c_theta=eta.c_theta,
-        c_theta_star=tau_star2 * a,
-        c_star_star=tau_star2,
-        c_eta=eta.c_eta,
-        r_theta=gamma * v_resp / gamma,  # the roundings of the rows the eta side read
-        r_eta=eta.r_eta_raw() / gamma,
-        r_eta_star=eta.r_eta_star(),
-    )
+    return eta.table(gamma, "dmft-linear", v, c_theta_star=tau_star2 * a, c_star_star=tau_star2)

@@ -15,10 +15,11 @@ each can fail.
 
 import numpy as np
 
-from dmft_lab import dmft, equilibrium, model, mp_oracle, simulator
+from dmft_lab import cli, dmft, equilibrium, model, mp_oracle, simulator
+from dmft_lab.kernels import time_index
 from dmft_lab.model import ModelParams, sample_instance
 from dmft_lab.mp_oracle import MPLaw, OracleParams, UnsupportedOracleError
-from dmft_lab.priors import GaussianFixed, GaussianMeanMixture, PriorSpec
+from dmft_lab.priors import GaussianFixed, GaussianLocation, GaussianMeanMixture, PriorSpec
 
 
 def failed(checks) -> list:
@@ -518,3 +519,63 @@ def criterion_09(table, oracle: OracleParams, law: MPLaw) -> dict:
         "c_theta": (abs(table.c_theta[-1, -1] - oracle.tau_star2), 0.01),
         "c_eta": (abs(table.c_eta[-1, -1] - ceta_stationary(0.0, oracle, law)), 0.02),
     }
+
+
+def marginal_w2(sim_table, sim_paths, dmft_result, t=1.0) -> float:
+    """W2 at time t between the simulated coordinates, pooled over the
+    replicas' retained paths at the retained time nearest t, and the MC-DMFT
+    ensemble at t, both resampled to the larger size."""
+    idx = int(np.argmin(np.abs(sim_table.times - t)))
+    pooled = np.concatenate([p[idx] for p in sim_paths])
+    ensemble = dmft_result.paths[time_index(dmft_result.table.times, t)]
+    return simulator.wasserstein2_1d(*simulator.resample_to_common_size(pooled, ensemble))
+
+
+def criterion_10(gaussian, adaptive_location) -> dict:
+    """Marginal laws: `marginal_w2` at t = 1 for the fixed Gaussian prior and
+    for the adaptive location prior, each given as (simulated table, retained
+    paths, MC-DMFT result)."""
+    return {"gaussian": (marginal_w2(*gaussian), 0.05), "adaptive location": (marginal_w2(*adaptive_location), 0.05)}
+
+
+def criterion_11(sim_table, dmft_table) -> dict:
+    """Adaptive alpha: the worst gap of the simulated alpha trajectory from
+    MC-DMFT's at the simulator's retained times, and |grad F| at alpha* = 1
+    for the matched location prior at delta = 2, sigma2 = 1: the point the
+    dynamics approach is the free energy's stationary point."""
+    idx = [int(np.argmin(np.abs(dmft_table.times - t))) for t in sim_table.times]
+    dev = float(np.max(np.abs(sim_table.alpha[:, 0] - dmft_table.alpha[idx, 0])))
+    g = GaussianLocation(1.0)
+    grad = equilibrium.grad_F(np.array([1.0]), 2.0, 1.0, g, g, alpha_star=np.array([1.0]))
+    return {"alpha trajectory": (dev, 0.05), "grad F": (float(np.linalg.norm(grad)), 1e-6)}
+
+
+def reproducibility_runs(out_dir) -> dict:
+    """Criterion 12's input: per pipeline (simulate, dmft, dmft-linear and
+    oracle on a small gaussian_fixed config at seed 3), the bytes of its
+    kernel CSV from three `cli.run` calls into `out_dir`, at threads 1, 1
+    and 2."""
+    base = {
+        "seed": 3,
+        "model": {"n": 60, "d": 30, "sigma2": 1.0, "beta": 1.0, "gamma": 0.05, "horizon": 0.5},
+        "prior": {"family": "gaussian_fixed", "lam": 1.0},
+        "replicas": 3,
+        "n_paths": 400,
+        "retain_every": 2,
+    }
+    blobs = {}
+    for pipeline in ("simulate", "dmft", "dmft-linear", "oracle"):
+        blobs[pipeline] = []
+        for tag, threads in (("x", 1), ("y", 1), ("z", 2)):
+            out = out_dir / f"{pipeline}_{tag}"
+            if cli.run(dict(base, pipeline=pipeline, out=str(out)), threads=threads) != 0:
+                raise RuntimeError(f"{pipeline} run {tag} failed")
+            blobs[pipeline].append((out / f"kernels_{pipeline}.csv").read_bytes())
+    return blobs
+
+
+def criterion_12(runs) -> dict:
+    """Byte-identical reruns, thread count included: per pipeline of
+    `reproducibility_runs`, the number of reruns whose bytes differ from the
+    first run's."""
+    return {pipeline: (sum(blob != blobs[0] for blob in blobs[1:]), 0) for pipeline, blobs in runs.items()}

@@ -10,7 +10,7 @@ from dmft_lab.dmft import linear_gaussian_dmft, solve_dmft
 from dmft_lab.kernels import KernelTable
 from dmft_lab.model import ModelParams
 from dmft_lab.mp_oracle import OracleParams, mp_quadrature
-from dmft_lab.priors import GaussianFixed, PriorSpec
+from dmft_lab.priors import GaussianFixed, GaussianLocation, PriorSpec
 
 
 @pytest.fixture(scope="session")
@@ -104,6 +104,26 @@ def sim_pack(gaussian_default_params, gaussian_default_prior):
     seeds = [7000 + r for r in range(20)]
     table, paths = simulator.simulate(params, prior, seeds, retain_every=10, response_steps=steps)
     return SimpleNamespace(params=params, prior=prior, times=times, steps=steps, seeds=seeds, paths=paths, table=table)
+
+
+@pytest.fixture(scope="session")
+def adaptive_pack(gaussian_default_params):
+    """gaussian_default's model with the adaptive location prior (alpha from
+    0, alpha* = 1): 20 simulated replicas (seeds 7000 + r, every 10th step
+    kept) and the MC-DMFT solve at 20000 paths, seed 5, as (params, prior,
+    simulated table, retained paths, MC-DMFT result). Criteria 10 and 11's
+    input, shared with their mutation tests."""
+    params = gaussian_default_params
+    prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
+    table, paths = simulator.simulate(params, prior, [7000 + r for r in range(20)], retain_every=10)
+    return params, prior, table, paths, solve_dmft(params, prior, 20000, seed=5)
+
+
+@pytest.fixture(scope="session")
+def reproducibility_runs(tmp_path_factory):
+    """Criterion 12's input, `closed_forms.reproducibility_runs`: twelve small
+    runs, shared by the criterion and its mutation test."""
+    return closed_forms.reproducibility_runs(tmp_path_factory.mktemp("reproducibility"))
 
 
 @pytest.fixture

@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 
 import closed_forms
-from dmft_lab import cli, dmft, equilibrium, mp_oracle, simulator
-from dmft_lab.kernels import time_index
-from dmft_lab.model import ModelParams, sample_instance
-from dmft_lab.priors import GaussianLocation, PriorSpec
+from dmft_lab import mp_oracle, simulator
+from dmft_lab.model import sample_instance
 
-DELTA, SIGMA2, BETA, LAM, TAU2 = 2.0, 1.0, 1.0, 1.0, 1.0
-GAMMA, HORIZON = 0.01, 2.0
-D_SIM, N_SIM, REPLICAS = 400, 800, 20
-N_PATHS = 20000
-SIM_SEED, MC_SEED = 7, 5
+DELTA, SIGMA2, LAM, TAU2 = 2.0, 1.0, 1.0, 1.0
+GAMMA = 0.01
 COARSE = np.array([0.25 * k for k in range(9)])  # {0, 0.25, ..., 2}
 
 
@@ -32,28 +27,10 @@ def _line(num, ok, detail):
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def params_at(gamma=GAMMA, horizon=HORIZON, n=N_SIM, d=D_SIM):
-    return ModelParams(n=n, d=d, sigma2=SIGMA2, beta=BETA, gamma_step=gamma, horizon=horizon)
-
-
 @pytest.fixture(scope="module")
 def oracle_pack():
     oracle = mp_oracle.OracleParams(lam=LAM, sigma2=SIGMA2, delta=DELTA, tau_star2=TAU2)
     return oracle, mp_oracle.mp_quadrature(DELTA, 400)
-
-
-@pytest.fixture(scope="module")
-def adaptive_pack():
-    params = params_at()
-    prior = PriorSpec(GaussianLocation(1.0), alpha=[0.0], alpha_star=[1.0])
-    seeds = [SIM_SEED * 1000 + r for r in range(REPLICAS)]
-    table, paths = simulator.simulate(params, prior, seeds, retain_every=10)
-    res = dmft.solve_dmft(params, prior, N_PATHS, seed=MC_SEED)
-    return params, prior, table, paths, res
-
-
-def _coarse_idx(times, grid):
-    return np.array([int(np.argmin(np.abs(times - t))) for t in grid])
 
 
 # --------------------------------------------------------------- criterion 1
@@ -186,69 +163,32 @@ def test_criterion_09_long_time_handoff(oracle_pack, long_time_table):
 
 
 def test_criterion_10_marginal_w2(sim_pack, adaptive_pack, mc_result):
-    idx = int(np.argmin(np.abs(sim_pack.table.times - 1.0)))
-    pooled = np.concatenate([p[idx] for p in sim_pack.paths])
-    idx_mc = time_index(mc_result.table.times, 1.0)
-    ens = mc_result.paths[idx_mc]
-    a, b = simulator.resample_to_common_size(pooled, ens)
-    w2_gauss = simulator.wasserstein2_1d(a, b)
-
-    _, _, _, paths_loc, res_loc = adaptive_pack
-    pooled_loc = np.concatenate([p[idx] for p in paths_loc])
-    ens_loc = res_loc.paths[idx_mc]
-    a, b = simulator.resample_to_common_size(pooled_loc, ens_loc)
-    w2_loc = simulator.wasserstein2_1d(a, b)
-    ok = w2_gauss <= 0.05 and w2_loc <= 0.05
-    _line(10, ok, f"W2 at t=1: gaussian {w2_gauss:.4f}, adaptive location {w2_loc:.4f}")
-    assert w2_gauss <= 0.05
-    assert w2_loc <= 0.05
+    _, _, table, paths, res = adaptive_pack
+    checks = closed_forms.criterion_10((sim_pack.table, sim_pack.paths, mc_result), (table, paths, res))
+    failed = closed_forms.failed(checks)
+    (w2_gauss, _), (w2_loc, _) = checks["gaussian"], checks["adaptive location"]
+    _line(10, not failed, f"W2 at t=1: gaussian {w2_gauss:.4f}, adaptive location {w2_loc:.4f}")
+    assert not failed
 
 
 # -------------------------------------------------------------- criterion 11
 
 
 def test_criterion_11_adaptive_alpha_trajectory(adaptive_pack):
-    params, prior, table, _, res = adaptive_pack
-    idx = _coarse_idx(res.table.times, table.times)
-    dev = float(np.max(np.abs(table.alpha[:, 0] - res.table.alpha[idx, 0])))
-    g = GaussianLocation(1.0)
-    grad_norm = float(
-        np.linalg.norm(
-            equilibrium.grad_F(np.array([1.0]), DELTA, SIGMA2, g, g, alpha_star=np.array([1.0]))
-        )
-    )
-    ok = dev <= 0.05 and grad_norm <= 1e-6
-    _line(11, ok, f"alpha trajectory max dev {dev:.4f}; |grad F(alpha*)| = {grad_norm:.1e}")
-    assert dev <= 0.05
-    assert grad_norm <= 1e-6
+    _, _, table, _, res = adaptive_pack
+    checks = closed_forms.criterion_11(table, res.table)
+    failed = closed_forms.failed(checks)
+    (dev, _), (grad_norm, _) = checks["alpha trajectory"], checks["grad F"]
+    _line(11, not failed, f"alpha trajectory max dev {dev:.4f}; |grad F(alpha*)| = {grad_norm:.1e}")
+    assert not failed
 
 
 # -------------------------------------------------------------- criterion 12
 
 
-def test_criterion_12_reproducibility(tmp_path):
-    base = {
-        "seed": 3,
-        "model": {"n": 60, "d": 30, "sigma2": 1.0, "beta": 1.0, "gamma": 0.05, "horizon": 0.5},
-        "prior": {"family": "gaussian_fixed", "lam": 1.0},
-        "replicas": 3,
-        "n_paths": 400,
-        "retain_every": 2,
-    }
-    blobs = {}
-    for pipeline, fname in (
-        ("simulate", "kernels_simulate.csv"),
-        ("dmft", "kernels_dmft.csv"),
-        ("dmft-linear", "kernels_dmft-linear.csv"),
-        ("oracle", "kernels_oracle.csv"),
-    ):
-        runs = []
-        for tag, threads in (("x", 1), ("y", 1), ("z", 2)):
-            out = tmp_path / f"{pipeline}_{tag}"
-            cfg = dict(base, pipeline=pipeline, out=str(out))
-            assert cli.run(cfg, threads=threads) == 0
-            runs.append((out / fname).read_bytes())
-        blobs[pipeline] = runs[0] == runs[1] == runs[2]
-    ok = all(blobs.values())
-    _line(12, ok, f"byte-identical reruns (incl. thread-count variation): {blobs}")
-    assert ok
+def test_criterion_12_reproducibility(reproducibility_runs):
+    checks = closed_forms.criterion_12(reproducibility_runs)
+    failed = closed_forms.failed(checks)
+    identical = {pipeline: margin == 0 for pipeline, (margin, _) in checks.items()}
+    _line(12, not failed, f"byte-identical reruns (incl. thread-count variation): {identical}")
+    assert not failed

@@ -16,6 +16,7 @@ from closed_forms import (
     eta_responses_by_recursion,
     failed,
     propagate_eta,
+    same_bits,
     se_calibration,
 )
 from dmft_lab import cli, dmft
@@ -265,10 +266,8 @@ def test_solver_against_linear_engine(small_solution):
     diff = np.abs(res.table.c_theta - lin.c_theta)
     assert np.all(diff <= 4 * se + 0.02)
     # responses close on themselves for constant curvature: bitwise equal
-    assert np.array_equal(
-        np.nan_to_num(res.table.r_theta), np.nan_to_num(lin.r_theta)
-    )
-    assert np.array_equal(np.nan_to_num(res.table.r_eta), np.nan_to_num(lin.r_eta))
+    for name in ("r_theta", "r_eta", "r_eta_star"):
+        assert same_bits(getattr(res.table, name), getattr(lin, name)), name
 
 
 def test_marginal_samples_contract(small_solution):
@@ -492,7 +491,7 @@ def test_mixture_solver_keeps_one_row_block():
 
 
 def test_linear_engine_holds_six_grids():
-    # v_resp, xi, sig (whose C_theta block is the table's c_theta) and c_eta
+    # v, xi, sig (whose C_theta block is the table's c_theta) and c_eta
     # through the loop, then the table's r_theta and r_eta, each divided by
     # gamma in the buffer of its product (numpy reuses the temporary of a
     # one-reference array): six (T+1)^2 float64 grids, the tril mask and row
@@ -508,6 +507,27 @@ def test_linear_engine_holds_six_grids():
         tracemalloc.stop()
     assert T == 400
     assert peak < 6.5 * (T + 1) ** 2 * 8
+
+
+def test_solver_holds_eight_grids():
+    # Through the loop v, xi, sig (whose C_theta block is the table's c_theta),
+    # c_eta and the Cholesky factor; the factor is released before the c_theta
+    # standard errors, the zero r_theta standard errors and the table's r_theta
+    # and r_eta: eight (T+1)^2 float64 grids, the two (T+1, P) path arrays
+    # (half a grid at P = 100) and row temporaries, 8.72 grids measured. One
+    # more stored grid fails the bound.
+    prior = PriorSpec(GaussianFixed(1.0))
+    solve_dmft(small_params(horizon=0.5), prior, n_paths=100, seed=1)  # lazy imports of a first solve
+    params = ModelParams(n=200, d=100, sigma2=1.0, beta=1.0, gamma_step=0.005, horizon=2.0)
+    T = params.n_steps
+    tracemalloc.start()
+    try:
+        solve_dmft(params, prior, n_paths=100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T == 400
+    assert peak < 9 * (T + 1) ** 2 * 8
 
 
 def test_identical_components_match_the_constant_route():

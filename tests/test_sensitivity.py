@@ -127,6 +127,26 @@ def marginal_normalizer_without_the_channel(monkeypatch):
     rewrite_line(monkeypatch, GaussianMixture, "channel_columns", "np.log(2 * np.pi * var)", "np.log(2 * np.pi / p)")
 
 
+def truth_drawn_at_the_students_alpha(monkeypatch):
+    """MC-DMFT draws theta* from the prior at its own starting alpha, not at
+    alpha*."""
+    rewrite_line(
+        monkeypatch, dmft, "solve_dmft", "prior.family.sample(prior.alpha_star, rng_star, P)",
+        "prior.family.sample(prior.alpha, rng_star, P)",
+    )
+
+
+def alpha_step_halved(monkeypatch):
+    """MC-DMFT's alpha update at half the step gamma. The simulator's update
+    and `gradient_map_G`, which both routes call, are left as they are."""
+    rewrite_line(monkeypatch, dmft, "solve_dmft", "gamma * gradient_map_G(", "0.5 * gamma * gradient_map_G(")
+
+
+def replicas_reordered_on_the_pool(monkeypatch):
+    """The simulator's thread pool returns the replicas in reverse seed order."""
+    rewrite_line(monkeypatch, simulator, "simulate", "pool.map(one, seeds)", "pool.map(one, seeds[::-1])")
+
+
 @pytest.fixture(scope="module")
 def oracle_pack():
     oracle = mp_oracle.OracleParams(lam=1.0, sigma2=1.0, delta=2.0, tau_star2=1.0)
@@ -263,3 +283,37 @@ def test_se_calibration_catches_halved_correlation_stderrs(
         tables = se_calibration_solves(range(50))  # the budget follows the seed count
     failed = closed_forms.failed(closed_forms.se_calibration(tables))
     assert failed == (["c_theta"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_10_catches_a_truth_drawn_at_the_students_alpha(
+    monkeypatch, sim_pack, mc_result, adaptive_pack, mutate
+):
+    # The fixed Gaussian prior has no alpha, so the mutant draws its truth as
+    # before: only the adaptive solve is rerun.
+    params, prior, table, paths, result = adaptive_pack  # criterion 10's own input
+    if mutate:
+        truth_drawn_at_the_students_alpha(monkeypatch)
+        result = dmft.solve_dmft(params, prior, 20000, seed=5)
+    checks = closed_forms.criterion_10((sim_pack.table, sim_pack.paths, mc_result), (table, paths, result))
+    assert closed_forms.failed(checks) == (["adaptive location"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_11_catches_a_halved_alpha_step(monkeypatch, adaptive_pack, mutate):
+    params, prior, table, _, result = adaptive_pack  # criterion 11's own input
+    if mutate:
+        alpha_step_halved(monkeypatch)
+        result = dmft.solve_dmft(params, prior, 20000, seed=5)
+    failed = closed_forms.failed(closed_forms.criterion_11(table, result.table))
+    assert failed == (["alpha trajectory"] if mutate else [])
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_criterion_12_catches_replicas_reordered_on_the_pool(monkeypatch, tmp_path, reproducibility_runs, mutate):
+    runs = reproducibility_runs  # criterion 12's own input
+    if mutate:
+        replicas_reordered_on_the_pool(monkeypatch)
+        runs = closed_forms.reproducibility_runs(tmp_path)
+    failed = closed_forms.failed(closed_forms.criterion_12(runs))
+    assert failed == (["simulate"] if mutate else [])
